@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog, functionals as fl, revolution as rev, varcheck as vc
-from .errors import LeafwiseError
+from .errors import LeafwiseError, ValidationError
 from .operators import ScalarField
 from .svgplot import svg_line_plot
 from .variation import VariationField, random_trig_variation
@@ -34,6 +34,7 @@ DEFAULTS = {
     "eval": {
         "surface": {"id": "sphere", "params": {}},
         "functional": {"kind": "W_nps", "p": 2},
+        "tolerance": None,
     },
     "elcheck": {
         "surface": None,
@@ -78,6 +79,11 @@ def load_config(arg: str, command: str) -> dict:
         return base
     raw = sys.stdin.read() if arg == "-" else Path(arg).read_text()
     user = json.loads(raw)
+    if not isinstance(user, dict):
+        raise ValidationError(f"the {command} config must be a JSON object")
+    unknown = sorted(set(user) - set(base))
+    if unknown:
+        raise ValidationError(f"unknown {command} config key(s): {', '.join(unknown)}")
     base.update(user)
     return base
 
@@ -378,7 +384,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         config = load_config(args.config, args.command)
-    except (json.JSONDecodeError, OSError, KeyError) as exc:
+    except (json.JSONDecodeError, OSError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:

@@ -39,7 +39,7 @@ from .operators import (
     leaf_gradient,
     leaf_laplacian,
 )
-from .patch import FoliatedPatch, PointGeometry
+from .patch import FoliatedPatch, PointGeometry, gauss_axis
 from .revolution import (
     RevolutionProfile,
     invariants,
@@ -226,9 +226,8 @@ def _evaluate_revolution(spec: FunctionalSpec, profile: RevolutionProfile,
                          quad_nodes: int = 400) -> float:
     """Quadrature over the profile; dV = rho^{n-1} sqrt(1+f'^2) d(angles) d rho."""
     n = profile.n
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
-    rho = 0.5 * (profile.rho_max - profile.rho_min) * (nodes + 1) + profile.rho_min
-    wts = 0.5 * (profile.rho_max - profile.rho_min) * weights
+    axis = gauss_axis(profile.rho_min, profile.rho_max, quad_nodes)
+    rho, wts = axis.nodes, axis.weights
     inv = invariants(profile, rho)
     if spec.kind == "W_nps":
         dens = _safe_power(inv.h_f_mean, spec.p)

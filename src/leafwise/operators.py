@@ -24,11 +24,7 @@ import numpy as np
 
 from .errors import DomainError, StencilError, ValidationError
 from .patch import FoliatedPatch, Grid, PointGeometry
-from .suppliers import scalar_jets_from_callable
-
-_W1_4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_W2_4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_OFF = np.array([-2, -1, 0, 1, 2])
+from .suppliers import callable_jets, scalar_jets_from_callable, stencil_jets
 
 
 @dataclass
@@ -83,53 +79,25 @@ class _GridSampler:
             idx.append(j)
         return idx
 
-    def _shifted(self, idx, axis, off):
-        ax = self.grid.axes[axis]
-        m = len(ax.nodes)
-        j = idx[axis] + off
-        if ax.periodic:
-            j = j % m
-        elif np.any((j < 0) | (j >= m)):
-            raise StencilError("stencil leaves the grid on a non-periodic axis")
-        sel = list(idx)
-        sel[axis] = j
-        return self.values[tuple(sel)]
-
     def values_at(self, x):
         return self.values[tuple(self._locate(np.atleast_2d(x)))]
 
     def jets(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        idx = self._locate(x)
-        mpts = x.shape[0]
-        nd = self.grid.ndim
-        u = self.values[tuple(idx)]
-        du = np.empty((mpts, nd))
-        d2u = np.empty((mpts, nd, nd))
-        for i in range(nd):
-            vals = [self._shifted(idx, i, o) for o in _OFF]
-            du[:, i] = sum(w * v for w, v in zip(_W1_4, vals)) / self.steps[i]
-            d2u[:, i, i] = sum(w * v for w, v in zip(_W2_4, vals)) / self.steps[i] ** 2
-        for i in range(nd):
-            for j in range(i + 1, nd):
-                acc = np.zeros(mpts)
-                for oi, wi in zip(_OFF, _W1_4):
-                    if wi == 0.0:
-                        continue
-                    row = list(idx)
-                    ax = self.grid.axes[i]
-                    ji = idx[i] + oi
-                    ji = ji % len(ax.nodes) if ax.periodic else ji
-                    if not ax.periodic and (np.any(ji < 0) or np.any(ji >= len(ax.nodes))):
-                        raise StencilError("stencil leaves the grid on a non-periodic axis")
-                    row[i] = ji
-                    for oj, wj in zip(_OFF, _W1_4):
-                        if wj == 0.0:
-                            continue
-                        acc += wi * wj * self._shifted(row, j, oj)
-                d2u[:, i, j] = acc / (self.steps[i] * self.steps[j])
-                d2u[:, j, i] = d2u[:, i, j]
-        return u, du, d2u
+        idx = self._locate(np.atleast_2d(np.asarray(x, dtype=float)))
+
+        def sample(shift):
+            sel = list(idx)
+            for axis, off in shift:
+                ax = self.grid.axes[axis]
+                j = idx[axis] + off
+                if ax.periodic:
+                    j = j % len(ax.nodes)
+                elif np.any((j < 0) | (j >= len(ax.nodes))):
+                    raise StencilError("stencil leaves the grid on a non-periodic axis")
+                sel[axis] = j
+            return self.values[tuple(sel)]
+
+        return stencil_jets(sample, self.steps)
 
 
 @dataclass
@@ -144,40 +112,7 @@ class LeafTensorField:
     step: float = 2e-3
 
     def jets(self, x: np.ndarray):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        mpts = x.shape[0]
-        s = self.s
-        b0 = np.asarray(self.fn(x), dtype=float)
-        db = np.empty((mpts, s, s, s))
-        d2b = np.empty((mpts, s, s, s, s))
-        cache = {(): b0}
-
-        def val(offsets):
-            key = tuple(offsets)
-            if key not in cache:
-                xs = x.copy()
-                for axis, o in offsets:
-                    xs[:, axis] += o * self.step
-                cache[key] = np.asarray(self.fn(xs), dtype=float)
-            return cache[key]
-
-        for k in range(s):
-            vals = [val(((k, o),)) if o else b0 for o in _OFF]
-            db[:, k] = sum(w * v for w, v in zip(_W1_4, vals)) / self.step
-            d2b[:, k, k] = sum(w * v for w, v in zip(_W2_4, vals)) / self.step**2
-        for k in range(s):
-            for l in range(k + 1, s):
-                acc = np.zeros((mpts, s, s))
-                for ok, wk in zip(_OFF, _W1_4):
-                    if wk == 0.0:
-                        continue
-                    for ol, wl in zip(_OFF, _W1_4):
-                        if wl == 0.0:
-                            continue
-                        acc += wk * wl * val(((k, ok), (l, ol)))
-                d2b[:, k, l] = acc / self.step**2
-                d2b[:, l, k] = d2b[:, k, l]
-        return b0, db, d2b
+        return callable_jets(self.fn, x, (self.step,) * self.s)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(x)), dtype=float)
@@ -192,8 +127,7 @@ class FullTensorField:
     step: float = 2e-3
 
     def jets(self, x: np.ndarray):
-        helper = LeafTensorField(fn=self.fn, s=self.n, step=self.step)
-        return helper.jets(x)
+        return callable_jets(self.fn, x, (self.step,) * self.n)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(x)), dtype=float)
@@ -208,20 +142,7 @@ class LeafOneFormField:
     step: float = 2e-3
 
     def jets(self, x: np.ndarray):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        w0 = np.asarray(self.fn(x), dtype=float)
-        dw = np.empty((x.shape[0], self.s, self.s))
-        for k in range(self.s):
-            vals = []
-            for o in _OFF:
-                if o == 0:
-                    vals.append(w0)
-                    continue
-                xs = x.copy()
-                xs[:, k] += o * self.step
-                vals.append(np.asarray(self.fn(xs), dtype=float))
-            dw[:, k] = sum(w * v for w, v in zip(_W1_4, vals)) / self.step
-        return w0, dw
+        return callable_jets(self.fn, x, (self.step,) * self.s, order=1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(x)), dtype=float)
@@ -305,12 +226,6 @@ def leaf_gradient(geo: PointGeometry, du: np.ndarray) -> np.ndarray:
 
 def full_gradient(geo: PointGeometry, du: np.ndarray) -> np.ndarray:
     return np.einsum("pij,pj->pi", geo.g_inv, du)
-
-
-def transverse_gradient(geo: PointGeometry, du: np.ndarray) -> np.ndarray:
-    """(id - P) grad(u), full coordinate components."""
-    grad = full_gradient(geo, du)
-    return grad - np.einsum("pij,pj->pi", geo.proj, grad)
 
 
 def leaf_laplacian(patch: FoliatedPatch, u: ScalarField, x: np.ndarray,

@@ -191,31 +191,6 @@ class PointGeometry:
         bracket = dgl + np.transpose(dgl, (0, 2, 1, 3)) - np.transpose(dgl, (0, 2, 3, 1))
         return 0.5 * np.einsum("pkl,pijl->pkij", self.g_ff_inv, bracket)
 
-    def single(self, i: int) -> "PointGeometry":
-        """View of one point (still batched with M = 1)."""
-        sl = slice(i, i + 1)
-        return PointGeometry(
-            x=self.x[sl],
-            jets=Jets(
-                r=self.jets.r[sl],
-                d1=self.jets.d1[sl],
-                d2=self.jets.d2[sl],
-                d3=None if self.jets.d3 is None else self.jets.d3[sl],
-            ),
-            g=self.g[sl],
-            g_inv=self.g_inv[sl],
-            sqrt_det_g=self.sqrt_det_g[sl],
-            normal=self.normal[sl],
-            h=self.h[sl],
-            shape_op=self.shape_op[sl],
-            dg=self.dg[sl],
-            gamma=self.gamma[sl],
-            proj=self.proj[sl],
-            frame=self.frame[sl],
-            a_frame=self.a_frame[sl],
-            s=self.s,
-        )
-
 
 @dataclass(frozen=True)
 class FoliatedPatch:

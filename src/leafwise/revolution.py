@@ -79,14 +79,16 @@ def principal_curvatures(profile: RevolutionProfile, rho):
     """(k1, kn): parallel and profile principal curvatures.
 
     k1 = f' / (rho sqrt(1+f'^2)) repeated n-1 times, kn = f''/(1+f'^2)^{3/2};
-    |k1| <= 1/rho always holds for graphs and is asserted.
+    a graph has a finite slope, so |k1| < 1/rho.  A non-finite slope (a
+    vertical tangent) raises DomainError.
     """
     rho = profile.check_rho(rho)
     y = np.asarray(profile.f1(rho), dtype=float)
     ypr = np.asarray(profile.f2(rho), dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise DomainError("profile slope is not finite (vertical tangent)")
     k1 = y / (rho * np.sqrt(1.0 + y * y))
     kn = ypr / (1.0 + y * y) ** 1.5
-    assert np.all(np.abs(k1) * rho <= 1.0 + 1e-12)
     return k1, kn
 
 
@@ -395,13 +397,6 @@ def leaf_eigenvalue(n: int, j: int) -> float:
     return float(j * (j + n - 2))
 
 
-def leaf_eigenvalue_multiplicity(n: int, j: int) -> int:
-    """Recorded multiplicity bookkeeping (informational; unused in formulas)."""
-    from math import comb
-
-    return comb(n + j, n)
-
-
 def leaf_mode_l2(n: int, j: int, quad_nodes: int = 200) -> float:
     """Squared L2 norm over the unit (n-1)-sphere of a representative
     lambda_j-eigenfunction (the zonal harmonic for j >= 3)."""
@@ -417,9 +412,8 @@ def leaf_mode_l2(n: int, j: int, quad_nodes: int = 200) -> float:
         return area / (n * (n + 2))
     alpha = (n - 2) / 2.0
     poly = gegenbauer(j, alpha)
-    th, w = np.polynomial.legendre.leggauss(quad_nodes)
-    theta = 0.5 * pi * (th + 1.0)
-    wt = 0.5 * pi * w
+    axis = gauss_axis(0.0, pi, quad_nodes)
+    theta, wt = axis.nodes, axis.weights
     band = sphere_area(n - 2)
     vals = poly(np.cos(theta)) ** 2 * np.sin(theta) ** (n - 2)
     return float(band * np.sum(wt * vals))
@@ -444,9 +438,8 @@ def second_variation_revolution(profile: RevolutionProfile, p: float, j: int,
     mode_l2 = leaf_mode_l2(n, j)
     a_fun = (lambda rho: np.ones_like(rho)) if amplitude is None else amplitude
 
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
-    rho = 0.5 * (profile.rho_max - profile.rho_min) * (nodes + 1) + profile.rho_min
-    wts = 0.5 * (profile.rho_max - profile.rho_min) * weights
+    axis = gauss_axis(profile.rho_min, profile.rho_max, quad_nodes)
+    rho, wts = axis.nodes, axis.weights
     inv = invariants(profile, rho)
     k1 = inv.k1
     u_sq = a_fun(rho) ** 2
@@ -468,9 +461,8 @@ def stability_bound_integral(profile: RevolutionProfile, p: float, j: int = 1,
     n = profile.n
     mode_l2 = leaf_mode_l2(n, j)
     a_fun = (lambda rho: np.ones_like(rho)) if amplitude is None else amplitude
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
-    rho = 0.5 * (profile.rho_max - profile.rho_min) * (nodes + 1) + profile.rho_min
-    wts = 0.5 * (profile.rho_max - profile.rho_min) * weights
+    axis = gauss_axis(profile.rho_min, profile.rho_max, quad_nodes)
+    rho, wts = axis.nodes, axis.weights
     inv = invariants(profile, rho)
     const = n * (p - n) + p * (6 * n - 11) + 1
     radial = np.sum(wts * const * inv.k1 ** (p + 2) * a_fun(rho) ** 2 * inv.area_density)

@@ -93,10 +93,63 @@ class AnalyticSupplier:
         return Jets(r=r, d1=d1, d2=d2, d3=d3)
 
 
-# 4th-order central first/second derivative weights on +/-2h, +/-h, 0
+# 4th-order central stencils (Fornberg, Math. Comp. 51, 1988) on offsets
+# -2..2 steps: first-derivative and second-derivative weights
+_OFF = (-2, -1, 0, 1, 2)
 _W1_4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _W2_4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_OFF = np.array([-2, -1, 0, 1, 2])
+
+
+def stencil_jets(sample, steps, order: int = 2):
+    """Value and 4th-order central-difference derivatives of a sampled field.
+
+    sample(shift) returns the field at the points moved by shift, a tuple of
+    (axis, offset) pairs in units of steps[axis]; the empty shift is the
+    field at the points themselves.  Each distinct shift is sampled once:
+    1 + 4d samples for order 1 and 1 + 4d + 8d(d-1) for order 2 over
+    d = len(steps) axes.  Returns (f, df) or (f, df, d2f) with the
+    derivative axes right after the point axis: df[:, i] = d_i f and
+    d2f[:, i, j] = d_i d_j f.  Mixed derivatives use the tensor product of
+    the first-derivative stencil.
+    """
+    cache = {}
+
+    def at(*shift):
+        key = tuple((axis, o) for axis, o in shift if o)
+        if key not in cache:
+            cache[key] = sample(key)
+        return cache[key]
+
+    f0 = at()
+    dim = len(steps)
+    df = np.empty((f0.shape[0], dim) + f0.shape[1:])
+    for i in range(dim):
+        df[:, i] = sum(w * at((i, o)) for o, w in zip(_OFF, _W1_4) if w) / steps[i]
+    if order < 2:
+        return f0, df
+    d2f = np.empty((f0.shape[0], dim, dim) + f0.shape[1:])
+    for i in range(dim):
+        d2f[:, i, i] = sum(w * at((i, o)) for o, w in zip(_OFF, _W2_4)) / steps[i] ** 2
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            acc = sum(wi * wj * at((i, oi), (j, oj))
+                      for oi, wi in zip(_OFF, _W1_4) if wi
+                      for oj, wj in zip(_OFF, _W1_4) if wj)
+            d2f[:, i, j] = d2f[:, j, i] = acc / (steps[i] * steps[j])
+    return f0, df, d2f
+
+
+def callable_jets(fn, x: np.ndarray, steps, order: int = 2):
+    """stencil_jets of a callable field, sampled at x + offset*steps[axis]*e_axis."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+
+    def sample(shift):
+        xs = x.copy()
+        for axis, o in shift:
+            xs[:, axis] += o * steps[axis]
+        return np.asarray(fn(xs), dtype=float)
+
+    return stencil_jets(sample, steps, order)
 
 
 class FiniteDifferenceSupplier:
@@ -113,76 +166,24 @@ class FiniteDifferenceSupplier:
         self.n = n
         self.step = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
 
-    def _value(self, x):
-        v = np.asarray(self.fn(np.atleast_2d(x)), dtype=float)
-        return v
-
-    def _d1(self, x):
-        mpts = x.shape[0]
-        r0 = self._value(x)
-        d1 = np.empty((mpts, r0.shape[1], self.n))
-        for i in range(self.n):
-            h = self.step[i]
-            vals = []
-            for o in _OFF:
-                if o == 0:
-                    vals.append(r0)
-                    continue
-                xs = x.copy()
-                xs[:, i] += o * h
-                vals.append(self._value(xs))
-            d1[:, :, i] = sum(w * v for w, v in zip(_W1_4, vals)) / h
-        return r0, d1
-
-    def _d2(self, x):
-        mpts = x.shape[0]
-        r0 = self._value(x)
-        m = r0.shape[1]
-        d2 = np.empty((mpts, m, self.n, self.n))
-        for i in range(self.n):
-            h = self.step[i]
-            vals = []
-            for o in _OFF:
-                if o == 0:
-                    vals.append(r0)
-                    continue
-                xs = x.copy()
-                xs[:, i] += o * h
-                vals.append(self._value(xs))
-            d2[:, :, i, i] = sum(w * v for w, v in zip(_W2_4, vals)) / h**2
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                hi, hj = self.step[i], self.step[j]
-                acc = np.zeros((mpts, m))
-                for oi, wi in zip(_OFF, _W1_4):
-                    if wi == 0.0:
-                        continue
-                    for oj, wj in zip(_OFF, _W1_4):
-                        if wj == 0.0:
-                            continue
-                        xs = x.copy()
-                        xs[:, i] += oi * hi
-                        xs[:, j] += oj * hj
-                        acc += wi * wj * self._value(xs)
-                d2[:, :, i, j] = acc / (hi * hj)
-                d2[:, :, j, i] = d2[:, :, i, j]
-        return r0, d2
+    def _jets2(self, x):
+        """(r, d1, d2) with the derivative axes last."""
+        r0, d1, d2 = callable_jets(self.fn, x, self.step)
+        return r0, np.moveaxis(d1, 1, -1), np.moveaxis(d2, (1, 2), (-2, -1))
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        r0, d1 = self._d1(x)
-        _, d2 = self._d2(x)
+        r0, d1, d2 = self._jets2(x)
         d3 = None
         if order >= 3:
-            mpts, m = r0.shape
-            d3 = np.empty((mpts, m, self.n, self.n, self.n))
+            d3 = np.empty(d2.shape + (self.n,))
             for k in range(self.n):
                 h = 10.0 * self.step[k]
                 xp = x.copy()
                 xp[:, k] += h
                 xm = x.copy()
                 xm[:, k] -= h
-                d3[..., k] = (self._d2(xp)[1] - self._d2(xm)[1]) / (2 * h)
+                d3[..., k] = (self._jets2(xp)[2] - self._jets2(xm)[2]) / (2 * h)
             d3 = 0.5 * (d3 + np.swapaxes(d3, -1, -2))
         return Jets(r=r0, d1=d1, d2=d2, d3=d3)
 
@@ -346,41 +347,15 @@ def scalar_jets_from_callable(fn, n: int, step=2e-3, grad=None, hess=None):
     """
     step = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
 
+    def value(x):
+        return np.broadcast_to(np.asarray(fn(x), dtype=float), (x.shape[0],))
+
     def jets(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        mpts = x.shape[0]
-        u = np.broadcast_to(np.asarray(fn(x), dtype=float), (mpts,)).copy()
         if grad is not None and hess is not None:
-            return u, np.asarray(grad(x), dtype=float), np.asarray(hess(x), dtype=float)
-        du = np.empty((mpts, n))
-        d2u = np.empty((mpts, n, n))
-        cache = {}
-
-        def val(offsets):
-            key = tuple(offsets)
-            if key not in cache:
-                xs = x.copy()
-                for axis, o in offsets:
-                    xs[:, axis] += o * step[axis]
-                cache[key] = np.broadcast_to(np.asarray(fn(xs), dtype=float), (mpts,))
-            return cache[key]
-
-        for i in range(n):
-            vals = [val(((i, o),)) if o else u for o in _OFF]
-            du[:, i] = sum(w * v for w, v in zip(_W1_4, vals)) / step[i]
-            d2u[:, i, i] = sum(w * v for w, v in zip(_W2_4, vals)) / step[i] ** 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = np.zeros(mpts)
-                for oi, wi in zip(_OFF, _W1_4):
-                    if wi == 0.0:
-                        continue
-                    for oj, wj in zip(_OFF, _W1_4):
-                        if wj == 0.0:
-                            continue
-                        acc += wi * wj * val(((i, oi), (j, oj)))
-                d2u[:, i, j] = acc / (step[i] * step[j])
-                d2u[:, j, i] = d2u[:, i, j]
-        return u, du, d2u
+            return (value(x).copy(), np.asarray(grad(x), dtype=float),
+                    np.asarray(hess(x), dtype=float))
+        u, du, d2u = callable_jets(value, x, step)
+        return u.copy(), du, d2u
 
     return jets

@@ -256,7 +256,7 @@ def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
             t_prev[p] = newton_transform_inductive(a[p], r - 1)
         sigma = np.concatenate([geo.sigma, np.zeros((mpts, 1))], axis=1)
         pair_mix = np.einsum("pij,pja,pia->p", t_prev, c, c)
-        alg = sigma[:, 1] * sigma[:, r - 1] - (r + 1) * sigma[:, r + 1]
+        alg = sigma[:, 1] * sigma[:, r] - (r + 1) * sigma[:, r + 1]
         return np.einsum("pij,pij->p", t_prev, hess_intr) + u * (alg + pair_mix)
     if q == "lapF_f":
         _, f_du, f_d2u = f.jets(geo.x)

@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
 from .operators import ScalarField
 from .patch import FoliatedPatch
 from .suppliers import NormalDeformation
@@ -84,29 +83,12 @@ def numeric_delta(patch: FoliatedPatch, u: VariationField, quantity, t: float):
     return (qp - qm) / (2.0 * t)
 
 
-def numeric_delta_ladder(patch: FoliatedPatch, u: VariationField, quantity,
-                         t_values=DEFAULT_T_LADDER):
-    """Numeric first variations at every t of the ladder."""
-    t_values = tuple(float(t) for t in t_values)
-    if len(t_values) < 2 or not all(a > b for a, b in zip(t_values, t_values[1:])):
-        raise DomainError("t ladder must be strictly decreasing with >= 2 entries")
-    return [numeric_delta(patch, u, quantity, t) for t in t_values]
-
-
 def richardson(values, t_values):
     """Richardson extrapolation of a 2nd-order central-difference sequence."""
     v1, v2 = values[-2], values[-1]
     t1, t2 = t_values[-2], t_values[-1]
     r = (t1 / t2) ** 2
     return (r * v2 - v1) / (r - 1.0)
-
-
-def numeric_second_delta(patch: FoliatedPatch, u: VariationField, quantity, t: float):
-    """Central second difference in t of quantity(patch_t)."""
-    qp = np.asarray(quantity(deformed_patch(patch, u, +t)), dtype=float)
-    q0 = np.asarray(quantity(patch), dtype=float)
-    qm = np.asarray(quantity(deformed_patch(patch, u, -t)), dtype=float)
-    return (qp - 2.0 * q0 + qm) / (t * t)
 
 
 def estimate_order(errors, t_values):

@@ -102,6 +102,14 @@ def test_usage_errors(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert bad.returncode == 0
+    # a misspelt key is rejected by name instead of falling back to defaults
+    proc = run_cli(["eval", "--out-dir", str(tmp_path)], {"surfce": {"id": "plane"}})
+    assert proc.returncode == 1
+    assert "surfce" in proc.stderr and "Traceback" not in proc.stderr
+    # a config that is not a JSON object
+    proc = run_cli(["eval", "--out-dir", str(tmp_path)], [1])
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_unknown_surface_is_compute_error(tmp_path):

@@ -58,6 +58,13 @@ def test_rho_positive_required(critical_23):
         rev.principal_curvatures(critical_23, np.array([-0.1]))
 
 
+def test_vertical_tangent_is_a_domain_error():
+    # the unit hemisphere f = sqrt(1 - rho^2) has f' = -inf at rho = 1
+    prof = rev.profile_from_sympy(2, sp.sqrt(1 - RHO**2), RHO, (0.3, 1.0))
+    with np.errstate(divide="ignore"), pytest.raises(DomainError, match="slope"):
+        rev.principal_curvatures(prof, np.array([0.5, 1.0]))
+
+
 def test_criticality_identity_along_solutions():
     for n, p in ((2, 2), (2, 5), (3, 3), (4, 6)):
         prof = rev.critical_ode_solve(n, p, 0.4, 1.0, 0.4, (0.4, 3.0))
@@ -162,8 +169,6 @@ def test_leaf_eigenvalues():
     assert rev.leaf_eigenvalue(3, 1) == 2.0  # lambda_1 = n-1 on S^{n-1}
     assert rev.leaf_eigenvalue(4, 2) == 8.0
     assert rev.leaf_eigenvalue(2, 3) == 9.0  # circle: j^2
-    # recorded multiplicity bookkeeping (informational)
-    assert rev.leaf_eigenvalue_multiplicity(3, 2) == 10
 
 
 def test_second_variation_signs(critical_23):

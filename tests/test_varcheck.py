@@ -56,16 +56,17 @@ def test_naive_reading_deviates_on_generic_patches(sheared4, u3):
     assert rep.naive_deviation is not None and rep.naive_deviation > 1e-4
 
 
-def test_naive_reading_matches_for_leafwise_variations(torus_rev):
+@pytest.mark.parametrize("quantity,order_index", [("sH_F", 1), ("sigma_r", 1)])
+def test_naive_reading_matches_for_leafwise_variations(torus_rev, quantity, order_index):
     # on an orthogonal chart a leaf-coordinate amplitude has no transverse
-    # gradient, and the two readings coincide
+    # gradient, and the two readings coincide (sigma_1 = sH_F)
     u_leaf = VariationField(u=ScalarField.from_callable(
         lambda x: np.cos(x[:, 0]), n=2,
         grad=lambda x: np.stack([-np.sin(x[:, 0]), np.zeros(x.shape[0])], axis=1),
         hess=lambda x: np.concatenate(
             [np.stack([-np.cos(x[:, 0]), np.zeros(x.shape[0])], axis=1)[:, None, :],
              np.zeros((x.shape[0], 1, 2))], axis=1)))
-    case = vc.EvolutionCase(quantity="sH_F")
+    case = vc.EvolutionCase(quantity=quantity, order_index=order_index)
     rep = vc.verify_evolution(case, torus_rev, u_leaf)
     assert rep.passed
     assert rep.naive_deviation < 1e-12
