@@ -10,6 +10,7 @@ separator, '\n' line endings, one header row.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -24,6 +25,9 @@ from .svgplot import svg_line_plot
 from .variation import VariationField, random_trig_variation
 
 USAGE_ERROR, COMPUTE_ERROR = 1, 2
+
+#: the parameter of each functional kind the CLI builds, and its default
+FUNCTIONAL_PARAMS = {"W_nps": ("p", None), "J_nps": ("p", None), "W_conf": ("r", 2)}
 
 DEFAULTS = {
     "profile": {
@@ -84,8 +88,44 @@ def load_config(arg: str, command: str) -> dict:
     unknown = sorted(set(user) - set(base))
     if unknown:
         raise ValidationError(f"unknown {command} config key(s): {', '.join(unknown)}")
-    base.update(user)
+    for key, value in user.items():
+        default = base[key]
+        # an object naming its own surface id or functional kind replaces the
+        # default, whose parameters belong to the default id or kind
+        if isinstance(default, dict) and isinstance(value, dict) and not (
+                {"id", "kind"} & set(value)):
+            value = {**default, **value}
+        base[key] = value
+    if base.get("surface") is not None:
+        _check_surface(base["surface"])
+    if "functional" in base:
+        _check_functional(base["functional"])
     return base
+
+
+def _check_surface(cfg) -> None:
+    if not (isinstance(cfg, dict) and isinstance(cfg.get("id"), str)
+            and isinstance(cfg.get("params", {}), dict) and set(cfg) <= {"id", "params"}):
+        raise ValidationError('surface must be an object {"id": string, "params": object}')
+    make = catalog.CATALOG.get(cfg["id"])
+    if make is None:
+        return  # catalog.build reports unknown ids
+    unknown = sorted(set(cfg.get("params", {})) - set(inspect.signature(make).parameters))
+    if unknown:
+        raise ValidationError(f"unknown parameter(s) of surface {cfg['id']!r}: "
+                              f"{', '.join(unknown)}")
+
+
+def _check_functional(cfg) -> None:
+    if not (isinstance(cfg, dict) and isinstance(cfg.get("kind"), str)):
+        raise ValidationError('functional must be an object {"kind": string, ...}')
+    if cfg["kind"] in FUNCTIONAL_PARAMS:  # build_functional reports other kinds
+        name, default = FUNCTIONAL_PARAMS[cfg["kind"]]
+        value = cfg.get(name, default)
+        if set(cfg) - {"kind", name} or isinstance(value, bool) or not isinstance(
+                value, (int, float)):
+            raise ValidationError(
+                f"a {cfg['kind']} functional takes \"kind\" and a numeric {name!r} only")
 
 
 def build_surface(cfg: dict):
@@ -94,13 +134,12 @@ def build_surface(cfg: dict):
 
 def build_functional(cfg: dict) -> fl.FunctionalSpec:
     kind = cfg["kind"]
-    if kind in ("W_nps", "J_nps"):
-        return fl.FunctionalSpec(kind=kind, p=cfg["p"])
-    if kind == "W_conf":
-        return fl.FunctionalSpec(kind=kind, r=cfg.get("r", 2))
-    raise LeafwiseError(
-        f"CLI supports W_nps, J_nps and W_conf, not {kind!r} "
-        "(callable-valued functionals are library-only)")
+    if kind not in FUNCTIONAL_PARAMS:
+        raise LeafwiseError(
+            f"CLI supports W_nps, J_nps and W_conf, not {kind!r} "
+            "(callable-valued functionals are library-only)")
+    name, default = FUNCTIONAL_PARAMS[kind]
+    return fl.FunctionalSpec(kind=kind, **{name: cfg.get(name, default)})
 
 
 def report(out_dir: Path, command: str, params: dict, results, t0: float,
@@ -173,8 +212,6 @@ def _refined(surface_cfg: dict):
                for k, v in params.items()}
     if not refined:
         builder = catalog.CATALOG[surface_cfg["id"]]
-        import inspect
-
         for name, par in inspect.signature(builder).parameters.items():
             if name.startswith("m") and isinstance(par.default, int):
                 refined[name] = int(np.ceil(par.default * 1.5))

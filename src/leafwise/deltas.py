@@ -25,15 +25,7 @@ from .operators import (
     laplacian_full,
     leaf_gradient,
 )
-from .patch import PointGeometry
-from .symfunc import newton_transform_inductive
-
-
-def _frame_leaf_block(geo: PointGeometry, tensor: np.ndarray) -> np.ndarray:
-    """Leaf frame components of a (0,2) coordinate tensor."""
-    s = geo.s
-    ef = geo.frame[:, :, :s]
-    return np.einsum("pia,pij,pjb->pab", ef, tensor, ef)
+from .patch import PointGeometry, christoffel_bracket
 
 
 def delta_metric(geo: PointGeometry, u: np.ndarray) -> np.ndarray:
@@ -79,13 +71,9 @@ def delta_s_hf(geo: PointGeometry, u, du, d2u) -> np.ndarray:
 
 def delta_norm_hf_sq(geo: PointGeometry, u, du, d2u) -> np.ndarray:
     """delta |h_F|^2 = 2 <h_F, Hess_u|_F> + 2u (<h_F,h_F^2> - <h_F,h_mix^2>)."""
-    a = geo.a_leaf
-    c = geo.c_mix
-    hb = _frame_leaf_block(geo, hessian_full(geo, du, d2u))
-    pair_hess = np.einsum("pij,pij->p", a, hb)
-    tr_a3 = np.einsum("pij,pjk,pki->p", a, a, a)
-    tr_acc = np.einsum("pij,pja,pia->p", a, c, c)
-    return 2.0 * pair_hess + 2.0 * u * (tr_a3 - tr_acc)
+    hb = geo.leaf_block(hessian_full(geo, du, d2u))
+    pair_hess = np.einsum("pij,pij->p", geo.a_leaf, hb)
+    return 2.0 * pair_hess + 2.0 * u * (geo.hf_hf2 - geo.hf_hmix2)
 
 
 def delta_norm_hmix_sq(geo: PointGeometry, u, du, d2u) -> np.ndarray:
@@ -94,77 +82,53 @@ def delta_norm_hmix_sq(geo: PointGeometry, u, du, d2u) -> np.ndarray:
     Derived by varying tr(P A Q A P) with the projector moving along the
     deformation; the fixed-projector reading misses the 4u term.
     """
-    c = geo.c_mix
     hm = hessian_mixed_frame(geo, du, d2u)
-    tr_acc = np.einsum("pij,pja,pia->p", geo.a_leaf, c, c)
-    return 2.0 * np.einsum("pia,pia->p", hm, c) + 4.0 * u * tr_acc
+    return 2.0 * np.einsum("pia,pia->p", hm, geo.c_mix) + 4.0 * u * geo.hf_hmix2
 
 
 def delta_tau(geo: PointGeometry, u, du, d2u, i: int) -> np.ndarray:
     """delta tau_i = i [<h_F^{i-1}, Hess_u|_F> + u (tau_{i+1} - <h_F^{i-1}, h_mix^2>)]."""
-    a = geo.a_leaf
-    c = geo.c_mix
-    hb = _frame_leaf_block(geo, hessian_full(geo, du, d2u))
-    a_pow = np.broadcast_to(np.eye(geo.s), a.shape).copy()
-    for _ in range(i - 1):
-        a_pow = np.einsum("pij,pjk->pik", a_pow, a)
-    tau_next = np.einsum("pij,pji->p", np.einsum("pij,pjk->pik", a_pow, a), a)
+    hb = geo.leaf_block(hessian_full(geo, du, d2u))
+    a_pow = geo.leaf_power(i - 1)
+    tau_next = np.einsum("pij,pji->p", geo.leaf_power(i), geo.a_leaf)
     pair_hess = np.einsum("pij,pij->p", a_pow, hb)
-    pair_mix = np.einsum("pij,pja,pia->p", a_pow, c, c)
-    return i * (pair_hess + u * (tau_next - pair_mix))
+    return i * (pair_hess + u * (tau_next - geo.mix_pairing(a_pow)))
 
 
 def delta_sigma(geo: PointGeometry, u, du, d2u, r: int) -> np.ndarray:
     """delta sigma_r = <T_{r-1}, Hess_u|_F> + u (sigma_1 sigma_r - (r+1) sigma_{r+1}
     - <T_{r-1}, h_mix^2>)."""
-    a = geo.a_leaf
-    c = geo.c_mix
-    s = geo.s
-    hb = _frame_leaf_block(geo, hessian_full(geo, du, d2u))
-    mpts = a.shape[0]
-    t_prev = np.empty_like(a)
-    for p in range(mpts):
-        t_prev[p] = newton_transform_inductive(a[p], r - 1)
-    sigma = np.concatenate([geo.sigma, np.zeros((mpts, 1))], axis=1)
+    hb = geo.leaf_block(hessian_full(geo, du, d2u))
+    t_prev = geo.newton(r - 1)
     pair_hess = np.einsum("pij,pij->p", t_prev, hb)
-    pair_mix = np.einsum("pij,pja,pia->p", t_prev, c, c)
-    alg = sigma[:, 1] * sigma[:, r] - (r + 1) * sigma[:, min(r + 1, s + 1)]
-    return pair_hess + u * (alg - pair_mix)
+    return pair_hess + u * (_sigma_algebraic(geo, r) - geo.mix_pairing(t_prev))
+
+
+def _sigma_algebraic(geo: PointGeometry, r: int) -> np.ndarray:
+    """sigma_1 sigma_r - (r+1) sigma_{r+1}, with sigma_{s+1} = 0."""
+    sigma = geo.sigma
+    return sigma[:, 1] * sigma[:, r] - (r + 1) * (sigma[:, r + 1] if r < geo.s else 0.0)
 
 
 def delta_k_f(geo: PointGeometry, u, du, d2u) -> np.ndarray:
     """delta K_F for s=2: 2H_F tr_F Hess|_F - <h_F, Hess|_F>
     + u (2 H_F K_F - 2 H_F |h_mix|^2 + <h_F, h_mix^2>)."""
-    a = geo.a_leaf
-    c = geo.c_mix
     h_f = geo.h_f_mean
     k_f = geo.k_f
-    hb = _frame_leaf_block(geo, hessian_full(geo, du, d2u))
+    hb = geo.leaf_block(hessian_full(geo, du, d2u))
     tr_hb = laplacian_block(geo, du, d2u)
-    pair = np.einsum("pij,pij->p", a, hb)
-    tr_acc = np.einsum("pij,pja,pia->p", a, c, c)
+    pair = np.einsum("pij,pij->p", geo.a_leaf, hb)
     return (
         2.0 * h_f * tr_hb
         - pair
-        + u * (2.0 * h_f * k_f - 2.0 * h_f * geo.norm_hmix_sq + tr_acc)
-    )
-
-
-def second_form_derivative(geo: PointGeometry) -> np.ndarray:
-    """dh[p,k,i,j] = partial_k h_ij, from third-order immersion jets."""
-    if geo.jets.d3 is None:
-        raise ValueError("second_form_derivative needs order-3 jets")
-    dn = -np.einsum("pki,pak->pai", geo.shape_op, geo.jets.d1)
-    return np.einsum("pak,paij->pkij", dn, geo.jets.d2) + np.einsum(
-        "pa,paijk->pkij", geo.normal, geo.jets.d3
+        + u * (2.0 * h_f * k_f - 2.0 * h_f * geo.norm_hmix_sq + geo.hf_hmix2)
     )
 
 
 def covariant_dh(geo: PointGeometry) -> np.ndarray:
     """nabla_k h_ij (totally symmetric for flat ambient space)."""
-    dh = second_form_derivative(geo)
     return (
-        dh
+        geo.dh
         - np.einsum("plki,plj->pkij", geo.gamma, geo.h)
         - np.einsum("plkj,pil->pkij", geo.gamma, geo.h)
     )
@@ -173,19 +137,8 @@ def covariant_dh(geo: PointGeometry) -> np.ndarray:
 def delta_christoffel(geo: PointGeometry, u, du) -> np.ndarray:
     """delta Gamma^k_ij = -u g^{kl}(nabla_i h_jl + nabla_j h_il - nabla_l h_ij)
     - g^{kl}(u_i h_jl + u_j h_il - u_l h_ij)."""
-    ndh = covariant_dh(geo)
-    # sym[p,i,j,l] = nabla_i h_jl + nabla_j h_il - nabla_l h_ij
-    sym = ndh + np.transpose(ndh, (0, 2, 1, 3)) - np.transpose(ndh, (0, 2, 3, 1))
-    mpts, n = du.shape
-    grad_part = np.empty((mpts, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                grad_part[:, i, j, l] = (
-                    du[:, i] * geo.h[:, j, l]
-                    + du[:, j] * geo.h[:, i, l]
-                    - du[:, l] * geo.h[:, i, j]
-                )
+    sym = christoffel_bracket(covariant_dh(geo))
+    grad_part = christoffel_bracket(du[:, :, None, None] * geo.h[:, None, :, :])
     total = u[:, None, None, None] * sym + grad_part
     return -np.einsum("pkl,pijl->pkij", geo.g_inv, total)
 
@@ -197,7 +150,7 @@ def leaf_divergence_hf(geo: PointGeometry) -> np.ndarray:
     - Gamma^{L,m}_{ij} h_km), all indices leafwise.
     """
     s = geo.s
-    dh = second_form_derivative(geo)[:, :s, :s, :s]
+    dh = geo.dh[:, :s, :s, :s]
     h_ff = geo.h[:, :s, :s]
     gl = geo.gamma_leaf
     nab = (
@@ -215,36 +168,29 @@ def delta_lapf(geo: PointGeometry, u, du, d2u, f_du, f_d2u) -> np.ndarray:
     the standard Laplacian variation formula; every object is intrinsic to
     the leaves.
     """
-    s = geo.s
-    hess_f = hessian_leaf(geo, f_du, f_d2u)
-    a = geo.a_leaf
-    hess_f_frame = _frame_leaf_block(geo, _embed_leaf(geo, hess_f))
-    pair = np.einsum("pij,pij->p", a, hess_f_frame)
-    xi_u = leaf_gradient(geo, du)
-    xi_f = leaf_gradient(geo, f_du)
-    h_ff = geo.h[:, :s, :s]
-    h_grads = np.einsum("pi,pij,pj->p", xi_u, h_ff, xi_f)
-    grads = np.einsum("pi,pij,pj->p", xi_u, geo.g_ff, xi_f)
-    div_hf = leaf_divergence_hf(geo)
-    div_term = np.einsum("pj,pj->p", div_hf, xi_f)
-    s_hf = geo.sigma[:, 1]
-    ds_hf = _leaf_function_gradient_shf(geo)
-    hf_grad_term = np.einsum("pj,pj->p", ds_hf, xi_f)
+    pair, h_grads, grads, hf_grad_term, xi_f = _lapf_terms(geo, du, f_du, f_d2u)
+    div_term = np.einsum("pj,pj->p", leaf_divergence_hf(geo), xi_f)
     return (
         2.0 * u * pair
         + 2.0 * u * div_term
         - u * hf_grad_term
         + 2.0 * h_grads
-        - s_hf * grads
+        - geo.sigma[:, 1] * grads
     )
 
 
-def _embed_leaf(geo: PointGeometry, leaf_tensor: np.ndarray) -> np.ndarray:
-    """Pad a leafwise (0,2) tensor with zeros to full coordinate shape."""
-    mpts, s = leaf_tensor.shape[0], geo.s
-    out = np.zeros((mpts, geo.n, geo.n))
-    out[:, :s, :s] = leaf_tensor
-    return out
+def _lapf_terms(geo: PointGeometry, du, f_du, f_d2u):
+    """Terms of delta (Delta_F f) that its naive reading shares, with xi the
+    leaf gradients: <h_F, Hess^F f>, h(xi_u, xi_f), g(xi_u, xi_f),
+    d(s H_F)(xi_f) and xi_f."""
+    s = geo.s
+    pair = np.einsum("pij,pij->p", geo.a_leaf, geo.leaf_block(hessian_leaf(geo, f_du, f_d2u)))
+    xi_u = leaf_gradient(geo, du)
+    xi_f = leaf_gradient(geo, f_du)
+    h_grads = np.einsum("pi,pij,pj->p", xi_u, geo.h[:, :s, :s], xi_f)
+    grads = np.einsum("pi,pij,pj->p", xi_u, geo.g_ff, xi_f)
+    hf_grad = np.einsum("pj,pj->p", _leaf_function_gradient_shf(geo), xi_f)
+    return pair, h_grads, grads, hf_grad, xi_f
 
 
 def _leaf_function_gradient_shf(geo: PointGeometry) -> np.ndarray:
@@ -253,7 +199,7 @@ def _leaf_function_gradient_shf(geo: PointGeometry) -> np.ndarray:
     d(sigma_1) = d(g_F^{ik}) h_ki + g_F^{ik} d h_ki along leaf directions.
     """
     s = geo.s
-    dh = second_form_derivative(geo)[:, :s, :s, :s]
+    dh = geo.dh[:, :s, :s, :s]
     dgl = geo.dg[:, :s, :s, :s]
     dginv = -np.einsum("pim,pkmn,pnj->pkij", geo.g_ff_inv, dgl, geo.g_ff_inv)
     h_ff = geo.h[:, :s, :s]

@@ -22,7 +22,6 @@ assume a transversally harmonic foliation, which is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -123,7 +122,7 @@ class FunctionalSpec:
                     args = 0.5 + 0.1 * rng.standard_normal((4, s_dim))
                     vals = np.asarray(self.f(args), dtype=float)
                     grads = np.asarray(self.f_partials(args), dtype=float)
-                except Exception:
+                except (IndexError, ValueError):
                     continue  # functional defined for a specific s only
                 if grads.shape != args.shape or vals.shape != (4,):
                     continue  # shapes identify the intended s
@@ -178,14 +177,7 @@ def _sigma_args(geo: PointGeometry) -> np.ndarray:
 
 
 def _tau_args(geo: PointGeometry, s: int) -> np.ndarray:
-    a = geo.a_leaf
-    out = np.empty((a.shape[0], s))
-    acc = a.copy()
-    out[:, 0] = np.einsum("pii->p", acc)
-    for i in range(1, s):
-        acc = np.einsum("pij,pjk->pik", acc, a)
-        out[:, i] = np.einsum("pii->p", acc)
-    return out
+    return np.stack([np.einsum("pii->p", geo.leaf_power(i)) for i in range(1, s + 1)], axis=1)
 
 
 def integrand(spec: FunctionalSpec, geo: PointGeometry, n: int, s: int) -> np.ndarray:
@@ -265,21 +257,14 @@ def first_variation_density(spec: FunctionalSpec, geo: PointGeometry, n: int,
         f_val = _safe_power(norm_sq, spec.p / 2.0)
         f_prime = (spec.p / 2.0) * _safe_power(norm_sq, spec.p / 2.0 - 1.0)
         return f_prime * d_tau2 - n * u * f_val * h_mean
-    if kind == "WF":
-        args = _sigma_args(geo)
+    if kind in ("WF", "JF"):
+        args = _sigma_args(geo) if kind == "WF" else _tau_args(geo, s)
+        delta = deltas.delta_sigma if kind == "WF" else deltas.delta_tau
         f_val = np.asarray(spec.f(args), dtype=float)
         grads = np.asarray(spec.f_partials(args), dtype=float)
         acc = -n * u * f_val * h_mean
-        for r_idx in range(1, s + 1):
-            acc = acc + grads[:, r_idx - 1] * deltas.delta_sigma(geo, u, du, d2u, r_idx)
-        return acc
-    if kind == "JF":
-        args = _tau_args(geo, s)
-        f_val = np.asarray(spec.f(args), dtype=float)
-        grads = np.asarray(spec.f_partials(args), dtype=float)
-        acc = -n * u * f_val * h_mean
-        for i_idx in range(1, s + 1):
-            acc = acc + grads[:, i_idx - 1] * deltas.delta_tau(geo, u, du, d2u, i_idx)
+        for k in range(1, s + 1):
+            acc = acc + grads[:, k - 1] * delta(geo, u, du, d2u, k)
         return acc
     if kind == "WF_HK":
         if s != 2:
@@ -404,11 +389,8 @@ def el_residual(spec: FunctionalSpec, surface, x=None,
         weight = lambda g: _safe_power(g.norm_hf_sq, (p - 2) / 2.0)
         tensor = _derived_leaf_tensor(patch, weight, fd_step)
         dd = fstar_squared(patch, tensor, x, geo)
-        a, c = geo.a_leaf, geo.c_mix
-        tr_a3 = np.einsum("pij,pjk,pki->p", a, a, a)
-        tr_acc = np.einsum("pij,pja,pia->p", a, c, c)
         w = weight(geo)
-        return dd + w * (tr_a3 - tr_acc - (n / p) * geo.norm_hf_sq * h_mean)
+        return dd + w * (geo.hf_hf2 - geo.hf_hmix2 - (n / p) * geo.norm_hf_sq * h_mean)
     if kind == "WF_HK":
         if s != 2:
             raise SpecError("WF_HK requires s = 2")
@@ -427,13 +409,11 @@ def el_residual(spec: FunctionalSpec, surface, x=None,
             patch, lambda g: np.asarray(spec.f_k(g.h_f_mean, g.k_f), dtype=float),
             fd_step)
         dd = fstar_squared(patch, tensor, x, geo)
-        a, c = geo.a_leaf, geo.c_mix
-        tr_acc = np.einsum("pij,pja,pia->p", a, c, c)
         return (
             lap
             - dd
             + f_h * (2 * h_f**2 - k_f - 0.5 * geo.norm_hmix_sq)
-            + f_k * (2 * h_f * (k_f - geo.norm_hmix_sq) + tr_acc)
+            + f_k * (2 * h_f * (k_f - geo.norm_hmix_sq) + geo.hf_hmix2)
             - n * f_val * h_mean
         )
     if kind == "W_conf":
@@ -459,13 +439,10 @@ def el_residual(spec: FunctionalSpec, surface, x=None,
 
         tensor = LeafTensorField(fn=newton_weighted, s=s, step=fd_step)
         dd = fstar_squared(patch, tensor, x, geo)
-        a, c = geo.a_leaf, geo.c_mix
-        sig = np.concatenate([sigma, np.zeros((sigma.shape[0], 1))], axis=1)
-        tr_t1cc = sig[:, 1] * np.einsum("pia,pia->p", c, c) - np.einsum(
-            "pij,pja,pia->p", a, c, c)
+        tr_t1cc = sigma[:, 1] * geo.norm_hmix_sq - geo.hf_hmix2
         alg = (
-            sig[:, 1] * (sig[:, 1] ** 2 - 2 * sig[:, 2] - geo.norm_hmix_sq)
-            - (s / (s - 1)) * (sig[:, 1] * sig[:, 2] - 3 * sig[:, 3] - tr_t1cc)
+            sigma[:, 1] * (deltas._sigma_algebraic(geo, 1) - geo.norm_hmix_sq)
+            - (s / (s - 1)) * (deltas._sigma_algebraic(geo, 2) - tr_t1cc)
             - s**2 * q * h_mean
         )
         return lap - (s / (s - 1)) * dd + q_pow * alg
@@ -546,9 +523,9 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
     lap_full_u = laplacian_full(geo, du, d2u)
     lap_fprime = leaf_laplacian(patch, fprime_field, x, geo)
     mix_diff = geo.norm_hf_sq - geo.norm_hmix_sq
-    a, c, b = geo.a_leaf, geo.c_mix, geo.b_perp
-    hb = deltas._frame_leaf_block(geo, hessian_full(geo, du, d2u))
-    pair_hess = np.einsum("pij,pij->p", a, hb)
+    c = geo.c_mix
+    hb = geo.leaf_block(hessian_full(geo, du, d2u))
+    pair_hess = np.einsum("pij,pij->p", geo.a_leaf, hb)
     hm = hessian_mixed_frame(geo, du, d2u)
     pair_mix_hess = np.einsum("pia,pia->p", hm, c)
     xi = leaf_gradient(geo, du)
@@ -556,9 +533,8 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
     h_grad = np.einsum("pi,pij,pj->p", xi, geo.h[:, :s, :s], xi)
     dshf = deltas._leaf_function_gradient_shf(geo)
     hf_grad_u = np.einsum("pj,pij,pi->p", dshf / s, geo.g_ff_inv, du[:, :s])
-    tr_a3 = np.einsum("pij,pjk,pki->p", a, a, a)
-    tr_acc = np.einsum("pij,pja,pia->p", a, c, c)
-    tr_bcc = np.einsum("pab,pia,pib->p", b, c, c)
+    tr_a3, tr_acc = geo.hf_hf2, geo.hf_hmix2
+    tr_bcc = np.einsum("pab,pia,pib->p", geo.b_perp, c, c)
 
     term1 = -(n / s) * (f_p * lap_u - uu * lap_fprime) * uu * h_mean
     term2 = (f_p / s) * (

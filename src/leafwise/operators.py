@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StencilError, ValidationError
-from .patch import FoliatedPatch, Grid, PointGeometry
+from .patch import FoliatedPatch, Grid, PointGeometry, christoffel_bracket, frame_sandwich
 from .suppliers import callable_jets, scalar_jets_from_callable, stencil_jets
 
 
@@ -201,7 +201,7 @@ def hessian_mixed_frame(geo: PointGeometry, du: np.ndarray, d2u: np.ndarray) -> 
     """Mixed (leaf x transverse) block of the full Hessian in the adapted frame."""
     s = geo.s
     hess = hessian_full(geo, du, d2u)
-    return np.einsum("pia,pij,pjb->pab", geo.frame[:, :, :s], hess, geo.frame[:, :, s:])
+    return frame_sandwich(geo.frame[:, :, :s], hess, geo.frame[:, :, s:])
 
 
 def laplacian_full(geo: PointGeometry, du: np.ndarray, d2u: np.ndarray) -> np.ndarray:
@@ -222,10 +222,6 @@ def leaf_gradient(geo: PointGeometry, du: np.ndarray) -> np.ndarray:
     """Leafwise gradient P grad(u) in leaf coordinate components."""
     s = geo.s
     return np.einsum("pij,pj->pi", geo.g_ff_inv, du[:, :s])
-
-
-def full_gradient(geo: PointGeometry, du: np.ndarray) -> np.ndarray:
-    return np.einsum("pij,pj->pi", geo.g_inv, du)
 
 
 def leaf_laplacian(patch: FoliatedPatch, u: ScalarField, x: np.ndarray,
@@ -257,10 +253,7 @@ def hessians(patch: FoliatedPatch, u: ScalarField, x: np.ndarray,
 def _proj_derivative(geo: PointGeometry) -> np.ndarray:
     """dP[p, k, i, j] = partial_k P^i_j, from the metric 1-jet."""
     s, n = geo.s, geo.n
-    mpts = geo.g.shape[0]
-    dp = np.zeros((mpts, n, n, n))
-    if s == n:
-        return dp
+    dp = np.zeros((geo.g.shape[0], n, n, n))
     g_ff_inv = geo.g_ff_inv
     dg = geo.dg
     g_fx = geo.g[:, :s, s:]
@@ -291,16 +284,10 @@ def div_projector(patch: FoliatedPatch, x: np.ndarray,
     divp_p = np.einsum("pc,pcb->pb", divp, geo.proj)
 
     # (n-s) Hperp = P( Gv^{ab} nabla_{v_a} v_b ) for any transverse basis v
-    g_fx = geo.g[:, :s, s:]
-    b_blk = np.einsum("pij,pja->pia", geo.g_ff_inv, g_fx)
-    mpts = geo.g.shape[0]
-    v = np.zeros((mpts, n, n - s))
-    v[:, :s, :] = -b_blk
-    v[:, s:, :] = np.eye(n - s)
-    gv = np.einsum("pia,pij,pjb->pab", v, geo.g, v)
-    gv_inv = np.linalg.inv(gv)
+    v = geo.transverse_basis
+    gv_inv = np.linalg.inv(geo.transverse_gram)
     db = dp[:, :, :s, s:]
-    dv = np.zeros((mpts, n, n, n - s))  # dv[p,k,c,a] = partial_k v^c_a
+    dv = np.zeros((v.shape[0], n, n, n - s))  # dv[p,k,c,a] = partial_k v^c_a
     dv[:, :, :s, :] = -db
     nabla = np.einsum("pka,pkcb->pcab", v, dv) + np.einsum(
         "pka,pckl,plb->pcab", v, geo.gamma, v
@@ -321,36 +308,29 @@ def _metric_jets_block(geo: PointGeometry, k: int):
     d1 = geo.jets.d1[:, :, :k]
     d2 = geo.jets.d2[:, :, :k, :k]
     d3 = geo.jets.d3[:, :, :k, :k, :k]
-    dg = np.einsum("paik,paj->pkij", d2, d1) + np.einsum("pai,pajk->pkij", d1, d2)
     d2g = (
         np.einsum("paikl,paj->pklij", d3, d1)
         + np.einsum("paik,pajl->pklij", d2, d2)
         + np.einsum("pail,pajk->pklij", d2, d2)
         + np.einsum("pai,pajkl->pklij", d1, d3)
     )
-    return dg, d2g
+    return geo.dg[:, :k, :k, :k], d2g
 
 
-def _christoffel_jets_block(geo: PointGeometry, k: int):
-    """Christoffels of the k-block metric and their first derivatives."""
-    dg, d2g = _metric_jets_block(geo, k)
-    ginv = geo.g_ff_inv if k == geo.s else np.linalg.inv(geo.g[:, :k, :k])
+def _double_divergence(patch: FoliatedPatch, b_field, x: np.ndarray,
+                       geo: PointGeometry | None, leaf: bool) -> np.ndarray:
+    """nabla_i nabla_j B^{ij} over the leaf block (leaf) or all coordinates."""
+    if geo is None or geo.jets.d3 is None:
+        geo = patch.geometry(x if geo is None else geo.x, order=3)
+    b0, db, d2b = b_field.jets(x)
+    dg, d2g = _metric_jets_block(geo, geo.s if leaf else geo.n)
+    ginv = geo.g_ff_inv if leaf else geo.g_inv
+    gamma = geo.gamma_leaf if leaf else geo.gamma
     dginv = -np.einsum("pim,pkmn,pnj->pkij", ginv, dg, ginv)
-    # bracket[p, i, j, m] = d_i g_jm + d_j g_im - d_m g_ij
-    bracket = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
-    dbracket = (
-        d2g + np.transpose(d2g, (0, 1, 3, 2, 4)) - np.transpose(d2g, (0, 1, 3, 4, 2))
-    )
-    gamma = 0.5 * np.einsum("pkm,pijm->pkij", ginv, bracket)
     dgamma = 0.5 * (
-        np.einsum("plkm,pijm->plkij", dginv, bracket)
-        + np.einsum("pkm,plijm->plkij", ginv, dbracket)
+        np.einsum("plkm,pijm->plkij", dginv, christoffel_bracket(dg))
+        + np.einsum("pkm,plijm->plkij", ginv, christoffel_bracket(d2g))
     )
-    return ginv, dginv, d2g, dg, gamma, dgamma
-
-
-def _double_divergence(ginv, dginv, dg, d2g, gamma, dgamma, b0, db, d2b):
-    """nabla_i nabla_j B^{ij} from metric/Christoffel jets and tensor jets."""
     d2ginv = (
         -np.einsum("pim,plkmn,pnj->plkij", ginv, d2g, ginv)
         + np.einsum("pim,plmn,pnq,pkqr,prj->plkij", ginv, dg, ginv, dg, ginv)
@@ -397,21 +377,13 @@ def fstar_squared(patch: FoliatedPatch, b_field: "LeafTensorField", x: np.ndarra
     Hessian: int <B, Hess^F u> dV = int u (nabla^{F*})^2 B dV on foliations
     with (div P) o P = 0.
     """
-    if geo is None or geo.jets.d3 is None:
-        geo = patch.geometry(x if geo is None else geo.x, order=3)
-    b0, db, d2b = b_field.jets(x)
-    ginv, dginv, d2g, dg, gamma, dgamma = _christoffel_jets_block(geo, geo.s)
-    return _double_divergence(ginv, dginv, dg, d2g, gamma, dgamma, b0, db, d2b)
+    return _double_divergence(patch, b_field, x, geo, leaf=True)
 
 
 def star_squared_full(patch: FoliatedPatch, b_field: "FullTensorField", x: np.ndarray,
                       geo: PointGeometry | None = None) -> np.ndarray:
     """Double covariant divergence (nabla*)^2 B of a full symmetric 2-tensor."""
-    if geo is None or geo.jets.d3 is None:
-        geo = patch.geometry(x if geo is None else geo.x, order=3)
-    b0, db, d2b = b_field.jets(x)
-    ginv, dginv, d2g, dg, gamma, dgamma = _christoffel_jets_block(geo, geo.n)
-    return _double_divergence(ginv, dginv, dg, d2g, gamma, dgamma, b0, db, d2b)
+    return _double_divergence(patch, b_field, x, geo, leaf=False)
 
 
 def fstar_one_form(patch: FoliatedPatch, omega_field: "LeafOneFormField",

@@ -4,8 +4,8 @@ A FoliatedPatch is a gridded immersion of an n-manifold chart into R^{n+1}
 whose first s coordinates run along the leaves of a foliation.  All
 pointwise quantities (metric, normal, second fundamental form, orthogonal
 projector, foliated blocks, Christoffel symbols) are computed in batch
-over arbitrary parameter points; the grid only drives quadrature and
-grid-sampled fields.
+over arbitrary parameter points, each on first use; the grid only drives
+quadrature and grid-sampled fields.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, SingularImmersionError
-from .suppliers import Jets, normal_jets
-from .symfunc import sigma_all
+from .suppliers import Jets, metric_derivative, normal_jets, second_form_derivative
+from .symfunc import newton_recursion, sigma_all
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,22 @@ class Grid:
         return np.array([ax.nodes[i] for ax, i in zip(self.axes, index)])
 
 
+def frame_sandwich(e: np.ndarray, m: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
+    """E^T M F (F = E by default), batched over points.  An einsum, not a
+    matmul chain: reordered sums move the varcheck figures by up to 1e-5."""
+    return np.einsum("pia,pij,pjb->pab", e, m, e if f is None else f)
+
+
+def christoffel_bracket(dg: np.ndarray) -> np.ndarray:
+    """d_i g_jl + d_j g_il - d_l g_ij from dg[..., k, i, j] = d_k g_ij."""
+    return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+
+
+def christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)."""
+    return 0.5 * np.einsum("pkl,pijl->pkij", g_inv, christoffel_bracket(dg))
+
+
 @dataclass
 class PointGeometry:
     """Pointwise geometric bundle of a foliated patch (batched).
@@ -101,6 +117,9 @@ class PointGeometry:
     norm follows the index-block convention |h_mix|^2 = sum_{i<=s<a} h(e_i,e_a)^2;
     the symmetrized tensor built from the projector has half that square
     norm and is exposed separately.
+
+    Only the jets and the normal-jet quantities are stored; every other
+    field is computed on first use and cached on the instance.
     """
 
     x: np.ndarray
@@ -109,18 +128,93 @@ class PointGeometry:
     g_inv: np.ndarray
     sqrt_det_g: np.ndarray
     normal: np.ndarray
+    dn: np.ndarray
     h: np.ndarray
     shape_op: np.ndarray
-    dg: np.ndarray
-    gamma: np.ndarray
-    proj: np.ndarray
-    frame: np.ndarray
-    a_frame: np.ndarray
     s: int
 
     @property
     def n(self) -> int:
         return self.g.shape[-1]
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        """dg[p, k, i, j] = partial_k g_ij."""
+        return metric_derivative(self.jets)
+
+    @cached_property
+    def dh(self) -> np.ndarray:
+        """dh[p, k, i, j] = partial_k h_ij (needs third-order jets)."""
+        return second_form_derivative(self.jets, self.normal, self.dn)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Christoffel symbols gamma[p, k, i, j] = Gamma^k_ij of the surface."""
+        return christoffel(self.g_inv, self.dg)
+
+    @property
+    def g_ff(self) -> np.ndarray:
+        return self.g[:, : self.s, : self.s]
+
+    @cached_property
+    def g_ff_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.g_ff)
+
+    @cached_property
+    def gamma_leaf(self) -> np.ndarray:
+        """Christoffel symbols of the induced leaf metric (leaf indices only)."""
+        s = self.s
+        return christoffel(self.g_ff_inv, self.dg[:, :s, :s, :s])
+
+    @cached_property
+    def transverse_basis(self) -> np.ndarray:
+        """Columns v_a = e_a - (g_F^{-1} g_{Fa})^i e_i, a > s: a basis of the
+        g-orthogonal complement of the leaves."""
+        s, n = self.s, self.n
+        v = np.zeros((self.x.shape[0], n, n - s))
+        v[:, :s, :] = -np.einsum("pij,pja->pia", self.g_ff_inv, self.g[:, :s, s:])
+        v[:, s:, :] = np.eye(n - s)
+        return v
+
+    @cached_property
+    def transverse_gram(self) -> np.ndarray:
+        """Metric Gram matrix g(v_a, v_b) of the transverse basis."""
+        return frame_sandwich(self.transverse_basis, self.g)
+
+    @cached_property
+    def proj(self) -> np.ndarray:
+        """Projector onto the leaf tangent along the transverse distribution."""
+        s, n = self.s, self.n
+        proj = np.zeros((self.x.shape[0], n, n))
+        proj[:, :s, :s] = np.eye(s)
+        proj[:, :s, s:] = -self.transverse_basis[:, :s, :]
+        return proj
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Adapted orthonormal frame: leaf part from the leaf metric block,
+        transverse part from the g-orthogonal complement of the leaves."""
+        s, n = self.s, self.n
+        frame = np.zeros((self.x.shape[0], n, n))
+        lf = np.linalg.cholesky(self.g_ff)
+        frame[:, :s, :s] = np.linalg.inv(np.swapaxes(lf, -1, -2))
+        lv = np.linalg.cholesky(self.transverse_gram)
+        frame[:, :, s:] = np.einsum(
+            "pia,pab->pib", self.transverse_basis, np.linalg.inv(np.swapaxes(lv, -1, -2))
+        )
+        return frame
+
+    @cached_property
+    def a_frame(self) -> np.ndarray:
+        """Second fundamental form in the adapted frame."""
+        a_frame = frame_sandwich(self.frame, self.h)
+        return 0.5 * (a_frame + np.swapaxes(a_frame, -1, -2))
+
+    def leaf_block(self, tensor: np.ndarray) -> np.ndarray:
+        """Leaf frame block of a (0,2) tensor given in all n coordinates or
+        in the s leaf coordinates (leaf frame vectors have no transverse
+        coordinates, so a leaf tensor needs no padding)."""
+        return frame_sandwich(self.frame[:, : tensor.shape[-1], : self.s], tensor)
 
     # foliated blocks in the adapted orthonormal frame
     @property
@@ -143,6 +237,32 @@ class PointGeometry:
     def sigma(self) -> np.ndarray:
         """Elementary symmetric functions sigma_0..sigma_s of the leaf block."""
         return sigma_all(self.leaf_eigs)
+
+    def leaf_power(self, i: int) -> np.ndarray:
+        """A_F^i (the identity for i = 0)."""
+        out = np.broadcast_to(np.eye(self.s), self.a_leaf.shape)
+        for _ in range(i):
+            out = np.einsum("pij,pjk->pik", out, self.a_leaf)
+        return out
+
+    def newton(self, r: int) -> np.ndarray:
+        """Newton transform T_r of A_F."""
+        return newton_recursion(self.a_leaf, self.sigma, r)
+
+    def mix_pairing(self, m: np.ndarray) -> np.ndarray:
+        """<M, h_mix^2> = tr(M C C^T) for a leafwise matrix field M."""
+        return np.einsum("pij,pja,pia->p", m, self.c_mix, self.c_mix)
+
+    @cached_property
+    def hf_hf2(self) -> np.ndarray:
+        """<h_F, h_F^2> = tr(A_F^3)."""
+        a = self.a_leaf
+        return np.einsum("pij,pjk,pki->p", a, a, a)
+
+    @cached_property
+    def hf_hmix2(self) -> np.ndarray:
+        """<h_F, h_mix^2> = tr(A_F C C^T)."""
+        return self.mix_pairing(self.a_leaf)
 
     @property
     def mean_curvature(self) -> np.ndarray:
@@ -174,23 +294,6 @@ class PointGeometry:
     def norm_hmix_sym_sq(self) -> np.ndarray:
         return 0.5 * self.norm_hmix_sq
 
-    @property
-    def g_ff(self) -> np.ndarray:
-        return self.g[:, : self.s, : self.s]
-
-    @cached_property
-    def g_ff_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g_ff)
-
-    @cached_property
-    def gamma_leaf(self) -> np.ndarray:
-        """Christoffel symbols of the induced leaf metric (leaf indices only)."""
-        s = self.s
-        dgl = self.dg[:, :s, :s, :s]
-        # bracket[p, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-        bracket = dgl + np.transpose(dgl, (0, 2, 1, 3)) - np.transpose(dgl, (0, 2, 3, 1))
-        return 0.5 * np.einsum("pkl,pijl->pkij", self.g_ff_inv, bracket)
-
 
 @dataclass(frozen=True)
 class FoliatedPatch:
@@ -216,60 +319,12 @@ class FoliatedPatch:
             x = self.grid.points
         x = np.atleast_2d(np.asarray(x, dtype=float))
         jets = self.supplier.jets(x, order=order)
-        nvec, _, _, a_op, g, g_inv, h = normal_jets(jets, self.normal_orientation)
+        nvec, dn, a_op, g, g_inv, h = normal_jets(jets, self.normal_orientation)
         det = np.linalg.det(g)
         if np.any(det <= 0):
             raise SingularImmersionError("metric determinant non-positive on the patch")
-        dg = np.einsum("paik,paj->pkij", jets.d2, jets.d1) + np.einsum(
-            "pai,pajk->pkij", jets.d1, jets.d2
-        )
-        # bracket[p, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-        bracket = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
-        gamma = 0.5 * np.einsum("pkl,pijl->pkij", g_inv, bracket)
-
-        s, n = self.s, self.n
-        mpts = x.shape[0]
-        g_ff = g[:, :s, :s]
-        g_ff_inv = np.linalg.inv(g_ff)
-        proj = np.zeros((mpts, n, n))
-        proj[:, :s, :s] = np.eye(s)
-        if s < n:
-            b_blk = np.einsum("pij,pja->pia", g_ff_inv, g[:, :s, s:])
-            proj[:, :s, s:] = b_blk
-
-        # adapted orthonormal frame: leaf part from the leaf metric block,
-        # transverse part from the g-orthogonal complement of the leaves
-        frame = np.zeros((mpts, n, n))
-        lf = np.linalg.cholesky(g_ff)
-        frame[:, :s, :s] = np.linalg.inv(np.swapaxes(lf, -1, -2))
-        if s < n:
-            v = np.zeros((mpts, n, n - s))
-            v[:, :s, :] = -b_blk
-            v[:, s:, :] = np.eye(n - s)
-            gv = np.einsum("pia,pij,pjb->pab", v, g, v)
-            lv = np.linalg.cholesky(gv)
-            frame[:, :, s:] = np.einsum(
-                "pia,pab->pib", v, np.linalg.inv(np.swapaxes(lv, -1, -2))
-            )
-        a_frame = np.einsum("pia,pij,pjb->pab", frame, h, frame)
-        a_frame = 0.5 * (a_frame + np.swapaxes(a_frame, -1, -2))
-
-        return PointGeometry(
-            x=x,
-            jets=jets,
-            g=g,
-            g_inv=g_inv,
-            sqrt_det_g=np.sqrt(det),
-            normal=nvec,
-            h=h,
-            shape_op=a_op,
-            dg=dg,
-            gamma=gamma,
-            proj=proj,
-            frame=frame,
-            a_frame=a_frame,
-            s=s,
-        )
+        return PointGeometry(x=x, jets=jets, g=g, g_inv=g_inv, sqrt_det_g=np.sqrt(det),
+                             normal=nvec, dn=dn, h=h, shape_op=a_op, s=self.s)
 
     def integrate(self, density: np.ndarray, geo: PointGeometry | None = None) -> float:
         """Integral over the patch of a pointwise density (per unit volume)."""

@@ -32,10 +32,6 @@ class Jets:
     d2: np.ndarray
     d3: np.ndarray | None = None
 
-    @property
-    def npoints(self) -> int:
-        return self.r.shape[0]
-
 
 class AnalyticSupplier:
     """Closed-form jets lambdified from sympy component expressions."""
@@ -189,13 +185,13 @@ class FiniteDifferenceSupplier:
 
 
 def normal_jets(jets: Jets, orientation: float = 1.0):
-    """Unit normal of the immersion and, when d3 is present, its 1- and 2-jets.
+    """Unit normal of the immersion, its 1-jet, and the first and second
+    fundamental forms: (normal, dn, shape operator, g, g^-1, h).
 
     The raw normal is the generalized cross product of the tangent vectors;
     its length equals sqrt(det g).  The orientation flag flips the sign of
     the returned normal.  First derivatives come from the Weingarten map
-    dN = -A^k_i r_k; second derivatives differentiate that relation and
-    therefore need third derivatives of the immersion.
+    dN = -A^k_i r_k.
     """
     d1 = jets.d1
     mpts, m, n = d1.shape
@@ -213,16 +209,21 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     h = np.einsum("pa,paij->pij", nvec, jets.d2)
     a_op = np.einsum("pik,pkj->pij", g_inv, h)
     dn = -np.einsum("pki,pak->pai", a_op, d1)  # dn[:, :, i] = partial_i N
-    if jets.d3 is None:
-        return nvec, dn, None, a_op, g, g_inv, h
+    return nvec, dn, a_op, g, g_inv, h
 
-    # dh[:, k, i, j] = partial_k h_ij ;  dg[:, k, i, j] = partial_k g_ij
-    dh = np.einsum("pak,paij->pkij", dn, jets.d2) + np.einsum("pa,paijk->pkij", nvec, jets.d3)
-    dg = np.einsum("paik,paj->pkij", jets.d2, d1) + np.einsum("pai,pajk->pkij", d1, jets.d2)
-    dg_inv = -np.einsum("pim,pkmn,pnj->pkij", g_inv, dg, g_inv)
-    da = np.einsum("pkim,pmj->pkij", dg_inv, h) + np.einsum("pim,pkmj->pkij", g_inv, dh)
-    d2n = -np.einsum("pjki,pak->paij", da, d1) - np.einsum("pki,pakj->paij", a_op, jets.d2)
-    return nvec, dn, d2n, a_op, g, g_inv, h
+
+def metric_derivative(jets: Jets) -> np.ndarray:
+    """dg[:, k, i, j] = partial_k g_ij."""
+    d1, d2 = jets.d1, jets.d2
+    return np.einsum("paik,paj->pkij", d2, d1) + np.einsum("pai,pajk->pkij", d1, d2)
+
+
+def second_form_derivative(jets: Jets, nvec: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """dh[:, k, i, j] = partial_k h_ij, from third-order immersion jets."""
+    if jets.d3 is None:
+        raise DomainError("the derivative of the second fundamental form needs "
+                          "third-order immersion jets")
+    return np.einsum("pak,paij->pkij", dn, jets.d2) + np.einsum("pa,paijk->pkij", nvec, jets.d3)
 
 
 class NormalDeformation:
@@ -244,7 +245,12 @@ class NormalDeformation:
             raise DomainError("deformed immersions supply jets up to order 2 only")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         bj = self.base.jets(x, order=3)
-        nvec, dn, d2n, *_ = normal_jets(bj, self.orientation)
+        nvec, dn, a_op, _, g_inv, h = normal_jets(bj, self.orientation)
+        # d2n[:, :, i, j] = partial_ij N, differentiating dN = -A^k_i r_k
+        dg_inv = -np.einsum("pim,pkmn,pnj->pkij", g_inv, metric_derivative(bj), g_inv)
+        da = np.einsum("pkim,pmj->pkij", dg_inv, h) + np.einsum(
+            "pim,pkmj->pkij", g_inv, second_form_derivative(bj, nvec, dn))
+        d2n = -np.einsum("pjki,pak->paij", da, bj.d1) - np.einsum("pki,pakj->paij", a_op, bj.d2)
         u, du, d2u = self.u_jets_fn(x)
         t = self.t
         r = bj.r + t * u[:, None] * nvec

@@ -152,16 +152,13 @@ def newton_transform(a_f: np.ndarray, r: int, tol: float = DEFAULT_TOL) -> Newto
     return NewtonOperator(matrix=0.5 * (acc + acc.T), r=r)
 
 
-def newton_transform_inductive(a_f: np.ndarray, r: int) -> np.ndarray:
-    """T_r via the recursion T_0 = id, T_r = sigma_r id - A_F T_{r-1}."""
-    a_f = np.asarray(a_f, dtype=float)
-    s = a_f.shape[-1]
-    if not 0 <= r <= s:
-        raise DomainError(f"Newton transformation order r={r} outside 0..{s}")
-    sigma = sigma_all(np.linalg.eigvalsh(a_f))
-    t = np.eye(s)
+def newton_recursion(a_f: np.ndarray, sigma: np.ndarray, r: int) -> np.ndarray:
+    """T_r from T_0 = id, T_k = sigma_k id - A_F T_{k-1} (Reilly 1973), batched
+    over the leading axes of ``a_f`` and of its ``sigma`` = sigma_0..sigma_s."""
+    eye = np.eye(a_f.shape[-1])
+    t = np.broadcast_to(eye, a_f.shape)
     for k in range(1, r + 1):
-        t = sigma[k] * np.eye(s) - a_f @ t
+        t = sigma[..., k, None, None] * eye - a_f @ t
     return t
 
 

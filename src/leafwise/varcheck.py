@@ -36,7 +36,6 @@ from .operators import (
     star_squared_full,
 )
 from .patch import FoliatedPatch
-from .symfunc import newton_transform_inductive
 from .variation import (
     DEFAULT_T_LADDER,
     VariationField,
@@ -134,47 +133,28 @@ def _sample_points(patch: FoliatedPatch, count: int = 12) -> np.ndarray:
 
 def _quantity_extractor(case: EvolutionCase, f: ScalarField | None):
     q = case.quantity
-    if q == "g":
-        return lambda p, x: p.geometry(x).g
-    if q == "g_inv":
-        return lambda p, x: p.geometry(x).g_inv
-    if q == "h":
-        return lambda p, x: p.geometry(x).h
-    if q == "norm_h_sq":
-        return lambda p, x: p.geometry(x).norm_h_sq
-    if q == "nH":
-        return lambda p, x: p.geometry(x).n * p.geometry(x).mean_curvature
-    if q == "dV":
-        return lambda p, x: p.geometry(x).sqrt_det_g
-    if q in ("sH_F", "twoH_F"):
-        return lambda p, x: p.geometry(x).sigma[:, 1]
-    if q == "norm_hF_sq":
-        return lambda p, x: p.geometry(x).norm_hf_sq
-    if q == "norm_hmix_sq":
-        return lambda p, x: p.geometry(x).norm_hmix_sq
-    if q == "K_F":
-        return lambda p, x: p.geometry(x).k_f
-    if q == "tau_i":
-        i = case.order_index
-
-        def tau(p, x):
-            a = p.geometry(x).a_leaf
-            acc = a.copy()
-            for _ in range(i - 1):
-                acc = np.einsum("pij,pjk->pik", acc, a)
-            return np.einsum("pii->p", acc)
-
-        return tau
-    if q == "sigma_r":
-        r = case.order_index
-        return lambda p, x: p.geometry(x).sigma[:, r]
     if q == "lapF_f":
         if f is None:
             raise DomainError("lapF_f case needs the auxiliary function f")
         return lambda p, x: leaf_laplacian(p, f, x)
-    if q == "Christoffel":
-        return lambda p, x: p.geometry(x).gamma
-    raise DomainError(f"unknown quantity {q!r}")
+    i = case.order_index
+    of_geometry = {
+        "g": lambda geo: geo.g,
+        "g_inv": lambda geo: geo.g_inv,
+        "h": lambda geo: geo.h,
+        "norm_h_sq": lambda geo: geo.norm_h_sq,
+        "nH": lambda geo: geo.n * geo.mean_curvature,
+        "dV": lambda geo: geo.sqrt_det_g,
+        "sH_F": lambda geo: geo.sigma[:, 1],
+        "twoH_F": lambda geo: geo.sigma[:, 1],
+        "norm_hF_sq": lambda geo: geo.norm_hf_sq,
+        "norm_hmix_sq": lambda geo: geo.norm_hmix_sq,
+        "K_F": lambda geo: geo.k_f,
+        "tau_i": lambda geo: np.einsum("pii->p", geo.leaf_power(i)),
+        "sigma_r": lambda geo: geo.sigma[:, i],
+        "Christoffel": lambda geo: geo.gamma,
+    }[q]
+    return lambda p, x: of_geometry(p.geometry(x))
 
 
 def _analytic_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
@@ -222,18 +202,16 @@ def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
         return None
     a = geo.a_leaf
     c = geo.c_mix
-    b = geo.b_perp
-    hess_intr = deltas._frame_leaf_block(geo, deltas._embed_leaf(geo, hessian_leaf(geo, du, d2u)))
+    hess_intr = geo.leaf_block(hessian_leaf(geo, du, d2u))
     lap_intr = laplacian_leaf(geo, du, d2u)
-    tr_acc = np.einsum("pij,pja,pia->p", a, c, c)
+    tr_acc = geo.hf_hmix2
     if q in ("sH_F", "twoH_F"):
         return lap_intr + u * (geo.norm_hf_sq - geo.norm_hmix_sq)
     if q == "norm_hF_sq":
-        tr_a3 = np.einsum("pij,pjk,pki->p", a, a, a)
-        return 2.0 * np.einsum("pij,pij->p", a, hess_intr) + 2.0 * u * (tr_a3 + tr_acc)
+        return 2.0 * np.einsum("pij,pij->p", a, hess_intr) + 2.0 * u * (geo.hf_hf2 + tr_acc)
     if q == "norm_hmix_sq":
         hm = hessian_mixed_frame(geo, du, d2u)
-        tr_bcc = np.einsum("pab,pia,pib->p", b, c, c)
+        tr_bcc = np.einsum("pab,pia,pib->p", geo.b_perp, c, c)
         return u * (tr_acc + tr_bcc) + 2.0 * np.einsum("pia,pia->p", hm, c)
     if q == "K_F":
         h_f, k_f = geo.h_f_mean, geo.k_f
@@ -242,35 +220,18 @@ def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
                 + 2.0 * u * h_f * (k_f - geo.norm_hmix_sq))
     if q == "tau_i":
         i = case.order_index
-        a_pow = np.broadcast_to(np.eye(geo.s), a.shape).copy()
-        for _ in range(i - 1):
-            a_pow = np.einsum("pij,pjk->pik", a_pow, a)
-        tau_next = np.einsum("pij,pji->p", np.einsum("pij,pjk->pik", a_pow, a), a)
-        pair_mix = np.einsum("pij,pja,pia->p", a_pow, c, c)
+        a_pow = geo.leaf_power(i - 1)
+        tau_next = np.einsum("pij,pji->p", geo.leaf_power(i), a)
+        pair_mix = geo.mix_pairing(a_pow)
         return i * (np.einsum("pij,pij->p", a_pow, hess_intr) + u * (tau_next + pair_mix))
     if q == "sigma_r":
         r = case.order_index
-        mpts = a.shape[0]
-        t_prev = np.empty_like(a)
-        for p in range(mpts):
-            t_prev[p] = newton_transform_inductive(a[p], r - 1)
-        sigma = np.concatenate([geo.sigma, np.zeros((mpts, 1))], axis=1)
-        pair_mix = np.einsum("pij,pja,pia->p", t_prev, c, c)
-        alg = sigma[:, 1] * sigma[:, r] - (r + 1) * sigma[:, r + 1]
-        return np.einsum("pij,pij->p", t_prev, hess_intr) + u * (alg + pair_mix)
+        t_prev = geo.newton(r - 1)
+        alg = deltas._sigma_algebraic(geo, r) - geo.mix_pairing(t_prev)
+        return np.einsum("pij,pij->p", t_prev, hess_intr) + u * alg
     if q == "lapF_f":
         _, f_du, f_d2u = f.jets(geo.x)
-        s = geo.s
-        hess_f = deltas._frame_leaf_block(
-            geo, deltas._embed_leaf(geo, hessian_leaf(geo, f_du, f_d2u)))
-        pair = np.einsum("pij,pij->p", a, hess_f)
-        xi_u = leaf_gradient(geo, du)
-        xi_f = leaf_gradient(geo, f_du)
-        h_ff = geo.h[:, :s, :s]
-        h_grads = np.einsum("pi,pij,pj->p", xi_u, h_ff, xi_f)
-        grads = np.einsum("pi,pij,pj->p", xi_u, geo.g_ff, xi_f)
-        ds_hf = deltas._leaf_function_gradient_shf(geo)
-        hf_grad = np.einsum("pj,pj->p", ds_hf, xi_f)
+        pair, h_grads, grads, hf_grad, _ = deltas._lapf_terms(geo, du, f_du, f_d2u)
         return 2.0 * u * pair + u * hf_grad + 2.0 * h_grads - geo.sigma[:, 1] * grads
     return None
 

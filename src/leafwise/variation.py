@@ -76,13 +76,6 @@ def random_trig_variation(n: int, rng, amplitude: float = 1.0,
 DEFAULT_T_LADDER = (1e-3, 5e-4, 2.5e-4)
 
 
-def numeric_delta(patch: FoliatedPatch, u: VariationField, quantity, t: float):
-    """Central difference in t of quantity(patch_t) at fixed parameters."""
-    qp = np.asarray(quantity(deformed_patch(patch, u, +t)), dtype=float)
-    qm = np.asarray(quantity(deformed_patch(patch, u, -t)), dtype=float)
-    return (qp - qm) / (2.0 * t)
-
-
 def richardson(values, t_values):
     """Richardson extrapolation of a 2nd-order central-difference sequence."""
     v1, v2 = values[-2], values[-1]

@@ -110,6 +110,13 @@ def test_usage_errors(tmp_path):
     proc = run_cli(["eval", "--out-dir", str(tmp_path)], [1])
     assert proc.returncode == 1
     assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+    # nested surface / functional objects are type-checked after merging
+    for cfg in ({"surface": "sphere"}, {"functional": {"kind": "W_nps"}},
+                {"surface": {"id": "sphere", "params": {"bogus": 1}}}):
+        proc = run_cli(["eval", "--out-dir", str(tmp_path)], cfg)
+        assert proc.returncode == 1, cfg
+        assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_unknown_surface_is_compute_error(tmp_path):

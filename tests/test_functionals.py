@@ -96,6 +96,15 @@ def test_partials_spot_check_rejects_wrong_gradient():
                           f_partials=lambda sig: 3.0 * sig)
 
 
+def test_partials_spot_check_propagates_unexpected_errors():
+    # only shape and dimension errors mean "defined for another s"
+    def f(sig):
+        return undefined_name * sig[:, 0]  # noqa: F821
+
+    with pytest.raises(NameError):
+        fl.FunctionalSpec(kind="WF", f=f, f_partials=lambda sig: sig)
+
+
 # ---------------------------------------------------------------------------
 # pointwise identities
 

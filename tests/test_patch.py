@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from leafwise import catalog
-from leafwise.errors import SingularImmersionError
+from leafwise.errors import DomainError, SingularImmersionError
 from leafwise.patch import FoliatedPatch, Grid, gauss_axis, point_geometry
 from leafwise.suppliers import AnalyticSupplier, FiniteDifferenceSupplier
 
@@ -89,6 +89,28 @@ def test_mixed_norm_conventions(sheared4):
     # index-block norm is twice the square norm of the symmetrized tensor
     geo = sheared4.geometry(sheared4.grid.points[::53])
     assert np.allclose(geo.norm_hmix_sym_sq, 0.5 * geo.norm_hmix_sq)
+
+
+def test_geometry_fields_are_computed_on_first_use(sheared4):
+    x = sheared4.grid.points[::41]
+    geo = sheared4.geometry(x)
+    assert geo.sigma.shape[1] == sheared4.s + 1 and np.all(geo.sqrt_det_g > 0)
+    assert not {"dg", "gamma", "proj"} & set(vars(geo))
+    # reference: the Christoffel symbols assembled eagerly from the jets
+    d1, d2 = geo.jets.d1, geo.jets.d2
+    dg = np.einsum("paik,paj->pkij", d2, d1) + np.einsum("pai,pajk->pkij", d1, d2)
+    bracket = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
+    gamma = 0.5 * np.einsum("pkl,pijl->pkij", np.linalg.inv(geo.g), bracket)
+    assert np.max(np.abs(geo.gamma - gamma)) < 1e-12
+    assert "gamma" in vars(geo)
+
+
+def test_second_form_derivative_needs_third_jets(bumpy3):
+    x = bumpy3.grid.points[::13]
+    with pytest.raises(DomainError):
+        bumpy3.geometry(x).dh
+    dh = bumpy3.geometry(x, order=3).dh
+    assert dh.shape == (x.shape[0], 2, 2, 2)
 
 
 def test_singular_immersion_raises():

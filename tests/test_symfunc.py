@@ -8,7 +8,7 @@ from leafwise.symfunc import (
     elementary_symmetric,
     mean_curvature_functions,
     newton_transform,
-    newton_transform_inductive,
+    newton_recursion,
     power_sums,
     q_r,
     sigma_all,
@@ -100,7 +100,7 @@ def test_newton_transform_matches_induction():
         for r in range(s + 1):
             np.testing.assert_allclose(
                 newton_transform(a, r).matrix,
-                newton_transform_inductive(a, r),
+                newton_recursion(a, sigma_all(np.linalg.eigvalsh(a)), r),
                 atol=1e-12,
             )
 

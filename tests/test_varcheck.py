@@ -72,6 +72,18 @@ def test_naive_reading_matches_for_leafwise_variations(torus_rev, quantity, orde
     assert rep.naive_deviation < 1e-12
 
 
+def test_naive_sigma_1_is_naive_sh_f(sheared4):
+    # sigma_1 = s H_F, so their naive readings agree for any variation
+    x = sheared4.grid.points[::61][:8]
+    geo = sheared4.geometry(x, order=3)
+    u = random_trig_variation(3, np.random.default_rng(7))
+    uu, du, d2u = u.jets(x)
+    naive = [vc._naive_rhs(vc.EvolutionCase(quantity=q, order_index=1), geo, uu, du, d2u, None)
+             for q in ("sigma_r", "sH_F")]
+    assert geo.norm_hmix_sq.max() > 1e-3
+    assert np.max(np.abs(naive[0] - naive[1])) < 1e-12
+
+
 def test_case_validation():
     with pytest.raises(DomainError):
         vc.EvolutionCase(quantity="bogus")
