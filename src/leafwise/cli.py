@@ -4,7 +4,8 @@ Every command reads a single JSON config (path or '-' for stdin), writes
 CSV/JSON/SVG artifacts into --out-dir and returns exit code 0 when all
 checks pass, 1 on usage errors and 2 on computation or precondition
 errors.  CSV output is deterministic: 17 significant digits, '.' decimal
-separator, '\n' line endings, one header row.
+separator, '\n' line endings, one header row; text cells (case labels) are
+written as they are.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def write_csv(path: Path, header, rows):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -207,15 +208,15 @@ def cmd_profile(config: dict, out_dir: Path, verbose: bool) -> int:
 
 
 def _refined(surface_cfg: dict):
+    """The surface with every int grid size m* 1.5 times larger, whether the
+    config sets it or the catalog function's default does."""
     params = dict(surface_cfg.get("params", {}))
-    refined = {k: (int(np.ceil(v * 1.5)) if isinstance(v, int) and k.startswith("m") else v)
-               for k, v in params.items()}
-    if not refined:
-        builder = catalog.CATALOG[surface_cfg["id"]]
-        for name, par in inspect.signature(builder).parameters.items():
-            if name.startswith("m") and isinstance(par.default, int):
-                refined[name] = int(np.ceil(par.default * 1.5))
-    return catalog.build(surface_cfg["id"], **refined)
+    builder = catalog.CATALOG[surface_cfg["id"]]
+    for name, par in inspect.signature(builder).parameters.items():
+        value = params.get(name, par.default)
+        if name.startswith("m") and isinstance(value, int):
+            params[name] = int(np.ceil(value * 1.5))
+    return catalog.build(surface_cfg["id"], **params)
 
 
 def cmd_eval(config: dict, out_dir: Path, verbose: bool) -> int:
@@ -283,10 +284,10 @@ def cmd_varcheck(config: dict, out_dir: Path, verbose: bool) -> int:
         label = f"{quantity}[{idx}]@{patch.name}"
         results.append({"name": label, "value": rep.order_t,
                         "tolerance": config["min_order"], "pass": rep.passed})
-        rows.append([rep.order_t, max(rep.errors), rep.richardson_error,
+        rows.append([label, rep.order_t, max(rep.errors), rep.richardson_error,
                      -1.0 if rep.naive_deviation is None else rep.naive_deviation])
     write_csv(out_dir / "varcheck_cases.csv",
-              ["order_t", "max_error", "richardson_error", "naive_deviation"], rows)
+              ["case", "order_t", "max_error", "richardson_error", "naive_deviation"], rows)
 
     tor = catalog.torus_revolution(m_leaf=32, m_profile=32)
     fields = _identity_fields(tor, rng)

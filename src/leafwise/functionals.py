@@ -13,6 +13,11 @@ WF_HK                 integral of F(H_F, K_F), s = 2 only
 W_conf                integral of Q_r^{n/r} (conformally invariant)
 ====================  =====================================================
 
+Every kind is F of one leaf spectrum, sigma (W_nps, WF_of_HF, WF_HK, W_conf,
+WF) or tau (J_nps, JF), stated once in ``_lower``.  Values on patches and
+on revolution profiles, first variations sum_k dF/dq_k delta q_k - n u F H
+and the partials check all read that lowering.
+
 First variations are evaluated in their integral (pre-integration-by-parts)
 form with the tensorial delta formulas of :mod:`leafwise.deltas`; strong
 Euler-Lagrange residuals use the leaf-intrinsic operators and therefore
@@ -46,7 +51,7 @@ from .revolution import (
     sphere_area,
 )
 from .suppliers import InvertedImmersion, ScaledImmersion
-from .symfunc import q_r_from_sigma
+from .symfunc import POWER_EPS, q_r_from_sigma, safe_power, sigma_all
 from .variation import (
     DEFAULT_T_LADDER,
     VariationField,
@@ -56,20 +61,6 @@ from .variation import (
 from .varcheck import transversal_harmonicity_norm
 
 KINDS = ("W_nps", "J_nps", "WF", "JF", "WF_of_HF", "WF_HK", "W_conf")
-
-#: fractional powers of quantities below this threshold are refused
-POWER_EPS = 1e-12
-
-
-def _safe_power(base: np.ndarray, expo: float) -> np.ndarray:
-    """base**expo, refusing non-integer powers of non-positive bases."""
-    if float(expo) == int(expo):
-        return base ** float(expo)
-    if np.any(base <= POWER_EPS):
-        raise DomainError(
-            f"non-integer power {expo} of a non-positive quantity "
-            f"(min base {np.min(base):.3e}); no branch is chosen")
-    return base**expo
 
 
 @dataclass
@@ -113,47 +104,34 @@ class FunctionalSpec:
         self._spot_check_partials()
 
     def _spot_check_partials(self, tol: float = 1e-6):
-        """Finite-difference consistency of supplied partials at a probe."""
+        """Central differences of the lowered F against its partials, on a
+        leaf spectrum probe at every s = 1..4 the functional is defined for."""
         rng = np.random.default_rng(0)
-        if self.kind in ("WF", "JF"):
-            validated = False
-            for s_dim in (1, 2, 3, 4):
-                try:
-                    args = 0.5 + 0.1 * rng.standard_normal((4, s_dim))
-                    vals = np.asarray(self.f(args), dtype=float)
-                    grads = np.asarray(self.f_partials(args), dtype=float)
-                except (IndexError, ValueError):
-                    continue  # functional defined for a specific s only
-                if grads.shape != args.shape or vals.shape != (4,):
-                    continue  # shapes identify the intended s
-                eps = 1e-6
-                for k in range(s_dim):
-                    bump = args.copy()
-                    bump[:, k] += eps
-                    fd = (np.asarray(self.f(bump)) - vals) / eps
-                    if np.max(np.abs(fd - grads[:, k])) > tol * max(1.0, np.max(np.abs(grads))):
-                        raise ValidationError(
-                            f"partial {k} of f disagrees with finite differences")
-                validated = True
-            if not validated:
-                raise ValidationError(
-                    "could not validate f_partials against f at any probe dimension")
-            return
-        if self.kind == "WF_of_HF":
-            x = np.array([0.8, 1.1, 1.7])
-            eps = 1e-6
-            fd = (np.asarray(self.f(x + eps)) - np.asarray(self.f(x - eps))) / (2 * eps)
-            if np.max(np.abs(fd - np.asarray(self.f1(x)))) > tol * max(1.0, np.max(np.abs(fd))):
-                raise ValidationError("f1 disagrees with finite differences of f")
-        if self.kind == "WF_HK":
-            h, k = np.array([0.9, 1.2]), np.array([0.3, 0.5])
-            eps = 1e-6
-            fd_h = (np.asarray(self.f(h + eps, k)) - np.asarray(self.f(h - eps, k))) / (2 * eps)
-            fd_k = (np.asarray(self.f(h, k + eps)) - np.asarray(self.f(h, k - eps))) / (2 * eps)
-            if np.max(np.abs(fd_h - np.asarray(self.f_h(h, k)))) > tol * max(1.0, np.max(np.abs(fd_h))):
-                raise ValidationError("f_h disagrees with finite differences of f")
-            if np.max(np.abs(fd_k - np.asarray(self.f_k(h, k)))) > tol * max(1.0, np.max(np.abs(fd_k))):
-                raise ValidationError("f_k disagrees with finite differences of f")
+        eps = 1e-6
+        validated = False
+        for s in (1, 2, 3, 4):
+            eigs = 0.5 + 0.1 * rng.standard_normal((4, s))
+            spectra = {"sigma": sigma_all(eigs),
+                       "tau": np.sum(eigs[:, :, None] ** np.arange(s + 2), axis=1)}
+            try:
+                family, used, f, df, _ = _lower(self, s + 1, s)
+                q = spectra[family]
+                vals, grads = f(q), df(q)
+            except (IndexError, ValueError, SpecError):
+                continue  # functional defined for a specific s only
+            if vals.shape != (4,):
+                continue  # shapes identify the intended s
+            for k, grad in zip(used, grads):
+                bump = np.zeros_like(q)
+                bump[:, k] = eps
+                fd = (f(q + bump) - f(q - bump)) / (2 * eps)
+                if np.max(np.abs(fd - grad)) > tol * max(1.0, np.max(np.abs(fd))):
+                    raise ValidationError(
+                        f"partial dF/d{family}_{k} disagrees with finite differences of f")
+            validated = True
+        if not validated:
+            raise ValidationError(
+                "could not validate the partials of f at any probe dimension")
 
 
 def w_nps(p: float) -> FunctionalSpec:
@@ -172,37 +150,73 @@ def w_conf(r: int = 2) -> FunctionalSpec:
 # evaluation
 
 
-def _sigma_args(geo: PointGeometry) -> np.ndarray:
-    return geo.sigma[:, 1:]
+def _array_fn(fn):
+    """fn with its value as a float array (None stays None)."""
+    return None if fn is None else (lambda *args: np.asarray(fn(*args), dtype=float))
 
 
-def _tau_args(geo: PointGeometry, s: int) -> np.ndarray:
-    return np.stack([np.einsum("pii->p", geo.leaf_power(i)) for i in range(1, s + 1)], axis=1)
+def _of_h_f(s: int, f, f1, f2):
+    """Lowering of F(H_F) = F(sigma_1 / s) from its profile (F, F', F'')."""
+    return ("sigma", (1,), lambda q: f(q[:, 1] / s), lambda q: (f1(q[:, 1] / s) / s,),
+            (f, f1, f2))
 
 
-def integrand(spec: FunctionalSpec, geo: PointGeometry, n: int, s: int) -> np.ndarray:
-    """Pointwise functional density (per unit volume)."""
+def _lower(spec: FunctionalSpec, n: int, s: int):
+    """The functional as F of one leaf spectrum, each kind stated once.
+
+    Returns (family, used, F, dF, profile).  ``family`` names the spectrum F
+    reads, "sigma" (sigma_0..sigma_s) or "tau" (tau_0..tau_{s+1}), as an
+    attribute of PointGeometry and RevolutionInvariants and as the suffix of
+    its delta in :mod:`leafwise.deltas`.  F maps the array q of that spectrum,
+    q[:, k] = q_k at M points, to the density; dF maps it to the partials
+    dF/dq_k, one array per index k in ``used``.  ``profile`` is (F, F', F'') as functions of H_F
+    for the F(H_F) kinds and None otherwise.
+    """
     kind = spec.kind
     if kind == "W_nps":
-        return _safe_power(geo.h_f_mean, spec.p)
-    if kind == "J_nps":
-        return _safe_power(geo.norm_hf_sq, spec.p / 2.0)
-    if kind == "WF":
-        return np.asarray(spec.f(_sigma_args(geo)), dtype=float)
-    if kind == "JF":
-        return np.asarray(spec.f(_tau_args(geo, s)), dtype=float)
+        p = spec.p
+        return _of_h_f(s, lambda h: safe_power(h, p), lambda h: p * safe_power(h, p - 1),
+                       lambda h: p * (p - 1) * safe_power(h, p - 2))
     if kind == "WF_of_HF":
-        return np.asarray(spec.f(geo.h_f_mean), dtype=float)
+        return _of_h_f(s, *map(_array_fn, (spec.f, spec.f1, spec.f2)))
     if kind == "WF_HK":
         if s != 2:
             raise SpecError("WF_HK requires a 2-dimensional foliation")
-        return np.asarray(spec.f(geo.h_f_mean, geo.k_f), dtype=float)
+        f, f_h, f_k = map(_array_fn, (spec.f, spec.f_h, spec.f_k))
+        return ("sigma", (1, 2), lambda q: f(q[:, 1] / 2, q[:, 2]),
+                lambda q: (0.5 * f_h(q[:, 1] / 2, q[:, 2]), f_k(q[:, 1] / 2, q[:, 2])), None)
     if kind == "W_conf":
         if spec.r > s:
             raise SpecError(f"conformal order r={spec.r} exceeds s={s}")
-        q = q_r_from_sigma(geo.sigma, spec.r, s)
-        return _safe_power(q, n / spec.r)
-    raise SpecError(f"unknown kind {kind!r}")
+
+        def partials(q):
+            # dQ_2/dsigma_1 = 2 sigma_1 / s^2, dQ_2/dsigma_2 = -2 / (s (s-1))
+            c = (n / 2.0) * safe_power(q_r_from_sigma(q, 2, s), n / 2.0 - 1.0)
+            return 2.0 * c * q[:, 1] / s**2, -2.0 * c / (s * (s - 1))
+
+        return ("sigma", (1, 2), lambda q: safe_power(q_r_from_sigma(q, 2, s), n / 2.0),
+                partials, None)
+    if kind == "J_nps":
+        p = spec.p
+        return ("tau", (2,), lambda q: safe_power(q[:, 2], p / 2.0),
+                lambda q: ((p / 2.0) * safe_power(q[:, 2], p / 2.0 - 1.0),), None)
+    # WF and JF: the user's F of sigma_1..sigma_s or of tau_1..tau_s
+
+    def user_partials(q):
+        grads = np.asarray(spec.f_partials(q[:, 1 : s + 1]), dtype=float)
+        if grads.shape != (q.shape[0], s):
+            raise SpecError(f"f_partials gave shape {grads.shape}, not {(q.shape[0], s)}")
+        return grads.T
+
+    return ("sigma" if kind == "WF" else "tau", tuple(range(1, s + 1)),
+            lambda q: np.asarray(spec.f(q[:, 1 : s + 1]), dtype=float), user_partials, None)
+
+
+def integrand(spec: FunctionalSpec, geo, n: int, s: int) -> np.ndarray:
+    """Pointwise functional density (per unit volume) on a PointGeometry or
+    on RevolutionInvariants."""
+    family, _, f, _, _ = _lower(spec, n, s)
+    return f(getattr(geo, family))
 
 
 def evaluate(spec: FunctionalSpec, surface) -> float:
@@ -219,17 +233,9 @@ def _evaluate_revolution(spec: FunctionalSpec, profile: RevolutionProfile,
     """Quadrature over the profile; dV = rho^{n-1} sqrt(1+f'^2) d(angles) d rho."""
     n = profile.n
     axis = gauss_axis(profile.rho_min, profile.rho_max, quad_nodes)
-    rho, wts = axis.nodes, axis.weights
-    inv = invariants(profile, rho)
-    if spec.kind == "W_nps":
-        dens = _safe_power(inv.h_f_mean, spec.p)
-    elif spec.kind == "J_nps":
-        dens = _safe_power(inv.norm_hf_sq, spec.p / 2.0)
-    elif spec.kind == "WF_of_HF":
-        dens = np.asarray(spec.f(inv.h_f_mean), dtype=float)
-    else:
-        raise SpecError(f"revolution reduction not available for kind {spec.kind!r}")
-    return float(sphere_area(n - 1) * np.sum(wts * dens * inv.area_density))
+    inv = invariants(profile, axis.nodes)
+    dens = integrand(spec, inv, n, n - 1)
+    return float(sphere_area(n - 1) * np.sum(axis.weights * dens * inv.area_density))
 
 
 # ---------------------------------------------------------------------------
@@ -238,56 +244,15 @@ def _evaluate_revolution(spec: FunctionalSpec, profile: RevolutionProfile,
 
 def first_variation_density(spec: FunctionalSpec, geo: PointGeometry, n: int,
                             s: int, u, du, d2u) -> np.ndarray:
-    """Pointwise density of the first variation (before volume weighting)."""
-    kind = spec.kind
-    h_mean = geo.mean_curvature
-    if kind in ("W_nps", "WF_of_HF"):
-        h_f = geo.h_f_mean
-        if kind == "W_nps":
-            f_val = _safe_power(h_f, spec.p)
-            f_prime = spec.p * _safe_power(h_f, spec.p - 1)
-        else:
-            f_val = np.asarray(spec.f(h_f), dtype=float)
-            f_prime = np.asarray(spec.f1(h_f), dtype=float)
-        d_shf = deltas.delta_s_hf(geo, u, du, d2u)
-        return (f_prime / s) * d_shf - n * u * f_val * h_mean
-    if kind == "J_nps":
-        norm_sq = geo.norm_hf_sq
-        d_tau2 = deltas.delta_tau(geo, u, du, d2u, 2)
-        f_val = _safe_power(norm_sq, spec.p / 2.0)
-        f_prime = (spec.p / 2.0) * _safe_power(norm_sq, spec.p / 2.0 - 1.0)
-        return f_prime * d_tau2 - n * u * f_val * h_mean
-    if kind in ("WF", "JF"):
-        args = _sigma_args(geo) if kind == "WF" else _tau_args(geo, s)
-        delta = deltas.delta_sigma if kind == "WF" else deltas.delta_tau
-        f_val = np.asarray(spec.f(args), dtype=float)
-        grads = np.asarray(spec.f_partials(args), dtype=float)
-        acc = -n * u * f_val * h_mean
-        for k in range(1, s + 1):
-            acc = acc + grads[:, k - 1] * delta(geo, u, du, d2u, k)
-        return acc
-    if kind == "WF_HK":
-        if s != 2:
-            raise SpecError("WF_HK requires s = 2")
-        h_f, k_f = geo.h_f_mean, geo.k_f
-        f_val = np.asarray(spec.f(h_f, k_f), dtype=float)
-        f_h = np.asarray(spec.f_h(h_f, k_f), dtype=float)
-        f_k = np.asarray(spec.f_k(h_f, k_f), dtype=float)
-        d_2hf = deltas.delta_s_hf(geo, u, du, d2u)
-        d_kf = deltas.delta_k_f(geo, u, du, d2u)
-        return 0.5 * f_h * d_2hf + f_k * d_kf - n * u * f_val * h_mean
-    if kind == "W_conf":
-        r = spec.r
-        sigma = geo.sigma
-        q = q_r_from_sigma(sigma, r, s)
-        if s < 2:
-            raise SpecError("W_conf variation needs s >= 2")
-        d_s1 = deltas.delta_sigma(geo, u, du, d2u, 1)
-        d_s2 = deltas.delta_sigma(geo, u, du, d2u, 2)
-        d_q = (2 * (s - 1) * sigma[:, 1] * d_s1 - 2 * s * d_s2) / (s**2 * (s - 1))
-        q_pow = _safe_power(q, n / 2.0 - 1.0)
-        return (n / 2.0) * q_pow * d_q - n * u * _safe_power(q, n / 2.0) * h_mean
-    raise SpecError(f"unknown kind {kind!r}")
+    """Pointwise density of the first variation (before volume weighting):
+    sum_k dF/dq_k delta q_k - n u F H over the spectrum indices k F uses."""
+    family, used, f, df, _ = _lower(spec, n, s)
+    q = getattr(geo, family)
+    delta = getattr(deltas, "delta_" + family)
+    acc = -n * u * f(q) * geo.mean_curvature
+    for k, df_k in zip(used, df(q)):
+        acc = acc + df_k * delta(geo, u, du, d2u, k)
+    return acc
 
 
 def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
@@ -371,9 +336,9 @@ def el_residual(spec: FunctionalSpec, surface, x=None,
     if kind == "W_nps":
         # Delta_F(H_F^{p-1}) + H_F^{p-1}(|h_F|^2 - |h_mix|^2 - (n s / p) H H_F)
         p = spec.p
-        fprime = _derived_scalar(patch, lambda g: _safe_power(g.h_f_mean, p - 1), fd_step)
+        fprime = _derived_scalar(patch, lambda g: safe_power(g.h_f_mean, p - 1), fd_step)
         lap = leaf_laplacian(patch, fprime, x, geo)
-        return lap + _safe_power(geo.h_f_mean, p - 1) * (
+        return lap + safe_power(geo.h_f_mean, p - 1) * (
             geo.norm_hf_sq - geo.norm_hmix_sq
             - (n * s / p) * h_mean * geo.h_f_mean
         )
@@ -386,7 +351,7 @@ def el_residual(spec: FunctionalSpec, surface, x=None,
             - s * n * np.asarray(spec.f(geo.h_f_mean), dtype=float) * h_mean
     if kind == "J_nps":
         p = spec.p
-        weight = lambda g: _safe_power(g.norm_hf_sq, (p - 2) / 2.0)
+        weight = lambda g: safe_power(g.norm_hf_sq, (p - 2) / 2.0)
         tensor = _derived_leaf_tensor(patch, weight, fd_step)
         dd = fstar_squared(patch, tensor, x, geo)
         w = weight(geo)
@@ -422,10 +387,10 @@ def el_residual(spec: FunctionalSpec, surface, x=None,
             raise SpecError("W_conf residual needs s >= 2")
         sigma = geo.sigma
         q = q_r_from_sigma(sigma, r, s)
-        q_pow = _safe_power(q, n / 2.0 - 1.0)
+        q_pow = safe_power(q, n / 2.0 - 1.0)
 
         def qpow_fn(g):
-            return _safe_power(q_r_from_sigma(g.sigma, r, s), n / 2.0 - 1.0)
+            return safe_power(q_r_from_sigma(g.sigma, r, s), n / 2.0 - 1.0)
 
         combo = _derived_scalar(patch, lambda g: qpow_fn(g) * g.sigma[:, 1], fd_step)
         lap = leaf_laplacian(patch, combo, x, geo)
@@ -488,8 +453,13 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
             raise SpecError("revolution second variation implemented for W_nps")
         return second_variation_revolution(surface, spec.p, **u)
     patch: FoliatedPatch = surface
-    if spec.kind not in ("W_nps", "WF_of_HF"):
+    n, s = patch.n, patch.s
+    profile = _lower(spec, n, s)[4]
+    if profile is None:
         raise SpecError("second variation implemented for F = F(H_F) kinds")
+    f, f1, f2 = profile
+    if f2 is None:
+        raise SpecError("second variation of F(H_F) needs f2 = F''")
     res = el_residual(spec, patch, fd_step=residual_fd_step)
     res_scale = float(np.max(np.abs(res)))
     if allow_constant_residual:
@@ -498,25 +468,12 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
         raise PreconditionError(
             f"surface is not critical: max residual {res_scale:.3e} > {residual_tol:.1e}")
 
-    n, s = patch.n, patch.s
     x = patch.grid.points
     geo = patch.geometry(x, order=3)
     uu, du, d2u = u.jets(x)
     h_f = geo.h_f_mean
-    if spec.kind == "W_nps":
-        p = spec.p
-        f_val = _safe_power(h_f, p)
-        f_p = p * _safe_power(h_f, p - 1)
-        f_pp = p * (p - 1) * _safe_power(h_f, p - 2)
-        fprime_field = _derived_scalar(patch, lambda g: p * _safe_power(g.h_f_mean, p - 1))
-    else:
-        f_val = np.asarray(spec.f(h_f), dtype=float)
-        f_p = np.asarray(spec.f1(h_f), dtype=float)
-        if spec.f2 is None:
-            raise SpecError("WF_of_HF second variation needs f2")
-        f_pp = np.asarray(spec.f2(h_f), dtype=float)
-        fprime_field = _derived_scalar(
-            patch, lambda g: np.asarray(spec.f1(g.h_f_mean), dtype=float))
+    f_val, f_p, f_pp = f(h_f), f1(h_f), f2(h_f)
+    fprime_field = _derived_scalar(patch, lambda g: f1(g.h_f_mean))
 
     h_mean = geo.mean_curvature
     lap_u = laplacian_block(geo, du, d2u)

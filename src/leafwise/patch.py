@@ -238,6 +238,13 @@ class PointGeometry:
         """Elementary symmetric functions sigma_0..sigma_s of the leaf block."""
         return sigma_all(self.leaf_eigs)
 
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """Power sums tau_0..tau_{s+1}, tau_i = tr A_F^i; tau_{s+1} enters
+        delta tau_s, and tau_2 = |h_F|^2 for every s."""
+        return np.stack([np.einsum("pii->p", self.leaf_power(i)) for i in range(self.s + 2)],
+                        axis=1)
+
     def leaf_power(self, i: int) -> np.ndarray:
         """A_F^i (the identity for i = 0)."""
         out = np.broadcast_to(np.eye(self.s), self.a_leaf.shape)

@@ -9,7 +9,7 @@ pipeline can consume them with analytic accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gamma as gamma_fn, pi
+from math import comb, gamma as gamma_fn, pi
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -19,6 +19,7 @@ from .errors import DomainError, PreconditionError
 from .patch import FoliatedPatch, Grid, gauss_axis, periodic_axis
 from .suppliers import AnalyticSupplier, Jets
 from .catalog import sphere_exprs
+from .symfunc import safe_power
 
 #: slope magnitude treated as a vertical tangent (graph form breaks down)
 VERTICAL_SLOPE = 1e6
@@ -61,7 +62,12 @@ class RevolutionProfile:
 
 @dataclass
 class RevolutionInvariants:
-    """Pointwise curvature bundle of a revolution hypersurface."""
+    """Pointwise curvature bundle of a revolution hypersurface.
+
+    ``sigma`` (sigma_0..sigma_s) and ``tau`` (tau_0..tau_{s+1}) are the leaf
+    spectra of the parallels, whose shape operator is k1 times the identity
+    (s = n-1), laid out as on a PointGeometry.
+    """
 
     rho: np.ndarray
     k1: np.ndarray
@@ -70,9 +76,10 @@ class RevolutionInvariants:
     h_f_mean: np.ndarray
     norm_hf_sq: np.ndarray
     norm_h_sq: np.ndarray
-    h_h2: np.ndarray
     hf_hf2: np.ndarray
     area_density: np.ndarray
+    sigma: np.ndarray
+    tau: np.ndarray
 
 
 def principal_curvatures(profile: RevolutionProfile, rho):
@@ -98,6 +105,7 @@ def invariants(profile: RevolutionProfile, rho) -> RevolutionInvariants:
     n = profile.n
     k1, kn = principal_curvatures(profile, rho)
     y = np.asarray(profile.f1(rho), dtype=float)
+    powers = np.asarray(k1)[..., None] ** np.arange(n + 1)
     return RevolutionInvariants(
         rho=rho,
         k1=k1,
@@ -106,9 +114,10 @@ def invariants(profile: RevolutionProfile, rho) -> RevolutionInvariants:
         h_f_mean=k1,
         norm_hf_sq=(n - 1) * k1**2,
         norm_h_sq=(n - 1) * k1**2 + kn**2,
-        h_h2=(n - 1) * k1**3 + kn**3,
         hf_hf2=(n - 1) * k1**3,
         area_density=rho ** (n - 1) * np.sqrt(1.0 + y * y),
+        sigma=np.array([comb(n - 1, k) for k in range(n)]) * powers[..., :n],
+        tau=(n - 1) * powers,
     )
 
 
@@ -446,7 +455,7 @@ def second_variation_revolution(profile: RevolutionProfile, p: float, j: int,
     lap_sq = lam**2 * rho**-4 * u_sq
     u_lap = -lam * rho**-2 * u_sq
     coeff_mid = (n - 1) * (5 * n * p - n - 9 * p + 1)
-    integrand = k1 ** (p - 2) * (
+    integrand = safe_power(k1, p - 2) * (
         p * (p - 1) * lap_sq
         + coeff_mid * k1**2 * u_lap
         - (n - 1) ** 2 * (p - n) * (p - n + 1) * k1**4 * u_sq
@@ -465,5 +474,6 @@ def stability_bound_integral(profile: RevolutionProfile, p: float, j: int = 1,
     rho, wts = axis.nodes, axis.weights
     inv = invariants(profile, rho)
     const = n * (p - n) + p * (6 * n - 11) + 1
-    radial = np.sum(wts * const * inv.k1 ** (p + 2) * a_fun(rho) ** 2 * inv.area_density)
+    radial = np.sum(wts * const * safe_power(inv.k1, p + 2) * a_fun(rho) ** 2
+                    * inv.area_density)
     return float(radial * mode_l2)

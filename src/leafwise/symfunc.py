@@ -23,6 +23,9 @@ DEFAULT_TOL = 1e-10
 #: products start to lose digits and the package refuses to proceed
 MAX_DIM = 8
 
+#: fractional powers of quantities below this threshold are refused
+POWER_EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class SymmetricSpectrum:
@@ -75,6 +78,17 @@ def _check_symmetric(m: np.ndarray, tol: float) -> np.ndarray:
     if skew > tol:
         raise ValidationError(f"matrix is asymmetric beyond tolerance: {skew:.3e} > {tol:.3e}")
     return m
+
+
+def safe_power(base: np.ndarray, expo: float) -> np.ndarray:
+    """base**expo, refusing non-integer powers of non-positive bases."""
+    if float(expo) == int(expo):
+        return base ** float(expo)
+    if np.any(base <= POWER_EPS):
+        raise DomainError(
+            f"non-integer power {expo} of a non-positive quantity "
+            f"(min base {np.min(base):.3e}); no branch is chosen")
+    return base**expo
 
 
 def sigma_all(eigs: np.ndarray) -> np.ndarray:

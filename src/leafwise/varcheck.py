@@ -150,7 +150,7 @@ def _quantity_extractor(case: EvolutionCase, f: ScalarField | None):
         "norm_hF_sq": lambda geo: geo.norm_hf_sq,
         "norm_hmix_sq": lambda geo: geo.norm_hmix_sq,
         "K_F": lambda geo: geo.k_f,
-        "tau_i": lambda geo: np.einsum("pii->p", geo.leaf_power(i)),
+        "tau_i": lambda geo: geo.tau[:, i],
         "sigma_r": lambda geo: geo.sigma[:, i],
         "Christoffel": lambda geo: geo.gamma,
     }[q]
@@ -223,7 +223,7 @@ def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
         a_pow = geo.leaf_power(i - 1)
         tau_next = np.einsum("pij,pji->p", geo.leaf_power(i), a)
         pair_mix = geo.mix_pairing(a_pow)
-        return i * (np.einsum("pij,pij->p", a_pow, hess_intr) + u * (tau_next + pair_mix))
+        return i * (np.einsum("pij,pij->p", a_pow, hess_intr) + u * (tau_next - pair_mix))
     if q == "sigma_r":
         r = case.order_index
         t_prev = geo.newton(r - 1)
@@ -249,6 +249,9 @@ def verify_evolution(case: EvolutionCase, patch: FoliatedPatch, u: VariationFiel
     """
     if case.quantity in ("twoH_F", "K_F") and patch.s != 2:
         raise DomainError(f"{case.quantity} needs a patch with s=2, got s={patch.s}")
+    top = {"tau_i": patch.s + 1, "sigma_r": patch.s}.get(case.quantity)
+    if top is not None and not 1 <= case.order_index <= top:
+        raise DomainError(f"{case.quantity} index {case.order_index} outside 1..{top}")
     x = _sample_points(patch) if points is None else np.atleast_2d(points)
     extract = _quantity_extractor(case, f)
 

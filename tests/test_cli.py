@@ -75,6 +75,30 @@ def test_eval_sphere_prints_four_pi(tmp_path):
     assert "quadrature error estimate" in res.stdout
 
 
+def test_eval_refines_default_grid_beside_user_params(tmp_path):
+    # radius is no grid size: the refined surface still gets 1.5x the default
+    # m_polar and m_azimuth, so the estimate is not the same grid twice
+    cfg = {"surface": {"id": "sphere", "params": {"radius": 2.0}}, "tolerance": 1e-30}
+    res = run_cli(["eval", "--out-dir", str(tmp_path)], cfg)
+    report = json.loads((tmp_path / "eval_report.json").read_text())
+    estimate = {r["name"]: r["value"] for r in report["results"]}["quadrature_error_estimate"]
+    assert estimate > 0
+    assert res.returncode == 2, res.stderr
+
+
+def test_varcheck_csv_rows_name_their_case(tmp_path):
+    res = run_cli(["varcheck", "--out-dir", str(tmp_path)], {})
+    assert res.returncode == 0, res.stderr
+    lines = (tmp_path / "varcheck_cases.csv").read_text().splitlines()
+    assert lines[0] == "case,order_t,max_error,richardson_error,naive_deviation"
+    rows = {ln.split(",")[0]: [float(v) for v in ln.split(",")[1:]] for ln in lines[1:]}
+    report = json.loads((tmp_path / "varcheck_report.json").read_text())
+    assert list(rows) == [r["name"] for r in report["results"]][: len(lines) - 1]
+    # tau_1 = sigma_1 = s H_F: one naive reading, one deviation
+    naive = {case: row[-1] for case, row in rows.items()}
+    assert abs(naive["tau_i[1]@bumpy-torus3"] - naive["sH_F[1]@bumpy-torus3"]) < 1e-12
+
+
 def test_elcheck_critical_profile(tmp_path):
     res = run_cli(["elcheck", "--out-dir", str(tmp_path)], {})
     assert res.returncode == 0, res.stderr

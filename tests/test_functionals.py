@@ -55,9 +55,20 @@ def test_unit_sphere_bound_constant(n):
 def test_evaluate_on_revolution_profile():
     prof = rev.critical_ode_solve(2, 3, 0.4, 1.0, 0.4, (0.4, 0.6))
     patch = rev.revolution_patch(prof, m_leaf=24, m_profile=32)
-    w_patch = fl.evaluate(fl.w_nps(3), patch)
-    w_prof = fl.evaluate(fl.w_nps(3), prof)
-    assert abs(w_patch - w_prof) < 1e-9
+    wf_of_hf = fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: h**2 + 0.2 * h,
+                                 f1=lambda h: 2 * h + 0.2)
+    for spec in (fl.w_nps(3), fl.j_nps(3), wf_of_hf):
+        w_patch = fl.evaluate(spec, patch)
+        w_prof = fl.evaluate(spec, prof)
+        assert abs(w_patch - w_prof) < 1e-9, spec.kind
+    # F = (sigma_1 / s)^p through the generic sigma path is W_nps
+    p = 3
+    wf = fl.FunctionalSpec(
+        kind="WF", f=lambda sig: (sig[:, 0] / sig.shape[1]) ** p,
+        f_partials=lambda sig: np.column_stack(
+            [(p / sig.shape[1]) * (sig[:, 0] / sig.shape[1]) ** (p - 1),
+             np.zeros((sig.shape[0], sig.shape[1] - 1))]))
+    assert fl.evaluate(wf, prof) == pytest.approx(fl.evaluate(fl.w_nps(p), prof), abs=1e-12)
 
 
 def test_fractional_power_of_signed_curvature_refused(bumpy3):
@@ -81,6 +92,29 @@ def test_reduction_consistency(sheared4):
             [np.zeros(tau.shape[0]), (p2 / 2) * tau[:, 1] ** (p2 / 2 - 1)], axis=1))
     assert fl.evaluate(jf, sheared4) == pytest.approx(
         fl.evaluate(fl.j_nps(p2), sheared4), abs=1e-12)
+
+
+def test_w_conf_is_wf_of_q2(sheared4, rng):
+    # W_conf = int Q_2^{n/2}, Q_2 = (sigma_1 / s)^2 - sigma_2 / C(s, 2); n = 3 here
+    def q2(sig):
+        s = sig.shape[1]
+        return (sig[:, 0] / s) ** 2 - sig[:, 1] / (s * (s - 1) / 2)
+
+    def q2_partials(sig):
+        s = sig.shape[1]
+        out = np.zeros_like(sig)
+        out[:, 0] = 2 * sig[:, 0] / s**2
+        out[:, 1] = -1 / (s * (s - 1) / 2)
+        return out
+
+    wf = fl.FunctionalSpec(kind="WF", f=lambda sig: q2(sig) ** 1.5,
+                           f_partials=lambda sig: 1.5 * (q2(sig) ** 0.5)[:, None]
+                           * q2_partials(sig))
+    assert fl.evaluate(wf, sheared4) == pytest.approx(
+        fl.evaluate(fl.w_conf(2), sheared4), rel=1e-12)
+    u = random_trig_variation(3, rng, amplitude=0.4)
+    assert fl.first_variation_analytic(wf, sheared4, u) == pytest.approx(
+        fl.first_variation_analytic(fl.w_conf(2), sheared4, u), rel=1e-12)
 
 
 def test_full_foliation_reduces_to_unfoliated():
@@ -201,11 +235,15 @@ def test_first_variation_matches_oracle_all_kinds(sheared4, rng):
 
 
 def test_kind_surface_mismatch_raises(bumpy3):
-    spec = fl.FunctionalSpec(kind="WF_HK", f=lambda h, k: h * k,
-                             f_h=lambda h, k: k, f_k=lambda h, k: h)
+    # WF_HK needs s = 2 and W_conf s >= 2; bumpy3 is an s = 1 patch
+    wf_hk = fl.FunctionalSpec(kind="WF_HK", f=lambda h, k: h * k,
+                              f_h=lambda h, k: k, f_k=lambda h, k: h)
     u = const_variation(2)
-    with pytest.raises(SpecError):
-        fl.first_variation_analytic(spec, bumpy3, u)  # s=1 patch
+    for spec in (wf_hk, fl.w_conf(2)):
+        with pytest.raises(SpecError):
+            fl.evaluate(spec, bumpy3)
+        with pytest.raises(SpecError):
+            fl.first_variation_analytic(spec, bumpy3, u)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,18 @@ def test_invariants_match_patch_pipeline(critical_23):
     assert np.max(np.abs(hf_hf2 - inv.hf_hf2)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_invariant_leaf_spectra_match_patch_pipeline(n):
+    # sigma_0..sigma_s and tau_0..tau_{s+1} of the parallels, s = n - 1
+    prof = rev.critical_ode_solve(n, 4, 0.4, 1.0, 0.4, (0.4, 0.6))
+    patch = rev.revolution_patch(prof, m_leaf=6, m_profile=6, rho_window=(0.45, 0.55))
+    geo = patch.geometry()
+    inv = rev.invariants(prof, patch.grid.points[:, -1])
+    assert inv.sigma.shape == geo.sigma.shape and inv.tau.shape == geo.tau.shape
+    assert np.max(np.abs(geo.sigma - inv.sigma)) < 1e-8
+    assert np.max(np.abs(geo.tau - inv.tau)) < 1e-8
+
+
 def test_rho_positive_required(critical_23):
     with pytest.raises(DomainError):
         rev.principal_curvatures(critical_23, np.array([-0.1]))
@@ -190,6 +202,16 @@ def test_second_variation_requires_critical_profile():
     prof = rev.profile_from_sympy(2, sp.acosh(RHO), RHO, (1.15, 1.9), p=3)
     with pytest.raises(PreconditionError):
         rev.second_variation_revolution(prof, 3, 0)
+
+
+def test_fractional_powers_of_negative_k1_refused():
+    # f' < 0 gives k1 < 0: k1^(p-2) and k1^(p+2) have no real branch for p = 2.5
+    prof = rev.critical_ode_solve(2, 2.5, 0.4, 1.0, -0.4, (0.4, 0.62))
+    assert np.max(rev.principal_curvatures(prof, prof.sample())[0]) < 0
+    with pytest.raises(DomainError):
+        rev.second_variation_revolution(prof, 2.5, 1)
+    with pytest.raises(DomainError):
+        rev.stability_bound_integral(prof, 2.5, 1)
 
 
 def test_second_variation_amplitude_weighting(critical_23):

@@ -72,14 +72,15 @@ def test_naive_reading_matches_for_leafwise_variations(torus_rev, quantity, orde
     assert rep.naive_deviation < 1e-12
 
 
-def test_naive_sigma_1_is_naive_sh_f(sheared4):
-    # sigma_1 = s H_F, so their naive readings agree for any variation
+@pytest.mark.parametrize("quantity", ["sigma_r", "tau_i"])
+def test_naive_sigma_1_is_naive_sh_f(sheared4, quantity):
+    # sigma_1 = tau_1 = s H_F, so their naive readings agree for any variation
     x = sheared4.grid.points[::61][:8]
     geo = sheared4.geometry(x, order=3)
     u = random_trig_variation(3, np.random.default_rng(7))
     uu, du, d2u = u.jets(x)
     naive = [vc._naive_rhs(vc.EvolutionCase(quantity=q, order_index=1), geo, uu, du, d2u, None)
-             for q in ("sigma_r", "sH_F")]
+             for q in (quantity, "sH_F")]
     assert geo.norm_hmix_sq.max() > 1e-3
     assert np.max(np.abs(naive[0] - naive[1])) < 1e-12
 
@@ -96,6 +97,14 @@ def test_case_validation():
 def test_k_f_needs_s2(bumpy3, u2):
     with pytest.raises(DomainError):
         vc.verify_evolution(vc.EvolutionCase(quantity="K_F"), bumpy3, u2)
+
+
+@pytest.mark.parametrize("quantity,index", [("sigma_r", 2), ("tau_i", 3), ("tau_i", 0)])
+def test_order_index_outside_the_leaf_spectrum(bumpy3, u2, quantity, index):
+    # s = 1: sigma_1 and tau_1, tau_2 only
+    case = vc.EvolutionCase(quantity=quantity, order_index=index)
+    with pytest.raises(DomainError):
+        vc.verify_evolution(case, bumpy3, u2)
 
 
 def test_kf_consistency_chain(sheared4, u3):
