@@ -51,7 +51,7 @@ from .revolution import (
     sphere_area,
 )
 from .suppliers import InvertedImmersion, ScaledImmersion
-from .symfunc import POWER_EPS, q_r_from_sigma, safe_power, sigma_all
+from .symfunc import POWER_EPS, q_r_from_sigma, safe_power, sigma_all, umbilic_power
 from .variation import (
     DEFAULT_T_LADDER,
     VariationField,
@@ -191,10 +191,10 @@ def _lower(spec: FunctionalSpec, n: int, s: int):
 
         def partials(q):
             # dQ_2/dsigma_1 = 2 sigma_1 / s^2, dQ_2/dsigma_2 = -2 / (s (s-1))
-            c = (n / 2.0) * safe_power(q_r_from_sigma(q, 2, s), n / 2.0 - 1.0)
+            c = (n / 2.0) * umbilic_power(q_r_from_sigma(q, 2, s), n / 2.0 - 1.0)
             return 2.0 * c * q[:, 1] / s**2, -2.0 * c / (s * (s - 1))
 
-        return ("sigma", (1, 2), lambda q: safe_power(q_r_from_sigma(q, 2, s), n / 2.0),
+        return ("sigma", (1, 2), lambda q: umbilic_power(q_r_from_sigma(q, 2, s), n / 2.0),
                 partials, None)
     if kind == "J_nps":
         p = spec.p
@@ -224,8 +224,7 @@ def evaluate(spec: FunctionalSpec, surface) -> float:
     if isinstance(surface, RevolutionProfile):
         return _evaluate_revolution(spec, surface)
     patch: FoliatedPatch = surface
-    geo = patch.geometry()
-    return patch.integrate(integrand(spec, geo, patch.n, patch.s), geo)
+    return patch.integral(lambda geo: integrand(spec, geo, patch.n, patch.s))
 
 
 def _evaluate_revolution(spec: FunctionalSpec, profile: RevolutionProfile,
@@ -259,10 +258,8 @@ def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
                              u: VariationField) -> float:
     """First variation from the analytic delta formulas (no integration by
     parts; valid on any foliated patch)."""
-    geo = patch.geometry()
-    uu, du, d2u = u.jets(patch.grid.points)
-    dens = first_variation_density(spec, geo, patch.n, patch.s, uu, du, d2u)
-    return patch.integrate(dens, geo)
+    return patch.integral(
+        lambda geo: first_variation_density(spec, geo, patch.n, patch.s, *u.jets(geo.x)))
 
 
 def first_variation_numeric(spec: FunctionalSpec, patch: FoliatedPatch,
@@ -523,11 +520,7 @@ def conformal_density(patch_like, r: int, x: np.ndarray, n: int, s: int,
     q = q_r_from_sigma(geo.sigma, r, s)
     if r % 2 == 1 and np.any(q < -POWER_EPS):
         raise DomainError("odd-order conformal density needs a positive Q_r")
-    base = np.abs(q)
-    out = np.zeros_like(base)
-    mask = base > POWER_EPS
-    out[mask] = base[mask] ** (n / r)  # umbilic leaves contribute zero density
-    return out * geo.sqrt_det_g
+    return umbilic_power(np.abs(q), n / r) * geo.sqrt_det_g
 
 
 def conformal_density_check(patch: FoliatedPatch, r: int = 2,
@@ -583,9 +576,8 @@ def conformal_density_check(patch: FoliatedPatch, r: int = 2,
 
 def project_volume_preserving(patch: FoliatedPatch, u: VariationField) -> VariationField:
     """Remove the volume-changing mean: u -> u - (int u dV)/(int dV)."""
-    geo = patch.geometry()
-    mean = patch.integrate(u(patch.grid.points), geo) / patch.integrate(
-        np.ones(patch.grid.points.shape[0]), geo)
+    mean = patch.integral(lambda geo: u(geo.x)) / patch.integral(
+        lambda geo: np.ones(geo.x.shape[0]))
 
     base = u.u
 

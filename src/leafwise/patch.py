@@ -5,11 +5,15 @@ whose first s coordinates run along the leaves of a foliation.  All
 pointwise quantities (metric, normal, second fundamental form, orthogonal
 projector, foliated blocks, Christoffel symbols) are computed in batch
 over arbitrary parameter points, each on first use; the grid only drives
-quadrature and grid-sampled fields.
+quadrature and grid-sampled fields.  Grid integrals run in blocks of BLOCK
+points, on a thread pool when the grid has more than one block.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -89,6 +93,30 @@ class Grid:
 
     def node_point(self, index) -> np.ndarray:
         return np.array([ax.nodes[i] for ax, i in zip(self.axes, index)])
+
+
+#: points per block of a grid integral; a block's geometry is built, used
+#: and dropped before its worker takes the next one
+BLOCK = 8192
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_in_worker = threading.local()
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    """The shared pool of grid-integral workers, one per usable CPU, started
+    on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="leafwise-block",
+                                       initializer=setattr, initargs=(_in_worker, "active", True))
+    return _pool
 
 
 def frame_sandwich(e: np.ndarray, m: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
@@ -333,12 +361,41 @@ class FoliatedPatch:
         return PointGeometry(x=x, jets=jets, g=g, g_inv=g_inv, sqrt_det_g=np.sqrt(det),
                              normal=nvec, dn=dn, h=h, shape_op=a_op, s=self.s)
 
-    def integrate(self, density: np.ndarray, geo: PointGeometry | None = None) -> float:
-        """Integral over the patch of a pointwise density (per unit volume)."""
-        if geo is None:
-            geo = self.geometry()
+    def integrate(self, density: np.ndarray, geo: PointGeometry) -> float:
+        """Integral over the patch of a pointwise density (per unit volume)
+        given on the grid, with the whole-grid geometry ``geo``."""
         vals = np.asarray(density, dtype=float)
         return float(np.sum(self.grid.weights * geo.sqrt_det_g * vals))
+
+    def integral(self, density_fn) -> float:
+        """Integral over the patch of ``density_fn(geo)`` (per unit volume),
+        computed in blocks of BLOCK grid points.
+
+        Each block builds its own geometry and writes its weighted density
+        into one array, which is summed once at the end, so the result is
+        bit-identical to ``integrate`` on the whole-grid geometry.  A grid
+        of several blocks runs them concurrently on the shared pool (numpy
+        releases the GIL), so ``density_fn`` must be thread-safe; a grid of
+        one block, or an integral inside a pool worker, runs in the calling
+        thread.  The first error of the lowest failing block is raised.
+        """
+        points, weights = self.grid.points, self.grid.weights
+        out = np.empty(points.shape[0])
+
+        def block(lo: int):
+            hi = lo + BLOCK
+            geo = self.geometry(points[lo:hi])
+            out[lo:hi] = weights[lo:hi] * geo.sqrt_det_g * np.asarray(density_fn(geo),
+                                                                      dtype=float)
+
+        starts = range(0, points.shape[0], BLOCK)
+        if len(starts) == 1 or getattr(_in_worker, "active", False):
+            for lo in starts:
+                block(lo)
+        else:
+            for _ in _block_pool().map(block, starts):
+                pass
+        return float(np.sum(out))
 
 
 def point_geometry(patch: FoliatedPatch, node) -> PointGeometry:

@@ -91,6 +91,20 @@ def safe_power(base: np.ndarray, expo: float) -> np.ndarray:
     return base**expo
 
 
+def umbilic_power(q: np.ndarray, expo: float) -> np.ndarray:
+    """q**expo for a curvature combination that is non-negative in exact
+    arithmetic (Q_2 = S_1^2 - S_2 by Newton's inequality, or |Q_r|).
+
+    |q| <= POWER_EPS counts as 0, as on umbilic leaves, where rounding
+    leaves q slightly negative; q < -POWER_EPS raises DomainError.
+    """
+    q = np.where(np.abs(q) <= POWER_EPS, 0.0, q)
+    if np.any(q < 0.0):
+        raise DomainError(
+            f"power {expo} of a negative curvature combination (min {np.min(q):.3e})")
+    return q ** float(expo)
+
+
 def sigma_all(eigs: np.ndarray) -> np.ndarray:
     """All elementary symmetric functions sigma_0..sigma_s of ``eigs``.
 

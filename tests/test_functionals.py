@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from leafwise import catalog, functionals as fl, revolution as rev
 from leafwise.errors import DomainError, PreconditionError, SpecError, ValidationError
 from leafwise.operators import ScalarField
-from leafwise.symfunc import q_r_from_sigma
+from leafwise.symfunc import q_r_from_sigma, umbilic_power
 from leafwise.variation import VariationField, random_trig_variation
 
 
@@ -392,6 +394,25 @@ def test_umbilic_leaves_zero_density():
     image = fl.conformal_density(patch, 2, x, patch.n, patch.s,
                                  supplier=InvertedImmersion(patch.supplier))
     assert np.max(np.abs(image)) < 1e-10
+
+
+@pytest.mark.parametrize("surface", [
+    lambda: catalog.tube4(m_polar=8, m_azimuth=10, m_profile=8),
+    lambda: rev.critical_ode_solve(3, 4, 0.4, 1.0, 0.4, (0.4, 0.6)),
+], ids=["tube4", "profile"])
+def test_w_conf_vanishes_on_umbilic_leaves(surface):
+    # Q_2 is 0 up to rounding (down to -1.1e-16) on umbilic leaves
+    assert fl.evaluate(fl.w_conf(2), surface()) == 0.0
+
+
+def test_w_conf_refuses_a_negative_q2():
+    assert np.array_equal(umbilic_power(np.array([-1e-13, 0.0, 0.25]), 1.5),
+                          [0.0, 0.0, 0.125])
+    assert np.array_equal(umbilic_power(np.array([-1e-13, 0.25]), 0.0), [1.0, 1.0])
+    # sigma_1 = 2, sigma_2 = 1.5 on s = 2: Q_2 = 1 - 1.5 < 0
+    spectrum = SimpleNamespace(sigma=np.array([[1.0, 2.0, 1.5]]))
+    with pytest.raises(DomainError, match="negative curvature combination"):
+        fl.integrand(fl.w_conf(2), spectrum, 3, 2)
 
 
 def test_conformal_order_exceeds_leaf_dimension(bumpy3):

@@ -1,10 +1,16 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from leafwise import catalog
+from leafwise import catalog, functionals as fl
 from leafwise.errors import DomainError, SingularImmersionError
-from leafwise.patch import FoliatedPatch, Grid, gauss_axis, point_geometry
+from leafwise.patch import (BLOCK, FoliatedPatch, Grid, gauss_axis, periodic_axis,
+                            point_geometry)
 from leafwise.suppliers import AnalyticSupplier, FiniteDifferenceSupplier
+from leafwise.variation import random_trig_variation
 
 
 def test_unit_sphere_round():
@@ -164,3 +170,90 @@ def test_finite_difference_supplier_third_jets():
 def test_quadrature_weights_total():
     patch = catalog.torus(s=1, m_leaf=24, m_tube=24)
     assert np.isclose(np.sum(patch.grid.weights), (2 * np.pi) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# blocked grid integrals
+
+
+@pytest.fixture(scope="module")
+def sheared_two_blocks(sheared4):
+    """sheared_torus4 on a 24^3 grid (two blocks), without recompiling."""
+    patch = replace(sheared4, grid=Grid(axes=tuple(
+        periodic_axis(0.0, 2 * np.pi, 24) for _ in range(3))))
+    assert BLOCK < patch.grid.points.shape[0] <= 2 * BLOCK
+    return patch
+
+
+def test_blocked_evaluate_equals_whole_grid_integral():
+    patch = catalog.sphere(n=4, m_polar=16, m_azimuth=32)
+    assert patch.grid.points.shape[0] == 16 * BLOCK
+    spec = fl.w_nps(4)
+    geo = patch.geometry()
+    whole = patch.integrate(fl.integrand(spec, geo, patch.n, patch.s), geo)
+    assert fl.evaluate(spec, patch) == whole
+
+
+@pytest.mark.parametrize("spec", [fl.w_conf(2), fl.w_nps(2), fl.j_nps(3)],
+                         ids=["W_conf", "W_nps", "J_nps"])
+def test_blocked_integrals_equal_whole_grid_integrals(sheared_two_blocks, spec):
+    patch = sheared_two_blocks
+    u = random_trig_variation(3, np.random.default_rng(5), amplitude=0.4)
+    geo = patch.geometry()
+    n, s = patch.n, patch.s
+    assert fl.evaluate(spec, patch) == patch.integrate(fl.integrand(spec, geo, n, s), geo)
+    dens = fl.first_variation_density(spec, geo, n, s, *u.jets(patch.grid.points))
+    assert fl.first_variation_analytic(spec, patch, u) == patch.integrate(dens, geo)
+
+
+def test_error_in_a_later_block_reaches_the_caller(sheared_two_blocks):
+    def f(sig):
+        if sig.shape[0] not in (4, BLOCK):  # spot-check probes and the first block pass
+            raise DomainError(f"late block of {sig.shape[0]} points")
+        return sig[:, 0] ** 2
+
+    spec = fl.FunctionalSpec(kind="WF", f=f, f_partials=lambda sig: np.stack(
+        [2 * sig[:, 0], np.zeros(sig.shape[0])], axis=1))
+    tail = sheared_two_blocks.grid.points.shape[0] - BLOCK
+    with pytest.raises(DomainError, match=f"^late block of {tail} points$"):
+        fl.evaluate(spec, sheared_two_blocks)
+
+
+def test_one_block_grid_runs_in_the_calling_thread(sheared4):
+    threads = []
+
+    def density(geo):
+        threads.append(threading.current_thread())
+        return np.ones(geo.x.shape[0])
+
+    volume = sheared4.integral(density)
+    assert threads == [threading.current_thread()]
+    assert volume == sheared4.integrate(np.ones(sheared4.grid.points.shape[0]),
+                                        sheared4.geometry())
+
+
+def test_integral_inside_a_block_runs_inline(sheared_two_blocks):
+    patch = sheared_two_blocks
+    volume = patch.integral(lambda geo: np.ones(geo.x.shape[0]))
+    nested = patch.integral(lambda geo: np.full(geo.x.shape[0], patch.integral(
+        lambda inner: np.ones(inner.x.shape[0]))))
+    assert nested == pytest.approx(volume**2, rel=1e-12)
+
+
+def test_concurrent_integrals_share_the_pool(sheared_two_blocks):
+    patch = sheared_two_blocks
+    expected = patch.integral(lambda geo: geo.sigma[:, 1])
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=lambda: results.append(
+            patch.integral(lambda geo: geo.sigma[:, 1]))) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [expected] * 4
