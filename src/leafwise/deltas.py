@@ -101,13 +101,14 @@ def delta_sigma(geo: PointGeometry, u, du, d2u, r: int) -> np.ndarray:
     hb = geo.leaf_block(hessian_full(geo, du, d2u))
     t_prev = geo.newton(r - 1)
     pair_hess = np.einsum("pij,pij->p", t_prev, hb)
-    return pair_hess + u * (_sigma_algebraic(geo, r) - geo.mix_pairing(t_prev))
+    return pair_hess + u * (sigma_algebraic(geo.sigma, r) - geo.mix_pairing(t_prev))
 
 
-def _sigma_algebraic(geo: PointGeometry, r: int) -> np.ndarray:
-    """sigma_1 sigma_r - (r+1) sigma_{r+1}, with sigma_{s+1} = 0."""
-    sigma = geo.sigma
-    return sigma[:, 1] * sigma[:, r] - (r + 1) * (sigma[:, r + 1] if r < geo.s else 0.0)
+def sigma_algebraic(sigma: np.ndarray, r: int) -> np.ndarray:
+    """sigma_1 sigma_r - (r+1) sigma_{r+1} of a spectrum sigma_0..sigma_s, with
+    sigma_{s+1} = 0."""
+    return sigma[:, 1] * sigma[:, r] - (r + 1) * (
+        sigma[:, r + 1] if r + 1 < sigma.shape[1] else 0.0)
 
 
 def delta_k_f(geo: PointGeometry, u, du, d2u) -> np.ndarray:

@@ -19,14 +19,17 @@ on revolution profiles, first variations sum_k dF/dq_k delta q_k - n u F H
 and the partials check all read that lowering.
 
 First variations are evaluated in their integral (pre-integration-by-parts)
-form with the tensorial delta formulas of :mod:`leafwise.deltas`; strong
-Euler-Lagrange residuals use the leaf-intrinsic operators and therefore
-assume a transversally harmonic foliation, which is checked.
+form with the tensorial delta formulas of :mod:`leafwise.deltas`.  The
+Euler-Lagrange residual of every kind is one formula in the same lowering,
+normalised as the L^2 gradient (int u R dV = delta W); it integrates by
+parts with the leaf-intrinsic operators and therefore assumes a
+transversally harmonic foliation, which is checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -165,7 +168,7 @@ def _lower(spec: FunctionalSpec, n: int, s: int):
     """The functional as F of one leaf spectrum, each kind stated once.
 
     Returns (family, used, F, dF, profile).  ``family`` names the spectrum F
-    reads, "sigma" (sigma_0..sigma_s) or "tau" (tau_0..tau_{s+1}), as an
+    reads, "sigma" (sigma_0..sigma_s) or "tau" (tau_0..tau_{s+2}), as an
     attribute of PointGeometry and RevolutionInvariants and as the suffix of
     its delta in :mod:`leafwise.deltas`.  F maps the array q of that spectrum,
     q[:, k] = q_k at M points, to the density; dF maps it to the partials
@@ -286,148 +289,85 @@ def _derived_scalar(patch: FoliatedPatch, fn, step: float = 1e-3) -> ScalarField
                                      step=step)
 
 
-def _derived_leaf_tensor(patch: FoliatedPatch, weight_fn, step: float = 1e-3) -> LeafTensorField:
-    s = patch.s
+def _weight_coefficients(family: str, used, df, geo) -> list:
+    """c_0..c_{m-1}, m = max(used), of the weight sum_k dF/dq_k W_k = sum_j c_j A_F^j
+    at ``geo``, with W_k = T_{k-1} = sum_j (-1)^j sigma_{k-1-j} A_F^j for sigma and
+    W_k = k A_F^{k-1} for tau."""
+    q = getattr(geo, family)
+    c = [np.zeros(q.shape[0]) for _ in range(max(used))]
+    for k, df_k in zip(used, df(q)):
+        if family == "tau":
+            c[k - 1] = c[k - 1] + k * df_k
+        else:
+            for j in range(k):
+                c[j] = c[j] + (-1) ** j * df_k * q[:, k - 1 - j]
+    return c
 
-    def tensor(x):
-        geo = patch.geometry(x)
-        return weight_fn(geo)[:, None, None] * geo.h[:, :s, :s]
 
-    return LeafTensorField(fn=tensor, s=s, step=step)
+def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) -> np.ndarray:
+    """Pointwise Euler-Lagrange residual R, the L^2 gradient: int u R dV = delta W.
 
-
-def el_residual(spec: FunctionalSpec, surface, x=None,
-                check_precondition: bool = True, fd_step: float = 1e-3) -> np.ndarray:
-    """Pointwise Euler-Lagrange residual of the matching strong equation.
-
-    On revolution profiles the curvatures are constant along parallels and
-    the equations collapse to their algebraic forms; on generic patches the
-    leafwise operators act on derived curvature fields, which requires a
-    transversally harmonic foliation (checked unless disabled).
+    With F of the leaf spectrum q from ``_lower`` and its weight
+    sum_k dF/dq_k W_k = sum_j c_j A_F^j (``_weight_coefficients``),
+    R = Delta_F c_0 + (nabla^F*)^2(sum_{j>=1} c_j h_F^(j)) + sum_k dF/dq_k alg_k
+    - sum_j c_j <A_F^j, h_mix^2> - n F H, with h_F^(j) = h_FF (g_FF^-1 h_FF)^(j-1)
+    in leaf coordinates and alg_k = sigma_1 sigma_k - (k+1) sigma_{k+1} for
+    sigma, k tau_{k+1} for tau (the u-terms of delta q_k without h_mix).  The
+    leaf operators integrate by parts only on a transversally harmonic
+    foliation, which is checked.  On revolution profiles (rho samples ``x``)
+    the weights are constant on parallels and h_mix = 0, so
+    R = sum_k dF/dq_k alg_k - n F H.
     """
     if isinstance(surface, RevolutionProfile):
-        return _el_residual_revolution(spec, surface, x)
-    patch: FoliatedPatch = surface
-    if check_precondition and patch.s < patch.n:
-        div_norm = transversal_harmonicity_norm(patch)
-        if div_norm > 1e-8:
+        n, s = surface.n, surface.n - 1
+        rho = surface.sample(200) if x is None else np.asarray(x, dtype=float)
+        geo = invariants(surface, rho)
+        mean = geo.mean
+    else:
+        patch: FoliatedPatch = surface
+        n, s = patch.n, patch.s
+        if s < n and (div_norm := transversal_harmonicity_norm(patch)) > 1e-8:
             raise PreconditionError(
                 f"foliation is not transversally harmonic: |(div P) o P| = {div_norm:.3e}")
-    if x is None:
-        pts = patch.grid.points
-        # keep clear of non-periodic chart edges by the stencil radius
-        margin = 3.0 * fd_step
-        keep = np.ones(pts.shape[0], dtype=bool)
-        for axis_idx, ax in enumerate(patch.grid.axes):
-            if not ax.periodic:
-                keep &= (pts[:, axis_idx] > ax.lo + margin) & (
-                    pts[:, axis_idx] < ax.hi - margin)
-        pts = pts[keep] if np.any(keep) else pts
-        x = pts[:: max(1, pts.shape[0] // 32)]
-    x = np.atleast_2d(x)
-    geo = patch.geometry(x, order=3)
-    n, s = patch.n, patch.s
-    kind = spec.kind
-    h_mean = geo.mean_curvature
+        if x is None:
+            pts = patch.grid.points
+            # keep clear of non-periodic chart edges by the stencil radius
+            margin = 3.0 * fd_step
+            keep = np.all([ax.periodic | ((ax.lo + margin < c) & (c < ax.hi - margin))
+                           for c, ax in zip(pts.T, patch.grid.axes)], axis=0)
+            pts = pts[keep] if np.any(keep) else pts
+            x = pts[:: max(1, pts.shape[0] // 32)]
+        geo = patch.geometry(x, order=3)
+        mean = geo.mean_curvature
+    family, used, f, df, _ = _lower(spec, n, s)
+    q = getattr(geo, family)
+    res = -n * f(q) * mean
+    for k, df_k in zip(used, df(q)):
+        res = res + df_k * (deltas.sigma_algebraic(q, k) if family == "sigma"
+                            else k * q[:, k + 1])
+    if isinstance(surface, RevolutionProfile):
+        return res
+    weights = partial(_weight_coefficients, family, used, df)
+    for j, c_j in enumerate(weights(geo)):
+        res = res - c_j * geo.mix_pairing(geo.leaf_power(j))
+    if family == "sigma" or 1 in used:
+        c_0 = _derived_scalar(patch, lambda g: weights(g)[0], fd_step)
+        res = res + leaf_laplacian(patch, c_0, geo.x, geo)
+    if max(used) >= 2:
 
-    if kind == "W_nps":
-        # Delta_F(H_F^{p-1}) + H_F^{p-1}(|h_F|^2 - |h_mix|^2 - (n s / p) H H_F)
-        p = spec.p
-        fprime = _derived_scalar(patch, lambda g: safe_power(g.h_f_mean, p - 1), fd_step)
-        lap = leaf_laplacian(patch, fprime, x, geo)
-        return lap + safe_power(geo.h_f_mean, p - 1) * (
-            geo.norm_hf_sq - geo.norm_hmix_sq
-            - (n * s / p) * h_mean * geo.h_f_mean
-        )
-    if kind == "WF_of_HF":
-        # Delta_F F' + F'(|h_F|^2 - |h_mix|^2) - s n F H
-        fprime_fn = lambda g: np.asarray(spec.f1(g.h_f_mean), dtype=float)
-        fprime = _derived_scalar(patch, fprime_fn, fd_step)
-        lap = leaf_laplacian(patch, fprime, x, geo)
-        return lap + fprime_fn(geo) * (geo.norm_hf_sq - geo.norm_hmix_sq) \
-            - s * n * np.asarray(spec.f(geo.h_f_mean), dtype=float) * h_mean
-    if kind == "J_nps":
-        p = spec.p
-        weight = lambda g: safe_power(g.norm_hf_sq, (p - 2) / 2.0)
-        tensor = _derived_leaf_tensor(patch, weight, fd_step)
-        dd = fstar_squared(patch, tensor, x, geo)
-        w = weight(geo)
-        return dd + w * (geo.hf_hf2 - geo.hf_hmix2 - (n / p) * geo.norm_hf_sq * h_mean)
-    if kind == "WF_HK":
-        if s != 2:
-            raise SpecError("WF_HK requires s = 2")
-        h_f, k_f = geo.h_f_mean, geo.k_f
-        f_val = np.asarray(spec.f(h_f, k_f), dtype=float)
-        f_k = np.asarray(spec.f_k(h_f, k_f), dtype=float)
-        f_h = np.asarray(spec.f_h(h_f, k_f), dtype=float)
-        combo = _derived_scalar(
-            patch,
-            lambda g: 0.5 * np.asarray(spec.f_h(g.h_f_mean, g.k_f), dtype=float)
-            + 2.0 * g.h_f_mean * np.asarray(spec.f_k(g.h_f_mean, g.k_f), dtype=float),
-            fd_step,
-        )
-        lap = leaf_laplacian(patch, combo, x, geo)
-        tensor = _derived_leaf_tensor(
-            patch, lambda g: np.asarray(spec.f_k(g.h_f_mean, g.k_f), dtype=float),
-            fd_step)
-        dd = fstar_squared(patch, tensor, x, geo)
-        return (
-            lap
-            - dd
-            + f_h * (2 * h_f**2 - k_f - 0.5 * geo.norm_hmix_sq)
-            + f_k * (2 * h_f * (k_f - geo.norm_hmix_sq) + geo.hf_hmix2)
-            - n * f_val * h_mean
-        )
-    if kind == "W_conf":
-        r = spec.r
-        if s < 2:
-            raise SpecError("W_conf residual needs s >= 2")
-        sigma = geo.sigma
-        q = q_r_from_sigma(sigma, r, s)
-        q_pow = safe_power(q, n / 2.0 - 1.0)
-
-        def qpow_fn(g):
-            return safe_power(q_r_from_sigma(g.sigma, r, s), n / 2.0 - 1.0)
-
-        combo = _derived_scalar(patch, lambda g: qpow_fn(g) * g.sigma[:, 1], fd_step)
-        lap = leaf_laplacian(patch, combo, x, geo)
-
-        def newton_weighted(pts):
-            # (Q_2)^{n/2-1} T_1(A_F) = q_pow (sigma_1 g_L - h_F) in leaf coords
+        def weighted_h_f(pts):
             g = patch.geometry(pts)
-            qp = qpow_fn(g)
-            s1 = g.sigma[:, 1]
-            return (qp * s1)[:, None, None] * g.g_ff - qp[:, None, None] * g.h[:, :s, :s]
+            c = weights(g)
+            h_ff = power = g.h[:, :s, :s]
+            acc = c[1][:, None, None] * h_ff
+            for c_j in c[2:]:
+                power = power @ g.g_ff_inv @ h_ff
+                acc = acc + c_j[:, None, None] * power
+            return acc
 
-        tensor = LeafTensorField(fn=newton_weighted, s=s, step=fd_step)
-        dd = fstar_squared(patch, tensor, x, geo)
-        tr_t1cc = sigma[:, 1] * geo.norm_hmix_sq - geo.hf_hmix2
-        alg = (
-            sigma[:, 1] * (deltas._sigma_algebraic(geo, 1) - geo.norm_hmix_sq)
-            - (s / (s - 1)) * (deltas._sigma_algebraic(geo, 2) - tr_t1cc)
-            - s**2 * q * h_mean
-        )
-        return lap - (s / (s - 1)) * dd + q_pow * alg
-    raise SpecError(f"no Euler-Lagrange residual for kind {spec.kind!r}")
-
-
-def _el_residual_revolution(spec: FunctionalSpec, profile: RevolutionProfile,
-                            rho=None) -> np.ndarray:
-    """Algebraic residual on revolution hypersurfaces (curvatures constant
-    on parallels, h_mix = 0)."""
-    rho = profile.sample(200) if rho is None else np.asarray(rho, dtype=float)
-    inv = invariants(profile, rho)
-    n = profile.n
-    s = n - 1
-    if spec.kind == "W_nps":
-        return spec.p * inv.norm_hf_sq - n * s * inv.mean * inv.h_f_mean
-    if spec.kind == "J_nps":
-        return spec.p * inv.hf_hf2 - n * inv.norm_hf_sq * inv.mean
-    if spec.kind == "WF_of_HF":
-        f_val = np.asarray(spec.f(inv.h_f_mean), dtype=float)
-        f_prime = np.asarray(spec.f1(inv.h_f_mean), dtype=float)
-        return f_prime * inv.norm_hf_sq - s * n * f_val * inv.mean
-    raise SpecError(f"revolution residual not available for kind {spec.kind!r}")
+        tensor = LeafTensorField(fn=weighted_h_f, s=s, step=fd_step)
+        res = res + fstar_squared(patch, tensor, geo.x, geo)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +378,9 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
                               residual_tol: float = 1e-6,
                               allow_constant_residual: bool = False,
                               residual_fd_step: float = 1e-3) -> float:
-    """Second variation at a critical surface.
+    """Second variation at a critical surface: max |el_residual| must stay below
+    ``residual_tol``, taken about its mean with ``allow_constant_residual`` (R
+    constant is the volume-constrained critical condition).
 
     Patches evaluate the quadratic form for F = F(H_F)-type functionals
     (W_nps and WF_of_HF); revolution profiles delegate to the specialized
@@ -458,9 +400,7 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
     if f2 is None:
         raise SpecError("second variation of F(H_F) needs f2 = F''")
     res = el_residual(spec, patch, fd_step=residual_fd_step)
-    res_scale = float(np.max(np.abs(res)))
-    if allow_constant_residual:
-        res_scale = float(np.max(np.abs(res - np.mean(res))))
+    res_scale = float(np.max(np.abs(res - np.mean(res) if allow_constant_residual else res)))
     if res_scale > residual_tol:
         raise PreconditionError(
             f"surface is not critical: max residual {res_scale:.3e} > {residual_tol:.1e}")

@@ -268,9 +268,10 @@ class PointGeometry:
 
     @cached_property
     def tau(self) -> np.ndarray:
-        """Power sums tau_0..tau_{s+1}, tau_i = tr A_F^i; tau_{s+1} enters
-        delta tau_s, and tau_2 = |h_F|^2 for every s."""
-        return np.stack([np.einsum("pii->p", self.leaf_power(i)) for i in range(self.s + 2)],
+        """Power sums tau_0..tau_{s+2}, tau_i = tr A_F^i; tau_{i+1} enters
+        delta tau_i, which J_nps needs for i = 2 at s = 1, and tau_2 = |h_F|^2
+        for every s."""
+        return np.stack([np.einsum("pii->p", self.leaf_power(i)) for i in range(self.s + 3)],
                         axis=1)
 
     def leaf_power(self, i: int) -> np.ndarray:

@@ -64,7 +64,7 @@ class RevolutionProfile:
 class RevolutionInvariants:
     """Pointwise curvature bundle of a revolution hypersurface.
 
-    ``sigma`` (sigma_0..sigma_s) and ``tau`` (tau_0..tau_{s+1}) are the leaf
+    ``sigma`` (sigma_0..sigma_s) and ``tau`` (tau_0..tau_{s+2}) are the leaf
     spectra of the parallels, whose shape operator is k1 times the identity
     (s = n-1), laid out as on a PointGeometry.
     """
@@ -73,10 +73,7 @@ class RevolutionInvariants:
     k1: np.ndarray
     kn: np.ndarray
     mean: np.ndarray
-    h_f_mean: np.ndarray
-    norm_hf_sq: np.ndarray
     norm_h_sq: np.ndarray
-    hf_hf2: np.ndarray
     area_density: np.ndarray
     sigma: np.ndarray
     tau: np.ndarray
@@ -105,16 +102,13 @@ def invariants(profile: RevolutionProfile, rho) -> RevolutionInvariants:
     n = profile.n
     k1, kn = principal_curvatures(profile, rho)
     y = np.asarray(profile.f1(rho), dtype=float)
-    powers = np.asarray(k1)[..., None] ** np.arange(n + 1)
+    powers = np.asarray(k1)[..., None] ** np.arange(n + 2)
     return RevolutionInvariants(
         rho=rho,
         k1=k1,
         kn=kn,
         mean=((n - 1) * k1 + kn) / n,
-        h_f_mean=k1,
-        norm_hf_sq=(n - 1) * k1**2,
         norm_h_sq=(n - 1) * k1**2 + kn**2,
-        hf_hf2=(n - 1) * k1**3,
         area_density=rho ** (n - 1) * np.sqrt(1.0 + y * y),
         sigma=np.array([comb(n - 1, k) for k in range(n)]) * powers[..., :n],
         tau=(n - 1) * powers,

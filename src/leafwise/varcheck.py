@@ -227,7 +227,7 @@ def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
     if q == "sigma_r":
         r = case.order_index
         t_prev = geo.newton(r - 1)
-        alg = deltas._sigma_algebraic(geo, r) - geo.mix_pairing(t_prev)
+        alg = deltas.sigma_algebraic(geo.sigma, r) - geo.mix_pairing(t_prev)
         return np.einsum("pij,pij->p", t_prev, hess_intr) + u * alg
     if q == "lapF_f":
         _, f_du, f_d2u = f.jets(geo.x)

@@ -267,8 +267,9 @@ def test_round_sphere_willmore_pde():
     assert np.max(np.abs(resid)) < 1e-8
 
 
-def test_line_field_residual_formula():
-    # s=1, p=2: residual equals Delta_F kappa + (kappa^2 - |h_mix|^2 - (n/2) H kappa) kappa
+def test_line_field_residual_formula(torus_rev):
+    # s=1, p=2: residual equals (p/s) times
+    # Delta_F kappa + (kappa^2 - |h_mix|^2 - (n/2) H kappa) kappa
     patch = catalog.sphere_parallels(m_leaf=24, m_polar=12)
     pts = patch.grid.points[::9]
     resid = fl.el_residual(fl.w_nps(2), patch, x=pts)
@@ -281,7 +282,10 @@ def test_line_field_residual_formula():
     direct = leaf_laplacian(patch, kappa_field, pts, geo) + (
         kappa**2 - geo.norm_hmix_sq - 0.5 * patch.n * geo.mean_curvature * kappa
     ) * kappa
-    assert np.max(np.abs(resid - direct)) < 1e-9
+    assert np.max(np.abs(resid - 2 * direct)) < 1e-9
+    # tau_2 = sigma_1^2 at s = 1, so J_nps(2) = W_nps(2); its residual reads tau_3
+    assert np.max(np.abs(fl.el_residual(fl.j_nps(2), torus_rev)
+                         - fl.el_residual(fl.w_nps(2), torus_rev))) < 1e-8
 
 
 def test_residual_requires_transversal_harmonicity(sheared4):
@@ -290,7 +294,7 @@ def test_residual_requires_transversal_harmonicity(sheared4):
 
 
 def test_weak_form_consistency_of_residuals(torus_cyl4):
-    # int u R dV (suitably scaled) reproduces the analytic first variation
+    # int u R dV reproduces the analytic first variation: R is the L^2 gradient
     def amp(x):
         return (np.cos(x[:, 1]) * (1 + 0.3 * np.cos(x[:, 2]))
                 + 0.2 * np.cos(x[:, 0] - x[:, 1])
@@ -299,23 +303,68 @@ def test_weak_form_consistency_of_residuals(torus_cyl4):
     u = VariationField(u=ScalarField.from_callable(amp, n=3))
     x = torus_cyl4.grid.points
     geo = torus_cyl4.geometry(x)
-    n, s = 3, 2
     cases = [
-        (fl.w_nps(3), 3 / s, 1e-5),
-        (fl.j_nps(4), 4.0, 1e-3),
-        (fl.w_conf(2), n / s**2, 1e-5),
+        (fl.w_nps(3), 1e-5),
+        (fl.j_nps(4), 1e-3),
+        (fl.w_conf(2), 1e-5),
         (fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: h**2 + 0.2 * h,
                            f1=lambda h: 2 * h + 0.2,
-                           f2=lambda h: 2 * np.ones_like(h)), 1 / s, 1e-5),
+                           f2=lambda h: 2 * np.ones_like(h)), 1e-5),
         (fl.FunctionalSpec(kind="WF_HK", f=lambda h, k: h**2 - 0.4 * k,
                            f_h=lambda h, k: 2 * h,
-                           f_k=lambda h, k: -0.4 * np.ones_like(h)), 1.0, 1e-5),
+                           f_k=lambda h, k: -0.4 * np.ones_like(h)), 1e-5),
+        (fl.FunctionalSpec(kind="WF",
+                           f=lambda sig: sig[:, 0] ** 3 + 0.5 * sig[:, 0] * sig[:, 1],
+                           f_partials=lambda sig: np.stack(
+                               [3 * sig[:, 0] ** 2 + 0.5 * sig[:, 1], 0.5 * sig[:, 0]],
+                               axis=1)), 1e-5),
+        (fl.FunctionalSpec(kind="JF",
+                           f=lambda tau: tau[:, 0] * tau[:, 1] + 0.3 * tau[:, 1],
+                           f_partials=lambda tau: np.stack(
+                               [tau[:, 1], tau[:, 0] + 0.3], axis=1)), 1e-5),
     ]
-    for spec, scale, tol in cases:
+    for spec, tol in cases:
         fa = fl.first_variation_analytic(spec, torus_cyl4, u)
-        weak = torus_cyl4.integrate(scale * u(x) * fl.el_residual(spec, torus_cyl4, x=x),
-                                    geo)
+        weak = torus_cyl4.integrate(u(x) * fl.el_residual(spec, torus_cyl4, x=x), geo)
         assert abs(fa - weak) < tol * max(1.0, abs(fa)), spec.kind
+
+
+@pytest.mark.parametrize("surface", [
+    lambda: catalog.tube4(m_polar=8, m_azimuth=10, m_profile=8),
+    lambda: rev.critical_ode_solve(3, 4, 0.4, 1.0, 0.4, (0.4, 0.6)),
+], ids=["tube4", "profile"])
+def test_w_conf_residual_vanishes_on_umbilic_leaves(surface):
+    # Q_2 = 0 up to rounding on round leaves: the weights vanish with Q_2^{n/2-1}
+    assert np.max(np.abs(fl.el_residual(fl.w_conf(2), surface()))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_revolution_residuals_of_wf_and_jf_reduce(n):
+    # WF with F = (sigma_1/s)^p is W_nps(p), JF with F = tau_2^{p/2} is J_nps(p)
+    # (at s = 1, tau_2 = tau_1^2); p = 2 is not critical, so both sides are non-zero
+    prof = rev.critical_ode_solve(n, n + 1, 0.4, 1.0, 0.4, (0.4, 0.6))
+    s, p = n - 1, 2
+
+    def only(k, partial):
+        # f_partials with dF/dq_k = partial and every other partial 0
+        out = np.zeros((partial.shape[0], s))
+        out[:, k - 1] = partial
+        return out
+
+    wf = fl.FunctionalSpec(kind="WF", f=lambda sig: (sig[:, 0] / s) ** p,
+                           f_partials=lambda sig: only(1, p * (sig[:, 0] / s) ** (p - 1) / s))
+    if s == 1:
+        jf = fl.FunctionalSpec(kind="JF", f=lambda tau: tau[:, 0] ** p,
+                               f_partials=lambda tau: only(1, p * tau[:, 0] ** (p - 1)))
+    else:
+        jf = fl.FunctionalSpec(
+            kind="JF", f=lambda tau: tau[:, 1] ** (p / 2),
+            f_partials=lambda tau: only(2, (p / 2) * tau[:, 1] ** (p / 2 - 1)))
+    for general, special in ((wf, fl.w_nps(p)), (jf, fl.j_nps(p))):
+        expected = fl.el_residual(special, prof)
+        assert np.min(np.abs(expected)) > 1e-3
+        got = fl.el_residual(general, prof)
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 def test_conf_residual_degenerate_on_umbilic_leaves():
