@@ -516,8 +516,9 @@ def conformal_density_check(patch: FoliatedPatch, r: int = 2,
 
 def project_volume_preserving(patch: FoliatedPatch, u: VariationField) -> VariationField:
     """Remove the volume-changing mean: u -> u - (int u dV)/(int dV)."""
-    mean = patch.integral(lambda geo: u(geo.x)) / patch.integral(
-        lambda geo: np.ones(geo.x.shape[0]))
+    moment, volume = patch.integral(
+        lambda geo: np.stack([u(geo.x), np.ones(geo.x.shape[0])]))
+    mean = moment / volume
 
     base = u.u
 

@@ -284,8 +284,11 @@ def div_projector(patch: FoliatedPatch, x: np.ndarray,
     divp_p = np.einsum("pc,pcb->pb", divp, geo.proj)
 
     # (n-s) Hperp = P( Gv^{ab} nabla_{v_a} v_b ) for any transverse basis v
+    # Gv = g(v_a, v_b) is the Schur complement of g_FF in g, L_tt L_tt^T with
+    # L_tt the transverse block of the Cholesky factor, so Gv^-1 = E_tt E_tt^T
     v = geo.transverse_basis
-    gv_inv = np.linalg.inv(geo.transverse_gram)
+    e_tt = geo.frame[:, s:, s:]
+    gv_inv = e_tt @ np.swapaxes(e_tt, -1, -2)
     db = dp[:, :, :s, s:]
     dv = np.zeros((v.shape[0], n, n, n - s))  # dv[p,k,c,a] = partial_k v^c_a
     dv[:, :, :s, :] = -db

@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, SingularImmersionError
+from .errors import DomainError
 from .suppliers import Jets, metric_derivative, normal_jets, second_form_derivative
-from .symfunc import newton_recursion, sigma_all
+from .symfunc import newton_recursion, sigma_of_matrix
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,10 @@ def _block_pool() -> ThreadPoolExecutor:
 
 
 def frame_sandwich(e: np.ndarray, m: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
-    """E^T M F (F = E by default), batched over points.  An einsum, not a
-    matmul chain: reordered sums move the varcheck figures by up to 1e-5."""
-    return np.einsum("pia,pij,pjb->pab", e, m, e if f is None else f)
+    """E^T M F (F = E by default), batched over points, as the matmul chain
+    (E^T M) F: stacked small products release the GIL and cost a fraction of
+    the unoptimised three-operand einsum."""
+    return np.swapaxes(e, -1, -2) @ m @ (e if f is None else f)
 
 
 def christoffel_bracket(dg: np.ndarray) -> np.ndarray:
@@ -146,8 +147,11 @@ class PointGeometry:
     the symmetrized tensor built from the projector has half that square
     norm and is exposed separately.
 
-    Only the jets and the normal-jet quantities are stored; every other
-    field is computed on first use and cached on the instance.
+    Only the jets and the quantities of ``normal_jets`` are stored, the
+    frame among them: one Cholesky factorisation g = L L^T gives
+    frame = L^-T, Gram-Schmidt of the coordinate vectors in leafwise-first
+    order, whose leading s x s block is the leaf frame.  Every other field
+    is computed on first use and cached on the instance.
     """
 
     x: np.ndarray
@@ -159,6 +163,7 @@ class PointGeometry:
     dn: np.ndarray
     h: np.ndarray
     shape_op: np.ndarray
+    frame: np.ndarray
     s: int
 
     @property
@@ -186,7 +191,9 @@ class PointGeometry:
 
     @cached_property
     def g_ff_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g_ff)
+        """g_FF^-1 = E_FF E_FF^T from the leaf block E_FF of the frame."""
+        e_ff = self.frame[:, : self.s, : self.s]
+        return e_ff @ np.swapaxes(e_ff, -1, -2)
 
     @cached_property
     def gamma_leaf(self) -> np.ndarray:
@@ -205,11 +212,6 @@ class PointGeometry:
         return v
 
     @cached_property
-    def transverse_gram(self) -> np.ndarray:
-        """Metric Gram matrix g(v_a, v_b) of the transverse basis."""
-        return frame_sandwich(self.transverse_basis, self.g)
-
-    @cached_property
     def proj(self) -> np.ndarray:
         """Projector onto the leaf tangent along the transverse distribution."""
         s, n = self.s, self.n
@@ -217,20 +219,6 @@ class PointGeometry:
         proj[:, :s, :s] = np.eye(s)
         proj[:, :s, s:] = -self.transverse_basis[:, :s, :]
         return proj
-
-    @cached_property
-    def frame(self) -> np.ndarray:
-        """Adapted orthonormal frame: leaf part from the leaf metric block,
-        transverse part from the g-orthogonal complement of the leaves."""
-        s, n = self.s, self.n
-        frame = np.zeros((self.x.shape[0], n, n))
-        lf = np.linalg.cholesky(self.g_ff)
-        frame[:, :s, :s] = np.linalg.inv(np.swapaxes(lf, -1, -2))
-        lv = np.linalg.cholesky(self.transverse_gram)
-        frame[:, :, s:] = np.einsum(
-            "pia,pab->pib", self.transverse_basis, np.linalg.inv(np.swapaxes(lv, -1, -2))
-        )
-        return frame
 
     @cached_property
     def a_frame(self) -> np.ndarray:
@@ -258,13 +246,9 @@ class PointGeometry:
         return self.a_frame[:, self.s :, self.s :]
 
     @cached_property
-    def leaf_eigs(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.a_leaf)
-
-    @cached_property
     def sigma(self) -> np.ndarray:
         """Elementary symmetric functions sigma_0..sigma_s of the leaf block."""
-        return sigma_all(self.leaf_eigs)
+        return sigma_of_matrix(self.a_leaf)
 
     @cached_property
     def tau(self) -> np.ndarray:
@@ -355,12 +339,10 @@ class FoliatedPatch:
             x = self.grid.points
         x = np.atleast_2d(np.asarray(x, dtype=float))
         jets = self.supplier.jets(x, order=order)
-        nvec, dn, a_op, g, g_inv, h = normal_jets(jets, self.normal_orientation)
-        det = np.linalg.det(g)
-        if np.any(det <= 0):
-            raise SingularImmersionError("metric determinant non-positive on the patch")
-        return PointGeometry(x=x, jets=jets, g=g, g_inv=g_inv, sqrt_det_g=np.sqrt(det),
-                             normal=nvec, dn=dn, h=h, shape_op=a_op, s=self.s)
+        nvec, dn, a_op, g, g_inv, h, frame, sqrt_det_g = normal_jets(
+            jets, self.normal_orientation)
+        return PointGeometry(x=x, jets=jets, g=g, g_inv=g_inv, sqrt_det_g=sqrt_det_g,
+                             normal=nvec, dn=dn, h=h, shape_op=a_op, frame=frame, s=self.s)
 
     def integrate(self, density: np.ndarray, geo: PointGeometry) -> float:
         """Integral over the patch of a pointwise density (per unit volume)
@@ -368,35 +350,36 @@ class FoliatedPatch:
         vals = np.asarray(density, dtype=float)
         return float(np.sum(self.grid.weights * geo.sqrt_det_g * vals))
 
-    def integral(self, density_fn) -> float:
+    def integral(self, density_fn):
         """Integral over the patch of ``density_fn(geo)`` (per unit volume),
         computed in blocks of BLOCK grid points.
 
-        Each block builds its own geometry and writes its weighted density
-        into one array, which is summed once at the end, so the result is
-        bit-identical to ``integrate`` on the whole-grid geometry.  A grid
-        of several blocks runs them concurrently on the shared pool (numpy
-        releases the GIL), so ``density_fn`` must be thread-safe; a grid of
-        one block, or an integral inside a pool worker, runs in the calling
-        thread.  The first error of the lowest failing block is raised.
+        The density is one value per point (the result is a float) or an
+        array with the point axis last (one integral per leading index, all
+        from the same geometry).  Each block builds its own geometry and
+        returns its weighted density; the blocks are joined and summed once
+        along the contiguous point axis, so each result is bit-identical to
+        ``integrate`` of that density on the whole-grid geometry.  A grid of
+        several blocks runs them concurrently on the shared pool (the
+        geometry kernels are elementwise numpy and release the GIL), so
+        ``density_fn`` must be thread-safe; a grid of one block, or an
+        integral inside a pool worker, runs in the calling thread.  The
+        first error of the lowest failing block is raised.
         """
         points, weights = self.grid.points, self.grid.weights
-        out = np.empty(points.shape[0])
 
-        def block(lo: int):
+        def block(lo: int) -> np.ndarray:
             hi = lo + BLOCK
             geo = self.geometry(points[lo:hi])
-            out[lo:hi] = weights[lo:hi] * geo.sqrt_det_g * np.asarray(density_fn(geo),
-                                                                      dtype=float)
+            return weights[lo:hi] * geo.sqrt_det_g * np.asarray(density_fn(geo), dtype=float)
 
         starts = range(0, points.shape[0], BLOCK)
         if len(starts) == 1 or getattr(_in_worker, "active", False):
-            for lo in starts:
-                block(lo)
+            parts = [block(lo) for lo in starts]
         else:
-            for _ in _block_pool().map(block, starts):
-                pass
-        return float(np.sum(out))
+            parts = list(_block_pool().map(block, starts))
+        total = np.sum(np.concatenate(parts, axis=-1), axis=-1)
+        return float(total) if total.ndim == 0 else total
 
 
 def point_geometry(patch: FoliatedPatch, node) -> PointGeometry:

@@ -184,32 +184,82 @@ class FiniteDifferenceSupplier:
         return Jets(r=r0, d1=d1, d2=d2, d3=d3)
 
 
-def normal_jets(jets: Jets, orientation: float = 1.0):
-    """Unit normal of the immersion, its 1-jet, and the first and second
-    fundamental forms: (normal, dn, shape operator, g, g^-1, h).
+def cofactor_normal(d1: np.ndarray) -> np.ndarray:
+    """Generalized cross product of the n columns of d1 (M, n+1, n): the
+    signed n x n minors raw[:, a] = (-1)^(a+n) det(d1 without row a).
 
-    The raw normal is the generalized cross product of the tangent vectors;
-    its length equals sqrt(det g).  The orientation flag flips the sign of
-    the returned normal.  First derivatives come from the Weingarten map
-    dN = -A^k_i r_k.
+    The minors come from Laplace expansion along the last column over every
+    subset of rows, all n+1 minors at once (m 2^(m-1) array operations for
+    m = n+1 rows), elementwise over the point axis: exact, no pivoting.
+    """
+    m, n = d1.shape[1:]
+    t = np.ascontiguousarray(np.moveaxis(d1, 0, -1))  # t[a, i] = d_i r^a over points
+    minors = {(a,): t[a, 0] for a in range(m)}  # rows -> minor on the first len(rows) columns
+    for k in range(1, n):
+        minors = {rows: sum((-1.0) ** (j + k) * t[a, k] * minors[rows[:j] + rows[j + 1:]]
+                            for j, a in enumerate(rows))
+                  for rows in itertools.combinations(range(m), k + 1)}
+    return np.stack([(-1.0) ** (a + n) * minors[tuple(b for b in range(m) if b != a)]
+                     for a in range(m)], axis=1)
+
+
+def cholesky_frame(g: np.ndarray) -> np.ndarray:
+    """E = L^-T for the Cholesky factor g = L L^T of a batch of metrics.
+
+    The columns of E are the g-orthonormal frame that Gram-Schmidt builds
+    from the coordinate vectors in index order, so for leafwise-first
+    coordinates the leading s columns span the leaves and their leading s x s
+    block is the frame of the leaf metric; g^-1 = E E^T.  Computed
+    elementwise over the point axis; a non-positive pivot raises
+    SingularImmersionError.
+    """
+    n = g.shape[-1]
+    gt = np.moveaxis(g, 0, -1)
+    low = {}
+    for j in range(n):
+        pivot = gt[j, j] - sum(low[j, k] ** 2 for k in range(j))
+        if not np.all(pivot > 0):
+            raise SingularImmersionError("metric is not positive definite on the patch")
+        low[j, j] = np.sqrt(pivot)
+        for i in range(j + 1, n):
+            low[i, j] = (gt[i, j] - sum(low[i, k] * low[j, k] for k in range(j))) / low[j, j]
+    # E^T = L^-1 by forward substitution, one column of L^-1 at a time
+    e = np.zeros(g.shape)
+    for j in range(n):
+        col = {j: 1.0 / low[j, j]}
+        for i in range(j + 1, n):
+            col[i] = -sum(low[i, k] * col[k] for k in range(j, i)) / low[i, i]
+        for i, v in col.items():
+            e[:, j, i] = v
+    return e
+
+
+def normal_jets(jets: Jets, orientation: float = 1.0):
+    """Unit normal of the immersion, its 1-jet, the first and second
+    fundamental forms and the adapted frame: (normal, dn, shape operator, g,
+    g^-1, h, frame, sqrt det g).
+
+    The raw normal is the generalized cross product of the tangent vectors
+    (``cofactor_normal``); its length equals sqrt(det g) by Cauchy-Binet.
+    ``frame`` is ``cholesky_frame(g)`` and g^-1 = frame frame^T.  The
+    orientation flag flips the sign of the returned normal.  First
+    derivatives come from the Weingarten map dN = -A^k_i r_k.  No LAPACK
+    call: every kernel is elementwise over the point axis.
     """
     d1 = jets.d1
-    mpts, m, n = d1.shape
-    raw = np.empty((mpts, m))
-    for a in range(m):
-        rows = [b for b in range(m) if b != a]
-        raw[:, a] = (-1.0) ** (a + n) * np.linalg.det(d1[:, rows, :])
-    length = np.linalg.norm(raw, axis=1)
+    raw = cofactor_normal(d1)
+    length = np.sqrt(np.einsum("pa,pa->p", raw, raw))
     if np.any(length <= 0) or not np.all(np.isfinite(length)):
         raise SingularImmersionError("immersion Jacobian is rank-deficient")
     nvec = orientation * raw / length[:, None]
 
     g = np.einsum("pai,paj->pij", d1, d1)
-    g_inv = np.linalg.inv(g)
+    frame = cholesky_frame(g)
+    g_inv = frame @ np.swapaxes(frame, -1, -2)
     h = np.einsum("pa,paij->pij", nvec, jets.d2)
     a_op = np.einsum("pik,pkj->pij", g_inv, h)
     dn = -np.einsum("pki,pak->pai", a_op, d1)  # dn[:, :, i] = partial_i N
-    return nvec, dn, a_op, g, g_inv, h
+    return nvec, dn, a_op, g, g_inv, h, frame, length
 
 
 def metric_derivative(jets: Jets) -> np.ndarray:
@@ -245,7 +295,7 @@ class NormalDeformation:
             raise DomainError("deformed immersions supply jets up to order 2 only")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         bj = self.base.jets(x, order=3)
-        nvec, dn, a_op, _, g_inv, h = normal_jets(bj, self.orientation)
+        nvec, dn, a_op, _, g_inv, h, _, _ = normal_jets(bj, self.orientation)
         # d2n[:, :, i, j] = partial_ij N, differentiating dN = -A^k_i r_k
         dg_inv = -np.einsum("pim,pkmn,pnj->pkij", g_inv, metric_derivative(bj), g_inv)
         da = np.einsum("pkim,pmj->pkij", dg_inv, h) + np.einsum(

@@ -190,6 +190,20 @@ def newton_recursion(a_f: np.ndarray, sigma: np.ndarray, r: int) -> np.ndarray:
     return t
 
 
+def sigma_of_matrix(a_f: np.ndarray) -> np.ndarray:
+    """sigma_0..sigma_s of a batched symmetric matrix, without its eigenvalues:
+    sigma_k = tr(A_F T_{k-1}) / k along the recursion of ``newton_recursion``
+    (Faddeev-LeVerrier), so only matrix products run, no LAPACK call."""
+    eye = np.eye(a_f.shape[-1])
+    sigma = [np.ones(a_f.shape[:-2])]
+    t = np.broadcast_to(eye, a_f.shape)
+    for k in range(1, a_f.shape[-1] + 1):
+        at = a_f @ t
+        sigma.append(np.trace(at, axis1=-2, axis2=-1) / k)
+        t = sigma[k][..., None, None] * eye - at
+    return np.stack(sigma, axis=-1)
+
+
 def traceless_part(a_f: np.ndarray, tol: float = DEFAULT_TOL) -> TracelessPart:
     """B_F = H_F * id - A_F, the traceless remainder of a shape matrix."""
     a_f = _check_symmetric(np.asarray(a_f, dtype=float), tol)

@@ -9,7 +9,9 @@ from leafwise import catalog, functionals as fl
 from leafwise.errors import DomainError, SingularImmersionError
 from leafwise.patch import (BLOCK, FoliatedPatch, Grid, gauss_axis, periodic_axis,
                             point_geometry)
-from leafwise.suppliers import AnalyticSupplier, FiniteDifferenceSupplier
+from leafwise.suppliers import (AnalyticSupplier, FiniteDifferenceSupplier, cholesky_frame,
+                                cofactor_normal)
+from leafwise.symfunc import sigma_all, sigma_of_matrix
 from leafwise.variation import random_trig_variation
 
 
@@ -128,6 +130,78 @@ def test_singular_immersion_raises():
     patch = FoliatedPatch(n=2, s=1, supplier=supplier, grid=grid)
     with pytest.raises(SingularImmersionError):
         patch.geometry()
+
+
+# ---------------------------------------------------------------------------
+# LAPACK-free pointwise kernels against the LAPACK computations they replace
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cofactor_normal_matches_minor_determinants(n):
+    d1 = np.random.default_rng(n).standard_normal((40, n + 1, n))
+    ref = np.stack([(-1.0) ** (a + n) * np.linalg.det(np.delete(d1, a, axis=1))
+                    for a in range(n + 1)], axis=1)
+    raw = cofactor_normal(d1)
+    assert np.max(np.abs(raw - ref) / np.max(np.abs(ref), axis=1, keepdims=True)) < 1e-14
+
+
+def _two_cholesky_frame(g, s):
+    """The adapted frame from two LAPACK Cholesky factorisations: the leaf
+    block from g_FF, the transverse columns from the Gram matrix of the
+    g-orthogonal complement of the leaves."""
+    n = g.shape[-1]
+    frame = np.zeros(g.shape)
+    lf = np.linalg.cholesky(g[:, :s, :s])
+    frame[:, :s, :s] = np.linalg.inv(np.swapaxes(lf, -1, -2))
+    v = np.zeros((g.shape[0], n, n - s))
+    v[:, :s] = -np.linalg.solve(g[:, :s, :s], g[:, :s, s:])
+    v[:, s:] = np.eye(n - s)
+    lv = np.linalg.cholesky(np.swapaxes(v, -1, -2) @ g @ v)
+    frame[:, :, s:] = v @ np.linalg.inv(np.swapaxes(lv, -1, -2))
+    return frame
+
+
+@pytest.mark.parametrize("name", ["sheared4", "torus_cyl4"])
+def test_cholesky_frame_is_the_two_cholesky_frame(name, request):
+    patch = request.getfixturevalue(name)
+    assert patch.s < patch.n
+    geo = patch.geometry(patch.grid.points[::7])
+    g = geo.g
+    assert np.max(np.abs(geo.frame - _two_cholesky_frame(g, patch.s))) < 1e-12
+    assert np.max(np.abs(geo.g_inv - np.linalg.inv(g))) < 1e-12
+    s = patch.s
+    assert np.max(np.abs(geo.g_ff_inv - np.linalg.inv(g[:, :s, :s]))) < 1e-12
+
+
+def test_sigma_recursion_matches_eigenvalues(sheared4, tube4):
+    a = np.random.default_rng(3).standard_normal((4, 50, 4, 4))
+    cases = [a[s - 1, :, :s, :s] + np.swapaxes(a[s - 1, :, :s, :s], -1, -2)
+             for s in (1, 2, 3, 4)]
+    cases += [p.geometry(p.grid.points[::5]).a_leaf for p in (sheared4, tube4)]
+    for a_f in cases:
+        ref = sigma_all(np.linalg.eigvalsh(a_f))
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.max(np.abs(sigma_of_matrix(a_f) - ref) / scale) < 1e-12
+
+
+def test_non_positive_definite_metric_raises():
+    g = np.tile(np.eye(3), (5, 1, 1))
+    g[3, 2, 2] = -1.0  # indefinite
+    with pytest.raises(SingularImmersionError):
+        cholesky_frame(g)
+    g[3] = np.ones((3, 3))  # semidefinite, rank 1
+    with pytest.raises(SingularImmersionError):
+        cholesky_frame(g)
+
+
+def test_grid_energy_path_calls_no_lapack(sheared_two_blocks, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call on the energy path")
+
+    expected = fl.evaluate(fl.w_nps(2), sheared_two_blocks)
+    for name in ("det", "inv", "cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert fl.evaluate(fl.w_nps(2), sheared_two_blocks) == expected
 
 
 def test_point_geometry_node_api(bumpy3):
@@ -257,3 +331,22 @@ def test_concurrent_integrals_share_the_pool(sheared_two_blocks):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert results == [expected] * 4
+
+
+def test_volume_projection_integrates_in_one_pass(sheared_two_blocks, monkeypatch):
+    patch = sheared_two_blocks
+    u = random_trig_variation(3, np.random.default_rng(5), amplitude=0.4)
+    moment = patch.integral(lambda geo: u(geo.x))
+    volume = patch.integral(lambda geo: np.ones(geo.x.shape[0]))
+    calls = []
+    geometry = FoliatedPatch.geometry
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return geometry(self, *args, **kwargs)
+
+    monkeypatch.setattr(FoliatedPatch, "geometry", counted)
+    shifted = fl.project_volume_preserving(patch, u)
+    assert len(calls) == 2  # one geometry per block
+    x = patch.grid.points[:5]
+    assert np.array_equal(shifted(x), u(x) - moment / volume)
