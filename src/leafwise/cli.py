@@ -97,11 +97,38 @@ def load_config(arg: str, command: str) -> dict:
                 {"id", "kind"} & set(value)):
             value = {**default, **value}
         base[key] = value
+    _check_types(DEFAULTS[command], base, command)
     if base.get("surface") is not None:
         _check_surface(base["surface"])
     if "functional" in base:
         _check_functional(base["functional"])
     return base
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_types(defaults: dict, config: dict, command: str, where: str = "") -> None:
+    """Each setting takes the type of its default: a number (never a bool) for a
+    number, a list of numbers for a list (profile p also one number), a number
+    or null for null, an object with the same keys for an object, checked key
+    by key; surface and functional have checks of their own."""
+    for key, default in defaults.items():
+        value, name = config[key], where + key
+        if key in ("surface", "functional") or isinstance(default, str):
+            continue
+        if isinstance(default, dict) and isinstance(value, dict) and set(value) == set(default):
+            _check_types(default, value, command, name + ".")
+        elif isinstance(default, dict):
+            raise ValidationError(f"{command} {name!r} must be an object with keys "
+                                  f"{', '.join(default)}")
+        elif isinstance(default, list):
+            if not (isinstance(value, list) and all(map(_is_number, value)) or (
+                    (command, name) == ("profile", "p") and _is_number(value))):
+                raise ValidationError(f"{command} {name!r} must be a list of numbers")
+        elif not (_is_number(value) or value is default is None):
+            raise ValidationError(f"{command} {name!r} must be a number")
 
 
 def _check_surface(cfg) -> None:
@@ -123,8 +150,7 @@ def _check_functional(cfg) -> None:
     if cfg["kind"] in FUNCTIONAL_PARAMS:  # build_functional reports other kinds
         name, default = FUNCTIONAL_PARAMS[cfg["kind"]]
         value = cfg.get(name, default)
-        if set(cfg) - {"kind", name} or isinstance(value, bool) or not isinstance(
-                value, (int, float)):
+        if set(cfg) - {"kind", name} or not _is_number(value):
             raise ValidationError(
                 f"a {cfg['kind']} functional takes \"kind\" and a numeric {name!r} only")
 
@@ -228,10 +254,10 @@ def cmd_eval(config: dict, out_dir: Path, verbose: bool) -> int:
     quad_err = abs(value - value_ref)
     print(f"{spec.kind} on {config['surface']['id']}: {value:.10f} "
           f"(quadrature error estimate {quad_err:.2e})")
+    tol = config["tolerance"]  # null switches the gate off
     results = [{"name": "value", "value": value, "tolerance": None, "pass": True},
                {"name": "quadrature_error_estimate", "value": quad_err,
-                "tolerance": config.get("tolerance"),
-                "pass": quad_err < config["tolerance"] if config.get("tolerance") else True}]
+                "tolerance": tol, "pass": tol is None or quad_err < tol}]
     write_csv(out_dir / "eval.csv", ["value", "quadrature_error_estimate"],
               [[value, quad_err]])
     return report(out_dir, "eval", config, results, t0, verbose)

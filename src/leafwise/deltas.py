@@ -4,9 +4,10 @@ Every formula is the tensorial restatement of the corresponding evolution
 equation: second derivatives of the variation amplitude u enter through
 the full covariant Hessian (or its leafwise block), never through the
 leaf-intrinsic Hessian, because that is what differentiating the immersion
-produces in an arbitrary adapted chart.  The leaf-intrinsic reading (valid
-when u has no transverse gradient) is provided separately by varcheck for
-diagnostic comparison.
+produces in an arbitrary adapted chart.  Every leaf spectrum member,
+sigma_k or tau_k, varies by the one formula ``delta_spectrum``; varcheck
+feeds it the leaf-intrinsic Hessian for the naive reading (valid when u
+has no transverse gradient) and reports the difference.
 
 All leafwise pairings use the adapted orthonormal frame blocks a (leaf),
 c (mixed) and b (transverse) of the shape operator; the mixed norm is the
@@ -21,7 +22,6 @@ from .operators import (
     hessian_full,
     hessian_leaf,
     hessian_mixed_frame,
-    laplacian_block,
     laplacian_full,
     leaf_gradient,
 )
@@ -64,66 +64,35 @@ def delta_volume_density(geo: PointGeometry, u: np.ndarray) -> np.ndarray:
     return -geo.n * u * geo.mean_curvature * geo.sqrt_det_g
 
 
-def delta_s_hf(geo: PointGeometry, u, du, d2u) -> np.ndarray:
-    """delta (s H_F) = tr_F Hess_u|_F + u (|h_F|^2 - |h_mix|^2)."""
-    return laplacian_block(geo, du, d2u) + u * (geo.norm_hf_sq - geo.norm_hmix_sq)
-
-
-def delta_norm_hf_sq(geo: PointGeometry, u, du, d2u) -> np.ndarray:
-    """delta |h_F|^2 = 2 <h_F, Hess_u|_F> + 2u (<h_F,h_F^2> - <h_F,h_mix^2>)."""
-    hb = geo.leaf_block(hessian_full(geo, du, d2u))
-    pair_hess = np.einsum("pij,pij->p", geo.a_leaf, hb)
-    return 2.0 * pair_hess + 2.0 * u * (geo.hf_hf2 - geo.hf_hmix2)
-
-
 def delta_norm_hmix_sq(geo: PointGeometry, u, du, d2u) -> np.ndarray:
     """delta |h_mix|^2 = 2 <h_mix, Hess_u^mix> + 4u <h_F, h_mix^2>.
 
     Derived by varying tr(P A Q A P) with the projector moving along the
     deformation; the fixed-projector reading misses the 4u term.
     """
-    hm = hessian_mixed_frame(geo, du, d2u)
-    return 2.0 * np.einsum("pia,pia->p", hm, geo.c_mix) + 4.0 * u * geo.hf_hmix2
+    pair_hess = np.einsum("pia,pia->p", hessian_mixed_frame(geo, du, d2u), geo.c_mix)
+    return 2.0 * pair_hess + 4.0 * u * geo.mix_pairing(geo.a_leaf)
 
 
-def delta_tau(geo: PointGeometry, u, du, d2u, i: int) -> np.ndarray:
-    """delta tau_i = i [<h_F^{i-1}, Hess_u|_F> + u (tau_{i+1} - <h_F^{i-1}, h_mix^2>)]."""
-    hb = geo.leaf_block(hessian_full(geo, du, d2u))
-    a_pow = geo.leaf_power(i - 1)
-    tau_next = np.einsum("pij,pji->p", geo.leaf_power(i), geo.a_leaf)
-    pair_hess = np.einsum("pij,pij->p", a_pow, hb)
-    return i * (pair_hess + u * (tau_next - geo.mix_pairing(a_pow)))
+def spectrum_algebraic(family: str, q: np.ndarray, k: int) -> np.ndarray:
+    """alg_k, the u-term of delta q_k without h_mix, of a spectrum q = sigma_0..sigma_s
+    or tau_0..tau_{s+2}: sigma_1 sigma_k - (k+1) sigma_{k+1} (sigma_{s+1} = 0) for
+    sigma, k tau_{k+1} for tau."""
+    if family == "tau":
+        return k * q[:, k + 1]
+    return q[:, 1] * q[:, k] - (k + 1) * (q[:, k + 1] if k + 1 < q.shape[1] else 0.0)
 
 
-def delta_sigma(geo: PointGeometry, u, du, d2u, r: int) -> np.ndarray:
-    """delta sigma_r = <T_{r-1}, Hess_u|_F> + u (sigma_1 sigma_r - (r+1) sigma_{r+1}
-    - <T_{r-1}, h_mix^2>)."""
-    hb = geo.leaf_block(hessian_full(geo, du, d2u))
-    t_prev = geo.newton(r - 1)
-    pair_hess = np.einsum("pij,pij->p", t_prev, hb)
-    return pair_hess + u * (sigma_algebraic(geo.sigma, r) - geo.mix_pairing(t_prev))
+def delta_spectrum(family: str, geo: PointGeometry, u, b, k: int) -> np.ndarray:
+    """delta q_k = <W_k, B> + u (alg_k - <W_k, h_mix^2>) for the leaf spectrum q
+    named by ``family``, with W_k = T_{k-1} for sigma and W_k = k A_F^{k-1} for tau.
 
-
-def sigma_algebraic(sigma: np.ndarray, r: int) -> np.ndarray:
-    """sigma_1 sigma_r - (r+1) sigma_{r+1} of a spectrum sigma_0..sigma_s, with
-    sigma_{s+1} = 0."""
-    return sigma[:, 1] * sigma[:, r] - (r + 1) * (
-        sigma[:, r + 1] if r + 1 < sigma.shape[1] else 0.0)
-
-
-def delta_k_f(geo: PointGeometry, u, du, d2u) -> np.ndarray:
-    """delta K_F for s=2: 2H_F tr_F Hess|_F - <h_F, Hess|_F>
-    + u (2 H_F K_F - 2 H_F |h_mix|^2 + <h_F, h_mix^2>)."""
-    h_f = geo.h_f_mean
-    k_f = geo.k_f
-    hb = geo.leaf_block(hessian_full(geo, du, d2u))
-    tr_hb = laplacian_block(geo, du, d2u)
-    pair = np.einsum("pij,pij->p", geo.a_leaf, hb)
-    return (
-        2.0 * h_f * tr_hb
-        - pair
-        + u * (2.0 * h_f * k_f - 2.0 * h_f * geo.norm_hmix_sq + geo.hf_hmix2)
-    )
+    B is the leaf frame block of a Hessian of u: the full covariant Hessian for
+    the tensorial formula, the leaf-intrinsic one for varcheck's naive reading.
+    """
+    w = geo.newton(k - 1) if family == "sigma" else k * geo.leaf_power(k - 1)
+    alg = spectrum_algebraic(family, getattr(geo, family), k)
+    return np.einsum("pij,pij->p", w, b) + u * (alg - geo.mix_pairing(w))
 
 
 def covariant_dh(geo: PointGeometry) -> np.ndarray:

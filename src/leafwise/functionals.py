@@ -169,8 +169,8 @@ def _lower(spec: FunctionalSpec, n: int, s: int):
 
     Returns (family, used, F, dF, profile).  ``family`` names the spectrum F
     reads, "sigma" (sigma_0..sigma_s) or "tau" (tau_0..tau_{s+2}), as an
-    attribute of PointGeometry and RevolutionInvariants and as the suffix of
-    its delta in :mod:`leafwise.deltas`.  F maps the array q of that spectrum,
+    attribute of PointGeometry and RevolutionInvariants and as the family of
+    :func:`leafwise.deltas.delta_spectrum`.  F maps the array q of that spectrum,
     q[:, k] = q_k at M points, to the density; dF maps it to the partials
     dF/dq_k, one array per index k in ``used``.  ``profile`` is (F, F', F'') as functions of H_F
     for the F(H_F) kinds and None otherwise.
@@ -250,10 +250,10 @@ def first_variation_density(spec: FunctionalSpec, geo: PointGeometry, n: int,
     sum_k dF/dq_k delta q_k - n u F H over the spectrum indices k F uses."""
     family, used, f, df, _ = _lower(spec, n, s)
     q = getattr(geo, family)
-    delta = getattr(deltas, "delta_" + family)
+    hess_leaf = geo.leaf_block(hessian_full(geo, du, d2u))
     acc = -n * u * f(q) * geo.mean_curvature
     for k, df_k in zip(used, df(q)):
-        acc = acc + df_k * delta(geo, u, du, d2u, k)
+        acc = acc + df_k * deltas.delta_spectrum(family, geo, u, hess_leaf, k)
     return acc
 
 
@@ -311,8 +311,7 @@ def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) ->
     sum_k dF/dq_k W_k = sum_j c_j A_F^j (``_weight_coefficients``),
     R = Delta_F c_0 + (nabla^F*)^2(sum_{j>=1} c_j h_F^(j)) + sum_k dF/dq_k alg_k
     - sum_j c_j <A_F^j, h_mix^2> - n F H, with h_F^(j) = h_FF (g_FF^-1 h_FF)^(j-1)
-    in leaf coordinates and alg_k = sigma_1 sigma_k - (k+1) sigma_{k+1} for
-    sigma, k tau_{k+1} for tau (the u-terms of delta q_k without h_mix).  The
+    in leaf coordinates and alg_k from ``deltas.spectrum_algebraic``.  The
     leaf operators integrate by parts only on a transversally harmonic
     foliation, which is checked.  On revolution profiles (rho samples ``x``)
     the weights are constant on parallels and h_mix = 0, so
@@ -343,8 +342,7 @@ def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) ->
     q = getattr(geo, family)
     res = -n * f(q) * mean
     for k, df_k in zip(used, df(q)):
-        res = res + df_k * (deltas.sigma_algebraic(q, k) if family == "sigma"
-                            else k * q[:, k + 1])
+        res = res + df_k * deltas.spectrum_algebraic(family, q, k)
     if isinstance(surface, RevolutionProfile):
         return res
     weights = partial(_weight_coefficients, family, used, df)
@@ -416,7 +414,7 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
     lap_u = laplacian_block(geo, du, d2u)
     lap_full_u = laplacian_full(geo, du, d2u)
     lap_fprime = leaf_laplacian(patch, fprime_field, x, geo)
-    mix_diff = geo.norm_hf_sq - geo.norm_hmix_sq
+    mix_diff = geo.tau[:, 2] - geo.norm_hmix_sq
     c = geo.c_mix
     hb = geo.leaf_block(hessian_full(geo, du, d2u))
     pair_hess = np.einsum("pij,pij->p", geo.a_leaf, hb)
@@ -427,7 +425,7 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
     h_grad = np.einsum("pi,pij,pj->p", xi, geo.h[:, :s, :s], xi)
     dshf = deltas._leaf_function_gradient_shf(geo)
     hf_grad_u = np.einsum("pj,pij,pi->p", dshf / s, geo.g_ff_inv, du[:, :s])
-    tr_a3, tr_acc = geo.hf_hf2, geo.hf_hmix2
+    tr_a3, tr_acc = geo.tau[:, 3], geo.mix_pairing(geo.a_leaf)
     tr_bcc = np.einsum("pab,pia,pib->p", geo.b_perp, c, c)
 
     term1 = -(n / s) * (f_p * lap_u - uu * lap_fprime) * uu * h_mean

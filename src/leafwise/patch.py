@@ -273,17 +273,6 @@ class PointGeometry:
         """<M, h_mix^2> = tr(M C C^T) for a leafwise matrix field M."""
         return np.einsum("pij,pja,pia->p", m, self.c_mix, self.c_mix)
 
-    @cached_property
-    def hf_hf2(self) -> np.ndarray:
-        """<h_F, h_F^2> = tr(A_F^3)."""
-        a = self.a_leaf
-        return np.einsum("pij,pjk,pki->p", a, a, a)
-
-    @cached_property
-    def hf_hmix2(self) -> np.ndarray:
-        """<h_F, h_mix^2> = tr(A_F C C^T)."""
-        return self.mix_pairing(self.a_leaf)
-
     @property
     def mean_curvature(self) -> np.ndarray:
         return np.einsum("pii->p", self.shape_op) / self.n
@@ -301,10 +290,6 @@ class PointGeometry:
     @property
     def norm_h_sq(self) -> np.ndarray:
         return np.einsum("pij,pij->p", self.a_frame, self.a_frame)
-
-    @property
-    def norm_hf_sq(self) -> np.ndarray:
-        return np.einsum("pij,pij->p", self.a_leaf, self.a_leaf)
 
     @property
     def norm_hmix_sq(self) -> np.ndarray:

@@ -52,6 +52,12 @@ EVOLUTION_QUANTITIES = (
 
 INTEGRAL_IDENTITIES = ("green_F", "symm_F", "ibp_full", "ibp_F", "adjoint_F")
 
+#: the quantities that are a leaf spectrum member q_k, as (family, k); k None
+#: stands for the case's order_index
+SPECTRUM_MEMBERS = {"sH_F": ("sigma", 1), "twoH_F": ("sigma", 1), "K_F": ("sigma", 2),
+                    "norm_hF_sq": ("tau", 2), "sigma_r": ("sigma", None),
+                    "tau_i": ("tau", None)}
+
 #: measured order in t below which a case fails
 MIN_ORDER = 1.9
 
@@ -131,13 +137,21 @@ def _sample_points(patch: FoliatedPatch, count: int = 12) -> np.ndarray:
     return pts[:: stride][:count]
 
 
+def _spectrum_member(case: EvolutionCase):
+    """(family, k) of a leaf spectrum member case, None for any other case."""
+    family, k = SPECTRUM_MEMBERS.get(case.quantity, (None, None))
+    return None if family is None else (family, k or case.order_index)
+
+
 def _quantity_extractor(case: EvolutionCase, f: ScalarField | None):
     q = case.quantity
     if q == "lapF_f":
         if f is None:
             raise DomainError("lapF_f case needs the auxiliary function f")
         return lambda p, x: leaf_laplacian(p, f, x)
-    i = case.order_index
+    if (member := _spectrum_member(case)) is not None:
+        family, k = member
+        return lambda p, x: getattr(p.geometry(x), family)[:, k]
     of_geometry = {
         "g": lambda geo: geo.g,
         "g_inv": lambda geo: geo.g_inv,
@@ -145,90 +159,48 @@ def _quantity_extractor(case: EvolutionCase, f: ScalarField | None):
         "norm_h_sq": lambda geo: geo.norm_h_sq,
         "nH": lambda geo: geo.n * geo.mean_curvature,
         "dV": lambda geo: geo.sqrt_det_g,
-        "sH_F": lambda geo: geo.sigma[:, 1],
-        "twoH_F": lambda geo: geo.sigma[:, 1],
-        "norm_hF_sq": lambda geo: geo.norm_hf_sq,
         "norm_hmix_sq": lambda geo: geo.norm_hmix_sq,
-        "K_F": lambda geo: geo.k_f,
-        "tau_i": lambda geo: geo.tau[:, i],
-        "sigma_r": lambda geo: geo.sigma[:, i],
         "Christoffel": lambda geo: geo.gamma,
     }[q]
     return lambda p, x: of_geometry(p.geometry(x))
 
 
 def _analytic_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
-    q = case.quantity
-    if q == "g":
-        return deltas.delta_metric(geo, u)
-    if q == "g_inv":
-        return deltas.delta_metric_inverse(geo, u)
-    if q == "h":
-        return deltas.delta_second_form(geo, u, du, d2u)
-    if q == "norm_h_sq":
-        return deltas.delta_norm_h_sq(geo, u, du, d2u)
-    if q == "nH":
-        return deltas.delta_nh(geo, u, du, d2u)
-    if q == "dV":
-        return deltas.delta_volume_density(geo, u)
-    if q in ("sH_F", "twoH_F"):
-        return deltas.delta_s_hf(geo, u, du, d2u)
-    if q == "norm_hF_sq":
-        return deltas.delta_norm_hf_sq(geo, u, du, d2u)
-    if q == "norm_hmix_sq":
-        return deltas.delta_norm_hmix_sq(geo, u, du, d2u)
-    if q == "K_F":
-        return deltas.delta_k_f(geo, u, du, d2u)
-    if q == "tau_i":
-        return deltas.delta_tau(geo, u, du, d2u, case.order_index)
-    if q == "sigma_r":
-        return deltas.delta_sigma(geo, u, du, d2u, case.order_index)
-    if q == "lapF_f":
-        _, f_du, f_d2u = f.jets(geo.x)
-        return deltas.delta_lapf(geo, u, du, d2u, f_du, f_d2u)
-    if q == "Christoffel":
-        return deltas.delta_christoffel(geo, u, du)
-    raise DomainError(f"unknown quantity {q!r}")
+    if (member := _spectrum_member(case)) is not None:
+        family, k = member
+        hess = geo.leaf_block(hessian_full(geo, du, d2u))
+        return deltas.delta_spectrum(family, geo, u, hess, k)
+    return {
+        "g": lambda: deltas.delta_metric(geo, u),
+        "g_inv": lambda: deltas.delta_metric_inverse(geo, u),
+        "h": lambda: deltas.delta_second_form(geo, u, du, d2u),
+        "norm_h_sq": lambda: deltas.delta_norm_h_sq(geo, u, du, d2u),
+        "nH": lambda: deltas.delta_nh(geo, u, du, d2u),
+        "dV": lambda: deltas.delta_volume_density(geo, u),
+        "norm_hmix_sq": lambda: deltas.delta_norm_hmix_sq(geo, u, du, d2u),
+        "lapF_f": lambda: deltas.delta_lapf(geo, u, du, d2u, *f.jets(geo.x)[1:]),
+        "Christoffel": lambda: deltas.delta_christoffel(geo, u, du),
+    }[case.quantity]()
 
 
 def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
     """Leaf-intrinsic literal reading of the leafwise evolution equations.
 
-    Returns None for quantities whose statement is already unambiguous.
+    Spectrum members read ``deltas.delta_spectrum`` with the leaf-intrinsic
+    Hessian block.  Returns None for quantities whose statement is already
+    unambiguous.
     """
     q = case.quantity
-    if q not in ("sH_F", "twoH_F", "norm_hF_sq", "norm_hmix_sq", "K_F",
-                 "tau_i", "sigma_r", "lapF_f"):
-        return None
-    a = geo.a_leaf
-    c = geo.c_mix
-    hess_intr = geo.leaf_block(hessian_leaf(geo, du, d2u))
-    lap_intr = laplacian_leaf(geo, du, d2u)
-    tr_acc = geo.hf_hmix2
-    if q in ("sH_F", "twoH_F"):
-        return lap_intr + u * (geo.norm_hf_sq - geo.norm_hmix_sq)
-    if q == "norm_hF_sq":
-        return 2.0 * np.einsum("pij,pij->p", a, hess_intr) + 2.0 * u * (geo.hf_hf2 + tr_acc)
+    if (member := _spectrum_member(case)) is not None:
+        family, k = member
+        hess = geo.leaf_block(hessian_leaf(geo, du, d2u))
+        return deltas.delta_spectrum(family, geo, u, hess, k)
     if q == "norm_hmix_sq":
+        c = geo.c_mix
         hm = hessian_mixed_frame(geo, du, d2u)
+        tr_acc = geo.mix_pairing(geo.a_leaf)
         tr_bcc = np.einsum("pab,pia,pib->p", geo.b_perp, c, c)
         return u * (tr_acc + tr_bcc) + 2.0 * np.einsum("pia,pia->p", hm, c)
-    if q == "K_F":
-        h_f, k_f = geo.h_f_mean, geo.k_f
-        pair = np.einsum("pij,pij->p", a, hess_intr)
-        return (2.0 * h_f * lap_intr - pair - u * tr_acc
-                + 2.0 * u * h_f * (k_f - geo.norm_hmix_sq))
-    if q == "tau_i":
-        i = case.order_index
-        a_pow = geo.leaf_power(i - 1)
-        tau_next = np.einsum("pij,pji->p", geo.leaf_power(i), a)
-        pair_mix = geo.mix_pairing(a_pow)
-        return i * (np.einsum("pij,pij->p", a_pow, hess_intr) + u * (tau_next - pair_mix))
-    if q == "sigma_r":
-        r = case.order_index
-        t_prev = geo.newton(r - 1)
-        alg = deltas.sigma_algebraic(geo.sigma, r) - geo.mix_pairing(t_prev)
-        return np.einsum("pij,pij->p", t_prev, hess_intr) + u * alg
     if q == "lapF_f":
         _, f_du, f_d2u = f.jets(geo.x)
         pair, h_grads, grads, hf_grad, _ = deltas._lapf_terms(geo, du, f_du, f_d2u)

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -86,6 +87,14 @@ def test_eval_refines_default_grid_beside_user_params(tmp_path):
     assert res.returncode == 2, res.stderr
 
 
+def test_eval_zero_tolerance_gates(tmp_path):
+    # 0 is a tolerance no nonzero estimate meets; only null (the default,
+    # exercised by test_usage_errors) switches the gate off
+    res = run_cli(["eval", "--out-dir", str(tmp_path)], {"tolerance": 0})
+    assert res.returncode == 2, res.stderr
+    assert "[FAIL] quadrature_error_estimate" in res.stdout
+
+
 def test_varcheck_csv_rows_name_their_case(tmp_path):
     res = run_cli(["varcheck", "--out-dir", str(tmp_path)], {})
     assert res.returncode == 0, res.stderr
@@ -114,7 +123,7 @@ def test_confcheck_scaling(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys, monkeypatch):
     bad = run_cli(["eval", "--out-dir", str(tmp_path)])
     # default eval config is fine; malformed JSON is not
     proc = subprocess.run(
@@ -141,6 +150,19 @@ def test_usage_errors(tmp_path):
         assert proc.returncode == 1, cfg
         assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+    # scalars and lists take the type of their default, checked before any work
+    # (in process: an escaping exception fails the test like a traceback would)
+    for command, cfg in (("eval", {"tolerance": "x"}), ("elcheck", {"tolerance": "x"}),
+                         ("varcheck", {"seed": "x"}), ("varcheck", {"t_values": "x"}),
+                         ("varcheck", {"t_values": [1e-3, "x"]}), ("profile", {"p": "x"}),
+                         ("profile", {"samples": True}), ("confcheck", {"r": "x"}),
+                         ("elcheck", {"profile": {"p": "x"}}), ("elcheck", {"profile": 3}),
+                         ("elcheck", {"profile": {"bogus": 1}}),
+                         ("elcheck", {"tolerance": None})):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cfg)))
+        assert main([command, "--config", "-", "--out-dir", str(tmp_path)]) == 1, cfg
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
 
 
 def test_unknown_surface_is_compute_error(tmp_path):

@@ -161,10 +161,9 @@ def test_surface_identities_r3(bumpy3):
 def test_leafwise_identities_s2(sheared4):
     geo = sheared4.geometry(sheared4.grid.points[::29])
     h_f, k_f = geo.h_f_mean, geo.k_f
-    assert np.max(np.abs(geo.norm_hf_sq - (4 * h_f**2 - 2 * k_f))) < 1e-10
-    a = geo.a_leaf
-    hf_hf2 = np.einsum("pij,pjk,pki->p", a, a, a)
-    assert np.max(np.abs(hf_hf2 - (8 * h_f**3 - 6 * h_f * k_f))) < 1e-10
+    # tau_2 = |h_F|^2 and tau_3 = <h_F, h_F^2> in terms of H_F and K_F
+    assert np.max(np.abs(geo.tau[:, 2] - (4 * h_f**2 - 2 * k_f))) < 1e-10
+    assert np.max(np.abs(geo.tau[:, 3] - (8 * h_f**3 - 6 * h_f * k_f))) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from leafwise import deltas, varcheck as vc
 from leafwise.errors import DomainError
-from leafwise.operators import FullTensorField, LeafOneFormField, ScalarField
+from leafwise.operators import FullTensorField, LeafOneFormField, ScalarField, hessian_full
 from leafwise.suppliers import ReparametrizedSupplier
 from leafwise.variation import (
     VariationField,
@@ -72,15 +72,23 @@ def test_naive_reading_matches_for_leafwise_variations(torus_rev, quantity, orde
     assert rep.naive_deviation < 1e-12
 
 
-@pytest.mark.parametrize("quantity", ["sigma_r", "tau_i"])
+#: a spectrum case (quantity, order_index) and its twin of equal value:
+#: sigma_1 = tau_1 = s H_F, K_F = sigma_2 at s = 2, |h_F|^2 = tau_2
+NAIVE_TWINS = {"sigma_r": (("sigma_r", 1), ("sH_F", 1)),
+               "tau_i": (("tau_i", 1), ("sH_F", 1)),
+               "K_F": (("K_F", 1), ("sigma_r", 2)),
+               "norm_hF_sq": (("norm_hF_sq", 1), ("tau_i", 2))}
+
+
+@pytest.mark.parametrize("quantity", list(NAIVE_TWINS))
 def test_naive_sigma_1_is_naive_sh_f(sheared4, quantity):
-    # sigma_1 = tau_1 = s H_F, so their naive readings agree for any variation
+    # equal quantities have equal naive readings for any variation
     x = sheared4.grid.points[::61][:8]
     geo = sheared4.geometry(x, order=3)
     u = random_trig_variation(3, np.random.default_rng(7))
     uu, du, d2u = u.jets(x)
-    naive = [vc._naive_rhs(vc.EvolutionCase(quantity=q, order_index=1), geo, uu, du, d2u, None)
-             for q in (quantity, "sH_F")]
+    naive = [vc._naive_rhs(vc.EvolutionCase(quantity=q, order_index=k), geo, uu, du, d2u, None)
+             for q, k in NAIVE_TWINS[quantity]]
     assert geo.norm_hmix_sq.max() > 1e-3
     assert np.max(np.abs(naive[0] - naive[1])) < 1e-12
 
@@ -108,14 +116,15 @@ def test_order_index_outside_the_leaf_spectrum(bumpy3, u2, quantity, index):
 
 
 def test_kf_consistency_chain(sheared4, u3):
-    # delta K_F three ways: direct difference, its formula, and the
-    # combination 2 H_F delta(2H_F) - 1/2 delta|h_F|^2
+    # delta K_F three ways: direct difference, delta sigma_2, and the
+    # combination sigma_1 delta sigma_1 - 1/2 delta tau_2 (sigma_2 = (sigma_1^2 - tau_2)/2)
     x = sheared4.grid.points[::61][:8]
     geo = sheared4.geometry(x, order=3)
     uu, du, d2u = u3.jets(x)
-    direct = deltas.delta_k_f(geo, uu, du, d2u)
-    combo = (2.0 * geo.h_f_mean * deltas.delta_s_hf(geo, uu, du, d2u)
-             - 0.5 * deltas.delta_norm_hf_sq(geo, uu, du, d2u))
+    hess = geo.leaf_block(hessian_full(geo, du, d2u))
+    direct = deltas.delta_spectrum("sigma", geo, uu, hess, 2)
+    combo = (geo.sigma[:, 1] * deltas.delta_spectrum("sigma", geo, uu, hess, 1)
+             - 0.5 * deltas.delta_spectrum("tau", geo, uu, hess, 2))
     assert np.max(np.abs(direct - combo)) < 1e-12
 
     def kf_at(p):
