@@ -35,22 +35,20 @@ def delta_metric(geo: PointGeometry, u: np.ndarray) -> np.ndarray:
 
 def delta_metric_inverse(geo: PointGeometry, u: np.ndarray) -> np.ndarray:
     """delta g^ij = 2 u h^ij."""
-    h_up = np.einsum("pik,pkl,plj->pij", geo.g_inv, geo.h, geo.g_inv)
-    return 2.0 * u[:, None, None] * h_up
+    return 2.0 * u[:, None, None] * (geo.shape_op @ geo.g_inv)
 
 
 def delta_second_form(geo: PointGeometry, u, du, d2u) -> np.ndarray:
     """delta h_ij = Hess_u(i,j) - u (h^2)_ij."""
-    h_sq = np.einsum("pik,pkl,plj->pij", geo.h, geo.g_inv, geo.h)
-    return hessian_full(geo, du, d2u) - u[:, None, None] * h_sq
+    return hessian_full(geo, du, d2u) - u[:, None, None] * (geo.h @ geo.shape_op)
 
 
 def delta_norm_h_sq(geo: PointGeometry, u, du, d2u) -> np.ndarray:
     """delta |h|^2 = 2 <h, u h^2 + Hess_u>."""
     hess = hessian_full(geo, du, d2u)
     a = geo.shape_op
-    pair_hess = np.einsum("pji,pij->p", a, np.einsum("pik,pkj->pij", geo.g_inv, hess))
-    tr_a3 = np.einsum("pij,pjk,pki->p", a, a, a)
+    pair_hess = np.einsum("pji,pij->p", a, geo.g_inv @ hess)
+    tr_a3 = np.einsum("pij,pji->p", a @ a, a)
     return 2.0 * (u * tr_a3 + pair_hess)
 
 

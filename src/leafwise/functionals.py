@@ -40,7 +40,6 @@ from .operators import (
     ScalarField,
     fstar_squared,
     hessian_full,
-    hessian_mixed_frame,
     laplacian_block,
     laplacian_full,
     leaf_gradient,
@@ -381,9 +380,10 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
     constant is the volume-constrained critical condition).
 
     Patches evaluate the quadratic form for F = F(H_F)-type functionals
-    (W_nps and WF_of_HF); revolution profiles delegate to the specialized
-    parallel-mode form.  Mixed-curvature terms follow the stated quadratic
-    form; they vanish on every surface this is exercised on (h_mix = 0).
+    (W_nps and WF_of_HF) on foliations without mixed curvature: a patch whose
+    max |h_mix|^2 exceeds 1e-12 max |h|^2 raises PreconditionError before the
+    residual is computed.  Revolution profiles delegate to the specialized
+    parallel-mode form.
     """
     if isinstance(surface, RevolutionProfile):
         if spec.kind != "W_nps":
@@ -397,14 +397,18 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
     f, f1, f2 = profile
     if f2 is None:
         raise SpecError("second variation of F(H_F) needs f2 = F''")
+    x = patch.grid.points
+    geo = patch.geometry(x, order=3)
+    mix, full = float(np.max(geo.norm_hmix_sq)), float(np.max(geo.norm_h_sq))
+    if mix > 1e-12 * full:
+        raise PreconditionError(
+            f"second variation needs h_mix = 0: max |h_mix|^2 {mix:.3e} > 1e-12 max |h|^2")
     res = el_residual(spec, patch, fd_step=residual_fd_step)
     res_scale = float(np.max(np.abs(res - np.mean(res) if allow_constant_residual else res)))
     if res_scale > residual_tol:
         raise PreconditionError(
             f"surface is not critical: max residual {res_scale:.3e} > {residual_tol:.1e}")
 
-    x = patch.grid.points
-    geo = patch.geometry(x, order=3)
     uu, du, d2u = u.jets(x)
     h_f = geo.h_f_mean
     f_val, f_p, f_pp = f(h_f), f1(h_f), f2(h_f)
@@ -414,32 +418,23 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
     lap_u = laplacian_block(geo, du, d2u)
     lap_full_u = laplacian_full(geo, du, d2u)
     lap_fprime = leaf_laplacian(patch, fprime_field, x, geo)
-    mix_diff = geo.tau[:, 2] - geo.norm_hmix_sq
-    c = geo.c_mix
+    tau2, tau3 = geo.tau[:, 2], geo.tau[:, 3]
     hb = geo.leaf_block(hessian_full(geo, du, d2u))
     pair_hess = np.einsum("pij,pij->p", geo.a_leaf, hb)
-    hm = hessian_mixed_frame(geo, du, d2u)
-    pair_mix_hess = np.einsum("pia,pia->p", hm, c)
     xi = leaf_gradient(geo, du)
     grad_sq = np.einsum("pi,pij,pj->p", xi, geo.g_ff, xi)
     h_grad = np.einsum("pi,pij,pj->p", xi, geo.h[:, :s, :s], xi)
     dshf = deltas._leaf_function_gradient_shf(geo)
     hf_grad_u = np.einsum("pj,pij,pi->p", dshf / s, geo.g_ff_inv, du[:, :s])
-    tr_a3, tr_acc = geo.tau[:, 3], geo.mix_pairing(geo.a_leaf)
-    tr_bcc = np.einsum("pab,pia,pib->p", geo.b_perp, c, c)
 
     term1 = -(n / s) * (f_p * lap_u - uu * lap_fprime) * uu * h_mean
     term2 = (f_p / s) * (
         2.0 * uu * pair_hess + s * uu * hf_grad_u + 2.0 * h_grad - s * h_f * grad_sq
-    ) + (f_pp / s**2) * lap_u * (lap_u + uu * mix_diff)
+    ) + (f_pp / s**2) * lap_u * (lap_u + uu * tau2)
     term3 = uu * (
-        ((f_pp / s**2) * mix_diff - (n / s) * h_mean * f_p) * (lap_u + uu * mix_diff)
+        ((f_pp / s**2) * tau2 - (n / s) * h_mean * f_p) * (lap_u + uu * tau2)
         - f_val * (lap_full_u + uu * geo.norm_h_sq)
-        + (f_p / s) * (
-            2.0 * (uu * (tr_a3 + tr_acc) + pair_hess)
-            - uu * (tr_acc + tr_bcc)
-            - 2.0 * pair_mix_hess
-        )
+        + (f_p / s) * 2.0 * (uu * tau3 + pair_hess)
     )
     return patch.integrate(term1 + term2 + term3, geo)
 

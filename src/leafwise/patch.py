@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .suppliers import Jets, metric_derivative, normal_jets, second_form_derivative
+from .suppliers import Jets, normal_jets
 from .symfunc import newton_recursion, sigma_of_matrix
 
 
@@ -147,23 +147,21 @@ class PointGeometry:
     the symmetrized tensor built from the projector has half that square
     norm and is exposed separately.
 
-    Only the jets and the quantities of ``normal_jets`` are stored, the
-    frame among them: one Cholesky factorisation g = L L^T gives
+    Only the jets and the quantities of ``normal_jets`` are stored: normal,
+    g, h, frame and sqrt det g.  One Cholesky factorisation g = L L^T gives
     frame = L^-T, Gram-Schmidt of the coordinate vectors in leafwise-first
-    order, whose leading s x s block is the leaf frame.  Every other field
-    is computed on first use and cached on the instance.
+    order, whose leading s x s block is the leaf frame.  Every other field,
+    g^-1, the shape operator and dN among them, is computed on first use and
+    cached on the instance; the energies read none of those three.
     """
 
     x: np.ndarray
     jets: Jets
-    g: np.ndarray
-    g_inv: np.ndarray
-    sqrt_det_g: np.ndarray
     normal: np.ndarray
-    dn: np.ndarray
+    g: np.ndarray
     h: np.ndarray
-    shape_op: np.ndarray
     frame: np.ndarray
+    sqrt_det_g: np.ndarray
     s: int
 
     @property
@@ -171,14 +169,35 @@ class PointGeometry:
         return self.g.shape[-1]
 
     @cached_property
+    def g_inv(self) -> np.ndarray:
+        """g^-1 = E E^T from the frame E."""
+        return self.frame @ np.swapaxes(self.frame, -1, -2)
+
+    @cached_property
+    def shape_op(self) -> np.ndarray:
+        """Weingarten map A = g^-1 h, A[p, k, i] = A^k_i."""
+        return self.g_inv @ self.h
+
+    @cached_property
+    def dn(self) -> np.ndarray:
+        """dn[p, :, i] = partial_i N = -A^k_i r_k."""
+        return -(self.jets.d1 @ self.shape_op)
+
+    @cached_property
     def dg(self) -> np.ndarray:
         """dg[p, k, i, j] = partial_k g_ij."""
-        return metric_derivative(self.jets)
+        d1, d2 = self.jets.d1, self.jets.d2
+        return np.einsum("paik,paj->pkij", d2, d1) + np.einsum("pai,pajk->pkij", d1, d2)
 
     @cached_property
     def dh(self) -> np.ndarray:
-        """dh[p, k, i, j] = partial_k h_ij (needs third-order jets)."""
-        return second_form_derivative(self.jets, self.normal, self.dn)
+        """dh[p, k, i, j] = partial_k h_ij = <partial_k N, r_ij> + <N, r_ijk>
+        (needs third-order jets)."""
+        if self.jets.d3 is None:
+            raise DomainError("the derivative of the second fundamental form needs "
+                              "third-order immersion jets")
+        return np.einsum("pak,paij->pkij", self.dn, self.jets.d2) + np.einsum(
+            "pa,paijk->pkij", self.normal, self.jets.d3)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -324,10 +343,7 @@ class FoliatedPatch:
             x = self.grid.points
         x = np.atleast_2d(np.asarray(x, dtype=float))
         jets = self.supplier.jets(x, order=order)
-        nvec, dn, a_op, g, g_inv, h, frame, sqrt_det_g = normal_jets(
-            jets, self.normal_orientation)
-        return PointGeometry(x=x, jets=jets, g=g, g_inv=g_inv, sqrt_det_g=sqrt_det_g,
-                             normal=nvec, dn=dn, h=h, shape_op=a_op, frame=frame, s=self.s)
+        return PointGeometry(x, jets, *normal_jets(jets, self.normal_orientation), s=self.s)
 
     def integrate(self, density: np.ndarray, geo: PointGeometry) -> float:
         """Integral over the patch of a pointwise density (per unit volume)

@@ -237,16 +237,17 @@ def cholesky_frame(g: np.ndarray) -> np.ndarray:
 
 
 def normal_jets(jets: Jets, orientation: float = 1.0):
-    """Unit normal of the immersion, its 1-jet, the first and second
-    fundamental forms and the adapted frame: (normal, dn, shape operator, g,
-    g^-1, h, frame, sqrt det g).
+    """Unit normal of the immersion, the first and second fundamental forms,
+    the adapted frame and the volume density: (normal, g, h, frame,
+    sqrt det g), what every geometry reads.
 
     The raw normal is the generalized cross product of the tangent vectors
     (``cofactor_normal``); its length equals sqrt(det g) by Cauchy-Binet.
-    ``frame`` is ``cholesky_frame(g)`` and g^-1 = frame frame^T.  The
-    orientation flag flips the sign of the returned normal.  First
-    derivatives come from the Weingarten map dN = -A^k_i r_k.  No LAPACK
-    call: every kernel is elementwise over the point axis.
+    ``frame`` is ``cholesky_frame(g)``.  The orientation flag flips the sign
+    of the returned normal.  g^-1, the Weingarten map A = g^-1 h and
+    dN = -A^k_i r_k are left to ``PointGeometry``, which builds them on
+    first use.  No LAPACK call: every kernel is elementwise over the point
+    axis.
     """
     d1 = jets.d1
     raw = cofactor_normal(d1)
@@ -254,28 +255,9 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     if np.any(length <= 0) or not np.all(np.isfinite(length)):
         raise SingularImmersionError("immersion Jacobian is rank-deficient")
     nvec = orientation * raw / length[:, None]
-
-    g = np.einsum("pai,paj->pij", d1, d1)
-    frame = cholesky_frame(g)
-    g_inv = frame @ np.swapaxes(frame, -1, -2)
+    g = np.swapaxes(d1, -1, -2) @ d1
     h = np.einsum("pa,paij->pij", nvec, jets.d2)
-    a_op = np.einsum("pik,pkj->pij", g_inv, h)
-    dn = -np.einsum("pki,pak->pai", a_op, d1)  # dn[:, :, i] = partial_i N
-    return nvec, dn, a_op, g, g_inv, h, frame, length
-
-
-def metric_derivative(jets: Jets) -> np.ndarray:
-    """dg[:, k, i, j] = partial_k g_ij."""
-    d1, d2 = jets.d1, jets.d2
-    return np.einsum("paik,paj->pkij", d2, d1) + np.einsum("pai,pajk->pkij", d1, d2)
-
-
-def second_form_derivative(jets: Jets, nvec: np.ndarray, dn: np.ndarray) -> np.ndarray:
-    """dh[:, k, i, j] = partial_k h_ij, from third-order immersion jets."""
-    if jets.d3 is None:
-        raise DomainError("the derivative of the second fundamental form needs "
-                          "third-order immersion jets")
-    return np.einsum("pak,paij->pkij", dn, jets.d2) + np.einsum("pa,paijk->pkij", nvec, jets.d3)
+    return nvec, g, h, cholesky_frame(g), length
 
 
 class NormalDeformation:
@@ -295,13 +277,16 @@ class NormalDeformation:
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         if order >= 3:
             raise DomainError("deformed immersions supply jets up to order 2 only")
+        from .patch import PointGeometry  # patch imports this module
+
         x = np.atleast_2d(np.asarray(x, dtype=float))
         bj = self.base.jets(x, order=3)
-        nvec, dn, a_op, _, g_inv, h, _, _ = normal_jets(bj, self.orientation)
-        # d2n[:, :, i, j] = partial_ij N, differentiating dN = -A^k_i r_k
-        dg_inv = -np.einsum("pim,pkmn,pnj->pkij", g_inv, metric_derivative(bj), g_inv)
-        da = np.einsum("pkim,pmj->pkij", dg_inv, h) + np.einsum(
-            "pim,pkmj->pkij", g_inv, second_form_derivative(bj, nvec, dn))
+        # no leaf quantity is read, so the leaf dimension is immaterial
+        geo = PointGeometry(x, bj, *normal_jets(bj, self.orientation), s=x.shape[1])
+        nvec, dn, a_op = geo.normal, geo.dn, geo.shape_op
+        # d2n[:, :, i, j] = partial_ij N, differentiating dN = -A^k_i r_k with
+        # partial_k A = g^-1 (partial_k h - partial_k g A)
+        da = geo.g_inv[:, None] @ (geo.dh - geo.dg @ a_op[:, None])
         d2n = -np.einsum("pjki,pak->paij", da, bj.d1) - np.einsum("pki,pakj->paij", a_op, bj.d2)
         u, du, d2u = self.u_jets_fn(x)
         t = self.t

@@ -401,6 +401,13 @@ def test_second_variation_precondition():
         fl.second_variation_analytic(fl.w_nps(3), patch, const_variation(2))
 
 
+def test_second_variation_refuses_mixed_curvature(sheared4):
+    # the quadratic form holds for h_mix = 0 only; sheared_torus4 has h_mix != 0
+    assert np.max(sheared4.geometry(sheared4.grid.points[::7]).norm_hmix_sq) > 1e-3
+    with pytest.raises(PreconditionError, match="h_mix"):
+        fl.second_variation_analytic(fl.w_nps(2), sheared4, const_variation(3))
+
+
 def test_sphere_stable_under_volume_preserving_high_modes():
     # W_{2,2} on the round sphere: second-harmonic deformations increase it
     patch = catalog.sphere(n=2, m_polar=24, m_azimuth=32)

@@ -173,6 +173,41 @@ def test_cholesky_frame_is_the_two_cholesky_frame(name, request):
     assert np.max(np.abs(geo.g_ff_inv - np.linalg.inv(g[:, :s, :s]))) < 1e-12
 
 
+@pytest.fixture(scope="module")
+def sphere4():
+    return catalog.sphere(n=4, m_polar=6, m_azimuth=8)
+
+
+@pytest.mark.parametrize("name, spec", [("sheared4", fl.w_conf(2)), ("sheared4", fl.j_nps(3)),
+                                        ("sphere4", fl.w_nps(4))],
+                         ids=["W_conf-sheared4", "J_nps-sheared4", "W_nps-sphere4"])
+def test_energy_integrand_leaves_weingarten_fields_unbuilt(name, spec, request):
+    patch = request.getfixturevalue(name)
+    geo = patch.geometry(patch.grid.points[::7])
+    fl.integrand(spec, geo, patch.n, patch.s)
+    assert not {"g_inv", "shape_op", "dn"} & set(vars(geo))
+
+
+@pytest.mark.parametrize("name", ["sheared4", "sphere4"])
+def test_lazy_weingarten_fields_match_lapack_and_finite_differences(name, request):
+    patch = request.getfixturevalue(name)
+    x = patch.grid.points[::7]
+    geo = patch.geometry(x)
+    g_inv = np.linalg.inv(geo.g)
+    # sphere4's polar nodes make g nearly singular, so the bounds are relative
+    assert np.max(np.abs(geo.g_inv - g_inv)) < 1e-12 * np.max(np.abs(g_inv))
+    a_op = g_inv @ geo.h
+    assert np.max(np.abs(geo.shape_op - a_op)) < 1e-12 * np.max(np.abs(a_op))
+    # dN against a 4th-order central difference of the normal itself
+    step, fd = 1e-3, np.zeros_like(geo.dn)
+    for i in range(patch.n):
+        def normal(k):
+            return patch.geometry(x + k * step * np.eye(patch.n)[i]).normal
+
+        fd[:, :, i] = (8.0 * (normal(1) - normal(-1)) - (normal(2) - normal(-2))) / (12 * step)
+    assert np.max(np.abs(geo.dn - fd)) < 1e-7
+
+
 def test_sigma_recursion_matches_eigenvalues(sheared4, tube4):
     a = np.random.default_rng(3).standard_normal((4, 50, 4, 4))
     cases = [a[s - 1, :, :s, :s] + np.swapaxes(a[s - 1, :, :s, :s], -1, -2)
