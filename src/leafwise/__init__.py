@@ -62,15 +62,6 @@ from .revolution import (
     revolution_patch,
     second_variation_revolution,
 )
-from .symfunc import (
-    NewtonOperator,
-    SymmetricSpectrum,
-    TracelessPart,
-    elementary_symmetric,
-    newton_transform,
-    power_sums,
-    q_r,
-)
 from .variation import VariationField, deformed_patch
 from .varcheck import EvolutionCase, verify_evolution, verify_integral_identity
 
@@ -90,8 +81,6 @@ __all__ = [
     "RevolutionProfile", "critical_ode_solve", "critical_closed_form",
     "fit_constants", "principal_curvatures", "revolution_patch",
     "second_variation_revolution",
-    "SymmetricSpectrum", "NewtonOperator", "TracelessPart",
-    "elementary_symmetric", "power_sums", "newton_transform", "q_r",
     "VariationField", "deformed_patch",
     "EvolutionCase", "verify_evolution", "verify_integral_identity",
     "__version__",

@@ -12,7 +12,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import DomainError
-from .patch import FoliatedPatch, Grid, gauss_axis, periodic_axis
+from .patch import FoliatedPatch, Grid, check_count, gauss_axis, periodic_axis
 from .suppliers import AnalyticSupplier
 
 
@@ -48,6 +48,7 @@ def sphere_exprs(n: int, radius: float):
 def sphere(n: int = 2, radius: float = 1.0, m_polar: int = 32, m_azimuth: int = 64,
            s: int | None = None) -> FoliatedPatch:
     """Round n-sphere with inward normal (shape operator = id/radius)."""
+    check_count(n, 1, "the sphere dimension n")
     coords, exprs = sphere_exprs(n, radius)
     axes = [gauss_axis(0.0, np.pi, m_polar) for _ in range(n - 1)]
     axes.append(periodic_axis(0.0, 2 * np.pi, m_azimuth))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,6 +27,9 @@ from .svgplot import svg_line_plot
 from .variation import VariationField, random_trig_variation
 
 USAGE_ERROR, COMPUTE_ERROR = 1, 2
+
+#: settings that count or index something, with their least value
+INTEGER_SETTINGS = {"n": 1, "samples": 2, "seed": 0, "r": 1, "modes": 0}
 
 #: the parameter of each functional kind the CLI builds, and its default
 FUNCTIONAL_PARAMS = {"W_nps": ("p", None), "J_nps": ("p", None), "W_conf": ("r", 2)}
@@ -83,7 +87,7 @@ def load_config(arg: str, command: str) -> dict:
     if arg is None:
         return base
     raw = sys.stdin.read() if arg == "-" else Path(arg).read_text()
-    user = json.loads(raw)
+    user = json.loads(raw, parse_float=_finite, parse_constant=_finite)
     if not isinstance(user, dict):
         raise ValidationError(f"the {command} config must be a JSON object")
     unknown = sorted(set(user) - set(base))
@@ -105,15 +109,24 @@ def load_config(arg: str, command: str) -> dict:
     return base
 
 
+def _finite(text: str) -> float:
+    """A JSON number or constant (NaN, Infinity) as a float, if it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite number {text} in the config")
+    return value
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_types(defaults: dict, config: dict, command: str, where: str = "") -> None:
     """Each setting takes the type of its default: a number (never a bool) for a
-    number, a list of numbers for a list (profile p also one number), a number
-    or null for null, an object with the same keys for an object, checked key
-    by key; surface and functional have checks of their own."""
+    number, a non-empty list of numbers for a list (profile p also one number),
+    a number or null for null, an object with the same keys for an object,
+    checked key by key; surface and functional have checks of their own.  The
+    INTEGER_SETTINGS are stored as ints."""
     for key, default in defaults.items():
         value, name = config[key], where + key
         if key in ("surface", "functional") or isinstance(default, str):
@@ -124,11 +137,23 @@ def _check_types(defaults: dict, config: dict, command: str, where: str = "") ->
             raise ValidationError(f"{command} {name!r} must be an object with keys "
                                   f"{', '.join(default)}")
         elif isinstance(default, list):
-            if not (isinstance(value, list) and all(map(_is_number, value)) or (
+            if not (isinstance(value, list) and value and all(map(_is_number, value)) or (
                     (command, name) == ("profile", "p") and _is_number(value))):
-                raise ValidationError(f"{command} {name!r} must be a list of numbers")
+                raise ValidationError(f"{command} {name!r} must be a non-empty list of numbers")
         elif not (_is_number(value) or value is default is None):
             raise ValidationError(f"{command} {name!r} must be a number")
+        if key in INTEGER_SETTINGS:
+            config[key] = _integers(value, INTEGER_SETTINGS[key], f"{command} {name!r}")
+
+
+def _integers(value, least: int, what: str):
+    """A number, or each number of a list, as an int, if integral and >= least."""
+    values = value if isinstance(value, list) else [value]
+    if not all((isinstance(v, int) or v.is_integer()) and v >= least for v in values):
+        kind = "a list of integers" if isinstance(value, list) else "an integer"
+        raise ValidationError(f"{what} must be {kind} >= {least}")
+    ints = [int(v) for v in values]
+    return ints if isinstance(value, list) else ints[0]
 
 
 def _check_surface(cfg) -> None:
@@ -195,7 +220,7 @@ def report(out_dir: Path, command: str, params: dict, results, t0: float,
 
 def cmd_profile(config: dict, out_dir: Path, verbose: bool) -> int:
     t0 = time.time()
-    n = int(config["n"])
+    n = config["n"]
     p_list = config["p"] if isinstance(config["p"], list) else [config["p"]]
     rho0, f0, f0prime = config["rho0"], config["f0"], config["f0prime"]
     results = []
@@ -210,7 +235,7 @@ def cmd_profile(config: dict, out_dir: Path, verbose: bool) -> int:
         c1 = rev.fit_constants(n, p, rho0, f0prime)
         (w_lo, w_hi), _ = rev.closed_form_window(n, p, c1)
         hi = min(prof.rho_max * (1 - 1e-9), w_hi)
-        rho = np.linspace(rho0, hi, int(config["samples"]))
+        rho = np.linspace(rho0, hi, config["samples"])
         closed = rev.critical_closed_form(n, p, c1, f0, rho)
         dev = float(np.max(np.abs(closed.f(rho) - prof.f(rho))))
         k1, kn = rev.principal_curvatures(prof, rho)
@@ -282,7 +307,7 @@ def cmd_elcheck(config: dict, out_dir: Path, verbose: bool) -> int:
 def cmd_varcheck(config: dict, out_dir: Path, verbose: bool) -> int:
     t0 = time.time()
     t_values = tuple(config["t_values"])
-    rng = np.random.default_rng(int(config["seed"]))
+    rng = np.random.default_rng(config["seed"])
     p2 = catalog.bumpy_torus3(m_leaf=12, m_tube=12)
     p3 = catalog.sheared_torus4(m1=8, m2=8, m3=8)
     u2 = random_trig_variation(2, rng)
@@ -361,7 +386,7 @@ def _identity_fields(patch, rng):
 def cmd_confcheck(config: dict, out_dir: Path, verbose: bool) -> int:
     t0 = time.time()
     patch = build_surface(config["surface"])
-    res = fl.conformal_density_check(patch, r=int(config["r"]), mode=config["mode"])
+    res = fl.conformal_density_check(patch, r=config["r"], mode=config["mode"])
     tol = config["tolerance"]
     results = [
         {"name": f"{config['mode']}_density_deviation",
@@ -376,7 +401,7 @@ def cmd_confcheck(config: dict, out_dir: Path, verbose: bool) -> int:
 
 def cmd_secondvar(config: dict, out_dir: Path, verbose: bool) -> int:
     t0 = time.time()
-    n, p = int(config["n"]), config["p"]
+    n, p = config["n"], config["p"]
     prof = rev.critical_ode_solve(n, p, config["rho0"], config["f0"],
                                   config["f0prime"], (config["rho0"], config["rho_max"]))
     patch = rev.revolution_patch(prof, m_leaf=32, m_profile=40)

@@ -92,6 +92,8 @@ class FunctionalSpec:
             raise SpecError(f"unknown functional kind {self.kind!r}")
         if self.kind in ("W_nps", "J_nps") and self.p is None:
             raise SpecError(f"{self.kind} needs the exponent p")
+        if self.p is not None and not np.isfinite(self.p):
+            raise SpecError(f"the exponent p must be finite, got {self.p}")
         if self.kind == "W_conf":
             if self.r is None:
                 raise SpecError("W_conf needs the conformal order r")

@@ -39,9 +39,16 @@ class Axis:
             raise DomainError("axis nodes must be strictly increasing")
 
 
+def check_count(m, least: int, what: str = "a grid axis node count") -> None:
+    """Raise DomainError unless m is an integer (not a bool) >= least."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {m!r}")
+
+
 def periodic_axis(lo: float, hi: float, m: int) -> Axis:
     """Uniform nodes on [lo, hi) with trapezoid weights (spectrally accurate
     for smooth periodic integrands)."""
+    check_count(m, 1)
     nodes = lo + (hi - lo) * np.arange(m) / m
     weights = np.full(m, (hi - lo) / m)
     return Axis(nodes=nodes, weights=weights, periodic=True, lo=lo, hi=hi)
@@ -49,6 +56,7 @@ def periodic_axis(lo: float, hi: float, m: int) -> Axis:
 
 def gauss_axis(lo: float, hi: float, m: int) -> Axis:
     """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
+    check_count(m, 1)
     xs, ws = np.polynomial.legendre.leggauss(m)
     nodes = 0.5 * (hi - lo) * (xs + 1.0) + lo
     weights = 0.5 * (hi - lo) * ws
@@ -57,6 +65,7 @@ def gauss_axis(lo: float, hi: float, m: int) -> Axis:
 
 def uniform_axis(lo: float, hi: float, m: int) -> Axis:
     """Closed uniform grid with trapezoid weights (for sampled fields)."""
+    check_count(m, 2)
     nodes = np.linspace(lo, hi, m)
     w = np.full(m, (hi - lo) / (m - 1))
     w[0] *= 0.5

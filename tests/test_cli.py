@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-from leafwise.cli import main
+from leafwise.cli import DEFAULTS, main
 
 FIG1_SMALL = {"p": [2, 3, 4], "rho_max": 1.5, "samples": 60}
 
@@ -158,11 +158,38 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                          ("profile", {"samples": True}), ("confcheck", {"r": "x"}),
                          ("elcheck", {"profile": {"p": "x"}}), ("elcheck", {"profile": 3}),
                          ("elcheck", {"profile": {"bogus": 1}}),
-                         ("elcheck", {"tolerance": None})):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cfg)))
+                         ("elcheck", {"tolerance": None}),
+                         # a non-finite number anywhere (json.dumps writes NaN,
+                         # Infinity; 1e400 overflows to inf when parsed)
+                         ("eval", {"functional": {"kind": "W_nps", "p": float("inf")}}),
+                         ("eval", {"tolerance": float("nan")}),
+                         ("eval", {"surface": {"id": "sphere",
+                                               "params": {"radius": float("-inf")}}}),
+                         ("confcheck", {"tolerance": "1e400"}),
+                         # counts and indices are integers, samples >= 2, seed >= 0
+                         ("profile", {"n": 2.5}), ("profile", {"samples": 0}),
+                         ("profile", {"p": []}), ("secondvar", {"modes": [1.5]}),
+                         ("secondvar", {"n": 0}), ("confcheck", {"r": 2.5}),
+                         ("varcheck", {"seed": 1.5}), ("varcheck", {"seed": -1}),
+                         ("elcheck", {"profile": {**DEFAULTS["elcheck"]["profile"],
+                                                  "n": 2.5}})):
+        text = json.dumps(cfg).replace('"1e400"', "1e400")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         assert main([command, "--config", "-", "--out-dir", str(tmp_path)]) == 1, cfg
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+
+
+def test_bad_grid_sizes_are_compute_errors(tmp_path, capsys, monkeypatch):
+    for surface in ({"id": "sphere", "params": {"m_azimuth": 0}},
+                    {"id": "sphere", "params": {"m_polar": 0}},
+                    {"id": "sphere", "params": {"m_polar": 2.5}},
+                    {"id": "sphere", "params": {"n": 0}},
+                    {"id": "torus", "params": {"m_leaf": -3}}):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"surface": surface})))
+        assert main(["eval", "--config", "-", "--out-dir", str(tmp_path)]) == 2, surface
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_unknown_surface_is_compute_error(tmp_path):

@@ -132,6 +132,13 @@ def test_partials_spot_check_rejects_wrong_gradient():
                           f_partials=lambda sig: 3.0 * sig)
 
 
+def test_non_finite_exponent_is_a_spec_error():
+    for kind in ("W_nps", "J_nps"):
+        for p in (np.inf, -np.inf, np.nan):
+            with pytest.raises(SpecError, match="finite"):
+                fl.FunctionalSpec(kind=kind, p=p)
+
+
 def test_partials_spot_check_propagates_unexpected_errors():
     # only shape and dimension errors mean "defined for another s"
     def f(sig):

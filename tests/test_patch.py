@@ -8,7 +8,7 @@ import pytest
 from leafwise import catalog, functionals as fl
 from leafwise.errors import DomainError, SingularImmersionError
 from leafwise.patch import (BLOCK, FoliatedPatch, Grid, gauss_axis, periodic_axis,
-                            point_geometry)
+                            point_geometry, uniform_axis)
 from leafwise.suppliers import (AnalyticSupplier, FiniteDifferenceSupplier, cholesky_frame,
                                 cofactor_normal)
 from leafwise.symfunc import sigma_all, sigma_of_matrix
@@ -217,6 +217,17 @@ def test_sigma_recursion_matches_eigenvalues(sheared4, tube4):
         ref = sigma_all(np.linalg.eigvalsh(a_f))
         scale = np.max(np.abs(ref), axis=0)
         assert np.max(np.abs(sigma_of_matrix(a_f) - ref) / scale) < 1e-12
+
+
+def test_axis_node_counts_and_sphere_dimension_are_checked():
+    for make, least in ((periodic_axis, 1), (gauss_axis, 1), (uniform_axis, 2)):
+        assert make(0.0, 1.0, np.int64(least)).nodes.shape == (least,)
+        for m in (least - 1, -3, 2.5, True, None):
+            with pytest.raises(DomainError):
+                make(0.0, 1.0, m)
+    for n in (0, 1.5, True):
+        with pytest.raises(DomainError):
+            catalog.sphere(n=n)
 
 
 def test_non_positive_definite_metric_raises():
