@@ -62,7 +62,7 @@ from .revolution import (
     revolution_patch,
     second_variation_revolution,
 )
-from .variation import VariationField, deformed_patch
+from .variation import deformed_patch
 from .varcheck import EvolutionCase, verify_evolution, verify_integral_identity
 
 __version__ = "0.1.0"
@@ -81,7 +81,7 @@ __all__ = [
     "RevolutionProfile", "critical_ode_solve", "critical_closed_form",
     "fit_constants", "principal_curvatures", "revolution_patch",
     "second_variation_revolution",
-    "VariationField", "deformed_patch",
+    "deformed_patch",
     "EvolutionCase", "verify_evolution", "verify_integral_identity",
     "__version__",
 ]

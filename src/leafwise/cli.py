@@ -24,12 +24,12 @@ from . import catalog, functionals as fl, revolution as rev, varcheck as vc
 from .errors import LeafwiseError, ValidationError
 from .operators import ScalarField
 from .svgplot import svg_line_plot
-from .variation import VariationField, random_trig_variation
+from .variation import random_trig_variation
 
 USAGE_ERROR, COMPUTE_ERROR = 1, 2
 
 #: settings that count or index something, with their least value
-INTEGER_SETTINGS = {"n": 1, "samples": 2, "seed": 0, "r": 1, "modes": 0}
+INTEGER_SETTINGS = {"n": 2, "samples": 2, "seed": 0, "r": 1, "modes": 0}
 
 #: the parameter of each functional kind the CLI builds, and its default
 FUNCTIONAL_PARAMS = {"W_nps": ("p", None), "J_nps": ("p", None), "W_conf": ("r", 2)}
@@ -122,14 +122,14 @@ def _is_number(value) -> bool:
 
 
 def _check_types(defaults: dict, config: dict, command: str, where: str = "") -> None:
-    """Each setting takes the type of its default: a number (never a bool) for a
-    number, a non-empty list of numbers for a list (profile p also one number),
-    a number or null for null, an object with the same keys for an object,
-    checked key by key; surface and functional have checks of their own.  The
-    INTEGER_SETTINGS are stored as ints."""
+    """Each setting takes the type of its default: a string for a string, a
+    number (never a bool) for a number, a non-empty list of numbers for a list
+    (profile p also one number), a number or null for null, an object with the
+    same keys for an object, checked key by key; surface and functional have
+    checks of their own.  The INTEGER_SETTINGS are stored as ints."""
     for key, default in defaults.items():
         value, name = config[key], where + key
-        if key in ("surface", "functional") or isinstance(default, str):
+        if key in ("surface", "functional"):
             continue
         if isinstance(default, dict) and isinstance(value, dict) and set(value) == set(default):
             _check_types(default, value, command, name + ".")
@@ -140,6 +140,9 @@ def _check_types(defaults: dict, config: dict, command: str, where: str = "") ->
             if not (isinstance(value, list) and value and all(map(_is_number, value)) or (
                     (command, name) == ("profile", "p") and _is_number(value))):
                 raise ValidationError(f"{command} {name!r} must be a non-empty list of numbers")
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                raise ValidationError(f"{command} {name!r} must be a string")
         elif not (_is_number(value) or value is default is None):
             raise ValidationError(f"{command} {name!r} must be a number")
         if key in INTEGER_SETTINGS:
@@ -426,12 +429,12 @@ def cmd_secondvar(config: dict, out_dir: Path, verbose: bool) -> int:
     return report(out_dir, "secondvar", config, results, t0, verbose)
 
 
-def _leaf_mode_variation(j: int) -> VariationField:
+def _leaf_mode_variation(j: int) -> ScalarField:
     if j == 0:
-        return VariationField(u=ScalarField.from_callable(
+        return ScalarField.from_callable(
             lambda x: np.ones(x.shape[0]), n=2,
             grad=lambda x: np.zeros((x.shape[0], 2)),
-            hess=lambda x: np.zeros((x.shape[0], 2, 2))))
+            hess=lambda x: np.zeros((x.shape[0], 2, 2)))
 
     def grad(x):
         return np.stack([-np.sin(x[:, 0]), np.zeros(x.shape[0])], axis=1)
@@ -441,8 +444,8 @@ def _leaf_mode_variation(j: int) -> VariationField:
         out[:, 0, 0] = -np.cos(x[:, 0])
         return out
 
-    return VariationField(u=ScalarField.from_callable(
-        lambda x: np.cos(x[:, 0]), n=2, grad=grad, hess=hess))
+    return ScalarField.from_callable(
+        lambda x: np.cos(x[:, 0]), n=2, grad=grad, hess=hess)
 
 
 COMMANDS = {

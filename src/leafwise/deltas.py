@@ -26,6 +26,7 @@ from .operators import (
     leaf_gradient,
 )
 from .patch import PointGeometry, christoffel_bracket
+from .symfunc import newton_weights
 
 
 def delta_metric(geo: PointGeometry, u: np.ndarray) -> np.ndarray:
@@ -72,24 +73,25 @@ def delta_norm_hmix_sq(geo: PointGeometry, u, du, d2u) -> np.ndarray:
     return 2.0 * pair_hess + 4.0 * u * geo.mix_pairing(geo.a_leaf)
 
 
-def spectrum_algebraic(family: str, q: np.ndarray, k: int) -> np.ndarray:
-    """alg_k, the u-term of delta q_k without h_mix, of a spectrum q = sigma_0..sigma_s
-    or tau_0..tau_{s+2}: sigma_1 sigma_k - (k+1) sigma_{k+1} (sigma_{s+1} = 0) for
-    sigma, k tau_{k+1} for tau."""
-    if family == "tau":
-        return k * q[:, k + 1]
-    return q[:, 1] * q[:, k] - (k + 1) * (q[:, k + 1] if k + 1 < q.shape[1] else 0.0)
+def spectrum_algebraic(family: str, geo, k: int) -> np.ndarray:
+    """alg_k = tr(A_F^2 W_k) = sum_j c_j tau_{j+2}, the u-term of delta q_k without
+    h_mix, with the coefficients c_j of ``symfunc.newton_weights``, on a
+    PointGeometry or on RevolutionInvariants."""
+    c = newton_weights(family, getattr(geo, family), k)
+    return np.einsum("pj,pj->p", c, geo.tau[:, 2 : k + 2])
 
 
 def delta_spectrum(family: str, geo: PointGeometry, u, b, k: int) -> np.ndarray:
     """delta q_k = <W_k, B> + u (alg_k - <W_k, h_mix^2>) for the leaf spectrum q
-    named by ``family``, with W_k = T_{k-1} for sigma and W_k = k A_F^{k-1} for tau.
+    named by ``family``, with W_k = sum_j c_j A_F^j from ``symfunc.newton_weights``
+    (T_{k-1} for sigma, k A_F^{k-1} for tau) over the cached leaf powers.
 
     B is the leaf frame block of a Hessian of u: the full covariant Hessian for
     the tensorial formula, the leaf-intrinsic one for varcheck's naive reading.
     """
-    w = geo.newton(k - 1) if family == "sigma" else k * geo.leaf_power(k - 1)
-    alg = spectrum_algebraic(family, getattr(geo, family), k)
+    c = newton_weights(family, getattr(geo, family), k)
+    w = sum(c[:, j, None, None] * geo.leaf_power(j) for j in range(k))
+    alg = spectrum_algebraic(family, geo, k)
     return np.einsum("pij,pij->p", w, b) + u * (alg - geo.mix_pairing(w))
 
 

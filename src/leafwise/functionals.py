@@ -28,7 +28,7 @@ transversally harmonic foliation, which is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -53,10 +53,16 @@ from .revolution import (
     sphere_area,
 )
 from .suppliers import InvertedImmersion, ScaledImmersion
-from .symfunc import POWER_EPS, q_r_from_sigma, safe_power, sigma_all, umbilic_power
+from .symfunc import (
+    POWER_EPS,
+    newton_weights,
+    q_r_from_sigma,
+    safe_power,
+    sigma_all,
+    umbilic_power,
+)
 from .variation import (
     DEFAULT_T_LADDER,
-    VariationField,
     deformed_patch,
     richardson,
 )
@@ -259,7 +265,7 @@ def first_variation_density(spec: FunctionalSpec, geo: PointGeometry, n: int,
 
 
 def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
-                             u: VariationField) -> float:
+                             u: ScalarField) -> float:
     """First variation from the analytic delta formulas (no integration by
     parts; valid on any foliated patch)."""
     return patch.integral(
@@ -267,7 +273,7 @@ def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
 
 
 def first_variation_numeric(spec: FunctionalSpec, patch: FoliatedPatch,
-                            u: VariationField,
+                            u: ScalarField,
                             t_steps=DEFAULT_T_LADDER) -> float:
     """Independent oracle: central difference of evaluate() over r + t*u*N,
     Richardson-extrapolated over the two smallest steps."""
@@ -290,18 +296,14 @@ def _derived_scalar(patch: FoliatedPatch, fn, step: float = 1e-3) -> ScalarField
                                      step=step)
 
 
-def _weight_coefficients(family: str, used, df, geo) -> list:
-    """c_0..c_{m-1}, m = max(used), of the weight sum_k dF/dq_k W_k = sum_j c_j A_F^j
-    at ``geo``, with W_k = T_{k-1} = sum_j (-1)^j sigma_{k-1-j} A_F^j for sigma and
-    W_k = k A_F^{k-1} for tau."""
+def _weight_coefficients(family: str, used, df, geo) -> np.ndarray:
+    """c_0..c_{m-1} along the last axis, m = max(used), of the weight
+    sum_k dF/dq_k W_k = sum_j c_j A_F^j at ``geo``, each W_k from
+    ``symfunc.newton_weights``."""
     q = getattr(geo, family)
-    c = [np.zeros(q.shape[0]) for _ in range(max(used))]
+    c = np.zeros((q.shape[0], max(used)))
     for k, df_k in zip(used, df(q)):
-        if family == "tau":
-            c[k - 1] = c[k - 1] + k * df_k
-        else:
-            for j in range(k):
-                c[j] = c[j] + (-1) ** j * df_k * q[:, k - 1 - j]
+        c[:, :k] += df_k[:, None] * newton_weights(family, q, k)
     return c
 
 
@@ -309,14 +311,16 @@ def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) ->
     """Pointwise Euler-Lagrange residual R, the L^2 gradient: int u R dV = delta W.
 
     With F of the leaf spectrum q from ``_lower`` and its weight
-    sum_k dF/dq_k W_k = sum_j c_j A_F^j (``_weight_coefficients``),
+    sum_k dF/dq_k W_k = sum_j c_j A_F^j (``_weight_coefficients``, summing the
+    coefficients of ``symfunc.newton_weights``),
     R = Delta_F c_0 + (nabla^F*)^2(sum_{j>=1} c_j h_F^(j)) + sum_k dF/dq_k alg_k
     - sum_j c_j <A_F^j, h_mix^2> - n F H, with h_F^(j) = h_FF (g_FF^-1 h_FF)^(j-1)
-    in leaf coordinates and alg_k from ``deltas.spectrum_algebraic``.  The
-    leaf operators integrate by parts only on a transversally harmonic
-    foliation, which is checked.  On revolution profiles (rho samples ``x``)
-    the weights are constant on parallels and h_mix = 0, so
-    R = sum_k dF/dq_k alg_k - n F H.
+    in leaf coordinates and alg_k = tr(A_F^2 W_k) from ``deltas.spectrum_algebraic``.
+    The Laplacian term runs unless c_0 vanishes identically (a tau spectrum
+    without tau_1).  The leaf operators integrate by parts only on a
+    transversally harmonic foliation, which is checked.  On revolution
+    profiles (rho samples ``x``) the weights are constant on parallels and
+    h_mix = 0, so R = sum_k dF/dq_k alg_k - n F H.
     """
     if isinstance(surface, RevolutionProfile):
         n, s = surface.n, surface.n - 1
@@ -343,14 +347,14 @@ def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) ->
     q = getattr(geo, family)
     res = -n * f(q) * mean
     for k, df_k in zip(used, df(q)):
-        res = res + df_k * deltas.spectrum_algebraic(family, q, k)
+        res = res + df_k * deltas.spectrum_algebraic(family, geo, k)
     if isinstance(surface, RevolutionProfile):
         return res
     weights = partial(_weight_coefficients, family, used, df)
-    for j, c_j in enumerate(weights(geo)):
+    for j, c_j in enumerate(weights(geo).T):
         res = res - c_j * geo.mix_pairing(geo.leaf_power(j))
     if family == "sigma" or 1 in used:
-        c_0 = _derived_scalar(patch, lambda g: weights(g)[0], fd_step)
+        c_0 = _derived_scalar(patch, lambda g: weights(g)[:, 0], fd_step)
         res = res + leaf_laplacian(patch, c_0, geo.x, geo)
     if max(used) >= 2:
 
@@ -358,8 +362,8 @@ def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) ->
             g = patch.geometry(pts)
             c = weights(g)
             h_ff = power = g.h[:, :s, :s]
-            acc = c[1][:, None, None] * h_ff
-            for c_j in c[2:]:
+            acc = c[:, 1, None, None] * h_ff
+            for c_j in c[:, 2:].T:
                 power = power @ g.g_ff_inv @ h_ff
                 acc = acc + c_j[:, None, None] * power
             return acc
@@ -448,8 +452,6 @@ def second_variation_analytic(spec: FunctionalSpec, surface, u,
 def conformal_density(patch_like, r: int, x: np.ndarray, n: int, s: int,
                       supplier=None) -> np.ndarray:
     """(Q_r)^{n/r} sqrt(det g) at given parameter points."""
-    from dataclasses import replace
-
     patch = patch_like if supplier is None else replace(patch_like, supplier=supplier)
     geo = patch.geometry(x)
     q = q_r_from_sigma(geo.sigma, r, s)
@@ -471,37 +473,31 @@ def conformal_density_check(patch: FoliatedPatch, r: int = 2,
     """
     if r > patch.s:
         raise DomainError(f"conformal order r={r} exceeds leaf dimension s={patch.s}")
+    if mode == "scaling":
+        image_supplier = ScaledImmersion(patch.supplier, scale)
+    elif mode == "inversion":
+        image_supplier = InvertedImmersion(patch.supplier)
+    else:
+        raise DomainError(f"unknown conformal mode {mode!r}")
     if x is None:
         pts = patch.grid.points
         x = pts[:: max(1, pts.shape[0] // 64)]
     base = conformal_density(patch, r, x, patch.n, patch.s)
-    if mode == "scaling":
-        image_supplier = ScaledImmersion(patch.supplier, scale)
-        image = conformal_density(patch, r, x, patch.n, patch.s, supplier=image_supplier)
-        rel = np.max(np.abs(image - base) / np.maximum(np.abs(base), 1e-300))
-        return {"mode": mode, "max_rel_deviation": float(rel), "shape_law_deviation": 0.0}
-    if mode != "inversion":
-        raise DomainError(f"unknown conformal mode {mode!r}")
-    image_supplier = InvertedImmersion(patch.supplier)
     image = conformal_density(patch, r, x, patch.n, patch.s, supplier=image_supplier)
     rel = np.max(np.abs(image - base) / np.maximum(np.abs(base), 1e-300))
-
-    # shape operator law: A_F^c = (1/mu)(A_F - (1/mu) <grad mu, N> id)
-    from dataclasses import replace
-
-    geo = patch.geometry(x)
-    geo_img = replace(patch, supplier=image_supplier).geometry(x)
-    pos = geo.jets.r
-    w = np.einsum("pa,pa->p", pos, pos)
-    mu = 1.0 / w
-    grad_mu = -2.0 * pos / w[:, None] ** 2
-    mu_n = np.einsum("pa,pa->p", grad_mu, geo.normal)
-    expected = (geo.a_leaf - (mu_n / mu)[:, None, None] * np.eye(patch.s)) / mu[:, None, None]
-    got = geo_img.a_leaf
-    dev = min(
-        float(np.max(np.abs(got - expected))),
-        float(np.max(np.abs(got + expected))),
-    )
+    dev = 0.0
+    if mode == "inversion":
+        # shape operator law: A_F^c = (1/mu)(A_F - (1/mu) <grad mu, N> id)
+        geo = patch.geometry(x)
+        geo_img = replace(patch, supplier=image_supplier).geometry(x)
+        pos = geo.jets.r
+        w = np.einsum("pa,pa->p", pos, pos)
+        mu = 1.0 / w
+        grad_mu = -2.0 * pos / w[:, None] ** 2
+        mu_n = np.einsum("pa,pa->p", grad_mu, geo.normal)
+        expected = (geo.a_leaf - (mu_n / mu)[:, None, None] * np.eye(patch.s)) / mu[:, None, None]
+        got = geo_img.a_leaf
+        dev = min(float(np.max(np.abs(got - expected))), float(np.max(np.abs(got + expected))))
     return {"mode": mode, "max_rel_deviation": float(rel), "shape_law_deviation": dev}
 
 
@@ -509,20 +505,18 @@ def conformal_density_check(patch: FoliatedPatch, r: int = 2,
 # helpers used by stability checks
 
 
-def project_volume_preserving(patch: FoliatedPatch, u: VariationField) -> VariationField:
+def project_volume_preserving(patch: FoliatedPatch, u: ScalarField) -> ScalarField:
     """Remove the volume-changing mean: u -> u - (int u dV)/(int dV)."""
     moment, volume = patch.integral(
         lambda geo: np.stack([u(geo.x), np.ones(geo.x.shape[0])]))
     mean = moment / volume
 
-    base = u.u
-
     def shifted(x):
-        return base(x) - mean
+        return u(x) - mean
 
     # jets share the same derivatives; only the value shifts
     def jets(x):
-        val, du, d2u = base.jets(x)
+        val, du, d2u = u.jets(x)
         return val - mean, du, d2u
 
-    return VariationField(u=ScalarField(jets_fn=jets, fn=shifted))
+    return ScalarField(jets_fn=jets, fn=shifted)

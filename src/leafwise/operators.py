@@ -33,13 +33,10 @@ class ScalarField:
 
     jets_fn: object
     fn: object = None
-    leafwise_only: bool = False
 
     @classmethod
-    def from_callable(cls, fn, n: int, step=2e-3, grad=None, hess=None,
-                      leafwise_only: bool = False) -> "ScalarField":
-        return cls(jets_fn=scalar_jets_from_callable(fn, n, step=step, grad=grad, hess=hess),
-                   fn=fn, leafwise_only=leafwise_only)
+    def from_callable(cls, fn, n: int, step=2e-3, grad=None, hess=None) -> "ScalarField":
+        return cls(scalar_jets_from_callable(fn, n, step=step, grad=grad, hess=hess), fn)
 
     @classmethod
     def from_grid(cls, grid: Grid, values: np.ndarray) -> "ScalarField":

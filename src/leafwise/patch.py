@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .suppliers import Jets, normal_jets
-from .symfunc import newton_recursion, sigma_of_matrix
+from .symfunc import sigma_from_traces
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,7 @@ class PointGeometry:
     frame: np.ndarray
     sqrt_det_g: np.ndarray
     s: int
+    _leaf_powers: tuple = field(default=(), init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -275,27 +276,31 @@ class PointGeometry:
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        """Elementary symmetric functions sigma_0..sigma_s of the leaf block."""
-        return sigma_of_matrix(self.a_leaf)
+        """Elementary symmetric functions sigma_0..sigma_s of the leaf block,
+        from the traces of its powers A_F^0..A_F^s by Newton's identities."""
+        return sigma_from_traces(self._power_traces(self.s))
 
     @cached_property
     def tau(self) -> np.ndarray:
         """Power sums tau_0..tau_{s+2}, tau_i = tr A_F^i; tau_{i+1} enters
         delta tau_i, which J_nps needs for i = 2 at s = 1, and tau_2 = |h_F|^2
         for every s."""
-        return np.stack([np.einsum("pii->p", self.leaf_power(i)) for i in range(self.s + 3)],
-                        axis=1)
+        return self._power_traces(self.s + 2)
+
+    def _power_traces(self, m: int) -> np.ndarray:
+        return np.stack([np.einsum("pii->p", self.leaf_power(i)) for i in range(m + 1)], axis=1)
 
     def leaf_power(self, i: int) -> np.ndarray:
-        """A_F^i (the identity for i = 0)."""
-        out = np.broadcast_to(np.eye(self.s), self.a_leaf.shape)
-        for _ in range(i):
-            out = np.einsum("pij,pjk->pik", out, self.a_leaf)
-        return out
+        """A_F^i (the identity for i = 0), each power built once and kept.
 
-    def newton(self, r: int) -> np.ndarray:
-        """Newton transform T_r of A_F."""
-        return newton_recursion(self.a_leaf, self.sigma, r)
+        The powers are a tuple that is replaced, never changed in place, so a
+        reader in another thread sees A_F^j at index j or a shorter tuple."""
+        a_f = self.a_leaf
+        powers = self._leaf_powers or (np.broadcast_to(np.eye(self.s), a_f.shape), a_f)
+        while len(powers) <= i:
+            powers += (powers[-1] @ a_f,)
+        self._leaf_powers = powers
+        return powers[i]
 
     def mix_pairing(self, m: np.ndarray) -> np.ndarray:
         """<M, h_mix^2> = tr(M C C^T) for a leafwise matrix field M."""

@@ -16,7 +16,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import gegenbauer
 
 from .errors import DomainError, PreconditionError
-from .patch import FoliatedPatch, Grid, gauss_axis, periodic_axis
+from .patch import FoliatedPatch, Grid, check_count, gauss_axis, periodic_axis
 from .suppliers import AnalyticSupplier, Jets, numpy_kernel
 from .catalog import sphere_exprs
 from .symfunc import safe_power
@@ -45,6 +45,7 @@ class RevolutionProfile:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_count(self.n, 2, "a revolution hypersurface dimension n")
         if self.rho_min <= 0:
             raise DomainError("profiles must stay away from the axis (rho_min > 0)")
         if self.rho_min >= self.rho_max:

@@ -1,9 +1,14 @@
 """Batched symmetric-function kernels of a leafwise shape operator A_F.
 
-Every function works on stacks of points along the leading axes:
-``sigma_of_matrix`` gives sigma_0..sigma_s of A_F by matrix products
-alone, ``newton_recursion`` the Newton transformation T_r, and
-``q_r_from_sigma`` the conformally covariant combination Q_r.
+Every function works on stacks of points along the leading axes.  The one
+coefficient rule ``newton_weights`` states the weight W_k = sum_j c_j A_F^j
+through which a leaf spectrum member q_k varies, W_k = T_{k-1} (the Newton
+transform, Reilly 1973) for sigma_k and W_k = k A_F^{k-1} for tau_k; it is the
+only code that tells the two spectra apart.  With tau_j = tr A_F^j,
+q_k = tr(A_F W_k) / k and the algebraic term of delta q_k is
+tr(A_F^2 W_k) = sum_j c_j tau_{j+2}; ``sigma_from_traces`` reads sigma off
+tau by the first of these (Newton's identities), without a matrix product.
+``q_r_from_sigma`` gives the conformally covariant combination Q_r.
 ``sigma_all`` expands sigma from eigenvalues; it is the reference the
 functional spot checks and the tests compare against.  ``safe_power`` and
 ``umbilic_power`` raise curvature quantities to real exponents without
@@ -65,28 +70,28 @@ def sigma_all(eigs: np.ndarray) -> np.ndarray:
     return out
 
 
-def newton_recursion(a_f: np.ndarray, sigma: np.ndarray, r: int) -> np.ndarray:
-    """T_r from T_0 = id, T_k = sigma_k id - A_F T_{k-1} (Reilly 1973), batched
-    over the leading axes of ``a_f`` and of its ``sigma`` = sigma_0..sigma_s."""
-    eye = np.eye(a_f.shape[-1])
-    t = np.broadcast_to(eye, a_f.shape)
-    for k in range(1, r + 1):
-        t = sigma[..., k, None, None] * eye - a_f @ t
-    return t
+def newton_weights(family: str, q: np.ndarray, k: int) -> np.ndarray:
+    """Coefficients c_0..c_{k-1}, along the last axis, of W_k = sum_j c_j A_F^j for
+    the member q_k of the leaf spectrum q named by ``family``: c_j = (-1)^j
+    sigma_{k-1-j} for "sigma" (W_k = T_{k-1}), c_{k-1} = k and 0 otherwise for
+    "tau" (W_k = k A_F^{k-1}).  Only q_0..q_{k-1} are read."""
+    if family == "tau":
+        c = np.zeros(q.shape[:-1] + (k,))
+        c[..., k - 1] = k
+        return c
+    return q[..., k - 1 :: -1] * (-1.0) ** np.arange(k)
 
 
-def sigma_of_matrix(a_f: np.ndarray) -> np.ndarray:
-    """sigma_0..sigma_s of a batched symmetric matrix, without its eigenvalues:
-    sigma_k = tr(A_F T_{k-1}) / k along the recursion of ``newton_recursion``
-    (Faddeev-LeVerrier), so only matrix products run, no LAPACK call."""
-    eye = np.eye(a_f.shape[-1])
-    sigma = [np.ones(a_f.shape[:-2])]
-    t = np.broadcast_to(eye, a_f.shape)
-    for k in range(1, a_f.shape[-1] + 1):
-        at = a_f @ t
-        sigma.append(np.trace(at, axis1=-2, axis2=-1) / k)
-        t = sigma[k][..., None, None] * eye - at
-    return np.stack(sigma, axis=-1)
+def sigma_from_traces(tau: np.ndarray) -> np.ndarray:
+    """sigma_0..sigma_s from the traces tau_0..tau_s of A_F^0..A_F^s along the
+    last axis, by Newton's identities k sigma_k = tr(A_F T_{k-1}) =
+    sum_j c_j tau_{j+1}."""
+    sigma = np.zeros(tau.shape)
+    sigma[..., 0] = 1.0
+    for k in range(1, tau.shape[-1]):
+        c = newton_weights("sigma", sigma, k)
+        sigma[..., k] = np.einsum("...j,...j->...", c, tau[..., 1 : k + 1]) / k
+    return sigma
 
 
 def q_r_from_sigma(sigma: np.ndarray, r: int, s: int) -> np.ndarray:

@@ -38,7 +38,6 @@ from .operators import (
 from .patch import FoliatedPatch
 from .variation import (
     DEFAULT_T_LADDER,
-    VariationField,
     deformed_patch,
     estimate_order,
     richardson,
@@ -208,7 +207,7 @@ def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
     return None
 
 
-def verify_evolution(case: EvolutionCase, patch: FoliatedPatch, u: VariationField,
+def verify_evolution(case: EvolutionCase, patch: FoliatedPatch, u: ScalarField,
                      f: ScalarField | None = None,
                      points: np.ndarray | None = None,
                      grid_levels: tuple | None = None) -> ConvergenceReport:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -11,30 +11,13 @@ from .patch import FoliatedPatch
 from .suppliers import NormalDeformation
 
 
-@dataclass
-class VariationField:
-    """Normal displacement amplitude u for a deformation family.
+def deformed_patch(patch: FoliatedPatch, u: ScalarField, t: float) -> FoliatedPatch:
+    """Patch moved along its unit normal by t*u.
 
-    Periodic charts need no support restriction; on charts with
+    Periodic charts need no support restriction for u; on charts with
     non-periodic axes the caller is responsible for compact support away
     from the margins when integrated quantities are compared.
     """
-
-    u: ScalarField
-
-    @classmethod
-    def from_callable(cls, fn, n: int, step=2e-3, grad=None, hess=None) -> "VariationField":
-        return cls(u=ScalarField.from_callable(fn, n, step=step, grad=grad, hess=hess))
-
-    def jets(self, x):
-        return self.u.jets(x)
-
-    def __call__(self, x):
-        return self.u(x)
-
-
-def deformed_patch(patch: FoliatedPatch, u: VariationField, t: float) -> FoliatedPatch:
-    """Patch moved along its unit normal by t*u."""
     supplier = NormalDeformation(
         base=patch.supplier,
         u_jets_fn=u.jets,
@@ -45,7 +28,7 @@ def deformed_patch(patch: FoliatedPatch, u: VariationField, t: float) -> Foliate
 
 
 def random_trig_variation(n: int, rng, amplitude: float = 1.0,
-                          n_modes: int = 3) -> VariationField:
+                          n_modes: int = 3) -> ScalarField:
     """Random smooth 2pi-periodic amplitude with analytic jets."""
     ks = rng.integers(-2, 3, size=(n_modes, n))
     coefs = amplitude * rng.normal(size=n_modes) / n_modes
@@ -69,7 +52,7 @@ def random_trig_variation(n: int, rng, amplitude: float = 1.0,
             acc += -c * np.cos(x @ k + ph)[:, None, None] * np.outer(k, k)[None, :, :]
         return acc
 
-    return VariationField(u=ScalarField.from_callable(u, n, grad=grad, hess=hess))
+    return ScalarField.from_callable(u, n, grad=grad, hess=hess)
 
 
 #: default ladder of deformation magnitudes for numeric derivatives

@@ -7,7 +7,7 @@ import numpy as np
 
 from leafwise import catalog, functionals as fl, revolution as rev, varcheck as vc
 from leafwise.operators import ScalarField
-from leafwise.variation import VariationField, random_trig_variation
+from leafwise.variation import random_trig_variation
 
 
 def announce(num, text):
@@ -178,10 +178,10 @@ def test_criterion_8_second_variation_signs():
     assert d2_1 > 0
     assert d2_1 >= bound - 1e-9 and bound > 0
 
-    u0 = VariationField(u=ScalarField.from_callable(
+    u0 = ScalarField.from_callable(
         lambda x: np.ones(x.shape[0]), n=2,
         grad=lambda x: np.zeros((x.shape[0], 2)),
-        hess=lambda x: np.zeros((x.shape[0], 2, 2))))
+        hess=lambda x: np.zeros((x.shape[0], 2, 2)))
 
     def grad1(x):
         out = np.zeros((x.shape[0], 2))
@@ -193,8 +193,8 @@ def test_criterion_8_second_variation_signs():
         out[:, 0, 0] = -np.cos(x[:, 0])
         return out
 
-    u1 = VariationField(u=ScalarField.from_callable(
-        lambda x: np.cos(x[:, 0]), n=2, grad=grad1, hess=hess1))
+    u1 = ScalarField.from_callable(
+        lambda x: np.cos(x[:, 0]), n=2, grad=grad1, hess=hess1)
     rel0 = abs(fl.second_variation_analytic(fl.w_nps(p), patch, u0) - d2_0) / abs(d2_0)
     rel1 = abs(fl.second_variation_analytic(fl.w_nps(p), patch, u1) - d2_1) / abs(d2_1)
     assert rel0 < 1e-6

@@ -172,7 +172,13 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                          ("secondvar", {"n": 0}), ("confcheck", {"r": 2.5}),
                          ("varcheck", {"seed": 1.5}), ("varcheck", {"seed": -1}),
                          ("elcheck", {"profile": {**DEFAULTS["elcheck"]["profile"],
-                                                  "n": 2.5}})):
+                                                  "n": 2.5}}),
+                         # a revolution hypersurface needs n >= 2 (s = n - 1 >= 1)
+                         ("profile", {"n": 1}), ("secondvar", {"n": 1}),
+                         ("elcheck", {"profile": {**DEFAULTS["elcheck"]["profile"],
+                                                  "n": 1}}),
+                         # string settings take strings
+                         ("confcheck", {"mode": 3}), ("confcheck", {"mode": None})):
         text = json.dumps(cfg).replace('"1e400"', "1e400")
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         assert main([command, "--config", "-", "--out-dir", str(tmp_path)]) == 1, cfg

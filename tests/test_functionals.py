@@ -7,14 +7,14 @@ from leafwise import catalog, functionals as fl, revolution as rev
 from leafwise.errors import DomainError, PreconditionError, SpecError, ValidationError
 from leafwise.operators import ScalarField
 from leafwise.symfunc import q_r_from_sigma, umbilic_power
-from leafwise.variation import VariationField, random_trig_variation
+from leafwise.variation import random_trig_variation
 
 
 def const_variation(n, value=1.0):
-    return VariationField(u=ScalarField.from_callable(
+    return ScalarField.from_callable(
         lambda x: np.full(x.shape[0], value), n=n,
         grad=lambda x: np.zeros((x.shape[0], n)),
-        hess=lambda x: np.zeros((x.shape[0], n, n))))
+        hess=lambda x: np.zeros((x.shape[0], n, n)))
 
 
 def leaf_cos_variation():
@@ -28,8 +28,8 @@ def leaf_cos_variation():
         out[:, 0, 0] = -np.cos(x[:, 0])
         return out
 
-    return VariationField(u=ScalarField.from_callable(
-        lambda x: np.cos(x[:, 0]), n=2, grad=grad, hess=hess))
+    return ScalarField.from_callable(
+        lambda x: np.cos(x[:, 0]), n=2, grad=grad, hess=hess)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,7 @@ def test_weak_form_consistency_of_residuals(torus_cyl4):
                 + 0.2 * np.cos(x[:, 0] - x[:, 1])
                 + 0.15 * np.sin(x[:, 1] + 2 * x[:, 2]))
 
-    u = VariationField(u=ScalarField.from_callable(amp, n=3))
+    u = ScalarField.from_callable(amp, n=3)
     x = torus_cyl4.grid.points
     geo = torus_cyl4.geometry(x)
     cases = [
@@ -423,7 +423,7 @@ def test_sphere_stable_under_volume_preserving_high_modes():
         return np.sin(x[:, 0]) ** 2 * np.sin(x[:, 1]) * np.cos(x[:, 1])
 
     u = fl.project_volume_preserving(
-        patch, VariationField(u=ScalarField.from_callable(mode2, n=2)))
+        patch, ScalarField.from_callable(mode2, n=2))
     d2 = fl.second_variation_analytic(fl.w_nps(2), patch, u,
                                       allow_constant_residual=True,
                                       residual_fd_step=1e-2)

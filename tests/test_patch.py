@@ -11,7 +11,7 @@ from leafwise.patch import (BLOCK, FoliatedPatch, Grid, gauss_axis, periodic_axi
                             point_geometry, uniform_axis)
 from leafwise.suppliers import (AnalyticSupplier, FiniteDifferenceSupplier, cholesky_frame,
                                 cofactor_normal)
-from leafwise.symfunc import sigma_all, sigma_of_matrix
+from leafwise.symfunc import sigma_all, sigma_from_traces
 from leafwise.variation import random_trig_variation
 
 
@@ -210,13 +210,31 @@ def test_lazy_weingarten_fields_match_lapack_and_finite_differences(name, reques
 
 def test_sigma_recursion_matches_eigenvalues(sheared4, tube4):
     a = np.random.default_rng(3).standard_normal((4, 50, 4, 4))
-    cases = [a[s - 1, :, :s, :s] + np.swapaxes(a[s - 1, :, :s, :s], -1, -2)
-             for s in (1, 2, 3, 4)]
-    cases += [p.geometry(p.grid.points[::5]).a_leaf for p in (sheared4, tube4)]
-    for a_f in cases:
+    cases = []
+    for s in (1, 2, 3, 4):
+        a_f = a[s - 1, :, :s, :s] + np.swapaxes(a[s - 1, :, :s, :s], -1, -2)
+        traces = [np.trace(np.linalg.matrix_power(a_f, j), axis1=-2, axis2=-1)
+                  for j in range(s + 1)]
+        cases.append((a_f, sigma_from_traces(np.stack(traces, axis=-1))))
+    for p in (sheared4, tube4):
+        geo = p.geometry(p.grid.points[::5])
+        cases.append((geo.a_leaf, geo.sigma))
+    for a_f, sigma in cases:
         ref = sigma_all(np.linalg.eigvalsh(a_f))
         scale = np.max(np.abs(ref), axis=0)
-        assert np.max(np.abs(sigma_of_matrix(a_f) - ref) / scale) < 1e-12
+        assert np.max(np.abs(sigma - ref) / scale) < 1e-12
+
+
+def test_leaf_powers_are_built_once(sheared4, tube4):
+    for p in (sheared4, tube4):
+        geo = p.geometry(p.grid.points[::7])
+        tau = geo.tau
+        for j in range(p.s + 3):
+            assert geo.leaf_power(j) is geo.leaf_power(j)
+            np.testing.assert_allclose(geo.leaf_power(j),
+                                       np.linalg.matrix_power(geo.a_leaf, j), atol=1e-12)
+            np.testing.assert_allclose(tau[:, j], np.trace(geo.leaf_power(j), axis1=-2,
+                                                           axis2=-1), rtol=0, atol=0)
 
 
 def test_axis_node_counts_and_sphere_dimension_are_checked():

@@ -13,6 +13,15 @@ def critical_23():
     return rev.critical_ode_solve(2, 3, 0.4, 1.0, 0.4, (0.4, 0.62))
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 2.5])
+def test_profile_dimension_must_be_an_integer_of_at_least_two(n):
+    # s = n - 1 leaf dimensions: n = 1 has no leaves, n <= 0 no hypersurface
+    with pytest.raises(DomainError, match="dimension n"):
+        rev.critical_ode_solve(n, 3, 0.4, 1.0, 0.4, (0.4, 0.62))
+    with pytest.raises(DomainError, match="dimension n"):
+        rev.profile_from_sympy(n, sp.sqrt(1.3**2 - RHO**2), RHO, (0.3, 1.0))
+
+
 def test_hemisphere_is_umbilic():
     radius = 1.3
     prof = rev.profile_from_sympy(2, sp.sqrt(radius**2 - RHO**2), RHO, (0.3, 1.0))

@@ -6,7 +6,6 @@ from leafwise.errors import DomainError
 from leafwise.operators import FullTensorField, LeafOneFormField, ScalarField, hessian_full
 from leafwise.suppliers import ReparametrizedSupplier
 from leafwise.variation import (
-    VariationField,
     deformed_patch,
     random_trig_variation,
 )
@@ -60,12 +59,12 @@ def test_naive_reading_deviates_on_generic_patches(sheared4, u3):
 def test_naive_reading_matches_for_leafwise_variations(torus_rev, quantity, order_index):
     # on an orthogonal chart a leaf-coordinate amplitude has no transverse
     # gradient, and the two readings coincide (sigma_1 = sH_F)
-    u_leaf = VariationField(u=ScalarField.from_callable(
+    u_leaf = ScalarField.from_callable(
         lambda x: np.cos(x[:, 0]), n=2,
         grad=lambda x: np.stack([-np.sin(x[:, 0]), np.zeros(x.shape[0])], axis=1),
         hess=lambda x: np.concatenate(
             [np.stack([-np.cos(x[:, 0]), np.zeros(x.shape[0])], axis=1)[:, None, :],
-             np.zeros((x.shape[0], 1, 2))], axis=1)))
+             np.zeros((x.shape[0], 1, 2))], axis=1))
     case = vc.EvolutionCase(quantity=quantity, order_index=order_index)
     rep = vc.verify_evolution(case, torus_rev, u_leaf)
     assert rep.passed
@@ -113,6 +112,25 @@ def test_order_index_outside_the_leaf_spectrum(bumpy3, u2, quantity, index):
     case = vc.EvolutionCase(quantity=quantity, order_index=index)
     with pytest.raises(DomainError):
         vc.verify_evolution(case, bumpy3, u2)
+
+
+def test_spectrum_algebraic_matches_the_closed_forms(sheared4, tube4):
+    # alg_k = tr(A_F^2 W_k) against sigma_1 sigma_k - (k+1) sigma_{k+1}
+    # (sigma_{s+1} = 0) and k tau_{k+1}, on patches and revolution invariants
+    from leafwise import revolution as rev
+
+    prof = rev.critical_ode_solve(3, 3, 0.4, 1.0, 0.4, (0.4, 0.62))
+    bundles = [p.geometry(p.grid.points[::9]) for p in (sheared4, tube4)]
+    bundles.append(rev.invariants(prof, prof.sample(50)))
+    for geo in bundles:
+        sigma, tau = geo.sigma, geo.tau
+        s = sigma.shape[1] - 1
+        sigma = np.concatenate([sigma, np.zeros((sigma.shape[0], 1))], axis=1)
+        for k in range(1, s + 1):
+            want = sigma[:, 1] * sigma[:, k] - (k + 1) * sigma[:, k + 1]
+            got = deltas.spectrum_algebraic("sigma", geo, k)
+            assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert np.array_equal(deltas.spectrum_algebraic("tau", geo, k), k * tau[:, k + 1])
 
 
 def test_kf_consistency_chain(sheared4, u3):
@@ -165,9 +183,9 @@ def test_christoffel_variation_transforms_as_tensor(bumpy3):
     def u_fn(x):
         return np.cos(x[:, 0]) + 0.4 * np.sin(x[:, 0] - 2 * x[:, 1])
 
-    u_a = VariationField(u=ScalarField.from_callable(u_fn, n=2))
-    u_b = VariationField(u=ScalarField.from_callable(
-        lambda x: u_fn(psi_jets(x)[0]), n=2))
+    u_a = ScalarField.from_callable(u_fn, n=2)
+    u_b = ScalarField.from_callable(
+        lambda x: u_fn(psi_jets(x)[0]), n=2)
 
     geo_a = bumpy3.geometry(y, order=3)
     geo_b = patch_b.geometry(xp, order=3)
