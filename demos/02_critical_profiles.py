@@ -8,8 +8,6 @@ the adaptive Runge-Kutta solution with the closed-form quadrature
 solution, and draws the overlay plot.
 """
 
-import numpy as np
-
 from leafwise import revolution as rev
 from leafwise.svgplot import svg_line_plot
 
@@ -18,13 +16,8 @@ series = []
 print("p   window                ODE vs closed form    |kn-(p-1)k1|    H^2/K")
 for p in range(2, 9):
     prof = rev.critical_ode_solve(n, p, rho0, f0, slope0, (rho0, 3.0))
-    c1 = rev.fit_constants(n, p, rho0, slope0)
-    (_, hi), rho_v = rev.closed_form_window(n, p, c1)
-    rho = np.linspace(rho0, min(prof.rho_max * 0.999, hi), 200)
-    closed = rev.critical_closed_form(n, p, c1, f0, rho)
-    dev = np.max(np.abs(closed.f(rho) - prof.f(rho)))
+    rho, dev, resid = rev.compare_with_closed_form(prof, 200)
     k1, kn = rev.principal_curvatures(prof, rho)
-    resid = np.max(np.abs(kn - (p - 1) * k1))
     h_sq_over_k = ((k1 + kn) / 2) ** 2 / (k1 * kn)
     print(f"{p}   [{rho0:.2f}, {rho[-1]:.4f}]      {dev:.2e}              "
           f"{resid:.1e}        {h_sq_over_k[0]:.6f} (expect {p*p/(4*(p-1)):.6f})")

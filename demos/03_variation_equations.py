@@ -45,18 +45,7 @@ for patch, u, f, quantity, idx in [
 
 print("\nIntegration identities on closed revolution foliations:")
 torus = catalog.torus_revolution(m_leaf=32, m_profile=32)
-from leafwise.operators import FullTensorField, LeafOneFormField, leaf_metric_multiple
-
-w = ScalarField.from_callable(lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(x[:, 1]), n=2)
-fields = {
-    "f1": ScalarField.from_callable(lambda x: np.sin(x[:, 0]) + 0.4 * np.cos(x[:, 0] - 2 * x[:, 1]), n=2),
-    "f2": ScalarField.from_callable(lambda x: np.cos(2 * x[:, 0]) + 0.5 * np.sin(x[:, 0] + x[:, 1]), n=2),
-    "u": ScalarField.from_callable(lambda x: np.cos(x[:, 0] - x[:, 1]), n=2),
-    "b_leaf": leaf_metric_multiple(torus, w),
-    "b_full": FullTensorField(
-        fn=lambda x: np.cos(x[:, 0] - x[:, 1])[:, None, None] * torus.geometry(x).g, n=2),
-    "omega": LeafOneFormField(fn=lambda x: np.sin(x[:, 0])[:, None], s=1),
-}
+fields = vc.identity_fields(torus)
 for ident in vc.INTEGRAL_IDENTITIES:
     rep = vc.verify_integral_identity(ident, torus, **fields)
     print(f"  {ident:10s}: lhs {rep.lhs:+.10e}  rhs {rep.rhs:+.10e}  "

@@ -11,7 +11,6 @@ by an explicit curvature integral.
 import numpy as np
 
 from leafwise import functionals as fl, revolution as rev
-from leafwise.operators import ScalarField
 
 n, p = 2, 3
 prof = rev.critical_ode_solve(n, p, 0.4, 1.0, 0.4, (0.4, 0.62))
@@ -31,13 +30,7 @@ print(f"\nlower bound for j=1:  d2 = {d2_1:.6f} >= {bound:.6f} > 0")
 
 print("\ncross-check against the general quadratic form on the patch:")
 patch = rev.revolution_patch(prof, m_leaf=32, m_profile=40)
-u1 = ScalarField.from_callable(
-    lambda x: np.cos(x[:, 0]), n=2,
-    grad=lambda x: np.stack([-np.sin(x[:, 0]), np.zeros(x.shape[0])], axis=1),
-    hess=lambda x: np.concatenate(
-        [np.stack([-np.cos(x[:, 0]), np.zeros(x.shape[0])], axis=1)[:, None, :],
-         np.zeros((x.shape[0], 1, 2))], axis=1))
-general = fl.second_variation_analytic(fl.w_nps(p), patch, u1)
+general = fl.second_variation_analytic(fl.w_nps(p), patch, rev.leaf_mode_variation(1))
 print(f"  reduced formula {d2_1:.9f}  vs  general path {general:.9f} "
       f"(rel diff {abs(general - d2_1)/abs(d2_1):.1e})")
 

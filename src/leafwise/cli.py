@@ -102,10 +102,6 @@ def load_config(arg: str, command: str) -> dict:
             value = {**default, **value}
         base[key] = value
     _check_types(DEFAULTS[command], base, command)
-    if base.get("surface") is not None:
-        _check_surface(base["surface"])
-    if "functional" in base:
-        _check_functional(base["functional"])
     return base
 
 
@@ -125,13 +121,17 @@ def _check_types(defaults: dict, config: dict, command: str, where: str = "") ->
     """Each setting takes the type of its default: a string for a string, a
     number (never a bool) for a number, a non-empty list of numbers for a list
     (profile p also one number), a number or null for null, an object with the
-    same keys for an object, checked key by key; surface and functional have
-    checks of their own.  The INTEGER_SETTINGS are stored as ints."""
+    same keys for an object, checked key by key; surface (null only where the
+    default is null) and functional have checks of their own.  The
+    INTEGER_SETTINGS are stored as ints."""
     for key, default in defaults.items():
         value, name = config[key], where + key
-        if key in ("surface", "functional"):
-            continue
-        if isinstance(default, dict) and isinstance(value, dict) and set(value) == set(default):
+        if key == "surface":
+            if value is not None or default is not None:
+                _check_surface(value)
+        elif key == "functional":
+            _check_functional(value)
+        elif isinstance(default, dict) and isinstance(value, dict) and set(value) == set(default):
             _check_types(default, value, command, name + ".")
         elif isinstance(default, dict):
             raise ValidationError(f"{command} {name!r} must be an object with keys "
@@ -197,68 +197,54 @@ def build_functional(cfg: dict) -> fl.FunctionalSpec:
     return fl.FunctionalSpec(kind=kind, **{name: cfg.get(name, default)})
 
 
-def report(out_dir: Path, command: str, params: dict, results, t0: float,
+def row(name: str, value, tolerance=None, passed=None) -> dict:
+    """One result; unless ``passed`` says otherwise it passes the gate
+    ``tolerance is None or value < tolerance``."""
+    if passed is None:
+        passed = tolerance is None or value < tolerance
+    return {"name": name, "value": float(value), "tolerance": tolerance, "pass": bool(passed)}
+
+
+def report(out_dir: Path, command: str, params: dict, results, seconds: float,
            verbose: bool) -> int:
-    payload = {
-        "command": command,
-        "params": params,
-        "results": results,
-        "timing": time.time() - t0,
-    }
+    payload = {"command": command, "params": params, "results": results, "timing": seconds}
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{command}_report.json", "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    ok = all(r.get("pass", True) for r in results)
     for r in results:
-        flag = "PASS" if r.get("pass", True) else "FAIL"
-        line = f"[{flag}] {r['name']}: {r['value']:.12g}"
-        if r.get("tolerance") is not None:
+        line = f"[{'PASS' if r['pass'] else 'FAIL'}] {r['name']}: {r['value']:.12g}"
+        if r["tolerance"] is not None:
             line += f" (tolerance {r['tolerance']:g})"
         print(line)
     if verbose:
         print(f"report: {out_dir / (command + '_report.json')}")
-    return 0 if ok else COMPUTE_ERROR
+    return 0 if all(r["pass"] for r in results) else COMPUTE_ERROR
 
 
-def cmd_profile(config: dict, out_dir: Path, verbose: bool) -> int:
-    t0 = time.time()
+def cmd_profile(config: dict, out_dir: Path, verbose: bool) -> list:
     n = config["n"]
     p_list = config["p"] if isinstance(config["p"], list) else [config["p"]]
-    rho0, f0, f0prime = config["rho0"], config["f0"], config["f0prime"]
-    results = []
-    series = []
+    if n - 1 in p_list:
+        raise LeafwiseError("degenerate: f'' == 0 (straight-line profile); refusing p = n-1")
+    results, series = [], []
     for p in p_list:
-        if p == n - 1:
-            print("degenerate: f'' == 0 (straight-line profile); refusing p = n-1",
-                  file=sys.stderr)
-            return COMPUTE_ERROR
-        prof = rev.critical_ode_solve(n, p, rho0, f0, f0prime,
-                                      (rho0, config["rho_max"]))
-        c1 = rev.fit_constants(n, p, rho0, f0prime)
-        (w_lo, w_hi), _ = rev.closed_form_window(n, p, c1)
-        hi = min(prof.rho_max * (1 - 1e-9), w_hi)
-        rho = np.linspace(rho0, hi, config["samples"])
-        closed = rev.critical_closed_form(n, p, c1, f0, rho)
-        dev = float(np.max(np.abs(closed.f(rho) - prof.f(rho))))
+        prof = rev.critical_ode_solve(n, p, config["rho0"], config["f0"], config["f0prime"],
+                                      (config["rho0"], config["rho_max"]))
+        rho, dev, resid = rev.compare_with_closed_form(prof, config["samples"])
         k1, kn = rev.principal_curvatures(prof, rho)
-        resid = float(np.max(np.abs(kn - (p - n + 1) * k1)))
-        write_csv(out_dir / f"profile_p{p}.csv",
-                  ["rho", "f", "fprime", "k1", "kn"],
+        write_csv(out_dir / f"profile_p{p}.csv", ["rho", "f", "fprime", "k1", "kn"],
                   zip(rho, prof.f(rho), prof.f1(rho), k1, kn))
         series.append((f"p={p}", rho, prof.f(rho)))
-        results.append({"name": f"p={p} ode_vs_closed_form", "value": dev,
-                        "tolerance": config["agreement_tolerance"],
-                        "pass": dev < config["agreement_tolerance"]})
-        results.append({"name": f"p={p} criticality_residual", "value": resid,
-                        "tolerance": config["residual_tolerance"],
-                        "pass": resid < config["residual_tolerance"]})
+        results += [row(f"p={p} ode_vs_closed_form", dev, config["agreement_tolerance"]),
+                    row(f"p={p} criticality_residual", resid, config["residual_tolerance"])]
         if verbose:
-            print(f"p={p}: window [{rho0}, {hi:.6g}], ODE vs closed form {dev:.3e}")
+            print(f"p={p}: window [{config['rho0']}, {rho[-1]:.6g}], "
+                  f"ODE vs closed form {dev:.3e}")
     out_dir.mkdir(parents=True, exist_ok=True)
     svg_line_plot(series, out_dir / "profiles.svg",
                   title=f"critical profiles, n={n}", xlabel="rho", ylabel="f")
-    return report(out_dir, "profile", config, results, t0, verbose)
+    return results
 
 
 def _refined(surface_cfg: dict):
@@ -273,43 +259,30 @@ def _refined(surface_cfg: dict):
     return catalog.build(surface_cfg["id"], **params)
 
 
-def cmd_eval(config: dict, out_dir: Path, verbose: bool) -> int:
-    t0 = time.time()
-    surface = build_surface(config["surface"])
+def cmd_eval(config: dict, out_dir: Path, verbose: bool) -> list:
     spec = build_functional(config["functional"])
-    value = fl.evaluate(spec, surface)
-    value_ref = fl.evaluate(spec, _refined(config["surface"]))
-    quad_err = abs(value - value_ref)
+    value = fl.evaluate(spec, build_surface(config["surface"]))
+    quad_err = abs(value - fl.evaluate(spec, _refined(config["surface"])))
     print(f"{spec.kind} on {config['surface']['id']}: {value:.10f} "
           f"(quadrature error estimate {quad_err:.2e})")
-    tol = config["tolerance"]  # null switches the gate off
-    results = [{"name": "value", "value": value, "tolerance": None, "pass": True},
-               {"name": "quadrature_error_estimate", "value": quad_err,
-                "tolerance": tol, "pass": tol is None or quad_err < tol}]
     write_csv(out_dir / "eval.csv", ["value", "quadrature_error_estimate"],
               [[value, quad_err]])
-    return report(out_dir, "eval", config, results, t0, verbose)
+    return [row("value", value), row("quadrature_error_estimate", quad_err, config["tolerance"])]
 
 
-def cmd_elcheck(config: dict, out_dir: Path, verbose: bool) -> int:
-    t0 = time.time()
+def cmd_elcheck(config: dict, out_dir: Path, verbose: bool) -> list:
     spec = build_functional(config["functional"])
-    if config.get("surface"):
+    if config["surface"] is not None:
         surface = build_surface(config["surface"])
     else:
         pc = config["profile"]
         surface = rev.critical_ode_solve(pc["n"], pc["p"], pc["rho0"], pc["f0"],
                                          pc["f0prime"], (pc["rho0"], pc["rho_max"]))
     resid = np.max(np.abs(fl.el_residual(spec, surface)))
-    results = [{"name": "max_el_residual", "value": float(resid),
-                "tolerance": config["tolerance"],
-                "pass": bool(resid < config["tolerance"])}]
-    return report(out_dir, "elcheck", config, results, t0, verbose)
+    return [row("max_el_residual", resid, config["tolerance"])]
 
 
-def cmd_varcheck(config: dict, out_dir: Path, verbose: bool) -> int:
-    t0 = time.time()
-    t_values = tuple(config["t_values"])
+def cmd_varcheck(config: dict, out_dir: Path, verbose: bool) -> list:
     rng = np.random.default_rng(config["seed"])
     p2 = catalog.bumpy_torus3(m_leaf=12, m_tube=12)
     p3 = catalog.sheared_torus4(m1=8, m2=8, m3=8)
@@ -320,90 +293,45 @@ def cmd_varcheck(config: dict, out_dir: Path, verbose: bool) -> int:
     f3 = ScalarField.from_callable(
         lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]) + 0.3 * np.cos(x[:, 1] - 2 * x[:, 2]),
         n=3)
-    plan = [
-        (p2, u2, f2, "g", 1), (p2, u2, f2, "g_inv", 1), (p2, u2, f2, "h", 1),
-        (p2, u2, f2, "norm_h_sq", 1), (p2, u2, f2, "nH", 1), (p2, u2, f2, "dV", 1),
-        (p2, u2, f2, "sH_F", 1), (p2, u2, f2, "norm_hF_sq", 1),
-        (p2, u2, f2, "norm_hmix_sq", 1), (p2, u2, f2, "lapF_f", 1),
-        (p2, u2, f2, "tau_i", 1), (p2, u2, f2, "sigma_r", 1),
-        (p2, u2, f2, "Christoffel", 1),
-        (p3, u3, f3, "twoH_F", 1), (p3, u3, f3, "K_F", 1),
-        (p3, u3, f3, "tau_i", 2), (p3, u3, f3, "sigma_r", 2),
-        (p3, u3, f3, "lapF_f", 1), (p3, u3, f3, "norm_hmix_sq", 1),
-    ]
+    plan = [(p2, u2, f2, q, 1) for q in (
+        "g", "g_inv", "h", "norm_h_sq", "nH", "dV", "sH_F", "norm_hF_sq",
+        "norm_hmix_sq", "lapF_f", "tau_i", "sigma_r", "Christoffel")]
+    plan += [(p3, u3, f3, q, i) for q, i in (
+        ("twoH_F", 1), ("K_F", 1), ("tau_i", 2), ("sigma_r", 2), ("lapF_f", 1),
+        ("norm_hmix_sq", 1))]
     results, rows = [], []
     for patch, u, f_aux, quantity, idx in plan:
-        case = vc.EvolutionCase(quantity=quantity, t_values=t_values, order_index=idx)
+        case = vc.EvolutionCase(quantity=quantity, t_values=config["t_values"],
+                                order_index=idx)
         rep = vc.verify_evolution(case, patch, u, f=f_aux)
         label = f"{quantity}[{idx}]@{patch.name}"
-        results.append({"name": label, "value": rep.order_t,
-                        "tolerance": config["min_order"], "pass": rep.passed})
+        # order_t is inf at the rounding floor, so floor cases pass any min_order
+        results.append(row(label, rep.order_t, config["min_order"],
+                           passed=rep.order_t >= config["min_order"]))
         rows.append([label, rep.order_t, max(rep.errors), rep.richardson_error,
                      -1.0 if rep.naive_deviation is None else rep.naive_deviation])
     write_csv(out_dir / "varcheck_cases.csv",
               ["case", "order_t", "max_error", "richardson_error", "naive_deviation"], rows)
 
     tor = catalog.torus_revolution(m_leaf=32, m_profile=32)
-    fields = _identity_fields(tor, rng)
+    fields = vc.identity_fields(tor)
+    tol = config["identity_tolerance"]
     for ident in vc.INTEGRAL_IDENTITIES:
-        rep = vc.verify_integral_identity(ident, tor, threshold=config["identity_tolerance"],
-                                          **fields)
-        results.append({"name": f"{ident}@{tor.name}", "value": rep.discrepancy,
-                        "tolerance": config["identity_tolerance"], "pass": rep.passed})
-    return report(out_dir, "varcheck", config, results, t0, verbose)
+        rep = vc.verify_integral_identity(ident, tor, threshold=tol, **fields)
+        results.append(row(f"{ident}@{tor.name}", rep.discrepancy, tol, passed=rep.passed))
+    return results
 
 
-def _identity_fields(patch, rng):
-    from .operators import FullTensorField, LeafOneFormField
-
-    n, s = patch.n, patch.s
-
-    def f_a(x):
-        return np.sin(x[:, 0]) + 0.4 * np.cos(x[:, 0] - 2 * x[:, -1])
-
-    def f_b(x):
-        return np.cos(2 * x[:, 0]) + 0.5 * np.sin(x[:, 0] + x[:, -1])
-
-    from .operators import leaf_metric_multiple
-
-    w_field = ScalarField.from_callable(
-        lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(x[:, -1]), n=n)
-
-    def b_full_fn(x):
-        w = np.cos(x[:, 0] - x[:, -1])
-        return w[:, None, None] * patch.geometry(x).g
-
-    def omega_fn(x):
-        return np.stack([np.sin(x[:, 0]) + 0.2 * np.cos(x[:, -1])] * s, axis=1)
-
-    return {
-        "f1": ScalarField.from_callable(f_a, n=n),
-        "f2": ScalarField.from_callable(f_b, n=n),
-        "u": ScalarField.from_callable(f_b, n=n),
-        "b_leaf": leaf_metric_multiple(patch, w_field),
-        "b_full": FullTensorField(fn=b_full_fn, n=n, step=1e-3),
-        "omega": LeafOneFormField(fn=omega_fn, s=s, step=1e-3),
-    }
+def cmd_confcheck(config: dict, out_dir: Path, verbose: bool) -> list:
+    res = fl.conformal_density_check(build_surface(config["surface"]), r=config["r"],
+                                     mode=config["mode"])
+    return [row(f"{config['mode']}_density_deviation", res["max_rel_deviation"],
+                config["tolerance"]),
+            row("shape_operator_law_deviation", res["shape_law_deviation"],
+                config["tolerance"])]
 
 
-def cmd_confcheck(config: dict, out_dir: Path, verbose: bool) -> int:
-    t0 = time.time()
-    patch = build_surface(config["surface"])
-    res = fl.conformal_density_check(patch, r=config["r"], mode=config["mode"])
-    tol = config["tolerance"]
-    results = [
-        {"name": f"{config['mode']}_density_deviation",
-         "value": res["max_rel_deviation"], "tolerance": tol,
-         "pass": res["max_rel_deviation"] < tol},
-        {"name": "shape_operator_law_deviation",
-         "value": res["shape_law_deviation"], "tolerance": tol,
-         "pass": res["shape_law_deviation"] < tol},
-    ]
-    return report(out_dir, "confcheck", config, results, t0, verbose)
-
-
-def cmd_secondvar(config: dict, out_dir: Path, verbose: bool) -> int:
-    t0 = time.time()
+def cmd_secondvar(config: dict, out_dir: Path, verbose: bool) -> list:
     n, p = config["n"], config["p"]
     prof = rev.critical_ode_solve(n, p, config["rho0"], config["f0"],
                                   config["f0prime"], (config["rho0"], config["rho_max"]))
@@ -411,41 +339,15 @@ def cmd_secondvar(config: dict, out_dir: Path, verbose: bool) -> int:
     results, rows = [], []
     for j in config["modes"]:
         d2 = rev.second_variation_revolution(prof, p, j)
-        row = {"j": j, "d2_reduced": d2}
         if n == 2 and j in (0, 1):
-            u = _leaf_mode_variation(j)
-            d2_gen = fl.second_variation_analytic(fl.w_nps(p), patch, u)
-            rel = abs(d2 - d2_gen) / max(abs(d2), 1e-300)
-            results.append({"name": f"j={j} cross_path_rel", "value": rel,
-                            "tolerance": config["cross_tolerance"],
-                            "pass": rel < config["cross_tolerance"]})
-            row["d2_general"] = d2_gen
+            d2_gen = fl.second_variation_analytic(fl.w_nps(p), patch, rev.leaf_mode_variation(j))
+            results.append(row(f"j={j} cross_path_rel", abs(d2 - d2_gen) / max(abs(d2), 1e-300),
+                               config["cross_tolerance"]))
         expected_sign = -1.0 if (j == 0 and p > n) else +1.0
-        results.append({"name": f"j={j} second_variation", "value": d2,
-                        "tolerance": None, "pass": d2 * expected_sign > 0})
+        results.append(row(f"j={j} second_variation", d2, passed=d2 * expected_sign > 0))
         rows.append([j, d2])
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "secondvar.csv", ["j", "d2"], rows)
-    return report(out_dir, "secondvar", config, results, t0, verbose)
-
-
-def _leaf_mode_variation(j: int) -> ScalarField:
-    if j == 0:
-        return ScalarField.from_callable(
-            lambda x: np.ones(x.shape[0]), n=2,
-            grad=lambda x: np.zeros((x.shape[0], 2)),
-            hess=lambda x: np.zeros((x.shape[0], 2, 2)))
-
-    def grad(x):
-        return np.stack([-np.sin(x[:, 0]), np.zeros(x.shape[0])], axis=1)
-
-    def hess(x):
-        out = np.zeros((x.shape[0], 2, 2))
-        out[:, 0, 0] = -np.cos(x[:, 0])
-        return out
-
-    return ScalarField.from_callable(
-        lambda x: np.cos(x[:, 0]), n=2, grad=grad, hess=hess)
+    return results
 
 
 COMMANDS = {
@@ -479,11 +381,13 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, OSError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    out_dir, t0 = Path(args.out_dir), time.time()
     try:
-        return COMMANDS[args.command](config, Path(args.out_dir), args.verbose)
+        results = COMMANDS[args.command](config, out_dir, args.verbose)
     except LeafwiseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
+    return report(out_dir, args.command, config, results, time.time() - t0, args.verbose)
 
 
 if __name__ == "__main__":

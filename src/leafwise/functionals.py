@@ -28,7 +28,7 @@ transversally harmonic foliation, which is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -46,12 +46,7 @@ from .operators import (
     leaf_laplacian,
 )
 from .patch import FoliatedPatch, PointGeometry, gauss_axis
-from .revolution import (
-    RevolutionProfile,
-    invariants,
-    second_variation_revolution,
-    sphere_area,
-)
+from .revolution import RevolutionProfile, invariants, sphere_area
 from .suppliers import InvertedImmersion, ScaledImmersion
 from .symfunc import (
     POWER_EPS,
@@ -91,7 +86,6 @@ class FunctionalSpec:
     f2: object = None
     f_h: object = None
     f_k: object = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -377,25 +371,20 @@ def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) ->
 # second variation
 
 
-def second_variation_analytic(spec: FunctionalSpec, surface, u,
+def second_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch, u,
                               residual_tol: float = 1e-6,
                               allow_constant_residual: bool = False,
                               residual_fd_step: float = 1e-3) -> float:
-    """Second variation at a critical surface: max |el_residual| must stay below
+    """Second variation at a critical patch: max |el_residual| must stay below
     ``residual_tol``, taken about its mean with ``allow_constant_residual`` (R
     constant is the volume-constrained critical condition).
 
-    Patches evaluate the quadratic form for F = F(H_F)-type functionals
-    (W_nps and WF_of_HF) on foliations without mixed curvature: a patch whose
-    max |h_mix|^2 exceeds 1e-12 max |h|^2 raises PreconditionError before the
-    residual is computed.  Revolution profiles delegate to the specialized
-    parallel-mode form.
+    The quadratic form is that of F = F(H_F)-type functionals (W_nps and
+    WF_of_HF) on foliations without mixed curvature: a patch whose max
+    |h_mix|^2 exceeds 1e-12 max |h|^2 raises PreconditionError before the
+    residual is computed.  Revolution profiles have their parallel-mode form,
+    ``revolution.second_variation_revolution``.
     """
-    if isinstance(surface, RevolutionProfile):
-        if spec.kind != "W_nps":
-            raise SpecError("revolution second variation implemented for W_nps")
-        return second_variation_revolution(surface, spec.p, **u)
-    patch: FoliatedPatch = surface
     n, s = patch.n, patch.s
     profile = _lower(spec, n, s)[4]
     if profile is None:
@@ -453,7 +442,10 @@ def conformal_density(patch_like, r: int, x: np.ndarray, n: int, s: int,
                       supplier=None) -> np.ndarray:
     """(Q_r)^{n/r} sqrt(det g) at given parameter points."""
     patch = patch_like if supplier is None else replace(patch_like, supplier=supplier)
-    geo = patch.geometry(x)
+    return _conformal_density_of(patch.geometry(x), r, n, s)
+
+
+def _conformal_density_of(geo: PointGeometry, r: int, n: int, s: int) -> np.ndarray:
     q = q_r_from_sigma(geo.sigma, r, s)
     if r % 2 == 1 and np.any(q < -POWER_EPS):
         raise DomainError("odd-order conformal density needs a positive Q_r")
@@ -482,14 +474,14 @@ def conformal_density_check(patch: FoliatedPatch, r: int = 2,
     if x is None:
         pts = patch.grid.points
         x = pts[:: max(1, pts.shape[0] // 64)]
-    base = conformal_density(patch, r, x, patch.n, patch.s)
-    image = conformal_density(patch, r, x, patch.n, patch.s, supplier=image_supplier)
+    geo = patch.geometry(x)
+    geo_img = replace(patch, supplier=image_supplier).geometry(x)
+    base = _conformal_density_of(geo, r, patch.n, patch.s)
+    image = _conformal_density_of(geo_img, r, patch.n, patch.s)
     rel = np.max(np.abs(image - base) / np.maximum(np.abs(base), 1e-300))
     dev = 0.0
     if mode == "inversion":
         # shape operator law: A_F^c = (1/mu)(A_F - (1/mu) <grad mu, N> id)
-        geo = patch.geometry(x)
-        geo_img = replace(patch, supplier=image_supplier).geometry(x)
         pos = geo.jets.r
         w = np.einsum("pa,pa->p", pos, pos)
         mu = 1.0 / w

@@ -16,6 +16,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import gegenbauer
 
 from .errors import DomainError, PreconditionError
+from .operators import ScalarField
 from .patch import FoliatedPatch, Grid, check_count, gauss_axis, periodic_axis
 from .suppliers import AnalyticSupplier, Jets, numpy_kernel
 from .catalog import sphere_exprs
@@ -117,12 +118,12 @@ def invariants(profile: RevolutionProfile, rho) -> RevolutionInvariants:
 
 
 def criticality_residual(profile: RevolutionProfile, rho, p: float | None = None):
-    """|kn - (p-n+1) k1| / max|k1|: zero exactly on critical profiles."""
+    """|kn - (p-n+1) k1|: zero exactly on the critical profiles of W_nps."""
     p = profile.p if p is None else p
     if p is None:
         raise DomainError("profile has no exponent p")
     k1, kn = principal_curvatures(profile, rho)
-    return np.abs(kn - (p - profile.n + 1) * k1) / max(np.max(np.abs(k1)), 1e-300)
+    return np.abs(kn - (p - profile.n + 1) * k1)
 
 
 def critical_ode_solve(n: int, p: float, rho0: float, f0: float, f0prime: float,
@@ -295,6 +296,23 @@ def critical_closed_form(n: int, p: float, c1: float, c2: float,
     )
 
 
+def compare_with_closed_form(profile: RevolutionProfile, samples: int):
+    """A ``critical_ode_solve`` profile against ``critical_closed_form``.
+
+    The closed form is fitted to the profile's exponent p and its initial data
+    rho0, f0, f0prime from ``meta``.  Both are sampled at ``samples`` points
+    from rho0 to the smaller of (1 - 1e-9) rho_max and the closed form's
+    window.  Returns (rho, max |f - f_closed|, max criticality_residual).
+    """
+    n, p, meta = profile.n, profile.p, profile.meta
+    c1 = fit_constants(n, p, meta["rho0"], meta["f0prime"])
+    (_, w_hi), _ = closed_form_window(n, p, c1)
+    rho = np.linspace(meta["rho0"], min(profile.rho_max * (1 - 1e-9), w_hi), samples)
+    closed = critical_closed_form(n, p, c1, meta["f0"], rho)
+    deviation = float(np.max(np.abs(closed.f(rho) - profile.f(rho))))
+    return rho, deviation, float(np.max(criticality_residual(profile, rho)))
+
+
 def profile_from_sympy(n: int, expr, symbol, rho_range, p: float | None = None,
                        **meta) -> RevolutionProfile:
     """Closed-form profile (hemisphere, cone, catenoid-like, ...)."""
@@ -315,7 +333,7 @@ class RevolutionSupplier:
         self.profile = profile
         n = profile.n
         coords, exprs = sphere_exprs(n - 1, 1.0)
-        self.omega = AnalyticSupplier(coords, exprs) if n >= 2 else None
+        self.omega = AnalyticSupplier(coords, exprs)
         self.n = n
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
@@ -390,6 +408,23 @@ def leaf_eigenvalue(n: int, j: int) -> float:
     if j < 0:
         raise DomainError("mode index must be >= 0")
     return float(j * (j + n - 2))
+
+
+def leaf_mode_variation(j: int) -> ScalarField:
+    """u = cos(j phi) on an n = 2 revolution patch (phi = x[:, 0], the
+    parallel's angle), with analytic jets; j = 0 gives u = 1 and zero jets."""
+
+    def grad(x):
+        out = np.zeros((x.shape[0], 2))
+        out[:, 0] = -j * np.sin(j * x[:, 0])
+        return out
+
+    def hess(x):
+        out = np.zeros((x.shape[0], 2, 2))
+        out[:, 0, 0] = -j * j * np.cos(j * x[:, 0])
+        return out
+
+    return ScalarField.from_callable(lambda x: np.cos(j * x[:, 0]), n=2, grad=grad, hess=hess)
 
 
 def leaf_mode_l2(n: int, j: int, quad_nodes: int = 200) -> float:

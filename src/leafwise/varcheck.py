@@ -33,6 +33,7 @@ from .operators import (
     leaf_gradient,
     leaf_gradient_pairing,
     leaf_laplacian,
+    leaf_metric_multiple,
     star_squared_full,
 )
 from .patch import FoliatedPatch
@@ -76,8 +77,9 @@ class EvolutionCase:
         if self.quantity not in EVOLUTION_QUANTITIES:
             raise DomainError(f"unknown quantity {self.quantity!r}")
         ts = tuple(float(t) for t in self.t_values)
-        if len(ts) < 2 or not all(a > b for a, b in zip(ts, ts[1:])):
-            raise DomainError("t_values must be strictly decreasing with >= 2 entries")
+        if len(ts) < 2 or not all(a > b for a, b in zip(ts, ts[1:])) or ts[-1] <= 0:
+            raise DomainError("t_values must be positive and strictly decreasing "
+                              "with >= 2 entries")
         object.__setattr__(self, "t_values", ts)
 
 
@@ -289,6 +291,34 @@ def transversal_harmonicity_norm(patch: FoliatedPatch, points=None) -> float:
     x = _sample_points(patch, 24) if points is None else points
     dp_p, _ = div_projector(patch, x)
     return float(np.max(np.abs(dp_p)))
+
+
+def identity_fields(patch: FoliatedPatch) -> dict:
+    """The fields f1, f2, u, b_leaf, b_full and omega of the integral identities:
+    trigonometric in the first and last chart coordinates, b_full a multiple of
+    the metric and b_leaf one of the leaf metric."""
+    n, s = patch.n, patch.s
+    w_field = ScalarField.from_callable(
+        lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(x[:, -1]), n=n)
+
+    def f_b(x):
+        return np.cos(2 * x[:, 0]) + 0.5 * np.sin(x[:, 0] + x[:, -1])
+
+    def b_full_fn(x):
+        return np.cos(x[:, 0] - x[:, -1])[:, None, None] * patch.geometry(x).g
+
+    def omega_fn(x):
+        return np.stack([np.sin(x[:, 0]) + 0.2 * np.cos(x[:, -1])] * s, axis=1)
+
+    return {
+        "f1": ScalarField.from_callable(
+            lambda x: np.sin(x[:, 0]) + 0.4 * np.cos(x[:, 0] - 2 * x[:, -1]), n=n),
+        "f2": ScalarField.from_callable(f_b, n=n),
+        "u": ScalarField.from_callable(f_b, n=n),
+        "b_leaf": leaf_metric_multiple(patch, w_field),
+        "b_full": FullTensorField(fn=b_full_fn, n=n, step=1e-3),
+        "omega": LeafOneFormField(fn=omega_fn, s=s, step=1e-3),
+    }
 
 
 def verify_integral_identity(identity: str, patch: FoliatedPatch, *,

@@ -50,13 +50,8 @@ def test_criterion_4_profile_family():
     worst_dev, worst_resid = 0.0, 0.0
     for p in range(2, 9):
         prof = rev.critical_ode_solve(2, p, 0.4, 1.0, 0.4, (0.4, 3.0))
-        c1 = rev.fit_constants(2, p, 0.4, 0.4)
-        (_, hi), _ = rev.closed_form_window(2, p, c1)
-        rho = np.linspace(0.4, min(prof.rho_max * 0.999, hi), 160)
-        closed = rev.critical_closed_form(2, p, c1, 1.0, rho)
-        worst_dev = max(worst_dev, float(np.max(np.abs(closed.f(rho) - prof.f(rho)))))
-        k1, k2 = rev.principal_curvatures(prof, rho)
-        worst_resid = max(worst_resid, float(np.max(np.abs(k2 - (p - 1) * k1))))
+        _, dev, resid = rev.compare_with_closed_form(prof, 160)
+        worst_dev, worst_resid = max(worst_dev, dev), max(worst_resid, resid)
     elapsed = time.perf_counter() - t0
     assert worst_dev < 1e-6
     assert worst_resid < 1e-8
@@ -177,31 +172,12 @@ def test_criterion_8_second_variation_signs():
     assert d2_0 < 0
     assert d2_1 > 0
     assert d2_1 >= bound - 1e-9 and bound > 0
-
-    u0 = ScalarField.from_callable(
-        lambda x: np.ones(x.shape[0]), n=2,
-        grad=lambda x: np.zeros((x.shape[0], 2)),
-        hess=lambda x: np.zeros((x.shape[0], 2, 2)))
-
-    def grad1(x):
-        out = np.zeros((x.shape[0], 2))
-        out[:, 0] = -np.sin(x[:, 0])
-        return out
-
-    def hess1(x):
-        out = np.zeros((x.shape[0], 2, 2))
-        out[:, 0, 0] = -np.cos(x[:, 0])
-        return out
-
-    u1 = ScalarField.from_callable(
-        lambda x: np.cos(x[:, 0]), n=2, grad=grad1, hess=hess1)
-    rel0 = abs(fl.second_variation_analytic(fl.w_nps(p), patch, u0) - d2_0) / abs(d2_0)
-    rel1 = abs(fl.second_variation_analytic(fl.w_nps(p), patch, u1) - d2_1) / abs(d2_1)
-    assert rel0 < 1e-6
-    assert rel1 < 1e-6
+    rels = [abs(fl.second_variation_analytic(fl.w_nps(p), patch, rev.leaf_mode_variation(j))
+                - d2) / abs(d2) for j, d2 in ((0, d2_0), (1, d2_1))]
+    assert max(rels) < 1e-6, rels
     announce(8, f"critical profile n=2, p=3: d2(j=0) = {d2_0:.4f} < 0, "
                 f"d2(j=1) = {d2_1:.4f} > 0 >= bound {bound:.4f}; "
-                f"quadratic-form code paths agree to {max(rel0, rel1):.1e} "
+                f"quadratic-form code paths agree to {max(rels):.1e} "
                 f"(tol 1e-6)")
 
 
@@ -210,7 +186,7 @@ def test_criterion_9_integration_identities(torus_rev, tube4):
     for patch in (torus_rev, tube4):
         pre = vc.transversal_harmonicity_norm(patch)
         assert pre < 1e-10
-        fields = _fields_for(patch)
+        fields = vc.identity_fields(patch)
         for ident in vc.INTEGRAL_IDENTITIES:
             if ident == "ibp_full" and patch is tube4:
                 continue  # full-surface IBP runs on the fully periodic chart
@@ -221,28 +197,3 @@ def test_criterion_9_integration_identities(torus_rev, tube4):
                 f"gradient adjointness on periodic revolution patches: worst "
                 f"discrepancy {worst:.2e} (tol 1e-8); |(div P) o P| < 1e-10")
 
-
-def _fields_for(patch):
-    from leafwise.operators import FullTensorField, LeafOneFormField, leaf_metric_multiple
-
-    n, s = patch.n, patch.s
-    w_field = ScalarField.from_callable(
-        lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(x[:, -1]), n=n)
-
-    def b_full_fn(x):
-        return np.cos(x[:, 0] - x[:, -1])[:, None, None] * patch.geometry(x).g
-
-    def omega_fn(x):
-        return np.stack([np.sin(x[:, 0]) + 0.2 * np.cos(x[:, -1])] * s, axis=1)
-
-    return {
-        "f1": ScalarField.from_callable(
-            lambda x: np.sin(x[:, 0]) + 0.4 * np.cos(x[:, 0] - 2 * x[:, -1]), n=n),
-        "f2": ScalarField.from_callable(
-            lambda x: np.cos(2 * x[:, 0]) + 0.5 * np.sin(x[:, 0] + x[:, -1]), n=n),
-        "u": ScalarField.from_callable(
-            lambda x: np.cos(2 * x[:, 0]) + 0.5 * np.sin(x[:, 0] + x[:, -1]), n=n),
-        "b_leaf": leaf_metric_multiple(patch, w_field),
-        "b_full": FullTensorField(fn=b_full_fn, n=n, step=1e-3),
-        "omega": LeafOneFormField(fn=omega_fn, s=s, step=1e-3),
-    }

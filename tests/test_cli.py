@@ -108,6 +108,13 @@ def test_varcheck_csv_rows_name_their_case(tmp_path):
     assert abs(naive["tau_i[1]@bumpy-torus3"] - naive["sH_F[1]@bumpy-torus3"]) < 1e-12
 
 
+def test_varcheck_gates_on_min_order(tmp_path, capsys, monkeypatch):
+    # the evolution cases converge at order 2, so a min_order of 3 fails them
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"min_order": 3})))
+    assert main(["varcheck", "--config", "-", "--out-dir", str(tmp_path)]) == 2
+    assert "[FAIL] g_inv[1]@bumpy-torus3" in capsys.readouterr().out
+
+
 def test_elcheck_critical_profile(tmp_path):
     res = run_cli(["elcheck", "--out-dir", str(tmp_path)], {})
     assert res.returncode == 0, res.stderr
@@ -178,12 +185,20 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                          ("elcheck", {"profile": {**DEFAULTS["elcheck"]["profile"],
                                                   "n": 1}}),
                          # string settings take strings
-                         ("confcheck", {"mode": 3}), ("confcheck", {"mode": None})):
+                         ("confcheck", {"mode": 3}), ("confcheck", {"mode": None}),
+                         # a surface is null only where its default is
+                         ("eval", {"surface": None}), ("confcheck", {"surface": None})):
         text = json.dumps(cfg).replace('"1e400"', "1e400")
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         assert main([command, "--config", "-", "--out-dir", str(tmp_path)]) == 1, cfg
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    # a variation step t must be positive
+    for t_values in ([1e-3, 0], [1e-3, -1e-3]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"t_values": t_values})))
+        assert main(["varcheck", "--config", "-", "--out-dir", str(tmp_path)]) == 2, t_values
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_bad_grid_sizes_are_compute_errors(tmp_path, capsys, monkeypatch):

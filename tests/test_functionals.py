@@ -17,21 +17,6 @@ def const_variation(n, value=1.0):
         hess=lambda x: np.zeros((x.shape[0], n, n)))
 
 
-def leaf_cos_variation():
-    def grad(x):
-        out = np.zeros((x.shape[0], 2))
-        out[:, 0] = -np.sin(x[:, 0])
-        return out
-
-    def hess(x):
-        out = np.zeros((x.shape[0], 2, 2))
-        out[:, 0, 0] = -np.cos(x[:, 0])
-        return out
-
-    return ScalarField.from_callable(
-        lambda x: np.cos(x[:, 0]), n=2, grad=grad, hess=hess)
-
-
 # ---------------------------------------------------------------------------
 # values
 
@@ -393,9 +378,9 @@ def test_second_variation_zero_u():
 def test_second_variation_cross_paths():
     prof = rev.critical_ode_solve(2, 3, 0.4, 1.0, 0.4, (0.4, 0.62))
     patch = rev.revolution_patch(prof, m_leaf=32, m_profile=40)
-    for j, u in ((0, const_variation(2, 1.0)), (1, leaf_cos_variation())):
+    for j in (0, 1):
         reduced = rev.second_variation_revolution(prof, 3, j)
-        general = fl.second_variation_analytic(fl.w_nps(3), patch, u)
+        general = fl.second_variation_analytic(fl.w_nps(3), patch, rev.leaf_mode_variation(j))
         assert abs(reduced - general) < 1e-6 * abs(reduced)
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from leafwise import deltas, varcheck as vc
+from leafwise import deltas, revolution as rev, varcheck as vc
 from leafwise.errors import DomainError
-from leafwise.operators import FullTensorField, LeafOneFormField, ScalarField, hessian_full
+from leafwise.operators import ScalarField, hessian_full
 from leafwise.suppliers import ReparametrizedSupplier
 from leafwise.variation import (
     deformed_patch,
@@ -59,14 +59,8 @@ def test_naive_reading_deviates_on_generic_patches(sheared4, u3):
 def test_naive_reading_matches_for_leafwise_variations(torus_rev, quantity, order_index):
     # on an orthogonal chart a leaf-coordinate amplitude has no transverse
     # gradient, and the two readings coincide (sigma_1 = sH_F)
-    u_leaf = ScalarField.from_callable(
-        lambda x: np.cos(x[:, 0]), n=2,
-        grad=lambda x: np.stack([-np.sin(x[:, 0]), np.zeros(x.shape[0])], axis=1),
-        hess=lambda x: np.concatenate(
-            [np.stack([-np.cos(x[:, 0]), np.zeros(x.shape[0])], axis=1)[:, None, :],
-             np.zeros((x.shape[0], 1, 2))], axis=1))
     case = vc.EvolutionCase(quantity=quantity, order_index=order_index)
-    rep = vc.verify_evolution(case, torus_rev, u_leaf)
+    rep = vc.verify_evolution(case, torus_rev, rev.leaf_mode_variation(1))
     assert rep.passed
     assert rep.naive_deviation < 1e-12
 
@@ -99,6 +93,10 @@ def test_case_validation():
         vc.EvolutionCase(quantity="g", t_values=(1e-3,))
     with pytest.raises(DomainError):
         vc.EvolutionCase(quantity="g", t_values=(1e-4, 1e-3))
+    # a step of 0 divides by zero and a negative one repeats a +-t pair
+    for t_values in ((1e-3, 0.0), (1e-3, -1e-3)):
+        with pytest.raises(DomainError):
+            vc.EvolutionCase(quantity="g", t_values=t_values)
 
 
 def test_k_f_needs_s2(bumpy3, u2):
@@ -117,8 +115,6 @@ def test_order_index_outside_the_leaf_spectrum(bumpy3, u2, quantity, index):
 def test_spectrum_algebraic_matches_the_closed_forms(sheared4, tube4):
     # alg_k = tr(A_F^2 W_k) against sigma_1 sigma_k - (k+1) sigma_{k+1}
     # (sigma_{s+1} = 0) and k tau_{k+1}, on patches and revolution invariants
-    from leafwise import revolution as rev
-
     prof = rev.critical_ode_solve(3, 3, 0.4, 1.0, 0.4, (0.4, 0.62))
     bundles = [p.geometry(p.grid.points[::9]) for p in (sheared4, tube4)]
     bundles.append(rev.invariants(prof, prof.sample(50)))
@@ -199,9 +195,8 @@ def test_christoffel_variation_transforms_as_tensor(bumpy3):
 
 
 def test_integral_identities_on_revolution_patches(torus_rev, tube4):
-    rng = np.random.default_rng(7)
     for patch in (torus_rev, tube4):
-        fields = _identity_fields(patch)
+        fields = vc.identity_fields(patch)
         assert vc.transversal_harmonicity_norm(patch) < 1e-10
         for ident in vc.INTEGRAL_IDENTITIES:
             if ident == "ibp_full" and patch is tube4:
@@ -211,39 +206,8 @@ def test_integral_identities_on_revolution_patches(torus_rev, tube4):
             assert rep.passed, (ident, patch.name, rep.discrepancy)
 
 
-def _identity_fields(patch):
-    n, s = patch.n, patch.s
-
-    def f_a(x):
-        return np.sin(x[:, 0]) + 0.4 * np.cos(x[:, 0] - 2 * x[:, -1])
-
-    def f_b(x):
-        return np.cos(2 * x[:, 0]) + 0.5 * np.sin(x[:, 0] + x[:, -1])
-
-    from leafwise.operators import leaf_metric_multiple
-
-    w_field = ScalarField.from_callable(
-        lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(x[:, -1]), n=n)
-
-    def b_full_fn(x):
-        w = np.cos(x[:, 0] - x[:, -1])
-        return w[:, None, None] * patch.geometry(x).g
-
-    def omega_fn(x):
-        return np.stack([np.sin(x[:, 0]) + 0.2 * np.cos(x[:, -1])] * s, axis=1)
-
-    return {
-        "f1": ScalarField.from_callable(f_a, n=n),
-        "f2": ScalarField.from_callable(f_b, n=n),
-        "u": ScalarField.from_callable(f_b, n=n),
-        "b_leaf": leaf_metric_multiple(patch, w_field),
-        "b_full": FullTensorField(fn=b_full_fn, n=n, step=1e-3),
-        "omega": LeafOneFormField(fn=omega_fn, s=s, step=1e-3),
-    }
-
-
 def test_identity_marked_not_applicable_on_nonharmonic(sheared4):
-    fields = _identity_fields(sheared4)
+    fields = vc.identity_fields(sheared4)
     rep = vc.verify_integral_identity("green_F", sheared4, **fields)
     assert not rep.applicable
     assert not rep.passed
@@ -251,7 +215,7 @@ def test_identity_marked_not_applicable_on_nonharmonic(sheared4):
 
 
 def test_green_trivial_for_constant_f2(torus_rev):
-    fields = _identity_fields(torus_rev)
+    fields = vc.identity_fields(torus_rev)
     fields["f2"] = ScalarField.from_callable(lambda x: np.ones(x.shape[0]), n=2)
     rep = vc.verify_integral_identity("green_F", torus_rev, **fields)
     assert abs(rep.lhs) < 1e-10 and abs(rep.rhs) < 1e-10
