@@ -283,6 +283,15 @@ def cmd_elcheck(config: dict, out_dir: Path, verbose: bool) -> list:
 
 
 def cmd_varcheck(config: dict, out_dir: Path, verbose: bool) -> list:
+    plan = [(2, q, 1) for q in (
+        "g", "g_inv", "h", "norm_h_sq", "nH", "dV", "sH_F", "norm_hF_sq",
+        "norm_hmix_sq", "lapF_f", "tau_i", "sigma_r", "Christoffel")]
+    plan += [(3, q, i) for q, i in (
+        ("twoH_F", 1), ("K_F", 1), ("tau_i", 2), ("sigma_r", 2), ("lapF_f", 1),
+        ("norm_hmix_sq", 1))]
+    # every case checks its t ladder before a surface compiles
+    cases = [(dim, vc.EvolutionCase(quantity=q, t_values=config["t_values"], order_index=i))
+             for dim, q, i in plan]
     rng = np.random.default_rng(config["seed"])
     p2 = catalog.bumpy_torus3(m_leaf=12, m_tube=12)
     p3 = catalog.sheared_torus4(m1=8, m2=8, m3=8)
@@ -293,18 +302,12 @@ def cmd_varcheck(config: dict, out_dir: Path, verbose: bool) -> list:
     f3 = ScalarField.from_callable(
         lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]) + 0.3 * np.cos(x[:, 1] - 2 * x[:, 2]),
         n=3)
-    plan = [(p2, u2, f2, q, 1) for q in (
-        "g", "g_inv", "h", "norm_h_sq", "nH", "dV", "sH_F", "norm_hF_sq",
-        "norm_hmix_sq", "lapF_f", "tau_i", "sigma_r", "Christoffel")]
-    plan += [(p3, u3, f3, q, i) for q, i in (
-        ("twoH_F", 1), ("K_F", 1), ("tau_i", 2), ("sigma_r", 2), ("lapF_f", 1),
-        ("norm_hmix_sq", 1))]
+    surfaces = {2: (p2, u2, f2), 3: (p3, u3, f3)}
     results, rows = [], []
-    for patch, u, f_aux, quantity, idx in plan:
-        case = vc.EvolutionCase(quantity=quantity, t_values=config["t_values"],
-                                order_index=idx)
+    for dim, case in cases:
+        patch, u, f_aux = surfaces[dim]
         rep = vc.verify_evolution(case, patch, u, f=f_aux)
-        label = f"{quantity}[{idx}]@{patch.name}"
+        label = f"{case.quantity}[{case.order_index}]@{patch.name}"
         # order_t is inf at the rounding floor, so floor cases pass any min_order
         results.append(row(label, rep.order_t, config["min_order"],
                            passed=rep.order_t >= config["min_order"]))

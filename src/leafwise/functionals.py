@@ -16,7 +16,9 @@ W_conf                integral of Q_r^{n/r} (conformally invariant)
 Every kind is F of one leaf spectrum, sigma (W_nps, WF_of_HF, WF_HK, W_conf,
 WF) or tau (J_nps, JF), stated once in ``_lower``.  Values on patches and
 on revolution profiles, first variations sum_k dF/dq_k delta q_k - n u F H
-and the partials check all read that lowering.
+and the partials check all read that lowering.  A value reads the spectrum
+only up to max(used), the highest member F uses (``spectrum(family, top)``
+of the geometry), so the F(H_F) kinds read sigma_0 and sigma_1 alone.
 
 First variations are evaluated in their integral (pre-integration-by-parts)
 form with the tensorial delta formulas of :mod:`leafwise.deltas`.  The
@@ -218,9 +220,10 @@ def _lower(spec: FunctionalSpec, n: int, s: int):
 
 def integrand(spec: FunctionalSpec, geo, n: int, s: int) -> np.ndarray:
     """Pointwise functional density (per unit volume) on a PointGeometry or
-    on RevolutionInvariants."""
-    family, _, f, _, _ = _lower(spec, n, s)
-    return f(getattr(geo, family))
+    on RevolutionInvariants, from the spectrum up to the highest member F
+    uses."""
+    family, used, f, _, _ = _lower(spec, n, s)
+    return f(geo.spectrum(family, max(used)))
 
 
 def evaluate(spec: FunctionalSpec, surface) -> float:

@@ -6,7 +6,11 @@ pointwise quantities (metric, normal, second fundamental form, orthogonal
 projector, foliated blocks, Christoffel symbols) are computed in batch
 over arbitrary parameter points, each on first use; the grid only drives
 quadrature and grid-sampled fields.  Grid integrals run in blocks of BLOCK
-points, on a thread pool when the grid has more than one block.
+points, on a thread pool when the grid has more than one block.  Energies
+read a leaf spectrum only up to the highest member their F uses
+(``PointGeometry.spectrum``), so an F(H_F) energy takes sigma_1 = tr A_F
+from the leaf frame block and builds neither the frame-sandwiched second
+fundamental form nor any leaf power.
 """
 
 from __future__ import annotations
@@ -161,7 +165,8 @@ class PointGeometry:
     frame = L^-T, Gram-Schmidt of the coordinate vectors in leafwise-first
     order, whose leading s x s block is the leaf frame.  Every other field,
     g^-1, the shape operator and dN among them, is computed on first use and
-    cached on the instance; the energies read none of those three.
+    cached on the instance; the energies read none of those three, and a
+    spectrum read to top 1 builds neither ``a_frame`` nor a leaf power.
     """
 
     x: np.ndarray
@@ -278,17 +283,31 @@ class PointGeometry:
     def sigma(self) -> np.ndarray:
         """Elementary symmetric functions sigma_0..sigma_s of the leaf block,
         from the traces of its powers A_F^0..A_F^s by Newton's identities."""
-        return sigma_from_traces(self._power_traces(self.s))
+        return self.spectrum("sigma", self.s)
 
     @cached_property
     def tau(self) -> np.ndarray:
         """Power sums tau_0..tau_{s+2}, tau_i = tr A_F^i; tau_{i+1} enters
         delta tau_i, which J_nps needs for i = 2 at s = 1, and tau_2 = |h_F|^2
         for every s."""
-        return self._power_traces(self.s + 2)
+        return self.spectrum("tau", self.s + 2)
 
-    def _power_traces(self, m: int) -> np.ndarray:
-        return np.stack([np.einsum("pii->p", self.leaf_power(i)) for i in range(m + 1)], axis=1)
+    def spectrum(self, family: str, top: int) -> np.ndarray:
+        """q_0..q_top of the leaf spectrum ``family``, "sigma" or "tau", an
+        exact prefix of the full ``sigma`` or ``tau``.  q_k reads only the
+        traces tau_0..tau_k: tau_0 = s, tau_1 = ``trace_a_leaf`` and the
+        traces of the leaf powers from A_F^2 on, so a spectrum to top 1 builds
+        neither ``a_frame`` nor any leaf power."""
+        traces = [np.full(self.x.shape[0], float(self.s)), self.trace_a_leaf][: top + 1]
+        traces += [np.einsum("pii->p", self.leaf_power(i)) for i in range(2, top + 1)]
+        traces = np.stack(traces, axis=1)
+        return sigma_from_traces(traces) if family == "sigma" else traces
+
+    @cached_property
+    def trace_a_leaf(self) -> np.ndarray:
+        """tau_1 = tr A_F = <g_FF^-1, h_FF> = tr(E_FF^T h_FF E_FF), from the
+        leaf frame block E_FF alone."""
+        return np.einsum("pii->p", self.leaf_block(self.h[:, : self.s, : self.s]))
 
     def leaf_power(self, i: int) -> np.ndarray:
         """A_F^i (the identity for i = 0), each power built once and kept.
@@ -312,7 +331,7 @@ class PointGeometry:
 
     @property
     def h_f_mean(self) -> np.ndarray:
-        return self.sigma[:, 1] / self.s
+        return self.spectrum("sigma", 1)[:, 1] / self.s
 
     @property
     def k_f(self) -> np.ndarray:

@@ -80,6 +80,10 @@ class RevolutionInvariants:
     sigma: np.ndarray
     tau: np.ndarray
 
+    def spectrum(self, family: str, top: int) -> np.ndarray:
+        """q_0..q_top of the leaf spectrum ``family``, as on a PointGeometry."""
+        return getattr(self, family)[..., : top + 1]
+
 
 def principal_curvatures(profile: RevolutionProfile, rho):
     """(k1, kn): parallel and profile principal curvatures.

@@ -7,11 +7,28 @@ printed without a docstring or a term sort, and evaluate them with numpy;
 the finite-difference supplier wraps any callable.  Derived suppliers build
 normal deformations r + t*u*N, ambient homotheties and Möbius inversions
 on top of a base supplier.
+
+The derivative kernels of one immersion repeat the same few coordinate
+functions: every kernel of a sphere or torus chart takes sin and cos of
+its coordinates.  Kernels therefore call ``sin``, ``cos`` and ``exp``
+through shared wrappers.  While ``AnalyticSupplier.jets`` runs, a wrapper
+applied to one of the call's own coordinate columns returns the value the
+first such application computed, so each of these functions runs once per
+column and call instead of once per kernel (Griewank & Walther, Evaluating
+Derivatives, 2nd ed., SIAM 2008: share common subexpressions between the
+derivative evaluations).  The same numpy ufunc runs on the same array, so
+jets are bit-identical to unshared kernels.  The table of shared values is
+thread-local, because grid integrals evaluate blocks on a thread pool; it
+is keyed on the identity of the column arrays, which the call keeps alive,
+and cleared when the call returns.  Any other argument (cos(x1 + 2*x2)) and
+any call outside ``jets`` (``revolution.profile_from_sympy``) goes straight
+to numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +58,39 @@ _KERNEL_PRINTER = {"fully_qualified_modules": False, "inline": True,
                    "allow_unknown_functions": True, "order": "none"}
 
 
+#: {id(column): {ufunc: value}} of the AnalyticSupplier.jets call running in
+#: this thread, None outside one
+_shared_values = threading.local()
+
+
+def _shared(ufunc):
+    """ufunc, whose value on a coordinate column of the running jets call is
+    computed once and shared by every kernel of that call."""
+    def shared(x):
+        columns = getattr(_shared_values, "table", None)
+        values = None if columns is None else columns.get(id(x))
+        if values is None:
+            return ufunc(x)
+        if ufunc not in values:
+            values[ufunc] = ufunc(x)
+            values[ufunc].flags.writeable = False
+        return values[ufunc]
+
+    return shared
+
+
+_SHARED = {f.__name__: _shared(f) for f in (np.sin, np.cos, np.exp)}
+
+
 def numpy_kernel(args, expr):
     """One numpy kernel of a sympy expression in the symbols args.
 
     The kernel takes one array per symbol and returns a float array of the
     first argument's shape, so constant expressions broadcast.  The code is
     printed without a docstring and without sorting terms, each call with a
-    fresh printer.
+    fresh printer, and calls sin, cos and exp through the shared wrappers.
     """
-    fn = sp.lambdify(args, expr, modules="numpy", docstring_limit=0,
+    fn = sp.lambdify(args, expr, modules=[_SHARED, "numpy"], docstring_limit=0,
                      printer=NumPyPrinter(_KERNEL_PRINTER))
 
     def kernel(*values):
@@ -63,7 +104,8 @@ class AnalyticSupplier:
     """Closed-form jets compiled from sympy component expressions.
 
     One kernel per component a and sorted derivative index idx of order 0..3,
-    kept in one table {(a, idx): kernel}; jets() fills every permutation of idx.
+    kept in one table {(a, idx): kernel}; jets() fills every permutation of idx,
+    with sin, cos and exp of each coordinate column computed once per call.
     """
 
     def __init__(self, coords, exprs):
@@ -83,11 +125,15 @@ class AnalyticSupplier:
         args = [x[:, i] for i in range(self.n)]
         top = 3 if order >= 3 else 2
         out = [np.empty((x.shape[0], self.m) + (self.n,) * k) for k in range(top + 1)]
-        for (a, idx), kernel in self._kernels.items():
-            if len(idx) <= top:
-                v = kernel(*args)
-                for perm in set(itertools.permutations(idx)):
-                    out[len(idx)][(slice(None), a) + perm] = v
+        _shared_values.table = {id(column): {} for column in args}
+        try:
+            for (a, idx), kernel in self._kernels.items():
+                if len(idx) <= top:
+                    v = kernel(*args)
+                    for perm in set(itertools.permutations(idx)):
+                        out[len(idx)][(slice(None), a) + perm] = v
+        finally:
+            _shared_values.table = None
         return Jets(*out)
 
 
@@ -247,7 +293,7 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     of the returned normal.  g^-1, the Weingarten map A = g^-1 h and
     dN = -A^k_i r_k are left to ``PointGeometry``, which builds them on
     first use.  No LAPACK call: every kernel is elementwise over the point
-    axis.
+    axis, g_ij = sum_a d_i r^a d_j r^a among them.
     """
     d1 = jets.d1
     raw = cofactor_normal(d1)
@@ -255,7 +301,13 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     if np.any(length <= 0) or not np.all(np.isfinite(length)):
         raise SingularImmersionError("immersion Jacobian is rank-deficient")
     nvec = orientation * raw / length[:, None]
-    g = np.swapaxes(d1, -1, -2) @ d1
+    m, n = d1.shape[1:]
+    t = np.ascontiguousarray(np.moveaxis(d1, 0, -1))  # t[a, i] = d_i r^a over points
+    gt = np.empty((n, n, d1.shape[0]))
+    for i in range(n):
+        for j in range(i, n):
+            gt[i, j] = gt[j, i] = sum(t[a, i] * t[a, j] for a in range(m))
+    g = np.ascontiguousarray(np.moveaxis(gt, -1, 0))
     h = np.einsum("pa,paij->pij", nvec, jets.d2)
     return nvec, g, h, cholesky_frame(g), length
 

@@ -115,6 +115,21 @@ def test_varcheck_gates_on_min_order(tmp_path, capsys, monkeypatch):
     assert "[FAIL] g_inv[1]@bumpy-torus3" in capsys.readouterr().out
 
 
+def test_varcheck_checks_the_t_ladder_before_building_a_surface(tmp_path, capsys,
+                                                               monkeypatch):
+    from leafwise import catalog
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a surface was built before the cases were checked")
+
+    for name in ("bumpy_torus3", "sheared_torus4", "torus_revolution"):
+        monkeypatch.setattr(catalog, name, refuse)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"t_values": [0.001, 0]})))
+    assert main(["varcheck", "--config", "-", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_elcheck_critical_profile(tmp_path):
     res = run_cli(["elcheck", "--out-dir", str(tmp_path)], {})
     assert res.returncode == 0, res.stderr

@@ -457,7 +457,8 @@ def test_w_conf_refuses_a_negative_q2():
                           [0.0, 0.0, 0.125])
     assert np.array_equal(umbilic_power(np.array([-1e-13, 0.25]), 0.0), [1.0, 1.0])
     # sigma_1 = 2, sigma_2 = 1.5 on s = 2: Q_2 = 1 - 1.5 < 0
-    spectrum = SimpleNamespace(sigma=np.array([[1.0, 2.0, 1.5]]))
+    sigma = np.array([[1.0, 2.0, 1.5]])
+    spectrum = SimpleNamespace(spectrum=lambda family, top: sigma[:, : top + 1])
     with pytest.raises(DomainError, match="negative curvature combination"):
         fl.integrand(fl.w_conf(2), spectrum, 3, 2)
 

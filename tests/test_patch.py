@@ -178,14 +178,42 @@ def sphere4():
     return catalog.sphere(n=4, m_polar=6, m_azimuth=8)
 
 
+_WF_OF_HF = fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: h**2 + h, f1=lambda h: 2 * h + 1)
+
+
 @pytest.mark.parametrize("name, spec", [("sheared4", fl.w_conf(2)), ("sheared4", fl.j_nps(3)),
-                                        ("sphere4", fl.w_nps(4))],
-                         ids=["W_conf-sheared4", "J_nps-sheared4", "W_nps-sphere4"])
+                                        ("sphere4", fl.w_nps(4)), ("sheared4", _WF_OF_HF)],
+                         ids=["W_conf-sheared4", "J_nps-sheared4", "W_nps-sphere4",
+                              "WF_of_HF-sheared4"])
 def test_energy_integrand_leaves_weingarten_fields_unbuilt(name, spec, request):
     patch = request.getfixturevalue(name)
     geo = patch.geometry(patch.grid.points[::7])
     fl.integrand(spec, geo, patch.n, patch.s)
     assert not {"g_inv", "shape_op", "dn"} & set(vars(geo))
+    if spec.kind in ("W_nps", "WF_of_HF"):
+        # F(H_F) reads sigma_1 = tr A_F alone: no frame sandwich, no leaf power
+        assert "a_frame" not in vars(geo)
+        assert geo._leaf_powers == ()
+
+
+@pytest.mark.parametrize("name", ["sheared4", "sphere4", "tube4", "torus_rev"])
+def test_spectrum_to_top_is_a_prefix_of_the_full_spectrum(name, request):
+    patch = request.getfixturevalue(name)
+    x = patch.grid.points[::7]
+    full = patch.geometry(x)
+    for family, top in (("sigma", patch.s), ("tau", patch.s + 2)):
+        whole = getattr(full, family)
+        assert whole.shape == (x.shape[0], top + 1)
+        for k in range(top + 1):
+            assert np.array_equal(patch.geometry(x).spectrum(family, k), whole[:, : k + 1])
+    # tau_1 = <g_FF^-1, h_FF> is the trace of the frame-sandwiched leaf block
+    tau1, a_trace = full.tau[:, 1], np.trace(full.a_leaf, axis1=-2, axis2=-1)
+    assert np.max(np.abs(tau1 - a_trace)) <= 1e-13 * np.max(np.abs(a_trace))
+    assert np.array_equal(full.h_f_mean, full.sigma[:, 1] / patch.s)
+    if name == "sheared4":
+        assert np.max(full.norm_hmix_sq) > 1e-3  # the mixed block is not zero
+    if name == "torus_rev":
+        assert patch.s == 1
 
 
 @pytest.mark.parametrize("name", ["sheared4", "sphere4"])

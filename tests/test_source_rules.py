@@ -1,7 +1,9 @@
 """Rules the package source keeps, read from its syntax trees: geometry makes
 no LAPACK call (no numpy.linalg anywhere in the package), runtime domain
-checks raise errors instead of using assert statements, and no module keeps a
-private helper that nothing calls."""
+checks raise errors instead of using assert statements, no module keeps a
+private helper that nothing calls, and sympy's lambdify is reached only
+through ``suppliers.numpy_kernel``, so every compiled kernel calls sin, cos
+and exp through the shared wrappers."""
 
 import ast
 from pathlib import Path
@@ -80,3 +82,35 @@ def test_package_has_no_dead_private_helper():
              for path in sorted(PACKAGE.glob("*.py"))}
     dead = _dead_private_helpers(trees)
     assert not dead, dead
+
+
+def _lambdify_uses(tree: ast.AST, allowed: str | None) -> list:
+    """Lines that name lambdify (call, attribute, import or alias) outside the
+    module-level function ``allowed``."""
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == allowed
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr == "lambdify"
+                or isinstance(node, ast.Name) and node.id == "lambdify"
+                or isinstance(node, ast.alias) and "lambdify" in node.name
+                or isinstance(node, ast.ImportFrom) and "lambdify" in (node.module or "")):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_lambdify_only_inside_numpy_kernel():
+    bad = ("import sympy as sp\nfrom sympy import lambdify\n"
+           "from sympy.utilities.lambdify import lambdastr\n\n\n"
+           "def numpy_kernel(args, expr):\n    return sp.lambdify(args, expr)\n\n\n"
+           "def other(args, expr):\n    return sp.lambdify(args, expr)\n\n\n"
+           "make = sp.lambdify\n")
+    assert _lambdify_uses(ast.parse(bad), "numpy_kernel") == [2, 3, 11, 14]
+    assert _lambdify_uses(ast.parse(bad), None) == [2, 3, 7, 11, 14]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _lambdify_uses(ast.parse(path.read_text(), str(path)),
+                                        "numpy_kernel" if path.name == "suppliers.py" else None)]
+    assert not found, found

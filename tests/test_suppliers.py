@@ -1,16 +1,21 @@
 """The compiled kernel table of AnalyticSupplier: order-3 jets against plain
-lambdify kernels on every catalog surface, broadcasting of constant and zero
-components, one lambdify call per derivative component, and no str()
-printing of expressions while a surface compiles."""
+lambdify kernels and against the same kernels without shared coordinate
+functions on every catalog surface, broadcasting of constant and zero
+components, one lambdify call per derivative component, no str() printing of
+expressions while a surface compiles, and the thread-local table of shared
+sin/cos/exp values under the block pool and under concurrent jets calls."""
 
+import sys
+import threading
 from math import comb
 
 import numpy as np
 import pytest
 import sympy as sp
 from sympy.core._print_helpers import Printable
+from sympy.printing.numpy import NumPyPrinter
 
-from leafwise import catalog, suppliers
+from leafwise import catalog, functionals as fl, patch, suppliers
 from leafwise import revolution as rev
 
 # one builder per distinct catalog function
@@ -78,9 +83,14 @@ def test_jets_match_plain_lambdify_kernels(name, monkeypatch):
     pts = surface.grid.points
     x = pts[:: max(1, len(pts) // 40)]
     jets = surface.supplier.jets(x, order=3)
-    for got, want in zip((jets.r, jets.d1, jets.d2, jets.d3), plain_jets(coords, exprs, x)):
+    by_order = (jets.r, jets.d1, jets.d2, jets.d3)
+    for got, want in zip(by_order, plain_jets(coords, exprs, x)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # outside jets no value is shared, and sharing changes no bit
+    args = [x[:, i] for i in range(n)]
+    for (a, idx), kernel in surface.supplier._kernels.items():
+        assert np.array_equal(by_order[len(idx)][(slice(None), a) + idx], kernel(*args))
     low = surface.supplier.jets(x, order=2)
     assert low.d3 is None
     assert np.array_equal(low.d2, jets.d2)
@@ -115,3 +125,85 @@ def test_compile_prints_no_expression_with_str(monkeypatch):
     monkeypatch.setattr(Printable, "__str__", counting)
     catalog.sheared_torus4()
     assert printed == []
+
+
+def test_jets_compute_each_coordinate_function_once_per_column(monkeypatch):
+    tables = []
+
+    class Recording(threading.local):
+        def __setattr__(self, name, value):
+            if value is not None:
+                tables.append(value)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(suppliers, "_shared_values", Recording())
+    sphere = catalog.sphere(n=4, m_polar=4, m_azimuth=6)
+    x = sphere.grid.points
+    sphere.supplier.jets(x)
+    assert len(tables) == 1 and suppliers._shared_values.table is None
+    # 75 order-2 kernels read sin and cos of the 4 angles: 8 values
+    values = [(fn, v) for shared in tables[0].values() for fn, v in shared.items()]
+    assert sorted(fn.__name__ for fn, _ in values) == ["cos"] * 4 + ["sin"] * 4
+    for fn in (np.sin, np.cos):
+        got = [v for f, v in values if f is fn]
+        assert all(any(np.array_equal(v, fn(x[:, i])) for v in got) for i in range(4))
+
+
+def test_kernels_called_outside_jets_share_nothing():
+    rho = sp.Symbol("rho")
+    expr = sp.exp(-rho) * sp.cos(rho) + sp.sin(2 * rho) + sp.sin(rho)
+    profile = rev.profile_from_sympy(3, expr, rho, (0.5, 1.5))
+    r = np.linspace(0.5, 1.5, 50)
+    exprs = [expr]
+    for _ in range(3):
+        exprs.append(sp.diff(exprs[-1], rho))
+    for fn, e in zip((profile.f, profile.f1, profile.f2, profile.f3), exprs):
+        plain = sp.lambdify([rho], e, modules="numpy", docstring_limit=0,
+                            printer=NumPyPrinter(suppliers._KERNEL_PRINTER))
+        assert np.array_equal(fn(r), plain(r))
+    # a kernel reads its argument afresh on every call
+    kernel = suppliers.numpy_kernel([rho], sp.sin(rho))
+    kernel(r)
+    r += 1.0
+    assert np.array_equal(kernel(r), np.sin(r))
+
+
+def test_pool_and_serial_energies_agree_bit_for_bit():
+    sphere = catalog.sphere(n=4, m_polar=16, m_azimuth=32)
+    assert sphere.grid.points.shape[0] > patch.BLOCK
+    pooled = fl.evaluate(fl.w_nps(4), sphere)
+    patch._in_worker.active = True  # blocks run one by one in this thread
+    try:
+        serial = fl.evaluate(fl.w_nps(4), sphere)
+    finally:
+        patch._in_worker.active = False
+    assert pooled == serial
+    assert abs(pooled - 8 * np.pi**2 / 3) < 1e-12 * pooled
+
+
+def test_concurrent_jets_match_serial_jets():
+    sphere = catalog.sphere(n=4, m_polar=6, m_azimuth=8)
+    blocks = np.array_split(sphere.grid.points, 6)  # more threads than cores
+    serial = [sphere.supplier.jets(b, order=3) for b in blocks]
+    mismatches, completed = [], []
+
+    def work(i):
+        for _ in range(10):
+            got = sphere.supplier.jets(blocks[i], order=3)
+            if not all(np.array_equal(getattr(got, k), getattr(serial[i], k))
+                       for k in ("r", "d1", "d2", "d3")):
+                mismatches.append(i)
+        completed.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(blocks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(completed) == list(range(len(blocks))) and mismatches == []
