@@ -47,8 +47,8 @@ from .operators import (
     leaf_gradient,
     leaf_laplacian,
 )
-from .patch import FoliatedPatch, PointGeometry, gauss_axis
-from .revolution import RevolutionProfile, invariants, sphere_area
+from .patch import FoliatedPatch, PointGeometry
+from .revolution import RevolutionProfile, invariants
 from .suppliers import InvertedImmersion, ScaledImmersion
 from .symfunc import (
     POWER_EPS,
@@ -228,20 +228,7 @@ def integrand(spec: FunctionalSpec, geo, n: int, s: int) -> np.ndarray:
 
 def evaluate(spec: FunctionalSpec, surface) -> float:
     """Value of the functional on a patch or a revolution profile."""
-    if isinstance(surface, RevolutionProfile):
-        return _evaluate_revolution(spec, surface)
-    patch: FoliatedPatch = surface
-    return patch.integral(lambda geo: integrand(spec, geo, patch.n, patch.s))
-
-
-def _evaluate_revolution(spec: FunctionalSpec, profile: RevolutionProfile,
-                         quad_nodes: int = 400) -> float:
-    """Quadrature over the profile; dV = rho^{n-1} sqrt(1+f'^2) d(angles) d rho."""
-    n = profile.n
-    axis = gauss_axis(profile.rho_min, profile.rho_max, quad_nodes)
-    inv = invariants(profile, axis.nodes)
-    dens = integrand(spec, inv, n, n - 1)
-    return float(sphere_area(n - 1) * np.sum(axis.weights * dens * inv.area_density))
+    return surface.integrate(lambda geo: integrand(spec, geo, surface.n, surface.s))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +252,7 @@ def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
                              u: ScalarField) -> float:
     """First variation from the analytic delta formulas (no integration by
     parts; valid on any foliated patch)."""
-    return patch.integral(
+    return patch.integrate(
         lambda geo: first_variation_density(spec, geo, patch.n, patch.s, *u.jets(geo.x)))
 
 
@@ -319,14 +306,13 @@ def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) ->
     profiles (rho samples ``x``) the weights are constant on parallels and
     h_mix = 0, so R = sum_k dF/dq_k alg_k - n F H.
     """
+    n, s = surface.n, surface.s
     if isinstance(surface, RevolutionProfile):
-        n, s = surface.n, surface.n - 1
         rho = surface.sample(200) if x is None else np.asarray(x, dtype=float)
         geo = invariants(surface, rho)
         mean = geo.mean
     else:
         patch: FoliatedPatch = surface
-        n, s = patch.n, patch.s
         if s < n and (div_norm := transversal_harmonicity_norm(patch)) > 1e-8:
             raise PreconditionError(
                 f"foliation is not transversally harmonic: |(div P) o P| = {div_norm:.3e}")
@@ -395,8 +381,7 @@ def second_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch, u,
     f, f1, f2 = profile
     if f2 is None:
         raise SpecError("second variation of F(H_F) needs f2 = F''")
-    x = patch.grid.points
-    geo = patch.geometry(x, order=3)
+    geo = patch.geometry()
     mix, full = float(np.max(geo.norm_hmix_sq)), float(np.max(geo.norm_h_sq))
     if mix > 1e-12 * full:
         raise PreconditionError(
@@ -406,35 +391,37 @@ def second_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch, u,
     if res_scale > residual_tol:
         raise PreconditionError(
             f"surface is not critical: max residual {res_scale:.3e} > {residual_tol:.1e}")
-
-    uu, du, d2u = u.jets(x)
-    h_f = geo.h_f_mean
-    f_val, f_p, f_pp = f(h_f), f1(h_f), f2(h_f)
     fprime_field = _derived_scalar(patch, lambda g: f1(g.h_f_mean))
 
-    h_mean = geo.mean_curvature
-    lap_u = laplacian_block(geo, du, d2u)
-    lap_full_u = laplacian_full(geo, du, d2u)
-    lap_fprime = leaf_laplacian(patch, fprime_field, x, geo)
-    tau2, tau3 = geo.tau[:, 2], geo.tau[:, 3]
-    hb = geo.leaf_block(hessian_full(geo, du, d2u))
-    pair_hess = np.einsum("pij,pij->p", geo.a_leaf, hb)
-    xi = leaf_gradient(geo, du)
-    grad_sq = np.einsum("pi,pij,pj->p", xi, geo.g_ff, xi)
-    h_grad = np.einsum("pi,pij,pj->p", xi, geo.h[:, :s, :s], xi)
-    dshf = deltas._leaf_function_gradient_shf(geo)
-    hf_grad_u = np.einsum("pj,pij,pi->p", dshf / s, geo.g_ff_inv, du[:, :s])
+    def density(geo):
+        uu, du, d2u = u.jets(geo.x)
+        h_f = geo.h_f_mean
+        f_val, f_p, f_pp = f(h_f), f1(h_f), f2(h_f)
+        h_mean = geo.mean_curvature
+        lap_u = laplacian_block(geo, du, d2u)
+        lap_full_u = laplacian_full(geo, du, d2u)
+        lap_fprime = leaf_laplacian(patch, fprime_field, geo.x, geo)
+        tau2, tau3 = geo.tau[:, 2], geo.tau[:, 3]
+        hb = geo.leaf_block(hessian_full(geo, du, d2u))
+        pair_hess = np.einsum("pij,pij->p", geo.a_leaf, hb)
+        xi = leaf_gradient(geo, du)
+        grad_sq = np.einsum("pi,pij,pj->p", xi, geo.g_ff, xi)
+        h_grad = np.einsum("pi,pij,pj->p", xi, geo.h[:, :s, :s], xi)
+        dshf = deltas._leaf_function_gradient_shf(geo)
+        hf_grad_u = np.einsum("pj,pij,pi->p", dshf / s, geo.g_ff_inv, du[:, :s])
 
-    term1 = -(n / s) * (f_p * lap_u - uu * lap_fprime) * uu * h_mean
-    term2 = (f_p / s) * (
-        2.0 * uu * pair_hess + s * uu * hf_grad_u + 2.0 * h_grad - s * h_f * grad_sq
-    ) + (f_pp / s**2) * lap_u * (lap_u + uu * tau2)
-    term3 = uu * (
-        ((f_pp / s**2) * tau2 - (n / s) * h_mean * f_p) * (lap_u + uu * tau2)
-        - f_val * (lap_full_u + uu * geo.norm_h_sq)
-        + (f_p / s) * 2.0 * (uu * tau3 + pair_hess)
-    )
-    return patch.integrate(term1 + term2 + term3, geo)
+        term1 = -(n / s) * (f_p * lap_u - uu * lap_fprime) * uu * h_mean
+        term2 = (f_p / s) * (
+            2.0 * uu * pair_hess + s * uu * hf_grad_u + 2.0 * h_grad - s * h_f * grad_sq
+        ) + (f_pp / s**2) * lap_u * (lap_u + uu * tau2)
+        term3 = uu * (
+            ((f_pp / s**2) * tau2 - (n / s) * h_mean * f_p) * (lap_u + uu * tau2)
+            - f_val * (lap_full_u + uu * geo.norm_h_sq)
+            + (f_p / s) * 2.0 * (uu * tau3 + pair_hess)
+        )
+        return term1 + term2 + term3
+
+    return patch.integrate(density, order=3)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +489,7 @@ def conformal_density_check(patch: FoliatedPatch, r: int = 2,
 
 def project_volume_preserving(patch: FoliatedPatch, u: ScalarField) -> ScalarField:
     """Remove the volume-changing mean: u -> u - (int u dV)/(int dV)."""
-    moment, volume = patch.integral(
+    moment, volume = patch.integrate(
         lambda geo: np.stack([u(geo.x), np.ones(geo.x.shape[0])]))
     mean = moment / volume
 

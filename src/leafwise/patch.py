@@ -5,12 +5,10 @@ whose first s coordinates run along the leaves of a foliation.  All
 pointwise quantities (metric, normal, second fundamental form, orthogonal
 projector, foliated blocks, Christoffel symbols) are computed in batch
 over arbitrary parameter points, each on first use; the grid only drives
-quadrature and grid-sampled fields.  Grid integrals run in blocks of BLOCK
-points, on a thread pool when the grid has more than one block.  Energies
-read a leaf spectrum only up to the highest member their F uses
-(``PointGeometry.spectrum``), so an F(H_F) energy takes sigma_1 = tr A_F
-from the leaf frame block and builds neither the frame-sandwiched second
-fundamental form nor any leaf power.
+quadrature and grid-sampled fields.  ``FoliatedPatch.integrate`` is the one
+grid quadrature: energies, first and second variations and the integral
+identities integrate a density of the geometry through it, in blocks of
+BLOCK points on a thread pool when the grid has more than one block.
 """
 
 from __future__ import annotations
@@ -19,13 +17,29 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
 from .suppliers import Jets, normal_jets
 from .symfunc import sigma_from_traces
+
+
+class lazy:
+    """Decorator of a field computed on first read and kept in the instance
+    ``__dict__`` under the function's name (``vars`` lists exactly the fields
+    built).  Unlike Python 3.11's ``functools.cached_property`` it takes no
+    lock shared by all instances, so pool workers filling the same field of
+    different blocks run at once."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -91,12 +105,12 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(ax.nodes) for ax in self.axes)
 
-    @cached_property
+    @lazy
     def points(self) -> np.ndarray:
         mesh = np.meshgrid(*[ax.nodes for ax in self.axes], indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    @cached_property
+    @lazy
     def weights(self) -> np.ndarray:
         mesh = np.meshgrid(*[ax.weights for ax in self.axes], indexing="ij")
         w = np.ones(self.shape)
@@ -183,28 +197,28 @@ class PointGeometry:
     def n(self) -> int:
         return self.g.shape[-1]
 
-    @cached_property
+    @lazy
     def g_inv(self) -> np.ndarray:
         """g^-1 = E E^T from the frame E."""
         return self.frame @ np.swapaxes(self.frame, -1, -2)
 
-    @cached_property
+    @lazy
     def shape_op(self) -> np.ndarray:
         """Weingarten map A = g^-1 h, A[p, k, i] = A^k_i."""
         return self.g_inv @ self.h
 
-    @cached_property
+    @lazy
     def dn(self) -> np.ndarray:
         """dn[p, :, i] = partial_i N = -A^k_i r_k."""
         return -(self.jets.d1 @ self.shape_op)
 
-    @cached_property
+    @lazy
     def dg(self) -> np.ndarray:
         """dg[p, k, i, j] = partial_k g_ij."""
         d1, d2 = self.jets.d1, self.jets.d2
         return np.einsum("paik,paj->pkij", d2, d1) + np.einsum("pai,pajk->pkij", d1, d2)
 
-    @cached_property
+    @lazy
     def dh(self) -> np.ndarray:
         """dh[p, k, i, j] = partial_k h_ij = <partial_k N, r_ij> + <N, r_ijk>
         (needs third-order jets)."""
@@ -214,7 +228,7 @@ class PointGeometry:
         return np.einsum("pak,paij->pkij", self.dn, self.jets.d2) + np.einsum(
             "pa,paijk->pkij", self.normal, self.jets.d3)
 
-    @cached_property
+    @lazy
     def gamma(self) -> np.ndarray:
         """Christoffel symbols gamma[p, k, i, j] = Gamma^k_ij of the surface."""
         return christoffel(self.g_inv, self.dg)
@@ -223,19 +237,19 @@ class PointGeometry:
     def g_ff(self) -> np.ndarray:
         return self.g[:, : self.s, : self.s]
 
-    @cached_property
+    @lazy
     def g_ff_inv(self) -> np.ndarray:
         """g_FF^-1 = E_FF E_FF^T from the leaf block E_FF of the frame."""
         e_ff = self.frame[:, : self.s, : self.s]
         return e_ff @ np.swapaxes(e_ff, -1, -2)
 
-    @cached_property
+    @lazy
     def gamma_leaf(self) -> np.ndarray:
         """Christoffel symbols of the induced leaf metric (leaf indices only)."""
         s = self.s
         return christoffel(self.g_ff_inv, self.dg[:, :s, :s, :s])
 
-    @cached_property
+    @lazy
     def transverse_basis(self) -> np.ndarray:
         """Columns v_a = e_a - (g_F^{-1} g_{Fa})^i e_i, a > s: a basis of the
         g-orthogonal complement of the leaves."""
@@ -245,7 +259,7 @@ class PointGeometry:
         v[:, s:, :] = np.eye(n - s)
         return v
 
-    @cached_property
+    @lazy
     def proj(self) -> np.ndarray:
         """Projector onto the leaf tangent along the transverse distribution."""
         s, n = self.s, self.n
@@ -254,7 +268,7 @@ class PointGeometry:
         proj[:, :s, s:] = -self.transverse_basis[:, :s, :]
         return proj
 
-    @cached_property
+    @lazy
     def a_frame(self) -> np.ndarray:
         """Second fundamental form in the adapted frame."""
         a_frame = frame_sandwich(self.frame, self.h)
@@ -279,13 +293,13 @@ class PointGeometry:
     def b_perp(self) -> np.ndarray:
         return self.a_frame[:, self.s :, self.s :]
 
-    @cached_property
+    @lazy
     def sigma(self) -> np.ndarray:
         """Elementary symmetric functions sigma_0..sigma_s of the leaf block,
         from the traces of its powers A_F^0..A_F^s by Newton's identities."""
         return self.spectrum("sigma", self.s)
 
-    @cached_property
+    @lazy
     def tau(self) -> np.ndarray:
         """Power sums tau_0..tau_{s+2}, tau_i = tr A_F^i; tau_{i+1} enters
         delta tau_i, which J_nps needs for i = 2 at s = 1, and tau_2 = |h_F|^2
@@ -303,7 +317,7 @@ class PointGeometry:
         traces = np.stack(traces, axis=1)
         return sigma_from_traces(traces) if family == "sigma" else traces
 
-    @cached_property
+    @lazy
     def trace_a_leaf(self) -> np.ndarray:
         """tau_1 = tr A_F = <g_FF^-1, h_FF> = tr(E_FF^T h_FF E_FF), from the
         leaf frame block E_FF alone."""
@@ -378,23 +392,18 @@ class FoliatedPatch:
         jets = self.supplier.jets(x, order=order)
         return PointGeometry(x, jets, *normal_jets(jets, self.normal_orientation), s=self.s)
 
-    def integrate(self, density: np.ndarray, geo: PointGeometry) -> float:
-        """Integral over the patch of a pointwise density (per unit volume)
-        given on the grid, with the whole-grid geometry ``geo``."""
-        vals = np.asarray(density, dtype=float)
-        return float(np.sum(self.grid.weights * geo.sqrt_det_g * vals))
-
-    def integral(self, density_fn):
+    def integrate(self, density_fn, order: int = 2):
         """Integral over the patch of ``density_fn(geo)`` (per unit volume),
-        computed in blocks of BLOCK grid points.
+        computed in blocks of BLOCK grid points, ``geo`` the geometry of a
+        block at jet order ``order``.
 
         The density is one value per point (the result is a float) or an
         array with the point axis last (one integral per leading index, all
         from the same geometry).  Each block builds its own geometry and
         returns its weighted density; the blocks are joined and summed once
         along the contiguous point axis, so each result is bit-identical to
-        ``integrate`` of that density on the whole-grid geometry.  A grid of
-        several blocks runs them concurrently on the shared pool (the
+        the sum over the whole grid of weight x sqrt det g x density.  A grid
+        of several blocks runs them concurrently on the shared pool (the
         geometry kernels are elementwise numpy and release the GIL), so
         ``density_fn`` must be thread-safe; a grid of one block, or an
         integral inside a pool worker, runs in the calling thread.  The
@@ -404,7 +413,7 @@ class FoliatedPatch:
 
         def block(lo: int) -> np.ndarray:
             hi = lo + BLOCK
-            geo = self.geometry(points[lo:hi])
+            geo = self.geometry(points[lo:hi], order=order)
             return weights[lo:hi] * geo.sqrt_det_g * np.asarray(density_fn(geo), dtype=float)
 
         starts = range(0, points.shape[0], BLOCK)

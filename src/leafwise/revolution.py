@@ -61,6 +61,20 @@ class RevolutionProfile:
     def sample(self, m: int = 200) -> np.ndarray:
         return np.linspace(self.rho_min, self.rho_max, m)
 
+    @property
+    def s(self) -> int:
+        """Leaf dimension: the parallels are (n-1)-spheres."""
+        return self.n - 1
+
+    def integrate(self, density_fn) -> float:
+        """Integral of ``density_fn(inv)`` (per unit volume, constant on
+        parallels) for the invariants ``inv`` at 400 Gauss nodes in rho, with
+        dV = rho^{n-1} sqrt(1+f'^2) d(angles) d rho."""
+        axis = gauss_axis(self.rho_min, self.rho_max, 400)
+        inv = invariants(self, axis.nodes)
+        dens = density_fn(inv)
+        return float(sphere_area(self.s) * np.sum(axis.weights * dens * inv.area_density))
+
 
 @dataclass
 class RevolutionInvariants:

@@ -232,16 +232,16 @@ class FiniteDifferenceSupplier:
         return Jets(r=r0, d1=d1, d2=d2, d3=d3)
 
 
-def cofactor_normal(d1: np.ndarray) -> np.ndarray:
-    """Generalized cross product of the n columns of d1 (M, n+1, n): the
-    signed n x n minors raw[:, a] = (-1)^(a+n) det(d1 without row a).
+def cofactor_normal(t: np.ndarray) -> np.ndarray:
+    """Generalized cross product of the n tangent vectors, given point-last as
+    t[a, i] = d_i r^a (n+1, n, M): the signed n x n minors
+    raw[:, a] = (-1)^(a+n) det(t without row a), shape (M, n+1).
 
     The minors come from Laplace expansion along the last column over every
     subset of rows, all n+1 minors at once (m 2^(m-1) array operations for
     m = n+1 rows), elementwise over the point axis: exact, no pivoting.
     """
-    m, n = d1.shape[1:]
-    t = np.ascontiguousarray(np.moveaxis(d1, 0, -1))  # t[a, i] = d_i r^a over points
+    m, n = t.shape[:2]
     minors = {(a,): t[a, 0] for a in range(m)}  # rows -> minor on the first len(rows) columns
     for k in range(1, n):
         minors = {rows: sum((-1.0) ** (j + k) * t[a, k] * minors[rows[:j] + rows[j + 1:]]
@@ -295,15 +295,14 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     first use.  No LAPACK call: every kernel is elementwise over the point
     axis, g_ij = sum_a d_i r^a d_j r^a among them.
     """
-    d1 = jets.d1
-    raw = cofactor_normal(d1)
+    t = np.ascontiguousarray(np.moveaxis(jets.d1, 0, -1))  # t[a, i] = d_i r^a over points
+    raw = cofactor_normal(t)
     length = np.sqrt(np.einsum("pa,pa->p", raw, raw))
     if np.any(length <= 0) or not np.all(np.isfinite(length)):
         raise SingularImmersionError("immersion Jacobian is rank-deficient")
     nvec = orientation * raw / length[:, None]
-    m, n = d1.shape[1:]
-    t = np.ascontiguousarray(np.moveaxis(d1, 0, -1))  # t[a, i] = d_i r^a over points
-    gt = np.empty((n, n, d1.shape[0]))
+    m, n = t.shape[:2]
+    gt = np.empty((n, n, t.shape[-1]))
     for i in range(n):
         for j in range(i, n):
             gt[i, j] = gt[j, i] = sum(t[a, i] * t[a, j] for a in range(m))

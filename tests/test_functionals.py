@@ -175,9 +175,7 @@ def test_area_variation_is_minus_n_u_h():
                                   f1=lambda h: np.zeros_like(h),
                                   f2=lambda h: np.zeros_like(h))
     u = random_trig_variation(2, np.random.default_rng(2))
-    geo = patch.geometry()
-    expected = -patch.integrate(
-        patch.n * u(patch.grid.points) * geo.mean_curvature, geo)
+    expected = -patch.integrate(lambda geo: patch.n * u(geo.x) * geo.mean_curvature)
     numeric = fl.first_variation_numeric(area_spec, patch, u)
     assert numeric == pytest.approx(expected, abs=1e-9)
 
@@ -292,8 +290,6 @@ def test_weak_form_consistency_of_residuals(torus_cyl4):
                 + 0.15 * np.sin(x[:, 1] + 2 * x[:, 2]))
 
     u = ScalarField.from_callable(amp, n=3)
-    x = torus_cyl4.grid.points
-    geo = torus_cyl4.geometry(x)
     cases = [
         (fl.w_nps(3), 1e-5),
         (fl.j_nps(4), 1e-3),
@@ -316,7 +312,8 @@ def test_weak_form_consistency_of_residuals(torus_cyl4):
     ]
     for spec, tol in cases:
         fa = fl.first_variation_analytic(spec, torus_cyl4, u)
-        weak = torus_cyl4.integrate(u(x) * fl.el_residual(spec, torus_cyl4, x=x), geo)
+        weak = torus_cyl4.integrate(
+            lambda geo: u(geo.x) * fl.el_residual(spec, torus_cyl4, x=geo.x))
         assert abs(fa - weak) < tol * max(1.0, abs(fa)), spec.kind
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leafwise import catalog, operators as ops
+from leafwise import catalog, operators as ops, varcheck as vc
 from leafwise.errors import DomainError, StencilError
 from leafwise.operators import (
     FullTensorField,
@@ -121,77 +121,46 @@ def test_fstar_squared_metric_multiple_reduces_to_laplacian(tube4):
 
 def test_fstar_squared_weak_identity(torus_rev):
     # int <B, Hess^F u> dV = int u (nabla^{F*})^2 B dV on a harmonic foliation
-    x = torus_rev.grid.points
-    geo = torus_rev.geometry(x, order=3)
-    u = trig_field(2, seed=7)
-
     def bfun(p):
         w = np.sin(p[:, 0]) + 0.5 * np.cos(p[:, 0] - 2 * p[:, 1])
         return w[:, None, None] * torus_rev.geometry(p).g_ff
 
-    b = LeafTensorField(fn=bfun, s=1, step=1e-3)
-    _, du, d2u = u.jets(x)
-    hess = ops.hessian_leaf(geo, du, d2u)
-    pair = np.einsum("pik,pjl,pkl,pij->p", geo.g_ff_inv, geo.g_ff_inv, bfun(x), hess)
-    lhs = torus_rev.integrate(pair, geo)
-    rhs = torus_rev.integrate(u(x) * ops.fstar_squared(torus_rev, b, x, geo), geo)
-    assert abs(lhs - rhs) < 1e-8
+    rep = vc.verify_integral_identity("ibp_F", torus_rev, u=trig_field(2, seed=7),
+                                      b_leaf=LeafTensorField(fn=bfun, s=1, step=1e-3))
+    assert rep.applicable and rep.discrepancy < 1e-8
 
 
 def test_green_formula_leafwise(torus_rev):
     # int f1 Delta_F f2 dV = -int <grad_F f1, grad_F f2> dV
-    x = torus_rev.grid.points
-    geo = torus_rev.geometry(x)
-    f1, f2 = trig_field(2, seed=1), trig_field(2, seed=2)
-    _, du1, _ = f1.jets(x)
-    _, du2, d2u2 = f2.jets(x)
-    lap2 = ops.laplacian_leaf(geo, du2, d2u2)
-    pair = np.einsum("pi,pij,pj->p", ops.leaf_gradient(geo, du1), geo.g_ff,
-                     ops.leaf_gradient(geo, du2))
-    assert abs(torus_rev.integrate(f1(x) * lap2, geo)
-               + torus_rev.integrate(pair, geo)) < 1e-9
+    rep = vc.verify_integral_identity("green_F", torus_rev, f1=trig_field(2, seed=1),
+                                      f2=trig_field(2, seed=2))
+    assert rep.applicable and rep.discrepancy < 1e-9
 
 
 def test_laplacian_symmetry_leafwise(torus_rev):
-    x = torus_rev.grid.points
-    geo = torus_rev.geometry(x)
-    f1, f2 = trig_field(2, seed=5), trig_field(2, seed=6)
-    _, du1, d2u1 = f1.jets(x)
-    _, du2, d2u2 = f2.jets(x)
-    lhs = torus_rev.integrate(f1(x) * ops.laplacian_leaf(geo, du2, d2u2), geo)
-    rhs = torus_rev.integrate(f2(x) * ops.laplacian_leaf(geo, du1, d2u1), geo)
-    assert abs(lhs - rhs) < 1e-9
+    rep = vc.verify_integral_identity("symm_F", torus_rev, f1=trig_field(2, seed=5),
+                                      f2=trig_field(2, seed=6))
+    assert rep.applicable and rep.discrepancy < 1e-9
 
 
 def test_adjoint_gradient_pairing(torus_rev):
-    x = torus_rev.grid.points
-    geo = torus_rev.geometry(x)
-    f = trig_field(2, seed=8)
     omega = LeafOneFormField(
         fn=lambda p: (np.sin(p[:, 0]) + 0.2 * np.cos(p[:, 1]))[:, None], s=1)
-    _, du, _ = f.jets(x)
-    lhs = torus_rev.integrate(ops.leaf_gradient_pairing(geo, omega(x), du), geo)
-    rhs = torus_rev.integrate(f(x) * ops.fstar_one_form(torus_rev, omega, x, geo), geo)
-    assert abs(lhs - rhs) < 1e-9
+    rep = vc.verify_integral_identity("adjoint_F", torus_rev, f1=trig_field(2, seed=8),
+                                      omega=omega)
+    assert rep.applicable and rep.discrepancy < 1e-9
 
 
 def test_full_ibp_on_closed_surface():
     patch = catalog.torus(s=2, m_leaf=32, m_tube=32)
-    x = patch.grid.points
-    geo = patch.geometry(x, order=3)
-    u = trig_field(2, seed=9)
 
     def bfull(p):
         w = np.cos(p[:, 0] - p[:, 1])
         return w[:, None, None] * patch.geometry(p).g
 
-    b = FullTensorField(fn=bfull, n=2, step=1e-3)
-    _, du, d2u = u.jets(x)
-    hess = ops.hessian_full(geo, du, d2u)
-    pair = np.einsum("pik,pjl,pkl,pij->p", geo.g_inv, geo.g_inv, bfull(x), hess)
-    lhs = patch.integrate(pair, geo)
-    rhs = patch.integrate(u(x) * ops.star_squared_full(patch, b, x, geo), geo)
-    assert abs(lhs - rhs) < 1e-8
+    rep = vc.verify_integral_identity("ibp_full", patch, u=trig_field(2, seed=9),
+                                      b_full=FullTensorField(fn=bfull, n=2, step=1e-3))
+    assert rep.discrepancy < 1e-8
 
 
 def test_grid_sampled_field_matches_callable_at_4th_order():

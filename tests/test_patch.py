@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from leafwise import catalog, functionals as fl
+from leafwise import catalog, functionals as fl, varcheck as vc
 from leafwise.errors import DomainError, SingularImmersionError
-from leafwise.patch import (BLOCK, FoliatedPatch, Grid, gauss_axis, periodic_axis,
-                            point_geometry, uniform_axis)
+from leafwise.patch import (BLOCK, FoliatedPatch, Grid, PointGeometry, gauss_axis,
+                            periodic_axis, point_geometry, uniform_axis)
 from leafwise.suppliers import (AnalyticSupplier, FiniteDifferenceSupplier, cholesky_frame,
                                 cofactor_normal)
 from leafwise.symfunc import sigma_all, sigma_from_traces
@@ -141,7 +141,7 @@ def test_cofactor_normal_matches_minor_determinants(n):
     d1 = np.random.default_rng(n).standard_normal((40, n + 1, n))
     ref = np.stack([(-1.0) ** (a + n) * np.linalg.det(np.delete(d1, a, axis=1))
                     for a in range(n + 1)], axis=1)
-    raw = cofactor_normal(d1)
+    raw = cofactor_normal(np.moveaxis(d1, 0, -1))
     assert np.max(np.abs(raw - ref) / np.max(np.abs(ref), axis=1, keepdims=True)) < 1e-14
 
 
@@ -351,12 +351,18 @@ def sheared_two_blocks(sheared4):
     return patch
 
 
+def whole_grid_sum(patch, geo, density):
+    """The quadrature sum over the whole grid at once, with the whole-grid
+    geometry ``geo``, that a blocked integral must equal bit for bit."""
+    return float(np.sum(patch.grid.weights * geo.sqrt_det_g * density))
+
+
 def test_blocked_evaluate_equals_whole_grid_integral():
     patch = catalog.sphere(n=4, m_polar=16, m_azimuth=32)
     assert patch.grid.points.shape[0] == 16 * BLOCK
     spec = fl.w_nps(4)
     geo = patch.geometry()
-    whole = patch.integrate(fl.integrand(spec, geo, patch.n, patch.s), geo)
+    whole = whole_grid_sum(patch, geo, fl.integrand(spec, geo, patch.n, patch.s))
     assert fl.evaluate(spec, patch) == whole
 
 
@@ -367,9 +373,22 @@ def test_blocked_integrals_equal_whole_grid_integrals(sheared_two_blocks, spec):
     u = random_trig_variation(3, np.random.default_rng(5), amplitude=0.4)
     geo = patch.geometry()
     n, s = patch.n, patch.s
-    assert fl.evaluate(spec, patch) == patch.integrate(fl.integrand(spec, geo, n, s), geo)
+    assert fl.evaluate(spec, patch) == whole_grid_sum(patch, geo, fl.integrand(spec, geo, n, s))
     dens = fl.first_variation_density(spec, geo, n, s, *u.jets(patch.grid.points))
-    assert fl.first_variation_analytic(spec, patch, u) == patch.integrate(dens, geo)
+    assert fl.first_variation_analytic(spec, patch, u) == whole_grid_sum(patch, geo, dens)
+
+
+def test_blocked_identities_equal_whole_grid_sums():
+    # both sides of each identity, integrated as one stack in blocks
+    patch = catalog.torus_revolution(m_leaf=96, m_profile=96)
+    assert BLOCK < patch.grid.points.shape[0] <= 2 * BLOCK
+    fields = vc.identity_fields(patch)
+    geo = patch.geometry(order=3)
+    for identity, sides in vc.INTEGRAL_IDENTITIES.items():
+        rep = vc.verify_integral_identity(identity, patch, **fields)
+        lhs, rhs = sides(patch, geo, geo.x, **fields)
+        assert (rep.lhs, rep.rhs) == (whole_grid_sum(patch, geo, lhs),
+                                      whole_grid_sum(patch, geo, rhs)), identity
 
 
 def test_error_in_a_later_block_reaches_the_caller(sheared_two_blocks):
@@ -392,29 +411,29 @@ def test_one_block_grid_runs_in_the_calling_thread(sheared4):
         threads.append(threading.current_thread())
         return np.ones(geo.x.shape[0])
 
-    volume = sheared4.integral(density)
+    volume = sheared4.integrate(density)
     assert threads == [threading.current_thread()]
-    assert volume == sheared4.integrate(np.ones(sheared4.grid.points.shape[0]),
-                                        sheared4.geometry())
+    assert volume == whole_grid_sum(sheared4, sheared4.geometry(),
+                                    np.ones(sheared4.grid.points.shape[0]))
 
 
 def test_integral_inside_a_block_runs_inline(sheared_two_blocks):
     patch = sheared_two_blocks
-    volume = patch.integral(lambda geo: np.ones(geo.x.shape[0]))
-    nested = patch.integral(lambda geo: np.full(geo.x.shape[0], patch.integral(
+    volume = patch.integrate(lambda geo: np.ones(geo.x.shape[0]))
+    nested = patch.integrate(lambda geo: np.full(geo.x.shape[0], patch.integrate(
         lambda inner: np.ones(inner.x.shape[0]))))
     assert nested == pytest.approx(volume**2, rel=1e-12)
 
 
 def test_concurrent_integrals_share_the_pool(sheared_two_blocks):
     patch = sheared_two_blocks
-    expected = patch.integral(lambda geo: geo.sigma[:, 1])
+    expected = patch.integrate(lambda geo: geo.sigma[:, 1])
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         callers = [threading.Thread(target=lambda: results.append(
-            patch.integral(lambda geo: geo.sigma[:, 1]))) for _ in range(4)]
+            patch.integrate(lambda geo: geo.sigma[:, 1]))) for _ in range(4)]
         for caller in callers:
             caller.start()
         for caller in callers:
@@ -428,8 +447,8 @@ def test_concurrent_integrals_share_the_pool(sheared_two_blocks):
 def test_volume_projection_integrates_in_one_pass(sheared_two_blocks, monkeypatch):
     patch = sheared_two_blocks
     u = random_trig_variation(3, np.random.default_rng(5), amplitude=0.4)
-    moment = patch.integral(lambda geo: u(geo.x))
-    volume = patch.integral(lambda geo: np.ones(geo.x.shape[0]))
+    moment = patch.integrate(lambda geo: u(geo.x))
+    volume = patch.integrate(lambda geo: np.ones(geo.x.shape[0]))
     calls = []
     geometry = FoliatedPatch.geometry
 
@@ -442,3 +461,32 @@ def test_volume_projection_integrates_in_one_pass(sheared_two_blocks, monkeypatc
     assert len(calls) == 2  # one geometry per block
     x = patch.grid.points[:5]
     assert np.array_equal(shifted(x), u(x) - moment / volume)
+
+
+def test_lazy_fields_of_two_instances_fill_at_once():
+    # each fill waits for the other: a lock shared by all instances of the
+    # class (functools.cached_property on Python 3.11) breaks the barrier
+    barrier = threading.Barrier(2, timeout=5)
+
+    class Probe:
+        @type(PointGeometry.__dict__["g_inv"])
+        def field(self):
+            barrier.wait()
+            return id(self)
+
+    probes, errors = [Probe(), Probe()], []
+
+    def fill(probe):
+        try:
+            probe.field
+        except threading.BrokenBarrierError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fill, args=(probe,)) for probe in probes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [vars(probe) for probe in probes] == [{"field": id(probe)} for probe in probes]

@@ -1,9 +1,10 @@
 """Rules the package source keeps, read from its syntax trees: geometry makes
 no LAPACK call (no numpy.linalg anywhere in the package), runtime domain
 checks raise errors instead of using assert statements, no module keeps a
-private helper that nothing calls, and sympy's lambdify is reached only
-through ``suppliers.numpy_kernel``, so every compiled kernel calls sin, cos
-and exp through the shared wrappers."""
+private helper that nothing calls, sympy's lambdify is reached only through
+``suppliers.numpy_kernel``, so every compiled kernel calls sin, cos and exp
+through the shared wrappers, and grid quadrature weights are read only by
+``FoliatedPatch.integrate``, so every grid integral runs through it."""
 
 import ast
 from pathlib import Path
@@ -113,4 +114,30 @@ def test_lambdify_only_inside_numpy_kernel():
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _lambdify_uses(ast.parse(path.read_text(), str(path)),
                                         "numpy_kernel" if path.name == "suppliers.py" else None)]
+    assert not found, found
+
+
+def _grid_weight_reads(tree: ast.AST, allowed: str | None) -> list:
+    """Lines that read ``<expr>.grid.weights`` outside the method ``allowed``,
+    named "Class.method"."""
+    inside = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" == allowed
+              for node in ast.walk(fn)}
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if id(node) not in inside and isinstance(node, ast.Attribute)
+                   and node.attr == "weights" and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "grid"})
+
+
+def test_grid_weights_read_only_inside_patch_integrate():
+    bad = ("class FoliatedPatch:\n    def integrate(self, fn):\n        return self.grid.weights\n"
+           "\n    def other(self):\n        return self.grid.weights\n\n\n"
+           "def total(patch):\n    return np.sum(patch.grid.weights)\n")
+    assert _grid_weight_reads(ast.parse(bad), "FoliatedPatch.integrate") == [6, 10]
+    assert _grid_weight_reads(ast.parse(bad), None) == [3, 6, 10]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _grid_weight_reads(
+                 ast.parse(path.read_text(), str(path)),
+                 "FoliatedPatch.integrate" if path.name == "patch.py" else None)]
     assert not found, found

@@ -206,6 +206,21 @@ def test_integral_identities_on_revolution_patches(torus_rev, tube4):
             assert rep.passed, (ident, patch.name, rep.discrepancy)
 
 
+def test_identity_sides_do_not_vanish_on_the_revolution_torus(torus_rev):
+    # an identity whose two sides vanish by symmetry checks nothing
+    fields = vc.identity_fields(torus_rev)
+    for ident in vc.INTEGRAL_IDENTITIES:
+        rep = vc.verify_integral_identity(ident, torus_rev, **fields)
+        assert abs(rep.lhs) > 1e-2, (ident, rep.lhs)
+
+
+def test_ibp_full_fails_on_a_doubled_double_divergence(torus_rev, monkeypatch):
+    star_squared_full = vc.star_squared_full
+    monkeypatch.setattr(vc, "star_squared_full", lambda *args: 2.0 * star_squared_full(*args))
+    rep = vc.verify_integral_identity("ibp_full", torus_rev, **vc.identity_fields(torus_rev))
+    assert not rep.passed and rep.discrepancy > 1e-2
+
+
 def test_identity_marked_not_applicable_on_nonharmonic(sheared4):
     fields = vc.identity_fields(sheared4)
     rep = vc.verify_integral_identity("green_F", sheared4, **fields)
