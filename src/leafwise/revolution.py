@@ -1,9 +1,10 @@
 """Hypersurfaces of revolution x_{n+1} = f(rho) foliated by sphere parallels.
 
-Closed-form curvature algebra, the critical-profile ODE and its quadrature
+Closed-form curvature algebra, the critical-profile ODE and its closed-form
 solution, and the revolution-specialized second variation.  Profiles carry
 callables for f and its first three derivatives so the generic patch
-pipeline can consume them with analytic accuracy.
+pipeline can consume them with analytic accuracy.  Every quadrature along a
+profile is ``RevolutionProfile.integrate``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass, field
 from math import comb, gamma as gamma_fn, pi
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.special import gegenbauer
+from scipy.integrate import solve_ivp
+from scipy.special import beta, betainc, poch
 
 from .errors import DomainError, PreconditionError
 from .operators import ScalarField
@@ -145,8 +146,7 @@ def criticality_residual(profile: RevolutionProfile, rho, p: float | None = None
 
 
 def critical_ode_solve(n: int, p: float, rho0: float, f0: float, f0prime: float,
-                       rho_range, rtol: float = 1e-10, atol: float = 1e-12,
-                       ) -> RevolutionProfile:
+                       rho_range) -> RevolutionProfile:
     """Integrate rho f'' = (p-n+1) f' (1+f'^2) with adaptive Runge-Kutta.
 
     The slope equation decouples: the state is (f, y=f').  Integration
@@ -179,8 +179,8 @@ def critical_ode_solve(n: int, p: float, rho0: float, f0: float, f0prime: float,
 
     def solve(direction_hi):
         span = (rho0, hi_pad) if direction_hi else (rho0, lo_pad)
-        return solve_ivp(rhs, span, [f0, f0prime], method="DOP853", rtol=rtol,
-                         atol=atol, dense_output=True, events=vertical)
+        return solve_ivp(rhs, span, [f0, f0prime], method="DOP853", rtol=1e-10,
+                         atol=1e-12, dense_output=True, events=vertical)
 
     sol_up = solve(True)
     sol_dn = solve(False) if rho0 > lo_pad else None
@@ -243,8 +243,9 @@ def fit_constants(n: int, p: float, rho0: float, f0prime: float) -> float:
     return float(rho0**a * (1.0 + f0prime**2) / f0prime**2)
 
 
-def closed_form_window(n: int, p: float, c1: float, margin: float = 1e-8):
-    """Feasible rho interval of the closed-form integrand for C1 > 0.
+def closed_form_window(n: int, p: float, c1: float):
+    """Feasible rho interval of the closed-form integrand for C1 > 0, 1e-8
+    inside (0, rho_v), and the vertical-tangent radius rho_v = C1^(1/a).
 
     Requires rho^a < C1 (radicand >= 0 and denominator > 0), a = 2(p-n+1).
     """
@@ -254,16 +255,21 @@ def closed_form_window(n: int, p: float, c1: float, margin: float = 1e-8):
     if a <= 0:
         raise DomainError("closed form implemented for p > n-1 (a > 0)")
     rho_v = c1 ** (1.0 / a)
-    return (margin, rho_v - margin), rho_v
+    return (1e-8, rho_v - 1e-8), rho_v
 
 
 def critical_closed_form(n: int, p: float, c1: float, c2: float,
-                         rho_grid, quad_tol: float = 1e-12) -> RevolutionProfile:
-    """Critical profile from the quadrature form of the slope integral.
+                         rho_grid, sign: int = 1) -> RevolutionProfile:
+    """Critical profile from the closed form of the slope integral.
 
-    f(rho) = c2 + int_{rho_lo}^{rho} sqrt(C1 t^a - t^{2a}) / (C1 - t^a) dt
-    with a = 2(p-n+1); the integrand simplifies to t^{a/2}/sqrt(C1 - t^a).
+    f(rho) = c2 + sign int_{rho_lo}^{rho} t^{a/2} / sqrt(C1 - t^a) dt with
+    a = 2(p-n+1), rho_lo the smallest grid point and ``sign`` (+1 or -1) that
+    of the slope: the ODE is odd in f', so f and its derivatives all take it.
+    With v = t^a / C1 the integral from 0 is C1^{1/a}/a B(v; 1/2 + 1/a, 1/2),
+    the incomplete beta function (DLMF 8.17).
     """
+    if sign not in (1, -1):
+        raise DomainError(f"slope sign must be +1 or -1, got {sign!r}")
     rho_grid = np.asarray(rho_grid, dtype=float)
     a = 2.0 * (p - n + 1)
     (w_lo, w_hi), rho_v = closed_form_window(n, p, c1)
@@ -271,38 +277,28 @@ def critical_closed_form(n: int, p: float, c1: float, c2: float,
         raise DomainError(
             f"rho grid violates the feasibility window ({w_lo:.3e}, {w_hi:.3e}) "
             f"of the closed form (vertical tangent at rho={rho_v:.6g})")
+    alpha = 0.5 + 1.0 / a
+    scale = sign * c1 ** (1.0 / a) / a * beta(alpha, 0.5)
+
+    def primitive(rho):
+        return scale * betainc(alpha, 0.5, np.asarray(rho, dtype=float) ** a / c1)
+
+    f_lo = primitive(rho_grid.min())
+
+    def f_eval(rho):
+        return c2 + (primitive(rho) - f_lo)
 
     def slope(rho):
         rho = np.asarray(rho, dtype=float)
-        return rho ** (a / 2) / np.sqrt(c1 - rho**a)
-
-    rho_lo = float(rho_grid.min())
-    knots = np.unique(np.concatenate([[rho_lo], rho_grid]))
-    vals = np.empty_like(knots)
-    vals[0] = c2
-    for i in range(1, len(knots)):
-        seg, _ = quad(lambda t: float(slope(t)), knots[i - 1], knots[i],
-                      epsabs=quad_tol, epsrel=1e-12, limit=200)
-        vals[i] = vals[i - 1] + seg
-
-    def f_eval(rho):
-        rho = np.asarray(rho, dtype=float)
-        flat = np.atleast_1d(rho)
-        res = np.empty_like(flat)
-        for idx, r in enumerate(flat):
-            j = int(np.clip(np.searchsorted(knots, r), 1, len(knots) - 1))
-            seg, _ = quad(lambda t: float(slope(t)), knots[j - 1], r,
-                          epsabs=quad_tol, epsrel=1e-12, limit=200)
-            res[idx] = vals[j - 1] + seg
-        return res.reshape(np.shape(rho))
+        return sign * rho ** (a / 2) / np.sqrt(c1 - rho**a)
 
     def f2_eval(rho):
         rho = np.asarray(rho, dtype=float)
-        return 0.5 * a * c1 * rho ** (a / 2 - 1) * (c1 - rho**a) ** (-1.5)
+        return sign * 0.5 * a * c1 * rho ** (a / 2 - 1) * (c1 - rho**a) ** (-1.5)
 
     def f3_eval(rho):
         rho = np.asarray(rho, dtype=float)
-        return 0.5 * a * c1 * (
+        return sign * 0.5 * a * c1 * (
             (a / 2 - 1) * rho ** (a / 2 - 2) * (c1 - rho**a) ** (-1.5)
             + 1.5 * a * rho ** (1.5 * a - 2) * (c1 - rho**a) ** (-2.5)
         )
@@ -318,15 +314,16 @@ def compare_with_closed_form(profile: RevolutionProfile, samples: int):
     """A ``critical_ode_solve`` profile against ``critical_closed_form``.
 
     The closed form is fitted to the profile's exponent p and its initial data
-    rho0, f0, f0prime from ``meta``.  Both are sampled at ``samples`` points
-    from rho0 to the smaller of (1 - 1e-9) rho_max and the closed form's
-    window.  Returns (rho, max |f - f_closed|, max criticality_residual).
+    rho0, f0, f0prime from ``meta``, and takes the sign of f0prime.  Both are
+    sampled at ``samples`` points from rho0 to the smaller of (1 - 1e-9)
+    rho_max and the closed form's window.  Returns (rho, max |f - f_closed|,
+    max criticality_residual).
     """
     n, p, meta = profile.n, profile.p, profile.meta
     c1 = fit_constants(n, p, meta["rho0"], meta["f0prime"])
     (_, w_hi), _ = closed_form_window(n, p, c1)
     rho = np.linspace(meta["rho0"], min(profile.rho_max * (1 - 1e-9), w_hi), samples)
-    closed = critical_closed_form(n, p, c1, meta["f0"], rho)
+    closed = critical_closed_form(n, p, c1, meta["f0"], rho, 1 if meta["f0prime"] > 0 else -1)
     deviation = float(np.max(np.abs(closed.f(rho) - profile.f(rho))))
     return rho, deviation, float(np.max(criticality_residual(profile, rho)))
 
@@ -423,8 +420,7 @@ def revolution_patch(profile: RevolutionProfile, m_leaf: int = 24,
 
 def leaf_eigenvalue(n: int, j: int) -> float:
     """Laplace eigenvalue lambda_j = j (j + n - 2) on the unit (n-1)-sphere."""
-    if j < 0:
-        raise DomainError("mode index must be >= 0")
+    check_count(j, 0, "a leaf mode index j")
     return float(j * (j + n - 2))
 
 
@@ -445,9 +441,10 @@ def leaf_mode_variation(j: int) -> ScalarField:
     return ScalarField.from_callable(lambda x: np.cos(j * x[:, 0]), n=2, grad=grad, hess=hess)
 
 
-def leaf_mode_l2(n: int, j: int, quad_nodes: int = 200) -> float:
+def leaf_mode_l2(n: int, j: int) -> float:
     """Squared L2 norm over the unit (n-1)-sphere of a representative
     lambda_j-eigenfunction (the zonal harmonic for j >= 3)."""
+    check_count(j, 0, "a leaf mode index j")
     area = sphere_area(n - 1)
     if j == 0:
         return area
@@ -458,18 +455,15 @@ def leaf_mode_l2(n: int, j: int, quad_nodes: int = 200) -> float:
     if j == 2:
         # representative x1*x2; moment int x1^2 x2^2 = area / (n (n+2))
         return area / (n * (n + 2))
+    # norm of the Gegenbauer C_j^alpha(cos theta) over the polar angle (DLMF 18.3)
     alpha = (n - 2) / 2.0
-    poly = gegenbauer(j, alpha)
-    axis = gauss_axis(0.0, pi, quad_nodes)
-    theta, wt = axis.nodes, axis.weights
-    band = sphere_area(n - 2)
-    vals = poly(np.cos(theta)) ** 2 * np.sin(theta) ** (n - 2)
-    return float(band * np.sum(wt * vals))
+    norm = 2.0 ** (1 - 2 * alpha) * pi * poch(j + 1, 2 * alpha - 1) / (
+        (j + alpha) * gamma_fn(alpha) ** 2)
+    return float(sphere_area(n - 2) * norm)
 
 
 def second_variation_revolution(profile: RevolutionProfile, p: float, j: int,
-                                amplitude=None, quad_nodes: int = 400,
-                                residual_tol: float = 1e-6) -> float:
+                                amplitude=None, residual_tol: float = 1e-6) -> float:
     """Second variation of the parallel-mean-curvature energy at a critical
     revolution profile, for u = a(rho) * (lambda_j leaf eigenfunction).
 
@@ -483,36 +477,26 @@ def second_variation_revolution(profile: RevolutionProfile, p: float, j: int,
         raise PreconditionError(
             f"profile is not critical for p={p}: residual {res:.3e} > {residual_tol:.1e}")
     lam = leaf_eigenvalue(n, j)
-    mode_l2 = leaf_mode_l2(n, j)
+    mode_mean_sq = leaf_mode_l2(n, j) / sphere_area(n - 1)
     a_fun = (lambda rho: np.ones_like(rho)) if amplitude is None else amplitude
-
-    axis = gauss_axis(profile.rho_min, profile.rho_max, quad_nodes)
-    rho, wts = axis.nodes, axis.weights
-    inv = invariants(profile, rho)
-    k1 = inv.k1
-    u_sq = a_fun(rho) ** 2
-    lap_sq = lam**2 * rho**-4 * u_sq
-    u_lap = -lam * rho**-2 * u_sq
     coeff_mid = (n - 1) * (5 * n * p - n - 9 * p + 1)
-    integrand = safe_power(k1, p - 2) * (
-        p * (p - 1) * lap_sq
-        + coeff_mid * k1**2 * u_lap
-        - (n - 1) ** 2 * (p - n) * (p - n + 1) * k1**4 * u_sq
-    )
-    radial = np.sum(wts * integrand * inv.area_density)
-    return float(radial * mode_l2 / (n - 1) ** 2)
+
+    def density(inv):
+        rho, k1 = inv.rho, inv.k1
+        return safe_power(k1, p - 2) * a_fun(rho) ** 2 * (
+            p * (p - 1) * lam**2 * rho**-4
+            - coeff_mid * k1**2 * lam * rho**-2
+            - (n - 1) ** 2 * (p - n) * (p - n + 1) * k1**4)
+
+    return profile.integrate(density) * mode_mean_sq / (n - 1) ** 2
 
 
 def stability_bound_integral(profile: RevolutionProfile, p: float, j: int = 1,
-                             amplitude=None, quad_nodes: int = 400) -> float:
+                             amplitude=None) -> float:
     """int {n(p-n) + p(6n-11) + 1} k1^{p+2} u^2 dV for the j>=1 comparison."""
     n = profile.n
-    mode_l2 = leaf_mode_l2(n, j)
+    mode_mean_sq = leaf_mode_l2(n, j) / sphere_area(n - 1)
     a_fun = (lambda rho: np.ones_like(rho)) if amplitude is None else amplitude
-    axis = gauss_axis(profile.rho_min, profile.rho_max, quad_nodes)
-    rho, wts = axis.nodes, axis.weights
-    inv = invariants(profile, rho)
     const = n * (p - n) + p * (6 * n - 11) + 1
-    radial = np.sum(wts * const * safe_power(inv.k1, p + 2) * a_fun(rho) ** 2
-                    * inv.area_density)
-    return float(radial * mode_l2)
+    return mode_mean_sq * profile.integrate(
+        lambda inv: const * safe_power(inv.k1, p + 2) * a_fun(inv.rho) ** 2)

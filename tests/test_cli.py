@@ -59,6 +59,13 @@ def test_profile_roundtrip_from_emitted_csv(tmp_path):
     assert np.max(np.abs(f_interp - orig[:, 1])) < 1e-9
 
 
+def test_profile_of_a_falling_slope_passes(tmp_path, capsys, monkeypatch):
+    # the closed form takes the sign of f0prime; it used to fail p=3 by 0.684
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"f0prime": -0.4, "p": [3]})))
+    assert main(["profile", "--config", "-", "--out-dir", str(tmp_path)]) == 0
+    assert "[PASS] p=3 ode_vs_closed_form" in capsys.readouterr().out
+
+
 def test_profile_rejects_degenerate_exponent(tmp_path):
     res = run_cli(["profile", "--out-dir", str(tmp_path)],
                   {"n": 2, "p": [1], "rho_max": 1.0})

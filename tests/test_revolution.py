@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from scipy import special
 
 from leafwise import revolution as rev
 from leafwise.errors import DomainError, PreconditionError
@@ -166,13 +167,32 @@ def test_closed_form_matches_ode():
         rho = np.linspace(0.4, min(prof.rho_max * 0.999, hi), 80)
         closed = rev.critical_closed_form(2, p, c1, 1.0, rho)
         assert np.max(np.abs(closed.f(rho) - prof.f(rho))) < 1e-6
-        # differentiating the quadrature solution satisfies the slope ODE
+        # differentiating the closed-form solution satisfies the slope ODE
         # (away from the vertical tangent, where f''' blows up)
         mid = rho[5 : len(rho) // 2]
         h = 1e-5
         y_num = (closed.f(mid + h) - closed.f(mid - h)) / (2 * h)
         resid = mid * closed.f2(mid) - (p - 1) * y_num * (1 + y_num**2)
         assert np.max(np.abs(resid)) < 1e-6
+
+
+def test_closed_form_takes_the_sign_of_the_slope():
+    # the ODE is odd in f', so a falling profile is the rising one mirrored
+    # about f0; the closed form used to take the rising branch whatever f0'
+    for p in range(2, 9):
+        prof = rev.critical_ode_solve(2, p, 0.4, 1.0, -0.4, (0.4, 3.0))
+        _, dev, resid = rev.compare_with_closed_form(prof, 160)
+        assert dev < 1e-6 and resid < 1e-8, (p, dev)
+    c1 = rev.fit_constants(2, 3, 0.4, -0.4)
+    rho = np.linspace(0.4, 0.6, 9)
+    up = rev.critical_closed_form(2, 3, c1, 1.0, rho)
+    down = rev.critical_closed_form(2, 3, c1, 1.0, rho, sign=-1)
+    np.testing.assert_allclose(down.f(rho) - 1.0, -(up.f(rho) - 1.0), rtol=0, atol=1e-15)
+    for name in ("f1", "f2", "f3"):
+        np.testing.assert_array_equal(getattr(down, name)(rho), -getattr(up, name)(rho))
+    for bad in (0, 2, 0.5):
+        with pytest.raises(DomainError, match="slope sign"):
+            rev.critical_closed_form(2, 3, c1, 1.0, rho, sign=bad)
 
 
 def test_closed_form_window_violation_reported():
@@ -188,6 +208,31 @@ def test_leaf_eigenvalues():
     assert rev.leaf_eigenvalue(3, 1) == 2.0  # lambda_1 = n-1 on S^{n-1}
     assert rev.leaf_eigenvalue(4, 2) == 8.0
     assert rev.leaf_eigenvalue(2, 3) == 9.0  # circle: j^2
+
+
+def test_mode_index_must_be_a_nonnegative_integer(critical_23):
+    for j in (-1, 1.5, 2.0, True):
+        with pytest.raises(DomainError, match="mode index"):
+            rev.leaf_eigenvalue(3, j)
+        with pytest.raises(DomainError, match="mode index"):
+            rev.leaf_mode_l2(3, j)
+        with pytest.raises(DomainError, match="mode index"):
+            rev.stability_bound_integral(critical_23, 3, j)
+        with pytest.raises(DomainError, match="mode index"):
+            rev.second_variation_revolution(critical_23, 3, j)
+    assert rev.leaf_mode_l2(3, np.int64(4)) == rev.leaf_mode_l2(3, 4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_zonal_mode_norm_matches_quadrature(n):
+    # Gauss-Legendre in the polar angle: C_j(cos t)^2 sin^(n-2) t is smooth
+    # on [0, pi], so 120 nodes reach rounding
+    xs, ws = np.polynomial.legendre.leggauss(120)
+    theta, wt = np.pi / 2 * (xs + 1), np.pi / 2 * ws
+    for j in range(3, 8):
+        zonal = special.eval_gegenbauer(j, (n - 2) / 2, np.cos(theta))
+        ref = rev.sphere_area(n - 2) * np.sum(wt * zonal**2 * np.sin(theta) ** (n - 2))
+        assert rev.leaf_mode_l2(n, j) == pytest.approx(ref, rel=1e-13, abs=0), (n, j)
 
 
 def test_second_variation_signs(critical_23):

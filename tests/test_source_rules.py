@@ -3,8 +3,11 @@ no LAPACK call (no numpy.linalg anywhere in the package), runtime domain
 checks raise errors instead of using assert statements, no module keeps a
 private helper that nothing calls, sympy's lambdify is reached only through
 ``suppliers.numpy_kernel``, so every compiled kernel calls sin, cos and exp
-through the shared wrappers, and grid quadrature weights are read only by
-``FoliatedPatch.integrate``, so every grid integral runs through it."""
+through the shared wrappers, grid quadrature weights are read only by
+``FoliatedPatch.integrate``, so every grid integral runs through it, and no
+module imports a scipy quadrature routine or reads quadrature weights outside
+``Grid.weights`` and the two integrators, so every integral along a profile
+runs through ``RevolutionProfile.integrate`` and the rest have closed forms."""
 
 import ast
 from pathlib import Path
@@ -117,27 +120,63 @@ def test_lambdify_only_inside_numpy_kernel():
     assert not found, found
 
 
-def _grid_weight_reads(tree: ast.AST, allowed: str | None) -> list:
-    """Lines that read ``<expr>.grid.weights`` outside the method ``allowed``,
-    named "Class.method"."""
+def _weight_reads(tree: ast.AST, allowed: set, grid_only: bool = False) -> list:
+    """Lines that read ``<expr>.weights`` (only ``<expr>.grid.weights`` if
+    ``grid_only``) outside the methods ``allowed``, named "Class.method"."""
     inside = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
               for fn in cls.body
-              if isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" == allowed
+              if isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" in allowed
               for node in ast.walk(fn)}
     return sorted({node.lineno for node in ast.walk(tree)
                    if id(node) not in inside and isinstance(node, ast.Attribute)
-                   and node.attr == "weights" and isinstance(node.value, ast.Attribute)
-                   and node.value.attr == "grid"})
+                   and node.attr == "weights"
+                   and (not grid_only or isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "grid")})
 
 
 def test_grid_weights_read_only_inside_patch_integrate():
     bad = ("class FoliatedPatch:\n    def integrate(self, fn):\n        return self.grid.weights\n"
            "\n    def other(self):\n        return self.grid.weights\n\n\n"
            "def total(patch):\n    return np.sum(patch.grid.weights)\n")
-    assert _grid_weight_reads(ast.parse(bad), "FoliatedPatch.integrate") == [6, 10]
-    assert _grid_weight_reads(ast.parse(bad), None) == [3, 6, 10]
+    assert _weight_reads(ast.parse(bad), {"FoliatedPatch.integrate"}, grid_only=True) == [6, 10]
+    assert _weight_reads(ast.parse(bad), set(), grid_only=True) == [3, 6, 10]
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
-             for line in _grid_weight_reads(
+             for line in _weight_reads(
                  ast.parse(path.read_text(), str(path)),
-                 "FoliatedPatch.integrate" if path.name == "patch.py" else None)]
+                 {"FoliatedPatch.integrate"} if path.name == "patch.py" else set(),
+                 grid_only=True)]
+    assert not found, found
+
+
+#: scipy.integrate's quadrature routines, past and present
+QUAD_ROUTINES = {"quad", "quad_vec", "dblquad", "tplquad", "nquad", "fixed_quad",
+                 "quadrature", "romberg", "qmc_quad"}
+
+#: the methods that may read quadrature weights, by module
+WEIGHT_READERS = {"patch.py": {"Grid.weights", "FoliatedPatch.integrate"},
+                  "revolution.py": {"RevolutionProfile.integrate"}}
+
+
+def _quad_uses(tree: ast.AST) -> list:
+    """Lines that import or name a scipy quadrature routine."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.alias)
+                   and node.name.rsplit(".", 1)[-1] in QUAD_ROUTINES
+                   or isinstance(node, ast.Attribute) and node.attr in QUAD_ROUTINES})
+
+
+def test_no_quad_and_weights_read_only_by_the_integrators():
+    bad = ("from scipy.integrate import quad, solve_ivp\nimport scipy.integrate\n\n\n"
+           "class RevolutionProfile:\n    def integrate(self, fn):\n"
+           "        return axis.weights\n\n\n"
+           "def norm(j):\n    axis = gauss_axis(0.0, pi, 200)\n"
+           "    return scipy.integrate.fixed_quad(f, 0, 1)[0] + np.sum(axis.weights)\n")
+    tree = ast.parse(bad)
+    assert _quad_uses(tree) == [1, 12]
+    assert _weight_reads(tree, WEIGHT_READERS["revolution.py"]) == [12]
+    assert _weight_reads(tree, set()) == [7, 12]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for tree in [ast.parse(path.read_text(), str(path))]
+             for line in _quad_uses(tree) + _weight_reads(
+                 tree, WEIGHT_READERS.get(path.name, set()))]
     assert not found, found
