@@ -26,7 +26,7 @@ print(f"  shape-operator law A_F -> (A_F - <grad mu, N>/mu)/mu with mu = |x|^-2:
 print("\numbilic leaves kill the density identically:")
 prof = rev.critical_ode_solve(3, 4, 0.4, 1.0, 0.4, (0.4, 0.6))
 rpatch = rev.revolution_patch(prof, m_leaf=10, m_profile=8, rho_window=(0.45, 0.55))
-x = rpatch.grid.points[::7]
-dens = fl.conformal_density(rpatch, 2, x, rpatch.n, rpatch.s)
+geo = rpatch.geometry(rpatch.grid.points[::7])
+dens = fl.integrand(fl.w_conf(2), geo, rpatch.n, rpatch.s) * geo.sqrt_det_g
 print(f"  revolution hypersurface in R^4, sphere parallels: max density "
       f"{np.max(np.abs(dens)):.2e}")

@@ -181,6 +181,8 @@ def _check_functional(cfg) -> None:
         if set(cfg) - {"kind", name} or not _is_number(value):
             raise ValidationError(
                 f"a {cfg['kind']} functional takes \"kind\" and a numeric {name!r} only")
+        if name in INTEGER_SETTINGS and name in cfg:
+            cfg[name] = _integers(value, INTEGER_SETTINGS[name], f"functional {name!r}")
 
 
 def build_surface(cfg: dict):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -51,9 +52,9 @@ from .patch import FoliatedPatch, PointGeometry
 from .revolution import RevolutionProfile, invariants
 from .suppliers import InvertedImmersion, ScaledImmersion
 from .symfunc import (
-    POWER_EPS,
     newton_weights,
     q_r_from_sigma,
+    q_r_partials,
     safe_power,
     sigma_all,
     umbilic_power,
@@ -76,7 +77,7 @@ class FunctionalSpec:
     ``f_partials`` returning the (M, s) array of partial derivatives.  For
     WF_of_HF supply scalar callables ``f``, ``f1``, ``f2``.  For WF_HK
     supply ``f``, ``f_h``, ``f_k`` of (H_F, K_F).  W_nps/J_nps use ``p``
-    and W_conf uses ``r``.
+    and W_conf its conformal order ``r``, an integer 1 <= r <= s.
     """
 
     kind: str
@@ -96,11 +97,10 @@ class FunctionalSpec:
             raise SpecError(f"{self.kind} needs the exponent p")
         if self.p is not None and not np.isfinite(self.p):
             raise SpecError(f"the exponent p must be finite, got {self.p}")
-        if self.kind == "W_conf":
-            if self.r is None:
-                raise SpecError("W_conf needs the conformal order r")
-            if self.r != 2:
-                raise SpecError("variational formulas are implemented for r = 2 only")
+        if self.kind == "W_conf" and not (
+                isinstance(self.r, Integral) and not isinstance(self.r, bool) and self.r >= 1):
+            raise SpecError(f"W_conf needs a conformal order r that is an integer >= 1, "
+                            f"got {self.r!r}")
         if self.kind in ("WF", "JF") and (self.f is None or self.f_partials is None):
             raise SpecError(f"{self.kind} needs f and f_partials")
         if self.kind == "WF_of_HF" and (self.f is None or self.f1 is None):
@@ -109,14 +109,16 @@ class FunctionalSpec:
             raise SpecError("WF_HK needs f, f_h and f_k")
         self._spot_check_partials()
 
-    def _spot_check_partials(self, tol: float = 1e-6):
-        """Central differences of the lowered F against its partials, on a
-        leaf spectrum probe at every s = 1..4 the functional is defined for."""
+    def _spot_check_partials(self):
+        """Central differences of the lowered F against its partials at every
+        s = 1..max(4, r) F is defined for, on leaf eigenvalues near 0.5 but the
+        last 0.4 s higher, where every Q_r, r >= 2, is positive."""
         rng = np.random.default_rng(0)
-        eps = 1e-6
+        eps, tol = 1e-6, 1e-6
         validated = False
-        for s in (1, 2, 3, 4):
-            eigs = 0.5 + 0.1 * rng.standard_normal((4, s))
+        for s in range(1, 1 + max(4, self.r if self.kind == "W_conf" else 0)):
+            eigs = 0.5 + 0.01 * rng.standard_normal((4, s))
+            eigs[:, -1] += 0.4 * s
             spectra = {"sigma": sigma_all(eigs),
                        "tau": np.sum(eigs[:, :, None] ** np.arange(s + 2), axis=1)}
             try:
@@ -192,16 +194,16 @@ def _lower(spec: FunctionalSpec, n: int, s: int):
         return ("sigma", (1, 2), lambda q: f(q[:, 1] / 2, q[:, 2]),
                 lambda q: (0.5 * f_h(q[:, 1] / 2, q[:, 2]), f_k(q[:, 1] / 2, q[:, 2])), None)
     if kind == "W_conf":
-        if spec.r > s:
-            raise SpecError(f"conformal order r={spec.r} exceeds s={s}")
+        r = spec.r
+        if r > s:
+            raise SpecError(f"conformal order r={r} exceeds s={s}")
 
         def partials(q):
-            # dQ_2/dsigma_1 = 2 sigma_1 / s^2, dQ_2/dsigma_2 = -2 / (s (s-1))
-            c = (n / 2.0) * umbilic_power(q_r_from_sigma(q, 2, s), n / 2.0 - 1.0)
-            return 2.0 * c * q[:, 1] / s**2, -2.0 * c / (s * (s - 1))
+            c = (n / r) * umbilic_power(q_r_from_sigma(q, r, s), n / r - 1.0)
+            return tuple(c * dq for dq in q_r_partials(q, r, s))
 
-        return ("sigma", (1, 2), lambda q: umbilic_power(q_r_from_sigma(q, 2, s), n / 2.0),
-                partials, None)
+        return ("sigma", tuple(range(1, r + 1)),
+                lambda q: umbilic_power(q_r_from_sigma(q, r, s), n / r), partials, None)
     if kind == "J_nps":
         p = spec.p
         return ("tau", (2,), lambda q: safe_power(q[:, 2], p / 2.0),
@@ -257,18 +259,15 @@ def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
 
 
 def first_variation_numeric(spec: FunctionalSpec, patch: FoliatedPatch,
-                            u: ScalarField,
-                            t_steps=DEFAULT_T_LADDER) -> float:
-    """Independent oracle: central difference of evaluate() over r + t*u*N,
-    Richardson-extrapolated over the two smallest steps."""
+                            u: ScalarField) -> float:
+    """Independent oracle: central difference of evaluate() over r + t*u*N on
+    DEFAULT_T_LADDER, Richardson-extrapolated over its two smallest steps."""
     vals = []
-    for t in t_steps:
+    for t in DEFAULT_T_LADDER:
         wp = evaluate(spec, deformed_patch(patch, u, +t))
         wm = evaluate(spec, deformed_patch(patch, u, -t))
         vals.append((wp - wm) / (2.0 * t))
-    if len(vals) == 1:
-        return float(vals[0])
-    return float(richardson(vals, list(t_steps)))
+    return float(richardson(vals, DEFAULT_T_LADDER))
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +360,11 @@ def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) ->
 
 
 def second_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch, u,
-                              residual_tol: float = 1e-6,
                               allow_constant_residual: bool = False,
                               residual_fd_step: float = 1e-3) -> float:
     """Second variation at a critical patch: max |el_residual| must stay below
-    ``residual_tol``, taken about its mean with ``allow_constant_residual`` (R
-    constant is the volume-constrained critical condition).
+    1e-6, taken about its mean with ``allow_constant_residual`` (R constant is
+    the volume-constrained critical condition).
 
     The quadratic form is that of F = F(H_F)-type functionals (W_nps and
     WF_of_HF) on foliations without mixed curvature: a patch whose max
@@ -388,9 +386,9 @@ def second_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch, u,
             f"second variation needs h_mix = 0: max |h_mix|^2 {mix:.3e} > 1e-12 max |h|^2")
     res = el_residual(spec, patch, fd_step=residual_fd_step)
     res_scale = float(np.max(np.abs(res - np.mean(res) if allow_constant_residual else res)))
-    if res_scale > residual_tol:
+    if res_scale > 1e-6:
         raise PreconditionError(
-            f"surface is not critical: max residual {res_scale:.3e} > {residual_tol:.1e}")
+            f"surface is not critical: max residual {res_scale:.3e} > 1e-6")
     fprime_field = _derived_scalar(patch, lambda g: f1(g.h_f_mean))
 
     def density(geo):
@@ -428,47 +426,32 @@ def second_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch, u,
 # conformal invariance
 
 
-def conformal_density(patch_like, r: int, x: np.ndarray, n: int, s: int,
-                      supplier=None) -> np.ndarray:
-    """(Q_r)^{n/r} sqrt(det g) at given parameter points."""
-    patch = patch_like if supplier is None else replace(patch_like, supplier=supplier)
-    return _conformal_density_of(patch.geometry(x), r, n, s)
-
-
-def _conformal_density_of(geo: PointGeometry, r: int, n: int, s: int) -> np.ndarray:
-    q = q_r_from_sigma(geo.sigma, r, s)
-    if r % 2 == 1 and np.any(q < -POWER_EPS):
-        raise DomainError("odd-order conformal density needs a positive Q_r")
-    return umbilic_power(np.abs(q), n / r) * geo.sqrt_det_g
-
-
 def conformal_density_check(patch: FoliatedPatch, r: int = 2,
-                            mode: str = "inversion", scale: float = 2.0,
-                            x: np.ndarray | None = None) -> dict:
-    """Invariance of (Q_r)^{n/r} sqrt(det g) under an ambient conformal map.
+                            mode: str = "inversion", scale: float = 2.0) -> dict:
+    """Invariance of the W_conf density Q_r^{n/r} sqrt(det g) under an ambient
+    conformal map, at every max(1, N // 64)-th of the N grid points.
 
     mode 'scaling' applies x -> scale * x; mode 'inversion' applies the
-    Möbius inversion x -> x/|x|^2 (the patch must avoid the origin).  For
-    the inversion the shape-operator transformation law with conformal
-    factor mu = |x|^{-2} is verified as well; the image normal is matched
-    up to the overall sign of the transported orientation.
+    Möbius inversion x -> x/|x|^2 (the patch must avoid the origin), which
+    reverses orientation, so its image takes the opposite ``normal_orientation``
+    and the shape-operator law with conformal factor mu = |x|^{-2} is verified.
     """
     if r > patch.s:
         raise DomainError(f"conformal order r={r} exceeds leaf dimension s={patch.s}")
     if mode == "scaling":
-        image_supplier = ScaledImmersion(patch.supplier, scale)
+        image = replace(patch, supplier=ScaledImmersion(patch.supplier, scale))
     elif mode == "inversion":
-        image_supplier = InvertedImmersion(patch.supplier)
+        image = replace(patch, supplier=InvertedImmersion(patch.supplier),
+                        normal_orientation=-patch.normal_orientation)
     else:
         raise DomainError(f"unknown conformal mode {mode!r}")
-    if x is None:
-        pts = patch.grid.points
-        x = pts[:: max(1, pts.shape[0] // 64)]
-    geo = patch.geometry(x)
-    geo_img = replace(patch, supplier=image_supplier).geometry(x)
-    base = _conformal_density_of(geo, r, patch.n, patch.s)
-    image = _conformal_density_of(geo_img, r, patch.n, patch.s)
-    rel = np.max(np.abs(image - base) / np.maximum(np.abs(base), 1e-300))
+    pts = patch.grid.points
+    x = pts[:: max(1, pts.shape[0] // 64)]
+    spec = w_conf(r)
+    geo, geo_img = patch.geometry(x), image.geometry(x)
+    base, dens_img = (integrand(spec, g, patch.n, patch.s) * g.sqrt_det_g
+                      for g in (geo, geo_img))
+    rel = np.max(np.abs(dens_img - base) / np.maximum(np.abs(base), 1e-300))
     dev = 0.0
     if mode == "inversion":
         # shape operator law: A_F^c = (1/mu)(A_F - (1/mu) <grad mu, N> id)
@@ -478,8 +461,7 @@ def conformal_density_check(patch: FoliatedPatch, r: int = 2,
         grad_mu = -2.0 * pos / w[:, None] ** 2
         mu_n = np.einsum("pa,pa->p", grad_mu, geo.normal)
         expected = (geo.a_leaf - (mu_n / mu)[:, None, None] * np.eye(patch.s)) / mu[:, None, None]
-        got = geo_img.a_leaf
-        dev = min(float(np.max(np.abs(got - expected))), float(np.max(np.abs(got + expected))))
+        dev = float(np.max(np.abs(geo_img.a_leaf - expected)))
     return {"mode": mode, "max_rel_deviation": float(rel), "shape_law_deviation": dev}
 
 

@@ -230,11 +230,9 @@ def leaf_laplacian(patch: FoliatedPatch, u: ScalarField, x: np.ndarray,
     return laplacian_leaf(geo, du, d2u)
 
 
-def hessians(patch: FoliatedPatch, u: ScalarField, x: np.ndarray,
-             geo: PointGeometry | None = None):
+def hessians(patch: FoliatedPatch, u: ScalarField, x: np.ndarray):
     """(full Hessian, leaf-intrinsic Hessian, mixed frame block) of u."""
-    if geo is None:
-        geo = patch.geometry(x)
+    geo = patch.geometry(x)
     _, du, d2u = u.jets(x)
     return (
         hessian_full(geo, du, d2u),

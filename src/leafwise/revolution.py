@@ -463,19 +463,19 @@ def leaf_mode_l2(n: int, j: int) -> float:
 
 
 def second_variation_revolution(profile: RevolutionProfile, p: float, j: int,
-                                amplitude=None, residual_tol: float = 1e-6) -> float:
+                                amplitude=None) -> float:
     """Second variation of the parallel-mean-curvature energy at a critical
     revolution profile, for u = a(rho) * (lambda_j leaf eigenfunction).
 
     Uses the pointwise reduction Delta_F u = -lambda_j rho^{-2} u and the
     warped-product volume splitting; requires the profile to be critical
-    (algebraic residual below residual_tol).
+    (algebraic residual below 1e-6).
     """
     n = profile.n
     res = float(np.max(criticality_residual(profile, profile.sample(), p)))
-    if res > residual_tol:
+    if res > 1e-6:
         raise PreconditionError(
-            f"profile is not critical for p={p}: residual {res:.3e} > {residual_tol:.1e}")
+            f"profile is not critical for p={p}: residual {res:.3e} > 1e-6")
     lam = leaf_eigenvalue(n, j)
     mode_mean_sq = leaf_mode_l2(n, j) / sphere_area(n - 1)
     a_fun = (lambda rho: np.ones_like(rho)) if amplitude is None else amplitude
@@ -491,12 +491,10 @@ def second_variation_revolution(profile: RevolutionProfile, p: float, j: int,
     return profile.integrate(density) * mode_mean_sq / (n - 1) ** 2
 
 
-def stability_bound_integral(profile: RevolutionProfile, p: float, j: int = 1,
-                             amplitude=None) -> float:
-    """int {n(p-n) + p(6n-11) + 1} k1^{p+2} u^2 dV for the j>=1 comparison."""
+def stability_bound_integral(profile: RevolutionProfile, p: float, j: int = 1) -> float:
+    """int {n(p-n) + p(6n-11) + 1} k1^{p+2} u^2 dV for the j>=1 comparison, u
+    the leaf mode j of unit amplitude."""
     n = profile.n
     mode_mean_sq = leaf_mode_l2(n, j) / sphere_area(n - 1)
-    a_fun = (lambda rho: np.ones_like(rho)) if amplitude is None else amplitude
     const = n * (p - n) + p * (6 * n - 11) + 1
-    return mode_mean_sq * profile.integrate(
-        lambda inv: const * safe_power(inv.k1, p + 2) * a_fun(inv.rho) ** 2)
+    return mode_mean_sq * profile.integrate(lambda inv: const * safe_power(inv.k1, p + 2))

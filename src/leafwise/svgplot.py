@@ -8,10 +8,9 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf")
 
 
-def svg_line_plot(series, path, title="", xlabel="", ylabel="",
-                  width=700, height=500):
-    """Write an SVG overlay plot of (label, x, y) series."""
-    margin = 60
+def svg_line_plot(series, path, title="", xlabel="", ylabel=""):
+    """Write a 700 x 500 SVG overlay plot of (label, x, y) series."""
+    width, height, margin = 700, 500, 60
     xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     x0, x1 = float(xs.min()), float(xs.max())

@@ -272,10 +272,9 @@ def _grid_order(case, patch, u, f, x, geo, analytic_ref, grid_levels):
     return estimate_order(errs, steps)
 
 
-def transversal_harmonicity_norm(patch: FoliatedPatch, points=None) -> float:
-    """max |(div P) o P| over sample points (0 iff transversally harmonic)."""
-    x = _sample_points(patch, 24) if points is None else points
-    dp_p, _ = div_projector(patch, x)
+def transversal_harmonicity_norm(patch: FoliatedPatch) -> float:
+    """max |(div P) o P| over 24 sample points (0 iff transversally harmonic)."""
+    dp_p, _ = div_projector(patch, _sample_points(patch, 24))
     return float(np.max(np.abs(dp_p)))
 
 

@@ -27,12 +27,11 @@ def deformed_patch(patch: FoliatedPatch, u: ScalarField, t: float) -> FoliatedPa
     return replace(patch, supplier=supplier, name=f"{patch.name}+t*u*N")
 
 
-def random_trig_variation(n: int, rng, amplitude: float = 1.0,
-                          n_modes: int = 3) -> ScalarField:
-    """Random smooth 2pi-periodic amplitude with analytic jets."""
-    ks = rng.integers(-2, 3, size=(n_modes, n))
-    coefs = amplitude * rng.normal(size=n_modes) / n_modes
-    phases = rng.uniform(0, 2 * np.pi, size=n_modes)
+def random_trig_variation(n: int, rng, amplitude: float = 1.0) -> ScalarField:
+    """Random smooth 2pi-periodic amplitude with analytic jets, three cosine modes."""
+    ks = rng.integers(-2, 3, size=(3, n))
+    coefs = amplitude * rng.normal(size=3) / 3
+    phases = rng.uniform(0, 2 * np.pi, size=3)
 
     def u(x):
         acc = np.zeros(x.shape[0])

@@ -199,6 +199,8 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                          ("profile", {"n": 2.5}), ("profile", {"samples": 0}),
                          ("profile", {"p": []}), ("secondvar", {"modes": [1.5]}),
                          ("secondvar", {"n": 0}), ("confcheck", {"r": 2.5}),
+                         ("eval", {"functional": {"kind": "W_conf", "r": 2.5}}),
+                         ("eval", {"functional": {"kind": "W_conf", "r": 0}}),
                          ("varcheck", {"seed": 1.5}), ("varcheck", {"seed": -1}),
                          ("elcheck", {"profile": {**DEFAULTS["elcheck"]["profile"],
                                                   "n": 2.5}}),

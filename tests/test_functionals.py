@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from leafwise import catalog, functionals as fl, revolution as rev
 from leafwise.errors import DomainError, PreconditionError, SpecError, ValidationError
 from leafwise.operators import ScalarField
+from leafwise.suppliers import InvertedImmersion
 from leafwise.symfunc import q_r_from_sigma, umbilic_power
 from leafwise.variation import random_trig_variation
 
@@ -430,14 +432,50 @@ def test_inversion_invariance(sheared4):
 def test_umbilic_leaves_zero_density():
     prof = rev.critical_ode_solve(3, 4, 0.4, 1.0, 0.4, (0.4, 0.6))
     patch = rev.revolution_patch(prof, m_leaf=10, m_profile=8, rho_window=(0.45, 0.55))
+    image = replace(patch, supplier=InvertedImmersion(patch.supplier),
+                    normal_orientation=-patch.normal_orientation)
     x = patch.grid.points[::11]
-    base = fl.conformal_density(patch, 2, x, patch.n, patch.s)
-    assert np.max(np.abs(base)) < 1e-12
-    from leafwise.suppliers import InvertedImmersion
+    for surface, tol in ((patch, 1e-12), (image, 1e-10)):
+        geo = surface.geometry(x)
+        density = fl.integrand(fl.w_conf(2), geo, patch.n, patch.s) * geo.sqrt_det_g
+        assert np.max(np.abs(density)) < tol
 
-    image = fl.conformal_density(patch, 2, x, patch.n, patch.s,
-                                 supplier=InvertedImmersion(patch.supplier))
-    assert np.max(np.abs(image)) < 1e-10
+
+@pytest.fixture(scope="module")
+def tube4_s3():
+    # the leaf is the whole tube; Q_3 lies in [0.088, 0.786] on this grid
+    return replace(catalog.tube4(m_polar=8, m_azimuth=10, m_profile=10), s=3)
+
+
+def test_w_conf_3_first_variation_and_inversion(tube4_s3):
+    spec = fl.w_conf(3)
+    u = ScalarField.from_callable(
+        lambda x: np.cos(x[:, 2]) + 0.5 * np.cos(x[:, 0]) * np.sin(x[:, 2])
+        + 0.3 * np.sin(2 * x[:, 2]), n=3)
+    analytic = fl.first_variation_analytic(spec, tube4_s3, u)
+    numeric = fl.first_variation_numeric(spec, tube4_s3, u)
+    assert abs(analytic - numeric) < 1e-8 * abs(numeric)
+    assert abs(numeric) > 1.0
+    # x -> x/|x|^2 reverses orientation, so the image takes the opposite one
+    image = replace(tube4_s3, supplier=InvertedImmersion(tube4_s3.supplier),
+                    normal_orientation=-tube4_s3.normal_orientation)
+    value = fl.evaluate(spec, tube4_s3)
+    assert fl.evaluate(spec, image) == pytest.approx(value, rel=1e-12, abs=0)
+    res = fl.conformal_density_check(tube4_s3, r=3, mode="inversion")
+    assert res["max_rel_deviation"] < 1e-6
+    assert res["shape_law_deviation"] < 1e-6
+
+
+def test_w_conf_partials_validate_at_every_order():
+    # the spot check probes s = 1..max(4, r), so r = 5, 6 validate too
+    for r in range(1, 7):
+        assert fl.w_conf(r).r == r
+
+
+@pytest.mark.parametrize("r", [0, 2.5, True, None])
+def test_w_conf_refuses_an_order_that_is_not_a_count(r):
+    with pytest.raises(SpecError, match="integer >= 1"):
+        fl.FunctionalSpec(kind="W_conf", r=r)
 
 
 @pytest.mark.parametrize("surface", [

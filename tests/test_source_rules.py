@@ -7,7 +7,9 @@ through the shared wrappers, grid quadrature weights are read only by
 ``FoliatedPatch.integrate``, so every grid integral runs through it, and no
 module imports a scipy quadrature routine or reads quadrature weights outside
 ``Grid.weights`` and the two integrators, so every integral along a profile
-runs through ``RevolutionProfile.integrate`` and the rest have closed forms."""
+runs through ``RevolutionProfile.integrate`` and the rest have closed forms,
+and only ``functionals._lower`` reads Q_r and its partials, so the conformal
+density Q_r^{n/r} has one definition."""
 
 import ast
 from pathlib import Path
@@ -179,4 +181,33 @@ def test_no_quad_and_weights_read_only_by_the_integrators():
              for tree in [ast.parse(path.read_text(), str(path))]
              for line in _quad_uses(tree) + _weight_reads(
                  tree, WEIGHT_READERS.get(path.name, set()))]
+    assert not found, found
+
+
+#: the symfunc kernels of Q_r, which only ``functionals._lower`` may read
+Q_R_KERNELS = {"q_r_from_sigma", "q_r_partials"}
+
+
+def _q_r_reads(tree: ast.AST, allowed: str | None) -> list:
+    """Lines that read a Q_r kernel (a call, or a name or attribute that could
+    be called later) outside the module-level function ``allowed``; imports
+    and definitions are not reads."""
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == allowed
+              for node in ast.walk(fn)}
+    return sorted({node.lineno for node in ast.walk(tree) if id(node) not in inside
+                   and (isinstance(node, ast.Name) and node.id in Q_R_KERNELS
+                        or isinstance(node, ast.Attribute) and node.attr in Q_R_KERNELS)})
+
+
+def test_q_r_read_only_inside_lower():
+    bad = ("from .symfunc import q_r_from_sigma, q_r_partials\n\n\n"
+           "def _lower(q, r, s):\n    return q_r_from_sigma(q, r, s), q_r_partials(q, r, s)\n\n\n"
+           "def density(q, r, s):\n    return abs(q_r_from_sigma(q, r, s))\n\n\n"
+           "grads = symfunc.q_r_partials\n")
+    assert _q_r_reads(ast.parse(bad), "_lower") == [9, 12]
+    assert _q_r_reads(ast.parse(bad), None) == [5, 9, 12]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _q_r_reads(ast.parse(path.read_text(), str(path)),
+                                    "_lower" if path.name == "functionals.py" else None)]
     assert not found, found

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from leafwise.errors import DomainError
-from leafwise.symfunc import newton_weights, q_r_from_sigma, sigma_all, sigma_from_traces
+from leafwise.symfunc import (
+    newton_weights,
+    q_r_from_sigma,
+    q_r_partials,
+    sigma_all,
+    sigma_from_traces,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -219,11 +225,37 @@ def test_q_r_from_traceless_part():
                                        -sigma_b[:, r] / comb(s, r), rtol=0, atol=1e-10)
 
 
+def test_q_r_partials_match_central_differences():
+    eps = 1e-6
+    for s in (2, 3, 4, 5):
+        sigma = sigma_all(RNG.normal(size=(6, s)))
+        for r in range(1, s + 1):
+            grads = q_r_partials(sigma, r, s)
+            assert len(grads) == r
+            for j, grad in enumerate(grads, start=1):
+                bump = np.zeros_like(sigma)
+                bump[:, j] = eps
+                fd = (q_r_from_sigma(sigma + bump, r, s)
+                      - q_r_from_sigma(sigma - bump, r, s)) / (2 * eps)
+                np.testing.assert_allclose(grad, fd, rtol=0,
+                                           atol=1e-8 * max(1.0, np.max(np.abs(fd))))
+
+
+def test_q2_partials_are_the_closed_forms():
+    # dQ_2/dsigma_1 = 2 sigma_1 / s^2, dQ_2/dsigma_2 = -2 / (s (s - 1))
+    for s in (2, 3, 4):
+        sigma = sigma_all(RNG.normal(size=(6, s)))
+        d1, d2 = q_r_partials(sigma, 2, s)
+        np.testing.assert_allclose(d1, 2 * sigma[:, 1] / s**2, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(d2, np.full(6, -2 / (s * (s - 1))), rtol=1e-15, atol=0)
+
+
 def test_domain_errors():
     sigma = sigma_all(np.array([[1.0, 2.0]]))
     for r in (0, 3):
-        with pytest.raises(DomainError):
-            q_r_from_sigma(sigma, r, 2)
+        for fn in (q_r_from_sigma, q_r_partials):
+            with pytest.raises(DomainError):
+                fn(sigma, r, 2)
 
 
 def test_exports_resolve_and_scalar_spectrum_api_is_gone():
