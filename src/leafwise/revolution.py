@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 from math import comb, gamma as gamma_fn, pi
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import beta, betainc, poch
 
 from .errors import DomainError, PreconditionError
 from .operators import ScalarField
 from .patch import FoliatedPatch, Grid, check_count, gauss_axis, periodic_axis
-from .suppliers import AnalyticSupplier, Jets, numpy_kernel
+from .suppliers import AnalyticSupplier, Jets, derivative, numpy_kernel
 from .catalog import sphere_exprs
 from .symfunc import safe_power
 
@@ -153,6 +151,8 @@ def critical_ode_solve(n: int, p: float, rho0: float, f0: float, f0prime: float,
     stops at a vertical tangent (|y| = VERTICAL_SLOPE) and the profile is
     truncated there, with the location reported in meta.
     """
+    from scipy.integrate import solve_ivp
+
     lo, hi = float(rho_range[0]), float(rho_range[1])
     if lo <= 0:
         raise DomainError("rho range must exclude 0")
@@ -268,6 +268,8 @@ def critical_closed_form(n: int, p: float, c1: float, c2: float,
     With v = t^a / C1 the integral from 0 is C1^{1/a}/a B(v; 1/2 + 1/a, 1/2),
     the incomplete beta function (DLMF 8.17).
     """
+    from scipy.special import beta, betainc
+
     if sign not in (1, -1):
         raise DomainError(f"slope sign must be +1 or -1, got {sign!r}")
     rho_grid = np.asarray(rho_grid, dtype=float)
@@ -333,9 +335,9 @@ def profile_from_sympy(n: int, expr, symbol, rho_range, p: float | None = None,
     """Closed-form profile (hemisphere, cone, catenoid-like, ...)."""
     import sympy as sp
 
-    fs = [expr]
+    fs, memo = [sp.sympify(expr)], {}
     for _ in range(3):
-        fs.append(sp.diff(fs[-1], symbol))
+        fs.append(derivative(fs[-1], symbol, memo))
     f, f1, f2, f3 = (numpy_kernel([symbol], e) for e in fs)
     return RevolutionProfile(n=n, f=f, f1=f1, f2=f2, f3=f3, rho_min=rho_range[0],
                              rho_max=rho_range[1], p=p, meta=meta)
@@ -456,6 +458,8 @@ def leaf_mode_l2(n: int, j: int) -> float:
         # representative x1*x2; moment int x1^2 x2^2 = area / (n (n+2))
         return area / (n * (n + 2))
     # norm of the Gegenbauer C_j^alpha(cos theta) over the polar angle (DLMF 18.3)
+    from scipy.special import poch
+
     alpha = (n - 2) / 2.0
     norm = 2.0 ** (1 - 2 * alpha) * pi * poch(j + 1, 2 * alpha - 1) / (
         (j + alpha) * gamma_fn(alpha) ** 2)

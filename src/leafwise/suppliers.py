@@ -8,6 +8,15 @@ the finite-difference supplier wraps any callable.  Derived suppliers build
 normal deformations r + t*u*N, ambient homotheties and Möbius inversions
 on top of a base supplier.
 
+The derivative expressions come from ``derivative``, a chain rule over the
+sympy expression tree that follows sympy's own rules for Add, Mul, Pow and
+elementary functions and hands any other node to ``sp.diff``.  One memo
+{(subexpression, symbol): derivative} serves a whole supplier build, so a
+subexpression that several components and derivative orders share is
+differentiated once, and no ``Derivative`` object or assumption query is
+made on the way; the expressions are == to sp.diff's, so the printed
+kernels are the same.
+
 The derivative kernels of one immersion repeat the same few coordinate
 functions: every kernel of a sphere or torus chart takes sin and cos of
 its coordinates.  Kernels therefore call ``sin``, ``cos`` and ``exp``
@@ -33,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+from sympy.core.function import ArgumentIndexError
 from sympy.printing.numpy import NumPyPrinter
 
 from .errors import DomainError, SingularImmersionError
@@ -100,24 +110,75 @@ def numpy_kernel(args, expr):
     return kernel
 
 
+def derivative(expr, x, memo: dict):
+    """d expr / d x for a sympy expression and symbol, equal (==) to
+    ``sp.diff(expr, x)``, by the chain rule over the expression tree with
+    each (subexpression, x) differentiated once per ``memo``.
+
+    The rules are sp.diff's own: Add term by term, Mul by the n = 1 Leibniz
+    rule of ``Mul._eval_derivative_n_times``, Pow as
+    e (d(p) log b + d(b) p / b), and a function that keeps
+    ``Function._eval_derivative`` (sin, cos, exp, log, atan2, ...) as the sum
+    of fdiff(i) d(a_i) over the arguments whose derivative is not zero.  Any
+    other node (Abs, Piecewise, a function with its own rule) goes to
+    sp.diff.  sp.diff builds a ``Derivative`` at every level of the tree and
+    queries assumptions on each; this builds none.
+    """
+    key = (expr, x)
+    if key in memo:
+        return memo[key]
+    args = expr.args
+    if x not in expr.free_symbols:
+        d = sp.S.Zero
+    elif expr == x:
+        d = sp.S.One
+    elif isinstance(expr, sp.Add):
+        d = expr.func(*[derivative(a, x, memo) for a in args])
+    elif isinstance(expr, sp.Mul):
+        d = sp.Add(*[sp.Mul(*(args[:i] + (derivative(a, x, memo),) + args[i + 1:]))
+                     for i, a in enumerate(args)])
+    elif isinstance(expr, sp.Pow):
+        b, p = args
+        d = expr * (derivative(p, x, memo) * sp.log(b) + derivative(b, x, memo) * p / b)
+    elif (isinstance(expr, sp.Function)
+          and type(expr)._eval_derivative is sp.Function._eval_derivative):
+        terms = []
+        for i, a in enumerate(args, 1):
+            da = derivative(a, x, memo)
+            if not da.is_zero:
+                try:
+                    df = expr.fdiff(i)
+                except ArgumentIndexError:
+                    df = sp.Function.fdiff(expr, i)
+                terms.append(df * da)
+        d = sp.Add(*terms)
+    else:
+        d = sp.diff(expr, x)
+    memo[key] = d
+    return d
+
+
 class AnalyticSupplier:
     """Closed-form jets compiled from sympy component expressions.
 
     One kernel per component a and sorted derivative index idx of order 0..3,
     kept in one table {(a, idx): kernel}; jets() fills every permutation of idx,
     with sin, cos and exp of each coordinate column computed once per call.
+    The derivative expressions come from ``derivative`` with one memo for the
+    whole build.
     """
 
     def __init__(self, coords, exprs):
         self.n = len(coords)
         self.m = len(exprs)
         self._kernels = {}
+        memo = {}
         for a, expr in enumerate(exprs):
             derivs = {(): sp.sympify(expr)}
             for k in range(4):
                 for idx in itertools.combinations_with_replacement(range(self.n), k):
                     if k:
-                        derivs[idx] = sp.diff(derivs[idx[:-1]], coords[idx[-1]])
+                        derivs[idx] = derivative(derivs[idx[:-1]], coords[idx[-1]], memo)
                     self._kernels[a, idx] = numpy_kernel(coords, derivs[idx])
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
 from scipy import special
 
+import leafwise
 from leafwise import revolution as rev
 from leafwise.errors import DomainError, PreconditionError
 
@@ -12,6 +18,19 @@ RHO = sp.Symbol("rho")
 @pytest.fixture(scope="module")
 def critical_23():
     return rev.critical_ode_solve(2, 3, 0.4, 1.0, 0.4, (0.4, 0.62))
+
+
+def test_import_loads_no_scipy():
+    # scipy loads only with the ODE, closed-form and leaf-mode-norm functions
+    src = str(Path(leafwise.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, leafwise\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2.5])

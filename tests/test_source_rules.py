@@ -9,7 +9,9 @@ module imports a scipy quadrature routine or reads quadrature weights outside
 ``Grid.weights`` and the two integrators, so every integral along a profile
 runs through ``RevolutionProfile.integrate`` and the rest have closed forms,
 and only ``functionals._lower`` reads Q_r and its partials, so the conformal
-density Q_r^{n/r} has one definition."""
+density Q_r^{n/r} has one definition, and sympy's diff is called only by
+``suppliers.derivative``, so every symbolic derivative goes through its
+memoised chain rule."""
 
 import ast
 from pathlib import Path
@@ -210,4 +212,33 @@ def test_q_r_read_only_inside_lower():
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _q_r_reads(ast.parse(path.read_text(), str(path)),
                                     "_lower" if path.name == "functionals.py" else None)]
+    assert not found, found
+
+
+def _sympy_diff_uses(tree: ast.AST, allowed: str | None) -> list:
+    """Lines that name sympy's diff (``<name>.diff`` on any name but numpy's,
+    or ``diff`` imported from sympy) outside the module-level function
+    ``allowed``."""
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == allowed
+              for node in ast.walk(fn)}
+    return sorted({node.lineno for node in ast.walk(tree) if id(node) not in inside
+                   and (isinstance(node, ast.Attribute) and node.attr == "diff"
+                        and not (isinstance(node.value, ast.Name)
+                                 and node.value.id in ("np", "numpy"))
+                        or isinstance(node, ast.ImportFrom)
+                        and (node.module or "").split(".")[0] == "sympy"
+                        and any(a.name == "diff" for a in node.names))})
+
+
+def test_sympy_diff_only_inside_derivative():
+    bad = ("import numpy as np\nimport sympy\nimport sympy as sp\nfrom sympy import diff\n\n\n"
+           "def derivative(expr, x, memo):\n    return sp.diff(expr, x)\n\n\n"
+           "def table(expr, x, nodes):\n    a = sympy.diff(expr, x)\n    b = expr.diff(x)\n"
+           "    return a, b, np.diff(nodes), numpy.diff(nodes)\n")
+    assert _sympy_diff_uses(ast.parse(bad), "derivative") == [4, 12, 13]
+    assert _sympy_diff_uses(ast.parse(bad), None) == [4, 8, 12, 13]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _sympy_diff_uses(ast.parse(path.read_text(), str(path)),
+                                          "derivative" if path.name == "suppliers.py" else None)]
     assert not found, found

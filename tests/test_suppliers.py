@@ -1,10 +1,12 @@
-"""The compiled kernel table of AnalyticSupplier: order-3 jets against plain
+"""The compiled kernel table of AnalyticSupplier: derivative expressions equal
+to sympy's diff with no Derivative object built, order-3 jets against plain
 lambdify kernels and against the same kernels without shared coordinate
 functions on every catalog surface, broadcasting of constant and zero
 components, one lambdify call per derivative component, no str() printing of
 expressions while a surface compiles, and the thread-local table of shared
 sin/cos/exp values under the block pool and under concurrent jets calls."""
 
+import itertools
 import sys
 import threading
 from math import comb
@@ -13,6 +15,8 @@ import numpy as np
 import pytest
 import sympy as sp
 from sympy.core._print_helpers import Printable
+from sympy.core.cache import clear_cache
+from sympy.core.function import Derivative
 from sympy.printing.numpy import NumPyPrinter
 
 from leafwise import catalog, functionals as fl, patch, suppliers
@@ -71,6 +75,51 @@ def plain_jets(coords, exprs, x):
                 for k in range(n):
                     d3[:, a, i, j, k] = ev(sp.diff(eij, coords[k]))
     return r, d1, d2, d3
+
+
+def assert_derivatives_equal_diff(coords, exprs):
+    """Every derivative of every component up to order 3, by sorted index,
+    from ``suppliers.derivative`` with one memo is == to sp.diff's."""
+    memo = {}
+    for expr in exprs:
+        start = sp.sympify(expr)
+        ours, theirs = {(): start}, {(): start}
+        for k in range(1, 4):
+            for idx in itertools.combinations_with_replacement(range(len(coords)), k):
+                x = coords[idx[-1]]
+                ours[idx] = suppliers.derivative(ours[idx[:-1]], x, memo)
+                theirs[idx] = sp.diff(theirs[idx[:-1]], x)
+                assert ours[idx] == theirs[idx], (expr, idx)
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_derivatives_equal_sympy_diff(name, monkeypatch):
+    _, builds = build_recorded(name, monkeypatch)
+    for coords, exprs, _ in builds:
+        assert_derivatives_equal_diff(coords, exprs)
+
+
+def test_derivative_rules_beyond_the_catalog():
+    # Pow with a symbolic exponent, Abs and Piecewise through sp.diff, and
+    # polygamma, whose fdiff has no rule for its order argument
+    x, y = sp.symbols("x y")
+    expr = (sp.sqrt(1 + x**2) * sp.cos(x * y) + x**y + sp.Abs(y)
+            + sp.Piecewise((x, y > 0), (x**2, True)) + sp.polygamma(x, y))
+    assert_derivatives_equal_diff((x, y), [expr])
+
+
+def test_build_constructs_no_derivative_object(monkeypatch):
+    made = []
+    new = Derivative.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    clear_cache()
+    monkeypatch.setattr(Derivative, "__new__", counting)
+    catalog.sheared_torus4()
+    assert made == []
 
 
 @pytest.mark.parametrize("name", SURFACES)
