@@ -261,11 +261,12 @@ def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
 def first_variation_numeric(spec: FunctionalSpec, patch: FoliatedPatch,
                             u: ScalarField) -> float:
     """Independent oracle: central difference of evaluate() over r + t*u*N on
-    DEFAULT_T_LADDER, Richardson-extrapolated over its two smallest steps."""
-    vals = []
+    DEFAULT_T_LADDER, Richardson-extrapolated over its two smallest steps.
+    The ladder's deformations share one memo of their base part."""
+    vals, base_parts = [], {}
     for t in DEFAULT_T_LADDER:
-        wp = evaluate(spec, deformed_patch(patch, u, +t))
-        wm = evaluate(spec, deformed_patch(patch, u, -t))
+        wp = evaluate(spec, deformed_patch(patch, u, +t, base_parts))
+        wm = evaluate(spec, deformed_patch(patch, u, -t, base_parts))
         vals.append((wp - wm) / (2.0 * t))
     return float(richardson(vals, DEFAULT_T_LADDER))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .operators import ScalarField
 from .patch import FoliatedPatch, Grid, check_count, gauss_axis, periodic_axis
-from .suppliers import AnalyticSupplier, Jets, derivative, numpy_kernel
+from .suppliers import AnalyticSupplier, Jets, KernelPrinter, derivative, numpy_kernel
 from .catalog import sphere_exprs
 from .symfunc import safe_power
 
@@ -338,7 +338,8 @@ def profile_from_sympy(n: int, expr, symbol, rho_range, p: float | None = None,
     fs, memo = [sp.sympify(expr)], {}
     for _ in range(3):
         fs.append(derivative(fs[-1], symbol, memo))
-    f, f1, f2, f3 = (numpy_kernel([symbol], e) for e in fs)
+    printer = KernelPrinter()
+    f, f1, f2, f3 = (numpy_kernel([symbol], e, printer) for e in fs)
     return RevolutionProfile(n=n, f=f, f1=f1, f2=f2, f3=f3, rho_min=rho_range[0],
                              rho_max=rho_range[1], p=p, meta=meta)
 

@@ -5,8 +5,8 @@ up to third order) at a batch of parameter points.  Analytic suppliers
 compile one numpy kernel per derivative component of sympy expressions,
 printed without a docstring or a term sort, and evaluate them with numpy;
 the finite-difference supplier wraps any callable.  Derived suppliers build
-normal deformations r + t*u*N, ambient homotheties and Möbius inversions
-on top of a base supplier.
+normal deformations r + t*u*N (whose t-ladders may share the t-independent
+part), ambient homotheties and Möbius inversions on top of a base supplier.
 
 The derivative expressions come from ``derivative``, a chain rule over the
 sympy expression tree that follows sympy's own rules for Add, Mul, Pow and
@@ -15,7 +15,9 @@ elementary functions and hands any other node to ``sp.diff``.  One memo
 subexpression that several components and derivative orders share is
 differentiated once, and no ``Derivative`` object or assumption query is
 made on the way; the expressions are == to sp.diff's, so the printed
-kernels are the same.
+kernels are the same.  Printing is memoised per build as well: the kernels
+of one build share one ``KernelPrinter``, which prints each subexpression
+once, and every kernel source is string-equal to a fresh printer's.
 
 The derivative kernels of one immersion repeat the same few coordinate
 functions: every kernel of a sphere or torus chart takes sin and cos of
@@ -92,16 +94,46 @@ def _shared(ufunc):
 _SHARED = {f.__name__: _shared(f) for f in (np.sin, np.cos, np.exp)}
 
 
-def numpy_kernel(args, expr):
+class KernelPrinter(NumPyPrinter):
+    """The kernels' numpy printer: lambdify's settings plus order="none"
+    (``_KERNEL_PRINTER``), printing each (type, subexpression) once.
+
+    The derivative table of one immersion shares its subtrees through the
+    memo of ``derivative``, and printing one (placing parentheses, reading
+    signs) costs far more than looking it up, so one printer serves a whole
+    build and returns the string it printed before for an expression of the
+    same type that is == to it (== tells Floats of different precision and
+    Symbols of different assumptions apart).  The printer is strict, so an
+    unsupported node raises rather than adding a comment to the source, and
+    the module imports it registers stay on the printer: every source is
+    string-equal to the one a fresh printer prints.
+    """
+
+    def __init__(self):
+        super().__init__(_KERNEL_PRINTER)
+        self._printed = {}
+
+    def _print(self, expr, **kwargs):
+        if kwargs or not isinstance(expr, sp.Basic):
+            return super()._print(expr, **kwargs)
+        key = (type(expr), expr)
+        text = self._printed.get(key)
+        if text is None:
+            text = self._printed[key] = super()._print(expr)
+        return text
+
+
+def numpy_kernel(args, expr, printer: KernelPrinter):
     """One numpy kernel of a sympy expression in the symbols args.
 
     The kernel takes one array per symbol and returns a float array of the
     first argument's shape, so constant expressions broadcast.  The code is
-    printed without a docstring and without sorting terms, each call with a
-    fresh printer, and calls sin, cos and exp through the shared wrappers.
+    printed without a docstring and without sorting terms by ``printer``,
+    the ``KernelPrinter`` that the kernels of one build share, and calls
+    sin, cos and exp through the shared wrappers.
     """
     fn = sp.lambdify(args, expr, modules=[_SHARED, "numpy"], docstring_limit=0,
-                     printer=NumPyPrinter(_KERNEL_PRINTER))
+                     printer=printer)
 
     def kernel(*values):
         values = [np.asarray(v, dtype=float) for v in values]
@@ -172,14 +204,14 @@ class AnalyticSupplier:
         self.n = len(coords)
         self.m = len(exprs)
         self._kernels = {}
-        memo = {}
+        memo, printer = {}, KernelPrinter()
         for a, expr in enumerate(exprs):
             derivs = {(): sp.sympify(expr)}
             for k in range(4):
                 for idx in itertools.combinations_with_replacement(range(self.n), k):
                     if k:
                         derivs[idx] = derivative(derivs[idx[:-1]], coords[idx[-1]], memo)
-                    self._kernels[a, idx] = numpy_kernel(coords, derivs[idx])
+                    self._kernels[a, idx] = numpy_kernel(coords, derivs[idx], printer)
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -378,33 +410,52 @@ class NormalDeformation:
     Supplies jets up to second order of the deformed immersion at a fixed
     deformation parameter t; the base supplier must provide third-order
     jets (the second jet of N needs them).
+
+    Everything but t, the base part (r, d1, d2, N, dN, the second jet of N
+    and the jets of u), is computed by ``_base_part``.  The deformations of
+    one t-ladder over the same base, u and orientation may share one dict
+    ``base_parts``, {sample points' shape and bytes: base part}, so each
+    point set is computed once per ladder; with None each call computes its
+    own.  The jets are the same bits either way.  Pool workers of one grid
+    integral fill different keys, and two fills of one key store equal
+    values, so the dict takes no lock.
     """
 
-    def __init__(self, base, u_jets_fn, t: float, orientation: float = 1.0):
+    def __init__(self, base, u_jets_fn, t: float, orientation: float = 1.0,
+                 base_parts: dict | None = None):
         self.base = base
         self.u_jets_fn = u_jets_fn
         self.t = float(t)
         self.orientation = float(orientation)
+        self.base_parts = base_parts
+
+    def _base_part(self, x: np.ndarray):
+        """(r, d1, d2, N, dN, d2N, u, du, d2u) at the points x, with
+        d2N[:, :, i, j] = partial_ij N."""
+        from .patch import PointGeometry  # patch imports this module
+
+        bj = self.base.jets(x, order=3)
+        # no leaf quantity is read, so the leaf dimension is immaterial
+        geo = PointGeometry(x, bj, *normal_jets(bj, self.orientation), s=x.shape[1])
+        a_op = geo.shape_op
+        # differentiating dN = -A^k_i r_k with partial_k A = g^-1 (partial_k h - partial_k g A)
+        da = geo.g_inv[:, None] @ (geo.dh - geo.dg @ a_op[:, None])
+        d2n = -np.einsum("pjki,pak->paij", da, bj.d1) - np.einsum("pki,pakj->paij", a_op, bj.d2)
+        return (bj.r, bj.d1, bj.d2, geo.normal, geo.dn, d2n) + tuple(self.u_jets_fn(x))
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         if order >= 3:
             raise DomainError("deformed immersions supply jets up to order 2 only")
-        from .patch import PointGeometry  # patch imports this module
-
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        bj = self.base.jets(x, order=3)
-        # no leaf quantity is read, so the leaf dimension is immaterial
-        geo = PointGeometry(x, bj, *normal_jets(bj, self.orientation), s=x.shape[1])
-        nvec, dn, a_op = geo.normal, geo.dn, geo.shape_op
-        # d2n[:, :, i, j] = partial_ij N, differentiating dN = -A^k_i r_k with
-        # partial_k A = g^-1 (partial_k h - partial_k g A)
-        da = geo.g_inv[:, None] @ (geo.dh - geo.dg @ a_op[:, None])
-        d2n = -np.einsum("pjki,pak->paij", da, bj.d1) - np.einsum("pki,pakj->paij", a_op, bj.d2)
-        u, du, d2u = self.u_jets_fn(x)
+        parts = {} if self.base_parts is None else self.base_parts
+        key = (x.shape, x.tobytes())
+        if key not in parts:
+            parts[key] = self._base_part(x)
+        r0, d10, d20, nvec, dn, d2n, u, du, d2u = parts[key]
         t = self.t
-        r = bj.r + t * u[:, None] * nvec
-        d1 = bj.d1 + t * (du[:, None, :] * nvec[:, :, None] + u[:, None, None] * dn)
-        d2 = bj.d2 + t * (
+        r = r0 + t * u[:, None] * nvec
+        d1 = d10 + t * (du[:, None, :] * nvec[:, :, None] + u[:, None, None] * dn)
+        d2 = d20 + t * (
             d2u[:, None, :, :] * nvec[:, :, None, None]
             + du[:, None, :, None] * dn[:, :, None, :]
             + du[:, None, None, :] * dn[:, :, :, None]

@@ -219,10 +219,10 @@ def verify_evolution(case: EvolutionCase, patch: FoliatedPatch, u: ScalarField,
     analytic = np.asarray(_analytic_rhs(case, geo, uu, du, d2u, f), dtype=float)
     naive = _naive_rhs(case, geo, uu, du, d2u, f)
 
-    numeric = []
+    numeric, base_parts = [], {}
     for t in case.t_values:
-        qp = np.asarray(extract(deformed_patch(patch, u, +t), x), dtype=float)
-        qm = np.asarray(extract(deformed_patch(patch, u, -t), x), dtype=float)
+        qp = np.asarray(extract(deformed_patch(patch, u, +t, base_parts), x), dtype=float)
+        qm = np.asarray(extract(deformed_patch(patch, u, -t, base_parts), x), dtype=float)
         numeric.append((qp - qm) / (2.0 * t))
     errors = [float(np.max(np.abs(nv - analytic))) for nv in numeric]
     at_floor = max(errors) < ERROR_FLOOR

@@ -4,12 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from leafwise import catalog, functionals as fl, revolution as rev
+from leafwise import catalog, functionals as fl, patch as pt, revolution as rev
 from leafwise.errors import DomainError, PreconditionError, SpecError, ValidationError
 from leafwise.operators import ScalarField
-from leafwise.suppliers import InvertedImmersion
+from leafwise.suppliers import AnalyticSupplier, InvertedImmersion
 from leafwise.symfunc import q_r_from_sigma, umbilic_power
-from leafwise.variation import random_trig_variation
+from leafwise.variation import DEFAULT_T_LADDER, deformed_patch, random_trig_variation, richardson
 
 
 def const_variation(n, value=1.0):
@@ -168,6 +168,32 @@ def test_first_variation_zero_for_zero_u(bumpy3):
     u0 = const_variation(2, 0.0)
     assert fl.first_variation_analytic(fl.w_nps(2), bumpy3, u0) == pytest.approx(0.0)
     assert fl.first_variation_numeric(fl.w_nps(2), bumpy3, u0) == pytest.approx(0.0)
+
+
+def test_numeric_variation_shares_one_base_per_ladder(monkeypatch):
+    patch = catalog.sheared_torus4(m1=21, m2=21, m3=21)
+    blocks = -(-len(patch.grid.points) // pt.BLOCK)
+    assert blocks == 2
+    u = random_trig_variation(3, np.random.default_rng(7), amplitude=0.5)
+    spec = fl.w_nps(2)
+    calls = []  # the point count of each order-3 base jets call
+    jets = AnalyticSupplier.jets
+
+    def counting(self, x, order=2):
+        if order >= 3:
+            calls.append(len(x))
+        return jets(self, x, order)
+
+    monkeypatch.setattr(AnalyticSupplier, "jets", counting)
+    # oracle: a fresh deformation per t, each computing its own base part
+    vals = [(fl.evaluate(spec, deformed_patch(patch, u, +t))
+             - fl.evaluate(spec, deformed_patch(patch, u, -t))) / (2.0 * t)
+            for t in DEFAULT_T_LADDER]
+    oracle = float(richardson(vals, DEFAULT_T_LADDER))
+    assert len(calls) == 2 * len(DEFAULT_T_LADDER) * blocks
+    calls.clear()
+    assert fl.first_variation_numeric(spec, patch, u) == oracle
+    assert sorted(calls) == sorted([pt.BLOCK, len(patch.grid.points) - pt.BLOCK])
 
 
 def test_area_variation_is_minus_n_u_h():

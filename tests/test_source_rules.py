@@ -3,13 +3,15 @@ no LAPACK call (no numpy.linalg anywhere in the package), runtime domain
 checks raise errors instead of using assert statements, no module keeps a
 private helper that nothing calls, sympy's lambdify is reached only through
 ``suppliers.numpy_kernel``, so every compiled kernel calls sin, cos and exp
-through the shared wrappers, grid quadrature weights are read only by
-``FoliatedPatch.integrate``, so every grid integral runs through it, and no
-module imports a scipy quadrature routine or reads quadrature weights outside
-``Grid.weights`` and the two integrators, so every integral along a profile
-runs through ``RevolutionProfile.integrate`` and the rest have closed forms,
-and only ``functionals._lower`` reads Q_r and its partials, so the conformal
-density Q_r^{n/r} has one definition, and sympy's diff is called only by
+through the shared wrappers, no NumPyPrinter is constructed outside
+``suppliers.KernelPrinter``, so no build prints a kernel unmemoised, grid
+quadrature weights are read only by ``FoliatedPatch.integrate``, so every
+grid integral runs through it, and no module imports a scipy quadrature
+routine or reads quadrature weights outside ``Grid.weights`` and the two
+integrators, so every integral along a profile runs through
+``RevolutionProfile.integrate`` and the rest have closed forms, and only
+``functionals._lower`` reads Q_r and its partials, so the conformal density
+Q_r^{n/r} has one definition, and sympy's diff is called only by
 ``suppliers.derivative``, so every symbolic derivative goes through its
 memoised chain rule."""
 
@@ -121,6 +123,35 @@ def test_lambdify_only_inside_numpy_kernel():
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _lambdify_uses(ast.parse(path.read_text(), str(path)),
                                         "numpy_kernel" if path.name == "suppliers.py" else None)]
+    assert not found, found
+
+
+def _numpy_printer_calls(tree: ast.AST, allowed: str | None) -> list:
+    """Lines that construct a NumPyPrinter (``NumPyPrinter(...)`` by name or
+    attribute) outside the module-level class ``allowed``."""
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == allowed
+              for node in ast.walk(cls)}
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if id(node) not in inside and isinstance(node, ast.Call)
+                   and (isinstance(node.func, ast.Name) and node.func.id == "NumPyPrinter"
+                        or isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "NumPyPrinter")})
+
+
+def test_numpy_printer_only_in_the_kernel_printer():
+    bad = ("import sympy.printing.numpy as spn\nfrom sympy.printing.numpy import NumPyPrinter\n"
+           "\n\nclass KernelPrinter(NumPyPrinter):\n    def fresh(self):\n"
+           "        return NumPyPrinter(SETTINGS)\n\n\n"
+           "def numpy_kernel(args, expr):\n"
+           "    return sp.lambdify(args, expr, printer=NumPyPrinter(SETTINGS))\n\n\n"
+           "PRINTER = spn.NumPyPrinter()\n")
+    assert _numpy_printer_calls(ast.parse(bad), "KernelPrinter") == [11, 14]
+    assert _numpy_printer_calls(ast.parse(bad), None) == [7, 11, 14]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _numpy_printer_calls(
+                 ast.parse(path.read_text(), str(path)),
+                 "KernelPrinter" if path.name == "suppliers.py" else None)]
     assert not found, found
 
 

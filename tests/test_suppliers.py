@@ -3,9 +3,12 @@ to sympy's diff with no Derivative object built, order-3 jets against plain
 lambdify kernels and against the same kernels without shared coordinate
 functions on every catalog surface, broadcasting of constant and zero
 components, one lambdify call per derivative component, no str() printing of
-expressions while a surface compiles, and the thread-local table of shared
-sin/cos/exp values under the block pool and under concurrent jets calls."""
+expressions while a surface compiles, kernel sources from the build's
+memoised printer string-equal to a fresh printer's, and the thread-local
+table of shared sin/cos/exp values under the block pool and under concurrent
+jets calls."""
 
+import inspect
 import itertools
 import sys
 import threading
@@ -159,7 +162,8 @@ def test_constant_and_zero_components_broadcast():
     assert np.array_equal(cone.f1(rho), np.full(5, 0.8))
     assert np.array_equal(cone.f2(rho), np.zeros(5))
     assert cone.f3(rho.reshape(5, 1)).shape == (5, 1)
-    assert suppliers.numpy_kernel([rho_sym], sp.Integer(2))(rho).shape == (5,)
+    assert suppliers.numpy_kernel([rho_sym], sp.Integer(2),
+                                  suppliers.KernelPrinter())(rho).shape == (5,)
 
 
 def test_compile_prints_no_expression_with_str(monkeypatch):
@@ -174,6 +178,52 @@ def test_compile_prints_no_expression_with_str(monkeypatch):
     monkeypatch.setattr(Printable, "__str__", counting)
     catalog.sheared_torus4()
     assert printed == []
+
+
+def recorded_sources(build, monkeypatch):
+    """(args, expr, source) of every lambdify call that build() makes."""
+    calls = []
+    lambdify = sp.lambdify
+
+    def recording(args, expr, **kwargs):
+        fn = lambdify(args, expr, **kwargs)
+        calls.append((args, expr, inspect.getsource(fn)))
+        return fn
+
+    monkeypatch.setattr(sp, "lambdify", recording)
+    build()
+    monkeypatch.undo()
+    return calls
+
+
+def _edge_supplier():
+    # equal-valued Floats of precision 15 and 30 (equal hashes, different
+    # printed digits), x with and without assumptions, and the Abs, Piecewise
+    # and polygamma nodes of test_derivative_rules_beyond_the_catalog; the
+    # coordinates are real and polygamma's order constant, so no derivative
+    # is a Derivative, which no numpy printer prints
+    x, y = sp.symbols("x y", real=True)
+    third = (sp.Float(1 / 3, 15), sp.Float(1 / 3, 30))
+    assert third[0] != third[1] and hash(third[0]) == hash(third[1])
+    plain_x = sp.Symbol("x")
+    exprs = [third[0] * sp.cos(x) + third[1] * sp.sin(y) + third[1] * sp.cos(x) * plain_x,
+             sp.sqrt(1 + x**2) * sp.cos(x * y) + x**y + sp.Abs(y) + third[0] * plain_x**2,
+             sp.Piecewise((x, y > 0), (x**2, True)) + sp.polygamma(1, x * y)]
+    suppliers.AnalyticSupplier((x, y), exprs)
+
+
+@pytest.mark.parametrize("name", SURFACES + ["edge-cases"])
+def test_memo_printer_prints_the_fresh_source(name, monkeypatch):
+    build = _edge_supplier if name == "edge-cases" else catalog.CATALOG[name]
+    calls = recorded_sources(build, monkeypatch)
+    assert calls
+    for args, expr, source in calls:
+        fresh = sp.lambdify(args, expr, modules=[suppliers._SHARED, "numpy"], docstring_limit=0,
+                            printer=NumPyPrinter(suppliers._KERNEL_PRINTER))
+        assert source == inspect.getsource(fresh), expr
+    if name == "edge-cases":
+        sources = "".join(source for _, _, source in calls)
+        assert "0.333333333333333*" in sources and "0.333333333333333314829616256247*" in sources
 
 
 def test_jets_compute_each_coordinate_function_once_per_column(monkeypatch):
@@ -211,7 +261,7 @@ def test_kernels_called_outside_jets_share_nothing():
                             printer=NumPyPrinter(suppliers._KERNEL_PRINTER))
         assert np.array_equal(fn(r), plain(r))
     # a kernel reads its argument afresh on every call
-    kernel = suppliers.numpy_kernel([rho], sp.sin(rho))
+    kernel = suppliers.numpy_kernel([rho], sp.sin(rho), suppliers.KernelPrinter())
     kernel(r)
     r += 1.0
     assert np.array_equal(kernel(r), np.sin(r))

@@ -4,7 +4,7 @@ import pytest
 from leafwise import deltas, revolution as rev, varcheck as vc
 from leafwise.errors import DomainError
 from leafwise.operators import ScalarField, hessian_full
-from leafwise.suppliers import ReparametrizedSupplier
+from leafwise.suppliers import AnalyticSupplier, ReparametrizedSupplier
 from leafwise.variation import (
     deformed_patch,
     random_trig_variation,
@@ -44,6 +44,32 @@ def test_evolution_cases_s2(sheared4, u3, quantity, idx):
     rep = vc.verify_evolution(case, sheared4, u3, f=AUX_F3,
                               points=sheared4.grid.points[::61][:8])
     assert rep.passed, (quantity, rep.order_t, rep.errors)
+
+
+@pytest.mark.parametrize("quantity", ("h", "lapF_f"))
+def test_evolution_ladder_shares_one_base_per_point_set(sheared4, u3, quantity, monkeypatch):
+    # a geometry case and lapF_f, whose stencil runs on f, not on the patch
+    case = vc.EvolutionCase(quantity=quantity, order_index=1)
+    x = sheared4.grid.points[::61][:8]
+    calls = []
+    jets = AnalyticSupplier.jets
+
+    def counting(self, x, order=2):
+        calls.append(order)
+        return jets(self, x, order)
+
+    monkeypatch.setattr(AnalyticSupplier, "jets", counting)
+    shared = vc.verify_evolution(case, sheared4, u3, f=AUX_F3, points=x)
+    shared_calls = calls.count(3)
+    calls.clear()
+    # the oracle: a fresh deformation per t, each computing its own base part
+    monkeypatch.setattr(vc, "deformed_patch", lambda p, u, t, base_parts=None:
+                        deformed_patch(p, u, t))
+    fresh = vc.verify_evolution(case, sheared4, u3, f=AUX_F3, points=x)
+    assert shared == fresh
+    # one order-3 call for the analytic side, then one per deformation or ladder
+    assert calls.count(3) == 1 + 2 * len(case.t_values)
+    assert shared_calls == 2
 
 
 def test_naive_reading_deviates_on_generic_patches(sheared4, u3):
