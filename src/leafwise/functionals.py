@@ -50,7 +50,7 @@ from .operators import (
 )
 from .patch import FoliatedPatch, PointGeometry
 from .revolution import RevolutionProfile, invariants
-from .suppliers import InvertedImmersion, ScaledImmersion
+from .suppliers import InvertedImmersion, ScaledImmersion, deformed_jets
 from .symfunc import (
     newton_weights,
     q_r_from_sigma,
@@ -59,11 +59,7 @@ from .symfunc import (
     sigma_all,
     umbilic_power,
 )
-from .variation import (
-    DEFAULT_T_LADDER,
-    deformed_patch,
-    richardson,
-)
+from .variation import DEFAULT_T_LADDER, richardson
 from .varcheck import transversal_harmonicity_norm
 
 KINDS = ("W_nps", "J_nps", "WF", "JF", "WF_of_HF", "WF_HK", "W_conf")
@@ -260,14 +256,26 @@ def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
 
 def first_variation_numeric(spec: FunctionalSpec, patch: FoliatedPatch,
                             u: ScalarField) -> float:
-    """Independent oracle: central difference of evaluate() over r + t*u*N on
+    """Independent oracle: central difference of the value over r + t*u*N on
     DEFAULT_T_LADDER, Richardson-extrapolated over its two smallest steps.
-    The ladder's deformations share one memo of their base part."""
-    vals, base_parts = [], {}
-    for t in DEFAULT_T_LADDER:
-        wp = evaluate(spec, deformed_patch(patch, u, +t, base_parts))
-        wm = evaluate(spec, deformed_patch(patch, u, -t, base_parts))
-        vals.append((wp - wm) / (2.0 * t))
+
+    Every W(+-t) comes from one order-3 ``integrate`` pass: each block
+    deforms its own base geometry at each +-t (``deformed_jets``) and keeps
+    only the density row integrand * sqrt det g_t / sqrt det g_0, which the
+    block's weight times sqrt det g_0 pulls back to W(+-t)'s integrand."""
+    signed = [sign * t for t in DEFAULT_T_LADDER for sign in (1.0, -1.0)]
+
+    def ladder(geo):
+        u_jets = u.jets(geo.x)
+        rows = []
+        for t in signed:
+            geo_t = patch.geometry_from_jets(geo.x, deformed_jets(geo, *u_jets, t))
+            rows.append(integrand(spec, geo_t, patch.n, patch.s)
+                        * geo_t.sqrt_det_g / geo.sqrt_det_g)
+        return np.stack(rows)
+
+    w = patch.integrate(ladder, order=3)
+    vals = [(wp - wm) / (2.0 * t) for t, wp, wm in zip(DEFAULT_T_LADDER, w[::2], w[1::2])]
     return float(richardson(vals, DEFAULT_T_LADDER))
 
 

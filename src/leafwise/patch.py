@@ -229,6 +229,16 @@ class PointGeometry:
             "pa,paijk->pkij", self.normal, self.jets.d3)
 
     @lazy
+    def d2n(self) -> np.ndarray:
+        """d2n[p, :, i, j] = partial_ij N, from differentiating dN = -A^k_i r_k
+        with partial_k A = g^-1 (partial_k h - partial_k g A) (needs
+        third-order jets)."""
+        a_op = self.shape_op
+        da = self.g_inv[:, None] @ (self.dh - self.dg @ a_op[:, None])
+        return (-np.einsum("pjki,pak->paij", da, self.jets.d1)
+                - np.einsum("pki,pakj->paij", a_op, self.jets.d2))
+
+    @lazy
     def gamma(self) -> np.ndarray:
         """Christoffel symbols gamma[p, k, i, j] = Gamma^k_ij of the surface."""
         return christoffel(self.g_inv, self.dg)
@@ -385,11 +395,20 @@ class FoliatedPatch:
             raise DomainError("grid dimension does not match the chart dimension")
 
     def geometry(self, x: np.ndarray | None = None, order: int = 2) -> PointGeometry:
-        """Pointwise geometry at the given parameter points (default: grid)."""
+        """Pointwise geometry at the given parameter points (default: grid), a
+        finite (k >= 1, n) array or one point as a vector."""
         if x is None:
             x = self.grid.points
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        jets = self.supplier.jets(x, order=order)
+        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != self.n or not np.all(np.isfinite(x)):
+            raise DomainError(f"sample points must be a finite (k >= 1, {self.n}) array, "
+                              f"got shape {x.shape}")
+        return self.geometry_from_jets(x, self.supplier.jets(x, order=order))
+
+    def geometry_from_jets(self, x: np.ndarray, jets: Jets) -> PointGeometry:
+        """Geometry at the points x of the immersion with jets ``jets`` there
+        (this patch's or a deformation's), with the patch's normal
+        orientation and leaf dimension."""
         return PointGeometry(x, jets, *normal_jets(jets, self.normal_orientation), s=self.s)
 
     def integrate(self, density_fn, order: int = 2):

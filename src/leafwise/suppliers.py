@@ -5,8 +5,10 @@ up to third order) at a batch of parameter points.  Analytic suppliers
 compile one numpy kernel per derivative component of sympy expressions,
 printed without a docstring or a term sort, and evaluate them with numpy;
 the finite-difference supplier wraps any callable.  Derived suppliers build
-normal deformations r + t*u*N (whose t-ladders may share the t-independent
-part), ambient homotheties and Möbius inversions on top of a base supplier.
+normal deformations r + t*u*N, ambient homotheties and Möbius inversions
+on top of a base supplier.  The jets of r + t*u*N are linear in t, with
+coefficients read off one order-3 base geometry (``deformed_jets``), so a
+t-ladder deforms the geometry its caller already holds.
 
 The derivative expressions come from ``derivative``, a chain rule over the
 sympy expression tree that follows sympy's own rules for Add, Mul, Pow and
@@ -404,64 +406,42 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     return nvec, g, h, cholesky_frame(g), length
 
 
+def deformed_jets(geo, u, du, d2u, t: float) -> Jets:
+    """Jets to second order of r_t = r + t*u*N at the points of an order-3
+    base geometry ``geo``, u with gradient du and Hessian d2u there: linear
+    in t, with the normal N and its derivatives ``dn`` and ``d2n`` read off
+    ``geo``."""
+    nvec, dn = geo.normal, geo.dn
+    r = geo.jets.r + t * u[:, None] * nvec
+    d1 = geo.jets.d1 + t * (du[:, None, :] * nvec[:, :, None] + u[:, None, None] * dn)
+    d2 = geo.jets.d2 + t * (
+        d2u[:, None, :, :] * nvec[:, :, None, None]
+        + du[:, None, :, None] * dn[:, :, None, :]
+        + du[:, None, None, :] * dn[:, :, :, None]
+        + u[:, None, None, None] * geo.d2n
+    )
+    return Jets(r=r, d1=d1, d2=d2, d3=None)
+
+
 class NormalDeformation:
-    """Immersion family r_t = r + t*u*N over a base supplier.
+    """Immersion family r_t = r + t*u*N over a base patch.
 
     Supplies jets up to second order of the deformed immersion at a fixed
-    deformation parameter t; the base supplier must provide third-order
-    jets (the second jet of N needs them).
-
-    Everything but t, the base part (r, d1, d2, N, dN, the second jet of N
-    and the jets of u), is computed by ``_base_part``.  The deformations of
-    one t-ladder over the same base, u and orientation may share one dict
-    ``base_parts``, {sample points' shape and bytes: base part}, so each
-    point set is computed once per ladder; with None each call computes its
-    own.  The jets are the same bits either way.  Pool workers of one grid
-    integral fill different keys, and two fills of one key store equal
-    values, so the dict takes no lock.
+    deformation parameter t: ``deformed_jets`` of the base geometry at
+    order 3 (the second jet of N needs it), ``base_geometry`` being the base
+    patch's bound ``geometry``, so N has the patch's orientation.
     """
 
-    def __init__(self, base, u_jets_fn, t: float, orientation: float = 1.0,
-                 base_parts: dict | None = None):
-        self.base = base
+    def __init__(self, base_geometry, u_jets_fn, t: float):
+        self.base_geometry = base_geometry
         self.u_jets_fn = u_jets_fn
         self.t = float(t)
-        self.orientation = float(orientation)
-        self.base_parts = base_parts
-
-    def _base_part(self, x: np.ndarray):
-        """(r, d1, d2, N, dN, d2N, u, du, d2u) at the points x, with
-        d2N[:, :, i, j] = partial_ij N."""
-        from .patch import PointGeometry  # patch imports this module
-
-        bj = self.base.jets(x, order=3)
-        # no leaf quantity is read, so the leaf dimension is immaterial
-        geo = PointGeometry(x, bj, *normal_jets(bj, self.orientation), s=x.shape[1])
-        a_op = geo.shape_op
-        # differentiating dN = -A^k_i r_k with partial_k A = g^-1 (partial_k h - partial_k g A)
-        da = geo.g_inv[:, None] @ (geo.dh - geo.dg @ a_op[:, None])
-        d2n = -np.einsum("pjki,pak->paij", da, bj.d1) - np.einsum("pki,pakj->paij", a_op, bj.d2)
-        return (bj.r, bj.d1, bj.d2, geo.normal, geo.dn, d2n) + tuple(self.u_jets_fn(x))
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         if order >= 3:
             raise DomainError("deformed immersions supply jets up to order 2 only")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        parts = {} if self.base_parts is None else self.base_parts
-        key = (x.shape, x.tobytes())
-        if key not in parts:
-            parts[key] = self._base_part(x)
-        r0, d10, d20, nvec, dn, d2n, u, du, d2u = parts[key]
-        t = self.t
-        r = r0 + t * u[:, None] * nvec
-        d1 = d10 + t * (du[:, None, :] * nvec[:, :, None] + u[:, None, None] * dn)
-        d2 = d20 + t * (
-            d2u[:, None, :, :] * nvec[:, :, None, None]
-            + du[:, None, :, None] * dn[:, :, None, :]
-            + du[:, None, None, :] * dn[:, :, :, None]
-            + u[:, None, None, None] * d2n
-        )
-        return Jets(r=r, d1=d1, d2=d2, d3=None)
+        geo = self.base_geometry(x, order=3)
+        return deformed_jets(geo, *self.u_jets_fn(geo.x), self.t)
 
 
 class ReparametrizedSupplier:

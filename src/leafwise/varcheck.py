@@ -31,17 +31,12 @@ from .operators import (
     laplacian_leaf,
     leaf_gradient,
     leaf_gradient_pairing,
-    leaf_laplacian,
     leaf_metric_multiple,
     star_squared_full,
 )
 from .patch import FoliatedPatch
-from .variation import (
-    DEFAULT_T_LADDER,
-    deformed_patch,
-    estimate_order,
-    richardson,
-)
+from .suppliers import deformed_jets
+from .variation import DEFAULT_T_LADDER, estimate_order, richardson
 
 EVOLUTION_QUANTITIES = (
     "g", "g_inv", "h", "norm_h_sq", "nH", "dV",
@@ -131,15 +126,16 @@ def _spectrum_member(case: EvolutionCase):
 
 
 def _quantity_extractor(case: EvolutionCase, f: ScalarField | None):
+    """The case's quantity as a function of a geometry."""
     q = case.quantity
     if q == "lapF_f":
         if f is None:
             raise DomainError("lapF_f case needs the auxiliary function f")
-        return lambda p, x: leaf_laplacian(p, f, x)
+        return lambda geo: laplacian_leaf(geo, *f.jets(geo.x)[1:])
     if (member := _spectrum_member(case)) is not None:
         family, k = member
-        return lambda p, x: getattr(p.geometry(x), family)[:, k]
-    of_geometry = {
+        return lambda geo: getattr(geo, family)[:, k]
+    return {
         "g": lambda geo: geo.g,
         "g_inv": lambda geo: geo.g_inv,
         "h": lambda geo: geo.h,
@@ -149,7 +145,6 @@ def _quantity_extractor(case: EvolutionCase, f: ScalarField | None):
         "norm_hmix_sq": lambda geo: geo.norm_hmix_sq,
         "Christoffel": lambda geo: geo.gamma,
     }[q]
-    return lambda p, x: of_geometry(p.geometry(x))
 
 
 def _analytic_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
@@ -211,19 +206,20 @@ def verify_evolution(case: EvolutionCase, patch: FoliatedPatch, u: ScalarField,
     top = {"tau_i": patch.s + 1, "sigma_r": patch.s}.get(case.quantity)
     if top is not None and not 1 <= case.order_index <= top:
         raise DomainError(f"{case.quantity} index {case.order_index} outside 1..{top}")
-    x = _sample_points(patch) if points is None else np.atleast_2d(points)
     extract = _quantity_extractor(case, f)
 
-    geo = patch.geometry(x, order=3)
+    geo = patch.geometry(_sample_points(patch) if points is None else points, order=3)
+    x = geo.x
     uu, du, d2u = u.jets(x)
     analytic = np.asarray(_analytic_rhs(case, geo, uu, du, d2u, f), dtype=float)
     naive = _naive_rhs(case, geo, uu, du, d2u, f)
 
-    numeric, base_parts = [], {}
-    for t in case.t_values:
-        qp = np.asarray(extract(deformed_patch(patch, u, +t, base_parts), x), dtype=float)
-        qm = np.asarray(extract(deformed_patch(patch, u, -t, base_parts), x), dtype=float)
-        numeric.append((qp - qm) / (2.0 * t))
+    def deformed(t):
+        """The quantity on r + t*u*N at x, from the base geometry geo."""
+        geo_t = patch.geometry_from_jets(x, deformed_jets(geo, uu, du, d2u, t))
+        return np.asarray(extract(geo_t), dtype=float)
+
+    numeric = [(deformed(+t) - deformed(-t)) / (2.0 * t) for t in case.t_values]
     errors = [float(np.max(np.abs(nv - analytic))) for nv in numeric]
     at_floor = max(errors) < ERROR_FLOOR
     # exactly-linear quantities difference to rounding noise; report that as

@@ -11,25 +11,14 @@ from .patch import FoliatedPatch
 from .suppliers import NormalDeformation
 
 
-def deformed_patch(patch: FoliatedPatch, u: ScalarField, t: float,
-                   base_parts: dict | None = None) -> FoliatedPatch:
+def deformed_patch(patch: FoliatedPatch, u: ScalarField, t: float) -> FoliatedPatch:
     """Patch moved along its unit normal by t*u.
-
-    The deformations of one t-ladder of (patch, u) may pass one dict
-    ``base_parts`` (initially empty), so the t-independent part of their
-    jets is computed once per point set (``NormalDeformation``).
 
     Periodic charts need no support restriction for u; on charts with
     non-periodic axes the caller is responsible for compact support away
     from the margins when integrated quantities are compared.
     """
-    supplier = NormalDeformation(
-        base=patch.supplier,
-        u_jets_fn=u.jets,
-        t=t,
-        orientation=patch.normal_orientation,
-        base_parts=base_parts,
-    )
+    supplier = NormalDeformation(base_geometry=patch.geometry, u_jets_fn=u.jets, t=t)
     return replace(patch, supplier=supplier, name=f"{patch.name}+t*u*N")
 
 

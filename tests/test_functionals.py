@@ -1,3 +1,5 @@
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -170,12 +172,30 @@ def test_first_variation_zero_for_zero_u(bumpy3):
     assert fl.first_variation_numeric(fl.w_nps(2), bumpy3, u0) == pytest.approx(0.0)
 
 
+def _ladder_value(w):
+    """Richardson value of the rows W(+t1), W(-t1), W(+t2), ... of a ladder."""
+    vals = [(wp - wm) / (2.0 * t) for t, wp, wm in zip(DEFAULT_T_LADDER, w[::2], w[1::2])]
+    return float(richardson(vals, DEFAULT_T_LADDER))
+
+
 def test_numeric_variation_shares_one_base_per_ladder(monkeypatch):
     patch = catalog.sheared_torus4(m1=21, m2=21, m3=21)
     blocks = -(-len(patch.grid.points) // pt.BLOCK)
     assert blocks == 2
     u = random_trig_variation(3, np.random.default_rng(7), amplitude=0.5)
     spec = fl.w_nps(2)
+
+    # oracle: the same pulled-back density, from a fresh deformed patch per t
+    def pulled_back(geo):
+        rows = []
+        for t in DEFAULT_T_LADDER:
+            for geo_t in (deformed_patch(patch, u, +t).geometry(geo.x),
+                          deformed_patch(patch, u, -t).geometry(geo.x)):
+                rows.append(fl.integrand(spec, geo_t, patch.n, patch.s)
+                            * geo_t.sqrt_det_g / geo.sqrt_det_g)
+        return np.stack(rows)
+
+    oracle = _ladder_value(patch.integrate(pulled_back, order=3))
     calls = []  # the point count of each order-3 base jets call
     jets = AnalyticSupplier.jets
 
@@ -185,15 +205,35 @@ def test_numeric_variation_shares_one_base_per_ladder(monkeypatch):
         return jets(self, x, order)
 
     monkeypatch.setattr(AnalyticSupplier, "jets", counting)
-    # oracle: a fresh deformation per t, each computing its own base part
-    vals = [(fl.evaluate(spec, deformed_patch(patch, u, +t))
-             - fl.evaluate(spec, deformed_patch(patch, u, -t))) / (2.0 * t)
-            for t in DEFAULT_T_LADDER]
-    oracle = float(richardson(vals, DEFAULT_T_LADDER))
-    assert len(calls) == 2 * len(DEFAULT_T_LADDER) * blocks
-    calls.clear()
-    assert fl.first_variation_numeric(spec, patch, u) == oracle
+    value = fl.first_variation_numeric(spec, patch, u)
+    assert value == oracle
     assert sorted(calls) == sorted([pt.BLOCK, len(patch.grid.points) - pt.BLOCK])
+    # the values W(+-t) integrated per deformed patch give the same variation
+    # up to the rounding of the pull-back
+    per_t = _ladder_value([fl.evaluate(spec, deformed_patch(patch, u, sign * t))
+                           for t in DEFAULT_T_LADDER for sign in (1.0, -1.0)])
+    assert abs(value - per_t) <= 1e-10 * max(1.0, abs(per_t))
+
+
+def test_numeric_variation_memory_is_bounded_by_a_block(monkeypatch):
+    # each block's base and deformed geometries are dropped before its worker
+    # takes the next block, so on two workers the peak does not grow with
+    # the block count
+    u = random_trig_variation(2, np.random.default_rng(3))
+    peaks = []
+    with ThreadPoolExecutor(max_workers=2, initializer=setattr,
+                            initargs=(pt._in_worker, "active", True)) as pool:
+        monkeypatch.setattr(pt, "_pool", pool)
+        for m in (128, 256):  # 2 and 8 blocks
+            patch = catalog.torus(s=1, m_leaf=m, m_tube=m)
+            _ = patch.grid.points, patch.grid.weights  # built before tracing
+            tracemalloc.start()
+            try:
+                fl.first_variation_numeric(fl.w_nps(2), patch, u)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_area_variation_is_minus_n_u_h():

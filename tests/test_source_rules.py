@@ -13,7 +13,9 @@ integrators, so every integral along a profile runs through
 ``functionals._lower`` reads Q_r and its partials, so the conformal density
 Q_r^{n/r} has one definition, and sympy's diff is called only by
 ``suppliers.derivative``, so every symbolic derivative goes through its
-memoised chain rule."""
+memoised chain rule, and only ``FoliatedPatch.geometry_from_jets`` builds
+a ``PointGeometry`` and nothing keys a memo on the bytes of an array, so
+every geometry has its patch's orientation and leaf dimension."""
 
 import ast
 from pathlib import Path
@@ -155,13 +157,19 @@ def test_numpy_printer_only_in_the_kernel_printer():
     assert not found, found
 
 
+def _inside_methods(tree: ast.AST, allowed: set) -> set:
+    """The ids of the nodes inside the methods ``allowed``, named
+    "Class.method"."""
+    return {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" in allowed
+            for node in ast.walk(fn)}
+
+
 def _weight_reads(tree: ast.AST, allowed: set, grid_only: bool = False) -> list:
     """Lines that read ``<expr>.weights`` (only ``<expr>.grid.weights`` if
     ``grid_only``) outside the methods ``allowed``, named "Class.method"."""
-    inside = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
-              for fn in cls.body
-              if isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" in allowed
-              for node in ast.walk(fn)}
+    inside = _inside_methods(tree, allowed)
     return sorted({node.lineno for node in ast.walk(tree)
                    if id(node) not in inside and isinstance(node, ast.Attribute)
                    and node.attr == "weights"
@@ -272,4 +280,39 @@ def test_sympy_diff_only_inside_derivative():
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _sympy_diff_uses(ast.parse(path.read_text(), str(path)),
                                           "derivative" if path.name == "suppliers.py" else None)]
+    assert not found, found
+
+
+def _geometry_builds(tree: ast.AST, allowed: set) -> list:
+    """Lines that call ``PointGeometry`` (by name or attribute) outside the
+    methods ``allowed``, named "Class.method", or call ``<expr>.tobytes``
+    anywhere."""
+    inside = _inside_methods(tree, allowed)
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if (name == "PointGeometry" and id(node) not in inside
+                or name == "tobytes" and isinstance(func, ast.Attribute)):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_point_geometry_built_only_by_the_patch():
+    bad = ("from .patch import PointGeometry\nimport leafwise.patch as pt\n\n\n"
+           "class FoliatedPatch:\n    def geometry_from_jets(self, x, jets):\n"
+           "        return PointGeometry(x, jets, *normal_jets(jets), s=self.s)\n\n"
+           "    def other(self, x, jets):\n"
+           "        return PointGeometry(x, jets, *normal_jets(jets), s=x.shape[1])\n\n\n"
+           "def base_part(x, jets, memo):\n"
+           "    memo[x.tobytes()] = pt.PointGeometry(x, jets, *normal_jets(jets), s=1)\n"
+           "    return memo, x.tobytes\n")
+    allowed = {"FoliatedPatch.geometry_from_jets"}
+    assert _geometry_builds(ast.parse(bad), allowed) == [10, 14]
+    assert _geometry_builds(ast.parse(bad), set()) == [7, 10, 14]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _geometry_builds(ast.parse(path.read_text(), str(path)),
+                                          allowed if path.name == "patch.py" else set())]
     assert not found, found

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from leafwise import deltas, revolution as rev, varcheck as vc
+from leafwise import deltas, functionals as fl, revolution as rev, varcheck as vc
 from leafwise.errors import DomainError
-from leafwise.operators import ScalarField, hessian_full
+from leafwise.operators import ScalarField, hessian_full, laplacian_leaf
 from leafwise.suppliers import AnalyticSupplier, ReparametrizedSupplier
 from leafwise.variation import (
     deformed_patch,
     random_trig_variation,
+    richardson,
 )
 
 AUX_F2 = ScalarField.from_callable(
@@ -46,9 +47,20 @@ def test_evolution_cases_s2(sheared4, u3, quantity, idx):
     assert rep.passed, (quantity, rep.order_t, rep.errors)
 
 
+#: (quantity as a function of a geometry, its analytic first variation) of
+#: the two ladder cases below, computed here rather than by varcheck
+LADDER_CASES = {
+    "h": (lambda geo: geo.h, deltas.delta_second_form),
+    "lapF_f": (lambda geo: laplacian_leaf(geo, *AUX_F3.jets(geo.x)[1:]),
+               lambda geo, u, du, d2u: deltas.delta_lapf(geo, u, du, d2u,
+                                                         *AUX_F3.jets(geo.x)[1:])),
+}
+
+
 @pytest.mark.parametrize("quantity", ("h", "lapF_f"))
 def test_evolution_ladder_shares_one_base_per_point_set(sheared4, u3, quantity, monkeypatch):
-    # a geometry case and lapF_f, whose stencil runs on f, not on the patch
+    # a geometry case and lapF_f, whose stencil runs on f, not on the patch:
+    # the ladder deforms the one order-3 geometry of the analytic side
     case = vc.EvolutionCase(quantity=quantity, order_index=1)
     x = sheared4.grid.points[::61][:8]
     calls = []
@@ -59,17 +71,29 @@ def test_evolution_ladder_shares_one_base_per_point_set(sheared4, u3, quantity, 
         return jets(self, x, order)
 
     monkeypatch.setattr(AnalyticSupplier, "jets", counting)
-    shared = vc.verify_evolution(case, sheared4, u3, f=AUX_F3, points=x)
-    shared_calls = calls.count(3)
-    calls.clear()
-    # the oracle: a fresh deformation per t, each computing its own base part
-    monkeypatch.setattr(vc, "deformed_patch", lambda p, u, t, base_parts=None:
-                        deformed_patch(p, u, t))
-    fresh = vc.verify_evolution(case, sheared4, u3, f=AUX_F3, points=x)
-    assert shared == fresh
-    # one order-3 call for the analytic side, then one per deformation or ladder
-    assert calls.count(3) == 1 + 2 * len(case.t_values)
-    assert shared_calls == 2
+    rep = vc.verify_evolution(case, sheared4, u3, f=AUX_F3, points=x)
+    assert calls.count(3) == 1
+    # the oracle: a fresh deformed patch per t
+    quantity_of, delta = LADDER_CASES[quantity]
+    analytic = delta(sheared4.geometry(x, order=3), *u3.jets(x))
+    numeric = [(quantity_of(deformed_patch(sheared4, u3, +t).geometry(x))
+                - quantity_of(deformed_patch(sheared4, u3, -t).geometry(x))) / (2.0 * t)
+               for t in case.t_values]
+    assert rep.errors == [float(np.max(np.abs(nv - analytic))) for nv in numeric]
+    assert rep.richardson_error == float(
+        np.max(np.abs(richardson(numeric, case.t_values) - analytic)))
+    assert rep.numeric == float(np.max(np.abs(numeric[-1])))
+
+
+@pytest.mark.parametrize("points", [np.zeros((3, 3)), np.zeros((0, 2)), [[np.nan, 0.1]],
+                                    np.zeros((2, 2, 2))])
+def test_bad_sample_points_raise_domain_error(torus_rev, u2, points):
+    # wrong width, no point, a NaN and a stack of point sets: each is refused
+    # before any jet is computed
+    with pytest.raises(DomainError, match="sample points"):
+        vc.verify_evolution(vc.EvolutionCase(quantity="h"), torus_rev, u2, points=points)
+    with pytest.raises(DomainError, match="sample points"):
+        fl.el_residual(fl.w_nps(2), torus_rev, x=points)
 
 
 def test_naive_reading_deviates_on_generic_patches(sheared4, u3):
