@@ -464,7 +464,7 @@ def conformal_density_check(patch: FoliatedPatch, r: int = 2,
     dev = 0.0
     if mode == "inversion":
         # shape operator law: A_F^c = (1/mu)(A_F - (1/mu) <grad mu, N> id)
-        pos = geo.jets.r
+        pos = geo.contiguous_jets.r
         w = np.einsum("pa,pa->p", pos, pos)
         mu = 1.0 / w
         grad_mu = -2.0 * pos / w[:, None] ** 2

@@ -303,9 +303,10 @@ def _metric_jets_block(geo: PointGeometry, k: int):
     """1- and 2-jets of the metric block over the first k coordinates."""
     if geo.jets.d3 is None:
         raise DomainError("operation needs third-order immersion jets")
-    d1 = geo.jets.d1[:, :, :k]
-    d2 = geo.jets.d2[:, :, :k, :k]
-    d3 = geo.jets.d3[:, :, :k, :k, :k]
+    jets = geo.contiguous_jets
+    d1 = jets.d1[:, :, :k]
+    d2 = jets.d2[:, :, :k, :k]
+    d3 = jets.d3[:, :, :k, :k, :k]
     d2g = (
         np.einsum("paikl,paj->pklij", d3, d1)
         + np.einsum("paik,pajl->pklij", d2, d2)

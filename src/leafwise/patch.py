@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .suppliers import Jets, normal_jets
+from .suppliers import Jets, normal_jets, sample_points
 from .symfunc import sigma_from_traces
 
 
@@ -181,6 +181,9 @@ class PointGeometry:
     g^-1, the shape operator and dN among them, is computed on first use and
     cached on the instance; the energies read none of those three, and a
     spectrum read to top 1 builds neither ``a_frame`` nor a leaf power.
+    The derivative fields (dN, dg, dh, d2N) read ``contiguous_jets``,
+    C-contiguous point-first copies of the jets made on first use, so they
+    round and cost alike whatever the supplier's layout (``Jets``).
     """
 
     x: np.ndarray
@@ -198,6 +201,15 @@ class PointGeometry:
         return self.g.shape[-1]
 
     @lazy
+    def contiguous_jets(self) -> Jets:
+        """The jets as C-contiguous point-first arrays, copied only where they
+        are not: the einsums and stacked products of the derivative fields
+        read these, because numpy picks their loops, and so their speed and
+        rounding, by the memory layout of the operands."""
+        return Jets(*(None if a is None else np.ascontiguousarray(a)
+                      for a in (self.jets.r, self.jets.d1, self.jets.d2, self.jets.d3)))
+
+    @lazy
     def g_inv(self) -> np.ndarray:
         """g^-1 = E E^T from the frame E."""
         return self.frame @ np.swapaxes(self.frame, -1, -2)
@@ -210,12 +222,12 @@ class PointGeometry:
     @lazy
     def dn(self) -> np.ndarray:
         """dn[p, :, i] = partial_i N = -A^k_i r_k."""
-        return -(self.jets.d1 @ self.shape_op)
+        return -(self.contiguous_jets.d1 @ self.shape_op)
 
     @lazy
     def dg(self) -> np.ndarray:
         """dg[p, k, i, j] = partial_k g_ij."""
-        d1, d2 = self.jets.d1, self.jets.d2
+        d1, d2 = self.contiguous_jets.d1, self.contiguous_jets.d2
         return np.einsum("paik,paj->pkij", d2, d1) + np.einsum("pai,pajk->pkij", d1, d2)
 
     @lazy
@@ -225,8 +237,9 @@ class PointGeometry:
         if self.jets.d3 is None:
             raise DomainError("the derivative of the second fundamental form needs "
                               "third-order immersion jets")
-        return np.einsum("pak,paij->pkij", self.dn, self.jets.d2) + np.einsum(
-            "pa,paijk->pkij", self.normal, self.jets.d3)
+        jets = self.contiguous_jets
+        return (np.einsum("pak,paij->pkij", self.dn, jets.d2)
+                + np.einsum("pa,paijk->pkij", self.normal, jets.d3))
 
     @lazy
     def d2n(self) -> np.ndarray:
@@ -235,8 +248,9 @@ class PointGeometry:
         third-order jets)."""
         a_op = self.shape_op
         da = self.g_inv[:, None] @ (self.dh - self.dg @ a_op[:, None])
-        return (-np.einsum("pjki,pak->paij", da, self.jets.d1)
-                - np.einsum("pki,pakj->paij", a_op, self.jets.d2))
+        jets = self.contiguous_jets
+        return (-np.einsum("pjki,pak->paij", da, jets.d1)
+                - np.einsum("pki,pakj->paij", a_op, jets.d2))
 
     @lazy
     def gamma(self) -> np.ndarray:
@@ -399,10 +413,7 @@ class FoliatedPatch:
         finite (k >= 1, n) array or one point as a vector."""
         if x is None:
             x = self.grid.points
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != self.n or not np.all(np.isfinite(x)):
-            raise DomainError(f"sample points must be a finite (k >= 1, {self.n}) array, "
-                              f"got shape {x.shape}")
+        x = sample_points(x, self.n)
         return self.geometry_from_jets(x, self.supplier.jets(x, order=order))
 
     def geometry_from_jets(self, x: np.ndarray, jets: Jets) -> PointGeometry:

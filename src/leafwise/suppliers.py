@@ -21,6 +21,17 @@ kernels are the same.  Printing is memoised per build as well: the kernels
 of one build share one ``KernelPrinter``, which prints each subexpression
 once, and every kernel source is string-equal to a fresh printer's.
 
+Analytic jets are laid out point-last: each derivative order is one
+C-contiguous (m, n, ..., M) buffer, so a kernel's value, one float per
+point, fills each of its slots (a, i, j, ...) as one contiguous row, and
+the slots of every kernel, one per permutation of its sorted index, are
+computed once per build.  The ``Jets`` fields keep the point-first shapes
+as np.moveaxis views of those buffers, and ``normal_jets``, which sums over
+point-last rows, reads them in place; it copies the first derivatives of any
+other supplier to that layout, and returns g, h and the frame point-first
+and C-contiguous, as the stacked matrix products of ``PointGeometry`` read
+them.
+
 The derivative kernels of one immersion repeat the same few coordinate
 functions: every kernel of a sphere or torus chart takes sin and cos of
 its coordinates.  Kernels therefore call ``sin``, ``cos`` and ``exp``
@@ -57,13 +68,26 @@ class Jets:
     """Immersion jet at a batch of points.
 
     r has shape (M, m) with m = n+1; d1 (M, m, n); d2 (M, m, n, n);
-    d3 (M, m, n, n, n) or None when not requested/available.
+    d3 (M, m, n, n, n) or None when not requested/available.  The arrays
+    may be point-first views of point-last buffers (``AnalyticSupplier``
+    returns np.moveaxis(buf, -1, 0) of a C-contiguous (m, n, ..., M) buf),
+    so no consumer may assume they are C-contiguous.
     """
 
     r: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray | None = None
+
+
+def sample_points(x, n: int) -> np.ndarray:
+    """x as a float (k, n) array of parameter points, one point given as a
+    vector; DomainError unless it is a finite (k >= 1, n) array."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != n or not np.all(np.isfinite(x)):
+        raise DomainError(f"sample points must be a finite (k >= 1, {n}) array, "
+                          f"got shape {x.shape}")
+    return x
 
 
 # lambdify's own numpy printer settings plus order="none": Add terms print in
@@ -196,7 +220,9 @@ class AnalyticSupplier:
     """Closed-form jets compiled from sympy component expressions.
 
     One kernel per component a and sorted derivative index idx of order 0..3,
-    kept in one table {(a, idx): kernel}; jets() fills every permutation of idx,
+    kept in one table {(a, idx): kernel}, and the rows its value fills, one
+    per permutation of idx, in the point-last buffer of its order
+    (``_rows``, computed once per build).  jets() evaluates each kernel once,
     with sin, cos and exp of each coordinate column computed once per call.
     The derivative expressions come from ``derivative`` with one memo for the
     whole build.
@@ -206,6 +232,7 @@ class AnalyticSupplier:
         self.n = len(coords)
         self.m = len(exprs)
         self._kernels = {}
+        self._rows = {}
         memo, printer = {}, KernelPrinter()
         for a, expr in enumerate(exprs):
             derivs = {(): sp.sympify(expr)}
@@ -214,22 +241,25 @@ class AnalyticSupplier:
                     if k:
                         derivs[idx] = derivative(derivs[idx[:-1]], coords[idx[-1]], memo)
                     self._kernels[a, idx] = numpy_kernel(coords, derivs[idx], printer)
+                    slots = [(a,) + perm for perm in set(itertools.permutations(idx))]
+                    self._rows[a, idx] = np.ravel_multi_index(np.transpose(slots),
+                                                              (self.m,) + (self.n,) * k)
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = sample_points(x, self.n)
+        npts = x.shape[0]
         args = [x[:, i] for i in range(self.n)]
         top = 3 if order >= 3 else 2
-        out = [np.empty((x.shape[0], self.m) + (self.n,) * k) for k in range(top + 1)]
+        bufs = [np.empty((self.m,) + (self.n,) * k + (npts,)) for k in range(top + 1)]
+        rows = [buf.reshape(-1, npts) for buf in bufs]
         _shared_values.table = {id(column): {} for column in args}
         try:
             for (a, idx), kernel in self._kernels.items():
                 if len(idx) <= top:
-                    v = kernel(*args)
-                    for perm in set(itertools.permutations(idx)):
-                        out[len(idx)][(slice(None), a) + perm] = v
+                    rows[len(idx)][self._rows[a, idx]] = kernel(*args)
         finally:
             _shared_values.table = None
-        return Jets(*out)
+        return Jets(*(np.moveaxis(buf, -1, 0) for buf in bufs))
 
 
 # 4th-order central stencils (Fornberg, Math. Comp. 51, 1988) on offsets
@@ -346,8 +376,9 @@ def cofactor_normal(t: np.ndarray) -> np.ndarray:
                      for a in range(m)], axis=1)
 
 
-def cholesky_frame(g: np.ndarray) -> np.ndarray:
-    """E = L^-T for the Cholesky factor g = L L^T of a batch of metrics.
+def cholesky_frame(gt: np.ndarray) -> np.ndarray:
+    """E = L^-T for the Cholesky factor g = L L^T of a batch of metrics,
+    given point-last as gt[i, j] = g_ij (n, n, M); E is point-first, (M, n, n).
 
     The columns of E are the g-orthonormal frame that Gram-Schmidt builds
     from the coordinate vectors in index order, so for leafwise-first
@@ -356,8 +387,7 @@ def cholesky_frame(g: np.ndarray) -> np.ndarray:
     elementwise over the point axis; a non-positive pivot raises
     SingularImmersionError.
     """
-    n = g.shape[-1]
-    gt = np.moveaxis(g, 0, -1)
+    n = gt.shape[0]
     low = {}
     for j in range(n):
         pivot = gt[j, j] - sum(low[j, k] ** 2 for k in range(j))
@@ -367,7 +397,7 @@ def cholesky_frame(g: np.ndarray) -> np.ndarray:
         for i in range(j + 1, n):
             low[i, j] = (gt[i, j] - sum(low[i, k] * low[j, k] for k in range(j))) / low[j, j]
     # E^T = L^-1 by forward substitution, one column of L^-1 at a time
-    e = np.zeros(g.shape)
+    e = np.zeros((gt.shape[-1], n, n))
     for j in range(n):
         col = {j: 1.0 / low[j, j]}
         for i in range(j + 1, n):
@@ -380,7 +410,8 @@ def cholesky_frame(g: np.ndarray) -> np.ndarray:
 def normal_jets(jets: Jets, orientation: float = 1.0):
     """Unit normal of the immersion, the first and second fundamental forms,
     the adapted frame and the volume density: (normal, g, h, frame,
-    sqrt det g), what every geometry reads.
+    sqrt det g), what every geometry reads, each point-first and the first
+    four C-contiguous.
 
     The raw normal is the generalized cross product of the tangent vectors
     (``cofactor_normal``); its length equals sqrt(det g) by Cauchy-Binet.
@@ -388,22 +419,24 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     of the returned normal.  g^-1, the Weingarten map A = g^-1 h and
     dN = -A^k_i r_k are left to ``PointGeometry``, which builds them on
     first use.  No LAPACK call: every kernel is elementwise over the point
-    axis, g_ij = sum_a d_i r^a d_j r^a among them.
+    axis, g_ij = sum_a d_i r^a d_j r^a and h_ij = sum_a N^a d_i d_j r^a
+    among them, summed over point-last rows of the jets.  Those are read in
+    place from ``AnalyticSupplier`` jets; the first derivatives of any other
+    supplier are copied to that layout and its second derivatives read
+    through a strided view.
     """
     t = np.ascontiguousarray(np.moveaxis(jets.d1, 0, -1))  # t[a, i] = d_i r^a over points
+    d2t = np.moveaxis(jets.d2, 0, -1)  # d2t[a, i, j] = d_i d_j r^a over points
     raw = cofactor_normal(t)
     length = np.sqrt(np.einsum("pa,pa->p", raw, raw))
     if np.any(length <= 0) or not np.all(np.isfinite(length)):
         raise SingularImmersionError("immersion Jacobian is rank-deficient")
     nvec = orientation * raw / length[:, None]
-    m, n = t.shape[:2]
-    gt = np.empty((n, n, t.shape[-1]))
-    for i in range(n):
-        for j in range(i, n):
-            gt[i, j] = gt[j, i] = sum(t[a, i] * t[a, j] for a in range(m))
-    g = np.ascontiguousarray(np.moveaxis(gt, -1, 0))
-    h = np.einsum("pa,paij->pij", nvec, jets.d2)
-    return nvec, g, h, cholesky_frame(g), length
+    nt = np.ascontiguousarray(nvec.T)
+    gt = sum(t[a, :, None] * t[a, None, :] for a in range(t.shape[0]))
+    ht = sum(nt[a] * d2t[a] for a in range(t.shape[0]))
+    g, h = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (gt, ht))
+    return nvec, g, h, cholesky_frame(gt), length
 
 
 def deformed_jets(geo, u, du, d2u, t: float) -> Jets:
@@ -505,7 +538,9 @@ class InvertedImmersion:
         if order >= 3:
             raise DomainError("inverted immersions supply jets up to order 2 only")
         bj = self.base.jets(x, order=2)
-        r, d1, d2 = bj.r, bj.d1, bj.d2
+        # contiguous copies: the einsum reductions below round by the memory
+        # layout of their operands, which the base supplier chooses
+        r, d1, d2 = (np.ascontiguousarray(a) for a in (bj.r, bj.d1, bj.d2))
         w = np.einsum("pa,pa->p", r, r)
         if np.any(w < 1e-14):
             raise DomainError("surface passes through the inversion center")

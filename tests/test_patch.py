@@ -7,10 +7,10 @@ import pytest
 
 from leafwise import catalog, functionals as fl, varcheck as vc
 from leafwise.errors import DomainError, SingularImmersionError
-from leafwise.patch import (BLOCK, FoliatedPatch, Grid, PointGeometry, gauss_axis,
+from leafwise.patch import (BLOCK, FoliatedPatch, Grid, PointGeometry, gauss_axis, lazy,
                             periodic_axis, point_geometry, uniform_axis)
-from leafwise.suppliers import (AnalyticSupplier, FiniteDifferenceSupplier, cholesky_frame,
-                                cofactor_normal)
+from leafwise.suppliers import (AnalyticSupplier, FiniteDifferenceSupplier, InvertedImmersion,
+                                Jets, cholesky_frame, cofactor_normal, normal_jets)
 from leafwise.symfunc import sigma_all, sigma_from_traces
 from leafwise.variation import random_trig_variation
 
@@ -178,6 +178,61 @@ def sphere4():
     return catalog.sphere(n=4, m_polar=6, m_azimuth=8)
 
 
+class _Fixed:
+    """Supplier of the same jets at any points."""
+
+    def __init__(self, jets):
+        self.fixed = jets
+
+    def jets(self, x, order=2):
+        return self.fixed
+
+
+def _relaid(jets, points_last):
+    """The same jets as C-contiguous point-first copies, or as point-first
+    views of C-contiguous point-last copies."""
+    def lay(a):
+        if a is None:
+            return None
+        if points_last:
+            return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+        return np.ascontiguousarray(a)
+    return Jets(*(lay(a) for a in (jets.r, jets.d1, jets.d2, jets.d3)))
+
+
+@pytest.mark.parametrize("name", ["sphere4", "sheared4", "finite-difference"])
+def test_normal_jets_and_geometry_do_not_depend_on_the_jet_layout(name, request):
+    if name == "finite-difference":
+        patch = catalog.sphere(n=4, m_polar=6, m_azimuth=8)
+        base = patch.supplier
+        supplier = FiniteDifferenceSupplier(lambda x: base.jets(x, order=0).r, n=4)
+        patch = replace(patch, supplier=supplier)
+    else:
+        patch = request.getfixturevalue(name)
+    x = patch.grid.points[::5]
+    jets = patch.supplier.jets(x, order=3)
+    first = normal_jets(_relaid(jets, points_last=False), -1.0)
+    last = normal_jets(_relaid(jets, points_last=True), -1.0)
+    for a, b in zip(first, last):
+        assert np.array_equal(a, b)
+    for out in (first, last):
+        assert all(a.flags.c_contiguous for a in out[1:4])  # g, h, frame
+    # every array field of the geometry, stored or lazy, is bit-identical
+    fields = [name for name, v in vars(PointGeometry).items()
+              if isinstance(v, lazy) and name != "contiguous_jets"]
+    geos = [patch.geometry_from_jets(x, _relaid(jets, points_last=last))
+            for last in (False, True)]
+    for field in ["normal", "g", "h", "frame", "sqrt_det_g"] + fields:
+        a, b = (getattr(geo, field) for geo in geos)
+        assert a.tobytes() == b.tobytes()
+    # and so are the jets of a supplier built on them
+    inverted = [InvertedImmersion(_Fixed(_relaid(jets, points_last=last))).jets(x)
+                for last in (False, True)]
+    for field in ("r", "d1", "d2"):
+        a, b = (getattr(j, field) for j in inverted)
+        assert a.tobytes() == b.tobytes()
+
+
 _WF_OF_HF = fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: h**2 + h, f1=lambda h: 2 * h + 1)
 
 
@@ -280,10 +335,10 @@ def test_non_positive_definite_metric_raises():
     g = np.tile(np.eye(3), (5, 1, 1))
     g[3, 2, 2] = -1.0  # indefinite
     with pytest.raises(SingularImmersionError):
-        cholesky_frame(g)
+        cholesky_frame(np.moveaxis(g, 0, -1))
     g[3] = np.ones((3, 3))  # semidefinite, rank 1
     with pytest.raises(SingularImmersionError):
-        cholesky_frame(g)
+        cholesky_frame(np.moveaxis(g, 0, -1))
 
 
 def test_grid_energy_path_calls_no_lapack(sheared_two_blocks, monkeypatch):

@@ -15,7 +15,9 @@ Q_r^{n/r} has one definition, and sympy's diff is called only by
 ``suppliers.derivative``, so every symbolic derivative goes through its
 memoised chain rule, and only ``FoliatedPatch.geometry_from_jets`` builds
 a ``PointGeometry`` and nothing keys a memo on the bytes of an array, so
-every geometry has its patch's orientation and leaf dimension."""
+every geometry has its patch's orientation and leaf dimension, and
+itertools' permutations is named only in ``AnalyticSupplier.__init__``, so
+the jet slots of a kernel are enumerated once per build, not per call."""
 
 import ast
 from pathlib import Path
@@ -315,4 +317,30 @@ def test_point_geometry_built_only_by_the_patch():
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _geometry_builds(ast.parse(path.read_text(), str(path)),
                                           allowed if path.name == "patch.py" else set())]
+    assert not found, found
+
+
+def _permutations_uses(tree: ast.AST, allowed: set) -> list:
+    """Lines that name ``permutations`` (call, attribute or import) outside
+    the methods ``allowed``, named "Class.method"."""
+    inside = _inside_methods(tree, allowed)
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if id(node) not in inside
+                   and (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                        or isinstance(node, ast.Name) and node.id == "permutations"
+                        or isinstance(node, ast.alias) and node.name == "permutations")})
+
+
+def test_permutations_only_in_the_analytic_build():
+    bad = ("import itertools\nfrom itertools import permutations\n\n\n"
+           "class AnalyticSupplier:\n    def __init__(self, idx):\n"
+           "        self.slots = set(itertools.permutations(idx))\n\n"
+           "    def jets(self, idx):\n        return set(itertools.permutations(idx))\n\n\n"
+           "def fill(idx):\n    return list(permutations(idx))\n")
+    allowed = {"AnalyticSupplier.__init__"}
+    assert _permutations_uses(ast.parse(bad), allowed) == [2, 10, 14]
+    assert _permutations_uses(ast.parse(bad), set()) == [2, 7, 10, 14]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _permutations_uses(ast.parse(path.read_text(), str(path)),
+                                            allowed if path.name == "suppliers.py" else set())]
     assert not found, found

@@ -6,7 +6,9 @@ components, one lambdify call per derivative component, no str() printing of
 expressions while a surface compiles, kernel sources from the build's
 memoised printer string-equal to a fresh printer's, and the thread-local
 table of shared sin/cos/exp values under the block pool and under concurrent
-jets calls."""
+jets calls; jets equal to a point-first fill of the same kernels and laid out
+point-last in memory, and points that are not a finite (k >= 1, n) array
+refused with DomainError."""
 
 import inspect
 import itertools
@@ -24,6 +26,7 @@ from sympy.printing.numpy import NumPyPrinter
 
 from leafwise import catalog, functionals as fl, patch, suppliers
 from leafwise import revolution as rev
+from leafwise.errors import DomainError
 
 # one builder per distinct catalog function
 SURFACES = sorted({fn: name for name, fn in reversed(catalog.CATALOG.items())}.values())
@@ -78,6 +81,20 @@ def plain_jets(coords, exprs, x):
                 for k in range(n):
                     d3[:, a, i, j, k] = ev(sp.diff(eij, coords[k]))
     return r, d1, d2, d3
+
+
+def point_first_jets(supplier, x, order):
+    """r, d1, d2 (and d3 at order 3) of an AnalyticSupplier filled point-first:
+    every kernel's value written to each permutation of its index."""
+    args = [x[:, i] for i in range(supplier.n)]
+    top = 3 if order >= 3 else 2
+    out = [np.empty((x.shape[0], supplier.m) + (supplier.n,) * k) for k in range(top + 1)]
+    for (a, idx), kernel in supplier._kernels.items():
+        if len(idx) <= top:
+            v = kernel(*args)
+            for perm in set(itertools.permutations(idx)):
+                out[len(idx)][(slice(None), a) + perm] = v
+    return out
 
 
 def assert_derivatives_equal_diff(coords, exprs):
@@ -146,6 +163,33 @@ def test_jets_match_plain_lambdify_kernels(name, monkeypatch):
     low = surface.supplier.jets(x, order=2)
     assert low.d3 is None
     assert np.array_equal(low.d2, jets.d2)
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_jets_equal_the_point_first_fill_and_keep_points_last(name):
+    surface = catalog.CATALOG[name]()
+    supplier = surface.supplier
+    pts = surface.grid.points
+    x = pts[:: max(1, len(pts) // 40)]
+    for order in (2, 3):
+        jets = supplier.jets(x, order=order)
+        got = [a for a in (jets.r, jets.d1, jets.d2, jets.d3) if a is not None]
+        want = point_first_jets(supplier, x, order)
+        assert len(got) == len(want) == order + 1
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+            assert np.moveaxis(a, 0, -1).flags.c_contiguous
+
+
+def test_jets_reject_points_that_are_not_a_finite_chart_array():
+    sphere = catalog.sphere(n=2, m_polar=4, m_azimuth=8)
+    x = sphere.grid.points[:3]
+    nan = x.copy()
+    nan[1, 0] = np.nan
+    for bad in (np.column_stack([x, x[:, 0]]), x[:, :1], x[:0], nan):
+        with pytest.raises(DomainError, match=r"finite \(k >= 1, 2\) array"):
+            sphere.supplier.jets(bad)
+    assert np.array_equal(sphere.supplier.jets(x[1]).d2, sphere.supplier.jets(x[1:2]).d2)
 
 
 def test_constant_and_zero_components_broadcast():
