@@ -17,7 +17,8 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .operators import ScalarField
 from .patch import FoliatedPatch, Grid, check_count, gauss_axis, periodic_axis
-from .suppliers import AnalyticSupplier, Jets, KernelPrinter, derivative, numpy_kernel
+from .suppliers import (AnalyticSupplier, Jets, KernelPrinter, derivative, numpy_kernel,
+                        sample_points)
 from .catalog import sphere_exprs
 from .symfunc import safe_power
 
@@ -53,8 +54,8 @@ class RevolutionProfile:
 
     def check_rho(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0):
-            raise DomainError("rho must be positive")
+        if not np.all(np.isfinite(rho) & (rho > 0)):
+            raise DomainError("rho must be finite and positive")
         return rho
 
     def sample(self, m: int = 200) -> np.ndarray:
@@ -355,7 +356,7 @@ class RevolutionSupplier:
         self.n = n
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = sample_points(x, self.n)
         mpts = x.shape[0]
         n = self.n
         q = n - 1  # leaf dimension / angle count
@@ -430,6 +431,7 @@ def leaf_eigenvalue(n: int, j: int) -> float:
 def leaf_mode_variation(j: int) -> ScalarField:
     """u = cos(j phi) on an n = 2 revolution patch (phi = x[:, 0], the
     parallel's angle), with analytic jets; j = 0 gives u = 1 and zero jets."""
+    check_count(j, 0, "a leaf mode index j")
 
     def grad(x):
         out = np.zeros((x.shape[0], 2))

@@ -34,25 +34,18 @@ them.
 
 The derivative kernels of one immersion repeat the same few coordinate
 functions: every kernel of a sphere or torus chart takes sin and cos of
-its coordinates.  Kernels therefore call ``sin``, ``cos`` and ``exp``
-through shared wrappers.  While ``AnalyticSupplier.jets`` runs, a wrapper
-applied to one of the call's own coordinate columns returns the value the
-first such application computed, so each of these functions runs once per
-column and call instead of once per kernel (Griewank & Walther, Evaluating
-Derivatives, 2nd ed., SIAM 2008: share common subexpressions between the
-derivative evaluations).  The same numpy ufunc runs on the same array, so
-jets are bit-identical to unshared kernels.  The table of shared values is
-thread-local, because grid integrals evaluate blocks on a thread pool; it
-is keyed on the identity of the column arrays, which the call keeps alive,
-and cleared when the call returns.  Any other argument (cos(x1 + 2*x2)) and
-any call outside ``jets`` (``revolution.profile_from_sympy``) goes straight
-to numpy.
+its coordinates.  A build therefore prints sin, cos and exp of a bare
+coordinate as kernel arguments, one column each, and ``jets`` computes each
+column once per call (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+SIAM 2008: share common subexpressions between the derivative
+evaluations), so every kernel is a pure function of its arguments.  The
+same numpy ufunc runs on the same coordinate column as in a kernel that
+calls it itself, so the jets are bit-identical to such kernels'.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,30 +89,6 @@ _KERNEL_PRINTER = {"fully_qualified_modules": False, "inline": True,
                    "allow_unknown_functions": True, "order": "none"}
 
 
-#: {id(column): {ufunc: value}} of the AnalyticSupplier.jets call running in
-#: this thread, None outside one
-_shared_values = threading.local()
-
-
-def _shared(ufunc):
-    """ufunc, whose value on a coordinate column of the running jets call is
-    computed once and shared by every kernel of that call."""
-    def shared(x):
-        columns = getattr(_shared_values, "table", None)
-        values = None if columns is None else columns.get(id(x))
-        if values is None:
-            return ufunc(x)
-        if ufunc not in values:
-            values[ufunc] = ufunc(x)
-            values[ufunc].flags.writeable = False
-        return values[ufunc]
-
-    return shared
-
-
-_SHARED = {f.__name__: _shared(f) for f in (np.sin, np.cos, np.exp)}
-
-
 class KernelPrinter(NumPyPrinter):
     """The kernels' numpy printer: lambdify's settings plus order="none"
     (``_KERNEL_PRINTER``), printing each (type, subexpression) once.
@@ -133,11 +102,14 @@ class KernelPrinter(NumPyPrinter):
     unsupported node raises rather than adding a comment to the source, and
     the module imports it registers stay on the printer: every source is
     string-equal to the one a fresh printer prints.
+
+    ``columns`` {expression: symbol} seeds the memo, so each of those
+    expressions prints as its symbol's name, an argument of the kernel.
     """
 
-    def __init__(self):
+    def __init__(self, columns=None):
         super().__init__(_KERNEL_PRINTER)
-        self._printed = {}
+        self._printed = {(type(e), e): s.name for e, s in (columns or {}).items()}
 
     def _print(self, expr, **kwargs):
         if kwargs or not isinstance(expr, sp.Basic):
@@ -153,17 +125,18 @@ def numpy_kernel(args, expr, printer: KernelPrinter):
     """One numpy kernel of a sympy expression in the symbols args.
 
     The kernel takes one array per symbol and returns a float array of the
-    first argument's shape, so constant expressions broadcast.  The code is
-    printed without a docstring and without sorting terms by ``printer``,
-    the ``KernelPrinter`` that the kernels of one build share, and calls
-    sin, cos and exp through the shared wrappers.
+    first argument's shape; a value of another shape (a constant) is
+    broadcast to it.  The code is printed without a docstring and without
+    sorting terms by ``printer``, the ``KernelPrinter`` that the kernels of
+    one build share.
     """
-    fn = sp.lambdify(args, expr, modules=[_SHARED, "numpy"], docstring_limit=0,
-                     printer=printer)
+    fn = sp.lambdify(args, expr, modules="numpy", docstring_limit=0, printer=printer)
 
     def kernel(*values):
         values = [np.asarray(v, dtype=float) for v in values]
-        return np.broadcast_to(np.asarray(fn(*values), dtype=float), values[0].shape)
+        value = np.asarray(fn(*values), dtype=float)
+        shape = values[0].shape
+        return value if value.shape == shape else np.broadcast_to(value, shape)
 
     return kernel
 
@@ -222,25 +195,42 @@ class AnalyticSupplier:
     One kernel per component a and sorted derivative index idx of order 0..3,
     kept in one table {(a, idx): kernel}, and the rows its value fills, one
     per permutation of idx, in the point-last buffer of its order
-    (``_rows``, computed once per build).  jets() evaluates each kernel once,
-    with sin, cos and exp of each coordinate column computed once per call.
+    (``_rows``, computed once per build).  jets() evaluates each kernel once.
     The derivative expressions come from ``derivative`` with one memo for the
     whole build.
+
+    A kernel's arguments are the coordinates and then the columns
+    (``_columns``, (ufunc, coordinate index) pairs): sin and cos of each
+    coordinate that either of them is applied to in a component, and exp of
+    each coordinate it is applied to.  The printer prints sin(x_i), cos(x_i)
+    and exp(x_i) as the names of those arguments, and jets() computes each
+    column once per call.
     """
 
     def __init__(self, coords, exprs):
+        exprs = [sp.sympify(e) for e in exprs]
         self.n = len(coords)
         self.m = len(exprs)
         self._kernels = {}
         self._rows = {}
-        memo, printer = {}, KernelPrinter()
+        self._columns = []
+        applied = set().union(*(e.atoms(sp.sin, sp.cos, sp.exp) for e in exprs))
+        columns = {}
+        for i, c in enumerate(coords):
+            # sin and cos of a coordinate differentiate into each other
+            for f, g in ((sp.sin, sp.cos), (sp.cos, sp.sin), (sp.exp, sp.exp)):
+                if f(c) in applied or g(c) in applied:
+                    self._columns.append((getattr(np, f.__name__), i))
+                    columns[f(c)] = sp.Symbol(f"{f.__name__}_{c.name}")
+        args = list(coords) + list(columns.values())
+        memo, printer = {}, KernelPrinter(columns)
         for a, expr in enumerate(exprs):
-            derivs = {(): sp.sympify(expr)}
+            derivs = {(): expr}
             for k in range(4):
                 for idx in itertools.combinations_with_replacement(range(self.n), k):
                     if k:
                         derivs[idx] = derivative(derivs[idx[:-1]], coords[idx[-1]], memo)
-                    self._kernels[a, idx] = numpy_kernel(coords, derivs[idx], printer)
+                    self._kernels[a, idx] = numpy_kernel(args, derivs[idx], printer)
                     slots = [(a,) + perm for perm in set(itertools.permutations(idx))]
                     self._rows[a, idx] = np.ravel_multi_index(np.transpose(slots),
                                                               (self.m,) + (self.n,) * k)
@@ -248,17 +238,14 @@ class AnalyticSupplier:
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         x = sample_points(x, self.n)
         npts = x.shape[0]
-        args = [x[:, i] for i in range(self.n)]
+        coords = [x[:, i] for i in range(self.n)]
+        args = coords + [f(coords[i]) for f, i in self._columns]
         top = 3 if order >= 3 else 2
         bufs = [np.empty((self.m,) + (self.n,) * k + (npts,)) for k in range(top + 1)]
         rows = [buf.reshape(-1, npts) for buf in bufs]
-        _shared_values.table = {id(column): {} for column in args}
-        try:
-            for (a, idx), kernel in self._kernels.items():
-                if len(idx) <= top:
-                    rows[len(idx)][self._rows[a, idx]] = kernel(*args)
-        finally:
-            _shared_values.table = None
+        for (a, idx), kernel in self._kernels.items():
+            if len(idx) <= top:
+                rows[len(idx)][self._rows[a, idx]] = kernel(*args)
         return Jets(*(np.moveaxis(buf, -1, 0) for buf in bufs))
 
 
@@ -341,7 +328,7 @@ class FiniteDifferenceSupplier:
         return r0, np.moveaxis(d1, 1, -1), np.moveaxis(d2, (1, 2), (-2, -1))
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = sample_points(x, self.n)
         r0, d1, d2 = self._jets2(x)
         d3 = None
         if order >= 3:

@@ -97,6 +97,15 @@ def test_rho_positive_required(critical_23):
         rev.principal_curvatures(critical_23, np.array([-0.1]))
 
 
+def test_rho_finite_required():
+    cone = rev.profile_from_sympy(2, 0.8 * RHO, RHO, (0.2, 2.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="rho must be finite"):
+            rev.invariants(cone, [bad])
+        with pytest.raises(DomainError, match="rho must be finite"):
+            rev.principal_curvatures(cone, [0.5, bad])
+
+
 def test_vertical_tangent_is_a_domain_error():
     # the unit hemisphere f = sqrt(1 - rho^2) has f' = -inf at rho = 1
     prof = rev.profile_from_sympy(2, sp.sqrt(1 - RHO**2), RHO, (0.3, 1.0))
@@ -240,6 +249,16 @@ def test_mode_index_must_be_a_nonnegative_integer(critical_23):
         with pytest.raises(DomainError, match="mode index"):
             rev.second_variation_revolution(critical_23, 3, j)
     assert rev.leaf_mode_l2(3, np.int64(4)) == rev.leaf_mode_l2(3, 4)
+
+
+def test_leaf_mode_variation_index_must_be_a_nonnegative_integer():
+    # cos(1.5 phi) is not 2 pi-periodic on a parallel
+    for j in (-1, 1.5, 2.0, True):
+        with pytest.raises(DomainError, match="mode index"):
+            rev.leaf_mode_variation(j)
+    x = np.array([[0.3, 1.0]])
+    assert np.array_equal(rev.leaf_mode_variation(np.int64(2))(x),
+                          np.cos(2 * x[:, 0]))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -1,17 +1,20 @@
 """The compiled kernel table of AnalyticSupplier: derivative expressions equal
 to sympy's diff with no Derivative object built, order-3 jets against plain
-lambdify kernels and against the same kernels without shared coordinate
-functions on every catalog surface, broadcasting of constant and zero
-components, one lambdify call per derivative component, no str() printing of
-expressions while a surface compiles, kernel sources from the build's
-memoised printer string-equal to a fresh printer's, and the thread-local
-table of shared sin/cos/exp values under the block pool and under concurrent
-jets calls; jets equal to a point-first fill of the same kernels and laid out
-point-last in memory, and points that are not a finite (k >= 1, n) array
-refused with DomainError."""
+lambdify kernels and, bit for bit, against the same kernels calling sin, cos
+and exp of the coordinates themselves on every catalog surface, broadcasting
+of constant and zero components, one lambdify call per derivative component,
+no str() printing of expressions while a surface compiles, kernel sources
+from the build's memoised printer string-equal to a fresh printer's with the
+same columns, no kernel applying sin, cos or exp to a bare coordinate, each
+such column computed once per jets call, and the same jets under the block
+pool and under concurrent jets calls; jets equal to a point-first fill of
+the same kernels and laid out point-last in memory, and points that are not
+a finite (k >= 1, n) array refused with DomainError, by the analytic, the
+revolution and the finite-difference suppliers alike."""
 
 import inspect
 import itertools
+import re
 import sys
 import threading
 from math import comb
@@ -34,17 +37,17 @@ SURFACES = sorted({fn: name for name, fn in reversed(catalog.CATALOG.items())}.v
 
 def build_recorded(name, monkeypatch):
     """Build a catalog surface, recording each supplier's (coords, exprs)
-    and the number of lambdify calls its build makes."""
+    and the expression of each lambdify call its build makes."""
     builds = []
     init = suppliers.AnalyticSupplier.__init__
     lambdify = sp.lambdify
 
-    def counting(*args, **kwargs):
-        builds[-1][2] += 1
-        return lambdify(*args, **kwargs)
+    def counting(args, expr, **kwargs):
+        builds[-1][2].append(expr)
+        return lambdify(args, expr, **kwargs)
 
     def recording(self, coords, exprs):
-        builds.append([coords, exprs, 0])
+        builds.append([coords, exprs, []])
         init(self, coords, exprs)
 
     monkeypatch.setattr(sp, "lambdify", counting)
@@ -85,8 +88,10 @@ def plain_jets(coords, exprs, x):
 
 def point_first_jets(supplier, x, order):
     """r, d1, d2 (and d3 at order 3) of an AnalyticSupplier filled point-first:
-    every kernel's value written to each permutation of its index."""
-    args = [x[:, i] for i in range(supplier.n)]
+    every kernel's value written to each permutation of its index, the
+    kernels taking the coordinate columns and then the sin/cos/exp columns."""
+    coords = [x[:, i] for i in range(supplier.n)]
+    args = coords + [f(coords[i]) for f, i in supplier._columns]
     top = 3 if order >= 3 else 2
     out = [np.empty((x.shape[0], supplier.m) + (supplier.n,) * k) for k in range(top + 1)]
     for (a, idx), kernel in supplier._kernels.items():
@@ -146,9 +151,9 @@ def test_build_constructs_no_derivative_object(monkeypatch):
 def test_jets_match_plain_lambdify_kernels(name, monkeypatch):
     surface, builds = build_recorded(name, monkeypatch)
     assert len(builds) == 1
-    coords, exprs, calls = builds[0]
+    coords, exprs, kernel_exprs = builds[0]
     n, m = len(coords), len(exprs)
-    assert calls == m * comb(n + 3, 3)
+    assert len(kernel_exprs) == m * comb(n + 3, 3)
     pts = surface.grid.points
     x = pts[:: max(1, len(pts) // 40)]
     jets = surface.supplier.jets(x, order=3)
@@ -156,10 +161,13 @@ def test_jets_match_plain_lambdify_kernels(name, monkeypatch):
     for got, want in zip(by_order, plain_jets(coords, exprs, x)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # outside jets no value is shared, and sharing changes no bit
+    # the same kernels printed without columns, each calling sin, cos and exp
+    # of the coordinates itself, give the same bits
+    printer = suppliers.KernelPrinter()
     args = [x[:, i] for i in range(n)]
-    for (a, idx), kernel in surface.supplier._kernels.items():
-        assert np.array_equal(by_order[len(idx)][(slice(None), a) + idx], kernel(*args))
+    for ((a, idx), _), expr in zip(surface.supplier._kernels.items(), kernel_exprs):
+        plain = suppliers.numpy_kernel(coords, expr, printer)
+        assert np.array_equal(by_order[len(idx)][(slice(None), a) + idx], plain(*args))
     low = surface.supplier.jets(x, order=2)
     assert low.d3 is None
     assert np.array_equal(low.d2, jets.d2)
@@ -190,6 +198,20 @@ def test_jets_reject_points_that_are_not_a_finite_chart_array():
         with pytest.raises(DomainError, match=r"finite \(k >= 1, 2\) array"):
             sphere.supplier.jets(bad)
     assert np.array_equal(sphere.supplier.jets(x[1]).d2, sphere.supplier.jets(x[1:2]).d2)
+
+
+def test_revolution_and_finite_difference_jets_reject_bad_points():
+    profile = rev.profile_from_sympy(2, sp.Symbol("rho") ** 2, sp.Symbol("rho"), (0.5, 1.5))
+    revolution = rev.RevolutionSupplier(profile)
+    fd = suppliers.FiniteDifferenceSupplier(lambda x: revolution.jets(x, order=0).r, n=2)
+    x = np.array([[0.1, 0.7], [2.0, 1.2]])
+    nan = x.copy()
+    nan[1, 1] = np.nan
+    for supplier in (revolution, fd):
+        for bad in (np.column_stack([x, x[:, 0]]), x[:, :1], x[:0], nan):
+            with pytest.raises(DomainError, match=r"finite \(k >= 1, 2\) array"):
+                supplier.jets(bad)
+        assert np.array_equal(supplier.jets(x[1]).d2, supplier.jets(x[1:2]).d2)
 
 
 def test_constant_and_zero_components_broadcast():
@@ -225,7 +247,8 @@ def test_compile_prints_no_expression_with_str(monkeypatch):
 
 
 def recorded_sources(build, monkeypatch):
-    """(args, expr, source) of every lambdify call that build() makes."""
+    """build()'s value and the (args, expr, source) of every lambdify call
+    that it makes."""
     calls = []
     lambdify = sp.lambdify
 
@@ -235,12 +258,13 @@ def recorded_sources(build, monkeypatch):
         return fn
 
     monkeypatch.setattr(sp, "lambdify", recording)
-    build()
+    built = build()
     monkeypatch.undo()
-    return calls
+    return built, calls
 
 
 def _edge_supplier():
+    """An AnalyticSupplier of expressions that probe the printer's memo."""
     # equal-valued Floats of precision 15 and 30 (equal hashes, different
     # printed digits), x with and without assumptions, and the Abs, Piecewise
     # and polygamma nodes of test_derivative_rules_beyond_the_catalog; the
@@ -253,43 +277,70 @@ def _edge_supplier():
     exprs = [third[0] * sp.cos(x) + third[1] * sp.sin(y) + third[1] * sp.cos(x) * plain_x,
              sp.sqrt(1 + x**2) * sp.cos(x * y) + x**y + sp.Abs(y) + third[0] * plain_x**2,
              sp.Piecewise((x, y > 0), (x**2, True)) + sp.polygamma(1, x * y)]
-    suppliers.AnalyticSupplier((x, y), exprs)
+    return suppliers.AnalyticSupplier((x, y), exprs)
+
+
+def column_symbols(supplier, args):
+    """{sin/cos/exp(coordinate): argument symbol} of a supplier's columns,
+    read off its kernels' arguments, the coordinates and then the columns."""
+    return {getattr(sp, f.__name__)(args[i]): args[supplier.n + k]
+            for k, (f, i) in enumerate(supplier._columns)}
 
 
 @pytest.mark.parametrize("name", SURFACES + ["edge-cases"])
 def test_memo_printer_prints_the_fresh_source(name, monkeypatch):
     build = _edge_supplier if name == "edge-cases" else catalog.CATALOG[name]
-    calls = recorded_sources(build, monkeypatch)
+    built, calls = recorded_sources(build, monkeypatch)
+    supplier = built if name == "edge-cases" else built.supplier
     assert calls
     for args, expr, source in calls:
-        fresh = sp.lambdify(args, expr, modules=[suppliers._SHARED, "numpy"], docstring_limit=0,
-                            printer=NumPyPrinter(suppliers._KERNEL_PRINTER))
+        printer = suppliers.KernelPrinter(column_symbols(supplier, args))
+        fresh = sp.lambdify(args, expr, modules="numpy", docstring_limit=0, printer=printer)
         assert source == inspect.getsource(fresh), expr
     if name == "edge-cases":
         sources = "".join(source for _, _, source in calls)
         assert "0.333333333333333*" in sources and "0.333333333333333314829616256247*" in sources
+        assert "cos_x" in sources and "sin_y" in sources
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_no_kernel_applies_a_coordinate_function_to_a_bare_coordinate(name, monkeypatch):
+    surface, calls = recorded_sources(catalog.CATALOG[name], monkeypatch)
+    coords = calls[0][0][:surface.supplier.n]
+    bare = re.compile(r"\b(sin|cos|exp)\((%s)\)" % "|".join(c.name for c in coords))
+    for _, _, source in calls:
+        assert not bare.search(source), source
+
+
+def test_sphere_kernels_read_sin_and_cos_columns_of_every_angle(monkeypatch):
+    sphere, calls = recorded_sources(lambda: catalog.sphere(n=4), monkeypatch)
+    bodies = "".join(source.split("\n", 1)[1] for _, _, source in calls)
+    read = sorted(set(re.findall(r"\b(sin|cos|exp)_(t\d)\b", bodies)))
+    assert read == [("cos", f"t{i}") for i in range(4)] + [("sin", f"t{i}") for i in range(4)]
+    assert sorted((f.__name__, i) for f, i in sphere.supplier._columns) == sorted(
+        (f, int(t[1])) for f, t in read)
 
 
 def test_jets_compute_each_coordinate_function_once_per_column(monkeypatch):
-    tables = []
-
-    class Recording(threading.local):
-        def __setattr__(self, name, value):
-            if value is not None:
-                tables.append(value)
-            super().__setattr__(name, value)
-
-    monkeypatch.setattr(suppliers, "_shared_values", Recording())
     sphere = catalog.sphere(n=4, m_polar=4, m_azimuth=6)
+    supplier = sphere.supplier
     x = sphere.grid.points
-    sphere.supplier.jets(x)
-    assert len(tables) == 1 and suppliers._shared_values.table is None
-    # 75 order-2 kernels read sin and cos of the 4 angles: 8 values
-    values = [(fn, v) for shared in tables[0].values() for fn, v in shared.items()]
-    assert sorted(fn.__name__ for fn, _ in values) == ["cos"] * 4 + ["sin"] * 4
-    for fn in (np.sin, np.cos):
-        got = [v for f, v in values if f is fn]
-        assert all(any(np.array_equal(v, fn(x[:, i])) for v in got) for i in range(4))
+    want = supplier.jets(x)
+    calls = []
+
+    def counted(f, i):
+        def column(values):
+            calls.append((f.__name__, i))
+            assert np.array_equal(values, x[:, i])
+            return f(values)
+        return column
+
+    # 75 order-2 kernels read sin and cos of the 4 angles: 8 columns
+    monkeypatch.setattr(supplier, "_columns", [(counted(f, i), i) for f, i in supplier._columns])
+    got = supplier.jets(x)
+    assert sorted(calls) == [("cos", i) for i in range(4)] + [("sin", i) for i in range(4)]
+    for k in ("r", "d1", "d2"):
+        assert np.array_equal(getattr(got, k), getattr(want, k))
 
 
 def test_kernels_called_outside_jets_share_nothing():
