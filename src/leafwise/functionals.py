@@ -492,4 +492,4 @@ def project_volume_preserving(patch: FoliatedPatch, u: ScalarField) -> ScalarFie
         val, du, d2u = u.jets(x)
         return val - mean, du, d2u
 
-    return ScalarField(jets_fn=jets, fn=shifted)
+    return ScalarField(jets_fn=jets, n=u.n, fn=shifted)

@@ -24,31 +24,36 @@ import numpy as np
 
 from .errors import DomainError, StencilError, ValidationError
 from .patch import FoliatedPatch, Grid, PointGeometry, christoffel_bracket, frame_sandwich
-from .suppliers import callable_jets, scalar_jets_from_callable, stencil_jets
+from .suppliers import callable_jets, sample_points, scalar_jets_from_callable, stencil_jets
 
 
 @dataclass
 class ScalarField:
-    """Smooth scalar field on the chart with 2-jets."""
+    """Smooth scalar field on an n-dimensional chart with 2-jets.
+
+    ``jets`` and calls take their points through ``sample_points(x, n)``: a
+    finite (k >= 1, n) array, or one point as a vector, else DomainError.
+    """
 
     jets_fn: object
+    n: int
     fn: object = None
 
     @classmethod
     def from_callable(cls, fn, n: int, step=2e-3, grad=None, hess=None) -> "ScalarField":
-        return cls(scalar_jets_from_callable(fn, n, step=step, grad=grad, hess=hess), fn)
+        return cls(scalar_jets_from_callable(fn, n, step=step, grad=grad, hess=hess), n, fn)
 
     @classmethod
     def from_grid(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
         sampler = _GridSampler(grid, np.asarray(values, dtype=float))
-        return cls(jets_fn=sampler.jets, fn=sampler.values_at)
+        return cls(jets_fn=sampler.jets, n=grid.ndim, fn=sampler.values_at)
 
     def jets(self, x: np.ndarray):
-        return self.jets_fn(np.atleast_2d(np.asarray(x, dtype=float)))
+        return self.jets_fn(sample_points(x, self.n))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.fn is not None:
-            x = np.atleast_2d(np.asarray(x, dtype=float))
+            x = sample_points(x, self.n)
             return np.broadcast_to(np.asarray(self.fn(x), dtype=float), (x.shape[0],))
         return self.jets(x)[0]
 
@@ -77,10 +82,10 @@ class _GridSampler:
         return idx
 
     def values_at(self, x):
-        return self.values[tuple(self._locate(np.atleast_2d(x)))]
+        return self.values[tuple(self._locate(sample_points(x, self.grid.ndim)))]
 
     def jets(self, x):
-        idx = self._locate(np.atleast_2d(np.asarray(x, dtype=float)))
+        idx = self._locate(sample_points(x, self.grid.ndim))
 
         def sample(shift):
             sel = list(idx)

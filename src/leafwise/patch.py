@@ -8,7 +8,9 @@ over arbitrary parameter points, each on first use; the grid only drives
 quadrature and grid-sampled fields.  ``FoliatedPatch.integrate`` is the one
 grid quadrature: energies, first and second variations and the integral
 identities integrate a density of the geometry through it, in blocks of
-BLOCK points on a thread pool when the grid has more than one block.
+``FoliatedPatch.block_size`` points (BLOCK_ENTRIES // n**2, about as many
+metric entries for every n) on a thread pool when the grid has more than
+one block.
 """
 
 from __future__ import annotations
@@ -122,9 +124,12 @@ class Grid:
         return np.array([ax.nodes[i] for ax, i in zip(self.axes, index)])
 
 
-#: points per block of a grid integral; a block's geometry is built, used
-#: and dropped before its worker takes the next one
-BLOCK = 8192
+#: metric entries g_ij per block of a grid integral, read only by
+#: ``FoliatedPatch.block_size``: 2**17 // n**2 points, 8192 for n = 4, so a
+#: block of any n holds about as many entries and its numpy calls are as long;
+#: a block's geometry is built, used and dropped before its worker takes the
+#: next one
+BLOCK_ENTRIES = 2**17
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -422,10 +427,17 @@ class FoliatedPatch:
         orientation and leaf dimension."""
         return PointGeometry(x, jets, *normal_jets(jets, self.normal_orientation), s=self.s)
 
+    @property
+    def block_size(self) -> int:
+        """Grid points per block of ``integrate``: BLOCK_ENTRIES // n**2, so
+        a block holds about as many metric entries whatever n is (8192
+        points for n = 4, 14563 for n = 3, 32768 for n = 2)."""
+        return BLOCK_ENTRIES // self.n**2
+
     def integrate(self, density_fn, order: int = 2):
         """Integral over the patch of ``density_fn(geo)`` (per unit volume),
-        computed in blocks of BLOCK grid points, ``geo`` the geometry of a
-        block at jet order ``order``.
+        computed in blocks of ``block_size`` grid points, ``geo`` the
+        geometry of a block at jet order ``order``.
 
         The density is one value per point (the result is a float) or an
         array with the point axis last (one integral per leading index, all
@@ -439,14 +451,14 @@ class FoliatedPatch:
         integral inside a pool worker, runs in the calling thread.  The
         first error of the lowest failing block is raised.
         """
-        points, weights = self.grid.points, self.grid.weights
+        points, weights, size = self.grid.points, self.grid.weights, self.block_size
 
         def block(lo: int) -> np.ndarray:
-            hi = lo + BLOCK
+            hi = lo + size
             geo = self.geometry(points[lo:hi], order=order)
             return weights[lo:hi] * geo.sqrt_det_g * np.asarray(density_fn(geo), dtype=float)
 
-        starts = range(0, points.shape[0], BLOCK)
+        starts = range(0, points.shape[0], size)
         if len(starts) == 1 or getattr(_in_worker, "active", False):
             parts = [block(lo) for lo in starts]
         else:

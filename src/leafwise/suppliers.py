@@ -350,17 +350,25 @@ def cofactor_normal(t: np.ndarray) -> np.ndarray:
     raw[:, a] = (-1)^(a+n) det(t without row a), shape (M, n+1).
 
     The minors come from Laplace expansion along the last column over every
-    subset of rows, all n+1 minors at once (m 2^(m-1) array operations for
-    m = n+1 rows), elementwise over the point axis: exact, no pivoting.
+    subset of rows, all n+1 minors at once, elementwise over the point axis:
+    exact, no pivoting.  Each of the fewer than m 2^(m-1) terms (m = n+1
+    rows) is one product, added or subtracted by the parity of its sign, so
+    no array is multiplied by -1; each sum starts from 0.0, so a zero minor
+    is +0.0 whatever the sign of its first term.
     """
     m, n = t.shape[:2]
     minors = {(a,): t[a, 0] for a in range(m)}  # rows -> minor on the first len(rows) columns
     for k in range(1, n):
-        minors = {rows: sum((-1.0) ** (j + k) * t[a, k] * minors[rows[:j] + rows[j + 1:]]
-                            for j, a in enumerate(rows))
-                  for rows in itertools.combinations(range(m), k + 1)}
-    return np.stack([(-1.0) ** (a + n) * minors[tuple(b for b in range(m) if b != a)]
-                     for a in range(m)], axis=1)
+        expanded = {}
+        for rows in itertools.combinations(range(m), k + 1):
+            acc = 0.0
+            for j, a in enumerate(rows):
+                term = t[a, k] * minors[rows[:j] + rows[j + 1:]]
+                acc = acc - term if (j + k) % 2 else acc + term
+            expanded[rows] = acc
+        minors = expanded
+    cofactors = [minors[tuple(b for b in range(m) if b != a)] for a in range(m)]
+    return np.stack([-c if (a + n) % 2 else c for a, c in enumerate(cofactors)], axis=1)
 
 
 def cholesky_frame(gt: np.ndarray) -> np.ndarray:
@@ -407,7 +415,9 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     dN = -A^k_i r_k are left to ``PointGeometry``, which builds them on
     first use.  No LAPACK call: every kernel is elementwise over the point
     axis, g_ij = sum_a d_i r^a d_j r^a and h_ij = sum_a N^a d_i d_j r^a
-    among them, summed over point-last rows of the jets.  Those are read in
+    among them, each one einsum over point-last rows of the jets: one long
+    call that releases the GIL, bit-identical to a Python sum of the rows
+    on every catalog surface.  Those are read in
     place from ``AnalyticSupplier`` jets; the first derivatives of any other
     supplier are copied to that layout and its second derivatives read
     through a strided view.
@@ -420,8 +430,8 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
         raise SingularImmersionError("immersion Jacobian is rank-deficient")
     nvec = orientation * raw / length[:, None]
     nt = np.ascontiguousarray(nvec.T)
-    gt = sum(t[a, :, None] * t[a, None, :] for a in range(t.shape[0]))
-    ht = sum(nt[a] * d2t[a] for a in range(t.shape[0]))
+    gt = np.einsum("aip,ajp->ijp", t, t)
+    ht = np.einsum("ap,aijp->ijp", nt, d2t)
     g, h = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (gt, ht))
     return nvec, g, h, cholesky_frame(gt), length
 
@@ -548,7 +558,8 @@ class InvertedImmersion:
 
 
 def scalar_jets_from_callable(fn, n: int, step=2e-3, grad=None, hess=None):
-    """Build a jet function x -> (u, du, d2u) for a smooth scalar field.
+    """Build a jet function x -> (u, du, d2u) for a smooth scalar field,
+    x a finite (k >= 1, n) array or one point as a vector (``sample_points``).
 
     Analytic gradient/Hessian callables are used when given; otherwise
     4th-order central differences of the callable.
@@ -559,7 +570,7 @@ def scalar_jets_from_callable(fn, n: int, step=2e-3, grad=None, hess=None):
         return np.broadcast_to(np.asarray(fn(x), dtype=float), (x.shape[0],))
 
     def jets(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = sample_points(x, n)
         if grad is not None and hess is not None:
             return (value(x).copy(), np.asarray(grad(x), dtype=float),
                     np.asarray(hess(x), dtype=float))

@@ -179,9 +179,9 @@ def _ladder_value(w):
 
 
 def test_numeric_variation_shares_one_base_per_ladder(monkeypatch):
-    patch = catalog.sheared_torus4(m1=21, m2=21, m3=21)
-    blocks = -(-len(patch.grid.points) // pt.BLOCK)
-    assert blocks == 2
+    patch = catalog.sheared_torus4(m1=25, m2=25, m3=25)
+    size = patch.block_size
+    assert -(-len(patch.grid.points) // size) == 2
     u = random_trig_variation(3, np.random.default_rng(7), amplitude=0.5)
     spec = fl.w_nps(2)
 
@@ -207,7 +207,7 @@ def test_numeric_variation_shares_one_base_per_ladder(monkeypatch):
     monkeypatch.setattr(AnalyticSupplier, "jets", counting)
     value = fl.first_variation_numeric(spec, patch, u)
     assert value == oracle
-    assert sorted(calls) == sorted([pt.BLOCK, len(patch.grid.points) - pt.BLOCK])
+    assert sorted(calls) == sorted([size, len(patch.grid.points) - size])
     # the values W(+-t) integrated per deformed patch give the same variation
     # up to the rounding of the pull-back
     per_t = _ladder_value([fl.evaluate(spec, deformed_patch(patch, u, sign * t))
@@ -224,7 +224,7 @@ def test_numeric_variation_memory_is_bounded_by_a_block(monkeypatch):
     with ThreadPoolExecutor(max_workers=2, initializer=setattr,
                             initargs=(pt._in_worker, "active", True)) as pool:
         monkeypatch.setattr(pt, "_pool", pool)
-        for m in (128, 256):  # 2 and 8 blocks
+        for m in (256, 512):  # 2 and 8 blocks
             patch = catalog.torus(s=1, m_leaf=m, m_tube=m)
             _ = patch.grid.points, patch.grid.weights  # built before tracing
             tracemalloc.start()

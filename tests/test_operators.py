@@ -196,3 +196,21 @@ def test_grid_sampled_field_rejects_offgrid():
     sampled = ScalarField.from_grid(grid, np.ones(8))
     with pytest.raises(DomainError):
         sampled.jets(np.array([[0.1234]]))
+
+
+def test_scalar_fields_refuse_points_that_are_not_finite_n_columns():
+    # a 3-column point on a 2-dimensional chart, and a NaN point, are refused
+    # by every way into a scalar field, callable or grid-sampled alike
+    grid = Grid(axes=(periodic_axis(0, 2 * np.pi, 8), periodic_axis(0, 2 * np.pi, 8)))
+    fields = [ScalarField.from_callable(lambda x: np.cos(x[:, 0]), n=2),
+              ScalarField.from_callable(lambda x: np.cos(x[:, 0]), n=2,
+                                        grad=lambda x: np.zeros((len(x), 2)),
+                                        hess=lambda x: np.zeros((len(x), 2, 2))),
+              ScalarField.from_grid(grid, np.ones(grid.shape))]
+    for field in fields:
+        for bad in ([[0.1, 0.2, 0.3]], [[np.nan, 0.2]], [0.0, np.inf]):
+            with pytest.raises(DomainError, match="finite"):
+                field.jets(bad)
+            with pytest.raises(DomainError, match="finite"):
+                field(bad)
+        assert field(grid.points[9]).shape == (1,)  # one point as a vector

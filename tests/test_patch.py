@@ -7,7 +7,7 @@ import pytest
 
 from leafwise import catalog, functionals as fl, varcheck as vc
 from leafwise.errors import DomainError, SingularImmersionError
-from leafwise.patch import (BLOCK, FoliatedPatch, Grid, PointGeometry, gauss_axis, lazy,
+from leafwise.patch import (FoliatedPatch, Grid, PointGeometry, gauss_axis, lazy,
                             periodic_axis, point_geometry, uniform_axis)
 from leafwise.suppliers import (AnalyticSupplier, FiniteDifferenceSupplier, InvertedImmersion,
                                 Jets, cholesky_frame, cofactor_normal, normal_jets)
@@ -399,10 +399,10 @@ def test_quadrature_weights_total():
 
 @pytest.fixture(scope="module")
 def sheared_two_blocks(sheared4):
-    """sheared_torus4 on a 24^3 grid (two blocks), without recompiling."""
+    """sheared_torus4 on a 25^3 grid (two blocks), without recompiling."""
     patch = replace(sheared4, grid=Grid(axes=tuple(
-        periodic_axis(0.0, 2 * np.pi, 24) for _ in range(3))))
-    assert BLOCK < patch.grid.points.shape[0] <= 2 * BLOCK
+        periodic_axis(0.0, 2 * np.pi, 25) for _ in range(3))))
+    assert patch.block_size < patch.grid.points.shape[0] <= 2 * patch.block_size
     return patch
 
 
@@ -414,11 +414,35 @@ def whole_grid_sum(patch, geo, density):
 
 def test_blocked_evaluate_equals_whole_grid_integral():
     patch = catalog.sphere(n=4, m_polar=16, m_azimuth=32)
-    assert patch.grid.points.shape[0] == 16 * BLOCK
+    assert patch.grid.points.shape[0] == 16 * patch.block_size
     spec = fl.w_nps(4)
     geo = patch.geometry()
     whole = whole_grid_sum(patch, geo, fl.integrand(spec, geo, patch.n, patch.s))
     assert fl.evaluate(spec, patch) == whole
+
+
+def test_blocked_n2_evaluate_equals_whole_grid_integral():
+    patch = catalog.torus_revolution(m_leaf=192, m_profile=192)
+    assert patch.block_size < patch.grid.points.shape[0] <= 2 * patch.block_size
+    spec = fl.w_nps(2)
+    geo = patch.geometry()
+    whole = whole_grid_sum(patch, geo, fl.integrand(spec, geo, patch.n, patch.s))
+    assert fl.evaluate(spec, patch) == whole
+
+
+@pytest.mark.parametrize(("build", "sizes"), [
+    (lambda: catalog.sphere(n=4, m_polar=16, m_azimuth=32), [8192] * 16),
+    (lambda: catalog.torus_revolution(m_leaf=512, m_profile=512), [32768] * 8),
+    (lambda: catalog.sheared_torus4(m1=25, m2=25, m3=25), [25**3 - 14563, 14563]),
+], ids=["sphere4", "torus512", "sheared25"])
+def test_blocks_hold_as_many_metric_entries_whatever_n(build, sizes):
+    # 2**17 // n**2 points per block: the grid-energy sphere keeps its 16
+    # blocks, and its 512 x 512 torus runs in 8
+    patch = build()
+    assert patch.block_size == sizes[-1]
+    seen = []
+    patch.integrate(lambda geo: seen.append(geo.x.shape[0]) or np.ones(geo.x.shape[0]))
+    assert sorted(seen) == sizes
 
 
 @pytest.mark.parametrize("spec", [fl.w_conf(2), fl.w_nps(2), fl.j_nps(3)],
@@ -435,8 +459,8 @@ def test_blocked_integrals_equal_whole_grid_integrals(sheared_two_blocks, spec):
 
 def test_blocked_identities_equal_whole_grid_sums():
     # both sides of each identity, integrated as one stack in blocks
-    patch = catalog.torus_revolution(m_leaf=96, m_profile=96)
-    assert BLOCK < patch.grid.points.shape[0] <= 2 * BLOCK
+    patch = catalog.torus_revolution(m_leaf=192, m_profile=192)
+    assert patch.block_size < patch.grid.points.shape[0] <= 2 * patch.block_size
     fields = vc.identity_fields(patch)
     geo = patch.geometry(order=3)
     for identity, sides in vc.INTEGRAL_IDENTITIES.items():
@@ -447,14 +471,16 @@ def test_blocked_identities_equal_whole_grid_sums():
 
 
 def test_error_in_a_later_block_reaches_the_caller(sheared_two_blocks):
+    size = sheared_two_blocks.block_size
+
     def f(sig):
-        if sig.shape[0] not in (4, BLOCK):  # spot-check probes and the first block pass
+        if sig.shape[0] not in (4, size):  # spot-check probes and the first block pass
             raise DomainError(f"late block of {sig.shape[0]} points")
         return sig[:, 0] ** 2
 
     spec = fl.FunctionalSpec(kind="WF", f=f, f_partials=lambda sig: np.stack(
         [2 * sig[:, 0], np.zeros(sig.shape[0])], axis=1))
-    tail = sheared_two_blocks.grid.points.shape[0] - BLOCK
+    tail = sheared_two_blocks.grid.points.shape[0] - size
     with pytest.raises(DomainError, match=f"^late block of {tail} points$"):
         fl.evaluate(spec, sheared_two_blocks)
 

@@ -17,7 +17,9 @@ memoised chain rule, and only ``FoliatedPatch.geometry_from_jets`` builds
 a ``PointGeometry`` and nothing keys a memo on the bytes of an array, so
 every geometry has its patch's orientation and leaf dimension, and
 itertools' permutations is named only in ``AnalyticSupplier.__init__``, so
-the jet slots of a kernel are enumerated once per build, not per call."""
+the jet slots of a kernel are enumerated once per build, not per call, and
+only ``FoliatedPatch.block_size`` reads the block constant ``BLOCK_ENTRIES``,
+so no other code bakes in a block's point count."""
 
 import ast
 from pathlib import Path
@@ -343,4 +345,32 @@ def test_permutations_only_in_the_analytic_build():
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _permutations_uses(ast.parse(path.read_text(), str(path)),
                                             allowed if path.name == "suppliers.py" else set())]
+    assert not found, found
+
+
+def _block_constant_reads(tree: ast.AST, allowed: set) -> list:
+    """Lines that read ``BLOCK_ENTRIES`` (a name, an attribute or an import)
+    outside the methods ``allowed``, named "Class.method"; its assignment is
+    not a read."""
+    inside = _inside_methods(tree, allowed)
+    return sorted({node.lineno for node in ast.walk(tree) if id(node) not in inside
+                   and (isinstance(node, ast.Name) and node.id == "BLOCK_ENTRIES"
+                        and not isinstance(node.ctx, ast.Store)
+                        or isinstance(node, ast.Attribute) and node.attr == "BLOCK_ENTRIES"
+                        or isinstance(node, ast.alias) and node.name == "BLOCK_ENTRIES")})
+
+
+def test_block_constant_read_only_by_the_block_size():
+    bad = ("from .patch import BLOCK_ENTRIES\nimport leafwise.patch as pt\n\n"
+           "BLOCK_ENTRIES = 2**17\n\n\n"
+           "class FoliatedPatch:\n    @property\n    def block_size(self):\n"
+           "        return BLOCK_ENTRIES // self.n**2\n\n"
+           "    def integrate(self, fn):\n        return BLOCK_ENTRIES // 16\n\n\n"
+           "def chunks(points):\n    return len(points) // (pt.BLOCK_ENTRIES // 4)\n")
+    allowed = {"FoliatedPatch.block_size"}
+    assert _block_constant_reads(ast.parse(bad), allowed) == [1, 13, 17]
+    assert _block_constant_reads(ast.parse(bad), set()) == [1, 10, 13, 17]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _block_constant_reads(ast.parse(path.read_text(), str(path)),
+                                               allowed if path.name == "patch.py" else set())]
     assert not found, found

@@ -10,7 +10,9 @@ such column computed once per jets call, and the same jets under the block
 pool and under concurrent jets calls; jets equal to a point-first fill of
 the same kernels and laid out point-last in memory, and points that are not
 a finite (k >= 1, n) array refused with DomainError, by the analytic, the
-revolution and the finite-difference suppliers alike."""
+revolution and the finite-difference suppliers alike; and ``normal_jets``
+bit-identical to Python sums of broadcast rows and a Laplace expansion that
+multiplies each term by its sign."""
 
 import inspect
 import itertools
@@ -189,6 +191,41 @@ def test_jets_equal_the_point_first_fill_and_keep_points_last(name):
             assert np.moveaxis(a, 0, -1).flags.c_contiguous
 
 
+def summed_normal_jets(jets, orientation):
+    """normal_jets with g and h as Python sums of broadcast rows over a and
+    the cofactor normal as a Laplace expansion that multiplies each term by
+    (-1)^(j+k): the oracle of its einsums and signed sums."""
+    t = np.ascontiguousarray(np.moveaxis(jets.d1, 0, -1))
+    d2t = np.moveaxis(jets.d2, 0, -1)
+    m, n = t.shape[:2]
+    minors = {(a,): t[a, 0] for a in range(m)}
+    for k in range(1, n):
+        minors = {rows: sum((-1.0) ** (j + k) * t[a, k] * minors[rows[:j] + rows[j + 1:]]
+                            for j, a in enumerate(rows))
+                  for rows in itertools.combinations(range(m), k + 1)}
+    raw = np.stack([(-1.0) ** (a + n) * minors[tuple(b for b in range(m) if b != a)]
+                    for a in range(m)], axis=1)
+    length = np.sqrt(np.einsum("pa,pa->p", raw, raw))
+    nvec = orientation * raw / length[:, None]
+    nt = np.ascontiguousarray(nvec.T)
+    gt = sum(t[a, :, None] * t[a, None, :] for a in range(m))
+    ht = sum(nt[a] * d2t[a] for a in range(m))
+    g, h = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (gt, ht))
+    return nvec, g, h, suppliers.cholesky_frame(gt), length
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_normal_jets_equal_summed_rows_bit_for_bit(name):
+    surface = catalog.CATALOG[name]()
+    for order in (2, 3):
+        jets = surface.supplier.jets(surface.grid.points, order=order)
+        got = suppliers.normal_jets(jets, surface.normal_orientation)
+        want = summed_normal_jets(jets, surface.normal_orientation)
+        for field, a, b in zip(("normal", "g", "h", "frame", "sqrt_det_g"), got, want):
+            assert np.array_equal(a, b), (field, order)
+            assert np.array_equal(np.signbit(a), np.signbit(b)), (field, order)
+
+
 def test_jets_reject_points_that_are_not_a_finite_chart_array():
     sphere = catalog.sphere(n=2, m_polar=4, m_azimuth=8)
     x = sphere.grid.points[:3]
@@ -364,7 +401,7 @@ def test_kernels_called_outside_jets_share_nothing():
 
 def test_pool_and_serial_energies_agree_bit_for_bit():
     sphere = catalog.sphere(n=4, m_polar=16, m_azimuth=32)
-    assert sphere.grid.points.shape[0] > patch.BLOCK
+    assert sphere.grid.points.shape[0] > sphere.block_size
     pooled = fl.evaluate(fl.w_nps(4), sphere)
     patch._in_worker.active = True  # blocks run one by one in this thread
     try:
