@@ -107,6 +107,10 @@ class LeafTensorField:
     """Leafwise symmetric (0,2)-tensor field with 2-jets along leaf axes.
 
     The callable returns components in leaf coordinates, shape (M, s, s).
+    ``jets`` and calls take their points through ``sample_points(x, None)``:
+    a finite 2-D array, or one point as a vector, else DomainError; the
+    field knows only the leaf dimension s, so the column count is not
+    checked.
     """
 
     fn: object
@@ -114,40 +118,46 @@ class LeafTensorField:
     step: float = 2e-3
 
     def jets(self, x: np.ndarray):
-        return callable_jets(self.fn, x, (self.step,) * self.s)
+        return callable_jets(self.fn, sample_points(x, None), (self.step,) * self.s)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(x)), dtype=float)
+        return np.asarray(self.fn(sample_points(x, None)), dtype=float)
 
 
 @dataclass
 class FullTensorField:
-    """Symmetric (0,2)-tensor field over all n coordinates, with 2-jets."""
+    """Symmetric (0,2)-tensor field over all n coordinates, with 2-jets.
+
+    ``jets`` and calls take their points through ``sample_points(x, n)``.
+    """
 
     fn: object
     n: int
     step: float = 2e-3
 
     def jets(self, x: np.ndarray):
-        return callable_jets(self.fn, x, (self.step,) * self.n)
+        return callable_jets(self.fn, sample_points(x, self.n), (self.step,) * self.n)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(x)), dtype=float)
+        return np.asarray(self.fn(sample_points(x, self.n)), dtype=float)
 
 
 @dataclass
 class LeafOneFormField:
-    """Leafwise 1-form field (components in leaf coordinates) with 1-jets."""
+    """Leafwise 1-form field (components in leaf coordinates) with 1-jets.
+
+    Points go through ``sample_points(x, None)``, as for ``LeafTensorField``.
+    """
 
     fn: object
     s: int
     step: float = 2e-3
 
     def jets(self, x: np.ndarray):
-        return callable_jets(self.fn, x, (self.step,) * self.s, order=1)
+        return callable_jets(self.fn, sample_points(x, None), (self.step,) * self.s, order=1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(x)), dtype=float)
+        return np.asarray(self.fn(sample_points(x, None)), dtype=float)
 
 
 def leaf_metric_multiple(patch: FoliatedPatch, u: ScalarField) -> LeafTensorField:

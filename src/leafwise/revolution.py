@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .operators import ScalarField
 from .patch import FoliatedPatch, Grid, check_count, gauss_axis, periodic_axis
-from .suppliers import (AnalyticSupplier, Jets, KernelPrinter, derivative, numpy_kernel,
-                        sample_points)
+from .suppliers import (AnalyticSupplier, Jets, KernelPrinter, check_kernel_symbols, derivative,
+                        numpy_kernel, sample_points)
 from .catalog import sphere_exprs
 from .symfunc import safe_power
 
@@ -337,6 +337,7 @@ def profile_from_sympy(n: int, expr, symbol, rho_range, p: float | None = None,
     import sympy as sp
 
     fs, memo = [sp.sympify(expr)], {}
+    check_kernel_symbols([symbol], fs)
     for _ in range(3):
         fs.append(derivative(fs[-1], symbol, memo))
     printer = KernelPrinter()

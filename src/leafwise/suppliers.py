@@ -19,7 +19,10 @@ differentiated once, and no ``Derivative`` object or assumption query is
 made on the way; the expressions are == to sp.diff's, so the printed
 kernels are the same.  Printing is memoised per build as well: the kernels
 of one build share one ``KernelPrinter``, which prints each subexpression
-once, and every kernel source is string-equal to a fresh printer's.
+once, and every kernel source is string-equal to a fresh printer's.  Each
+kernel is compiled from the string that the build's printer printed, so
+lambdify walks no expression tree: the subtrees that the kernels share are
+walked once per build, not once per kernel.
 
 Analytic jets are laid out point-last: each derivative order is one
 C-contiguous (m, n, ..., M) buffer, so a kernel's value, one float per
@@ -46,6 +49,7 @@ calls it itself, so the jets are bit-identical to such kernels'.
 from __future__ import annotations
 
 import itertools
+import keyword
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +77,14 @@ class Jets:
     d3: np.ndarray | None = None
 
 
-def sample_points(x, n: int) -> np.ndarray:
+def sample_points(x, n: int | None) -> np.ndarray:
     """x as a float (k, n) array of parameter points, one point given as a
-    vector; DomainError unless it is a finite (k >= 1, n) array."""
+    vector; DomainError unless it is a finite (k >= 1, n) array.  n = None
+    leaves the column count unchecked."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != n or not np.all(np.isfinite(x)):
-        raise DomainError(f"sample points must be a finite (k >= 1, {n}) array, "
+    if (x.ndim != 2 or x.shape[0] < 1 or n is not None and x.shape[1] != n
+            or not np.all(np.isfinite(x))):
+        raise DomainError(f"sample points must be a finite (k >= 1, {n or 'n'}) array, "
                           f"got shape {x.shape}")
     return x
 
@@ -121,16 +127,41 @@ class KernelPrinter(NumPyPrinter):
         return text
 
 
+def check_kernel_symbols(coords, exprs):
+    """DomainError unless a kernel compiled from the printed source of exprs
+    resolves every name in it: each coordinate a Symbol (not a Dummy) named
+    by a Python identifier that is no keyword, so it prints as its own name,
+    the kernel's argument, and each free symbol of exprs named like a
+    coordinate.  Derivatives add no free symbol, so the components of a
+    build are checked once."""
+    names = set()
+    for c in coords:
+        if (not isinstance(c, sp.Symbol) or isinstance(c, sp.Dummy)
+                or not c.name.isidentifier() or keyword.iskeyword(c.name)):
+            raise DomainError(f"coordinate {c!r} is not a Symbol named by a Python identifier")
+        names.add(c.name)
+    for expr in exprs:
+        for symbol in expr.free_symbols:
+            if str(symbol) not in names:
+                raise DomainError(f"free symbol {symbol} of {expr} is not a coordinate "
+                                  f"({', '.join(c.name for c in coords)})")
+
+
 def numpy_kernel(args, expr, printer: KernelPrinter):
     """One numpy kernel of a sympy expression in the symbols args.
 
     The kernel takes one array per symbol and returns a float array of the
     first argument's shape; a value of another shape (a constant) is
-    broadcast to it.  The code is printed without a docstring and without
-    sorting terms by ``printer``, the ``KernelPrinter`` that the kernels of
-    one build share.
+    broadcast to it.  ``printer``, the ``KernelPrinter`` that the kernels of
+    one build share, prints expr without sorting terms, and lambdify
+    compiles that string, with no docstring: it walks no expression tree of
+    its own, so the subtrees the kernels share are walked once per build,
+    by the printer.  The source is the one lambdify prints from expr
+    itself; its names are the arguments and numpy's functions only, which
+    ``check_kernel_symbols`` makes sure of.
     """
-    fn = sp.lambdify(args, expr, modules="numpy", docstring_limit=0, printer=printer)
+    fn = sp.lambdify(args, printer.doprint(expr), modules="numpy", docstring_limit=0,
+                     printer=printer)
 
     def kernel(*values):
         values = [np.asarray(v, dtype=float) for v in values]
@@ -209,6 +240,7 @@ class AnalyticSupplier:
 
     def __init__(self, coords, exprs):
         exprs = [sp.sympify(e) for e in exprs]
+        check_kernel_symbols(coords, exprs)
         self.n = len(coords)
         self.m = len(exprs)
         self._kernels = {}

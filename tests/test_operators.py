@@ -214,3 +214,22 @@ def test_scalar_fields_refuse_points_that_are_not_finite_n_columns():
             with pytest.raises(DomainError, match="finite"):
                 field(bad)
         assert field(grid.points[9]).shape == (1,)  # one point as a vector
+
+
+def test_tensor_fields_refuse_points_that_are_not_finite_arrays():
+    # FullTensorField checks its n columns as ScalarField does; the leafwise
+    # fields know only s, so they refuse non-finite and non-2-D points and
+    # leave the column count unchecked
+    full = FullTensorField(fn=lambda x: np.zeros((len(x), 2, 2)), n=2)
+    leafwise = [LeafTensorField(fn=lambda x: np.zeros((len(x), 1, 1)), s=1),
+                LeafOneFormField(fn=lambda x: np.zeros((len(x), 1)), s=1)]
+    bad_anywhere = ([[np.nan, 0.2]], [0.0, np.inf], np.zeros((1, 1, 2)), np.zeros((0, 2)))
+    cases = [(full, bad_anywhere + ([[0.1, 0.2, 0.3]],))] + [(f, bad_anywhere) for f in leafwise]
+    for field, bads in cases:
+        for bad in bads:
+            with pytest.raises(DomainError, match="finite"):
+                field.jets(bad)
+            with pytest.raises(DomainError, match="finite"):
+                field(bad)
+        assert field([0.1, 0.2]).shape[0] == 1  # one point as a vector
+        assert field.jets([0.1, 0.2])[1].shape[:2] == (1, field.n if field is full else 1)

@@ -2,8 +2,8 @@
 no LAPACK call (no numpy.linalg anywhere in the package), runtime domain
 checks raise errors instead of using assert statements, no module keeps a
 private helper that nothing calls, sympy's lambdify is reached only through
-``suppliers.numpy_kernel``, so every compiled kernel is printed without a
-docstring by a ``KernelPrinter``, no NumPyPrinter is constructed outside
+``suppliers.numpy_kernel``, so every kernel is compiled without a docstring
+from the string that a ``KernelPrinter`` printed, no NumPyPrinter is constructed outside
 ``suppliers.KernelPrinter``, so no build prints a kernel unmemoised, grid
 quadrature weights are read only by ``FoliatedPatch.integrate``, so every
 grid integral runs through it, and no module imports a scipy quadrature

@@ -3,9 +3,11 @@ to sympy's diff with no Derivative object built, order-3 jets against plain
 lambdify kernels and, bit for bit, against the same kernels calling sin, cos
 and exp of the coordinates themselves on every catalog surface, broadcasting
 of constant and zero components, one lambdify call per derivative component,
-no str() printing of expressions while a surface compiles, kernel sources
-from the build's memoised printer string-equal to a fresh printer's with the
-same columns, no kernel applying sin, cos or exp to a bare coordinate, each
+each handed the printed source as a string, no str() printing of
+expressions while a surface compiles, kernel sources from the build's
+memoised printer string-equal to lambdify's own printing of the sympy
+expression with a fresh printer and the same columns, symbols that such a
+source could not resolve refused at build, no kernel applying sin, cos or exp to a bare coordinate, each
 such column computed once per jets call, and the same jets under the block
 pool and under concurrent jets calls; jets equal to a point-first fill of
 the same kernels and laid out point-last in memory, and points that are not
@@ -39,20 +41,20 @@ SURFACES = sorted({fn: name for name, fn in reversed(catalog.CATALOG.items())}.v
 
 def build_recorded(name, monkeypatch):
     """Build a catalog surface, recording each supplier's (coords, exprs)
-    and the expression of each lambdify call its build makes."""
+    and the sympy expression of each kernel its build compiles."""
     builds = []
     init = suppliers.AnalyticSupplier.__init__
-    lambdify = sp.lambdify
+    numpy_kernel = suppliers.numpy_kernel
 
-    def counting(args, expr, **kwargs):
+    def counting(args, expr, printer):
         builds[-1][2].append(expr)
-        return lambdify(args, expr, **kwargs)
+        return numpy_kernel(args, expr, printer)
 
     def recording(self, coords, exprs):
         builds.append([coords, exprs, []])
         init(self, coords, exprs)
 
-    monkeypatch.setattr(sp, "lambdify", counting)
+    monkeypatch.setattr(suppliers, "numpy_kernel", counting)
     monkeypatch.setattr(suppliers.AnalyticSupplier, "__init__", recording)
     surface = catalog.CATALOG[name]()
     monkeypatch.undo()
@@ -284,20 +286,29 @@ def test_compile_prints_no_expression_with_str(monkeypatch):
 
 
 def recorded_sources(build, monkeypatch):
-    """build()'s value and the (args, expr, source) of every lambdify call
-    that it makes."""
-    calls = []
-    lambdify = sp.lambdify
+    """build()'s value and the (args, expr, source) of every kernel that it
+    compiles: the arguments and the sympy expression ``numpy_kernel``
+    receives, and the source of the function that its one lambdify call
+    returns."""
+    calls, sources = [], []
+    numpy_kernel, lambdify = suppliers.numpy_kernel, sp.lambdify
 
-    def recording(args, expr, **kwargs):
+    def recording(args, expr, printer):
+        calls.append((args, expr))
+        return numpy_kernel(args, expr, printer)
+
+    def compiling(args, expr, **kwargs):
         fn = lambdify(args, expr, **kwargs)
-        calls.append((args, expr, inspect.getsource(fn)))
+        sources.append(inspect.getsource(fn))
         return fn
 
-    monkeypatch.setattr(sp, "lambdify", recording)
+    for module in (suppliers, rev):
+        monkeypatch.setattr(module, "numpy_kernel", recording)
+    monkeypatch.setattr(sp, "lambdify", compiling)
     built = build()
     monkeypatch.undo()
-    return built, calls
+    assert len(sources) == len(calls)
+    return built, [(args, expr, source) for (args, expr), source in zip(calls, sources)]
 
 
 def _edge_supplier():
@@ -331,6 +342,8 @@ def test_memo_printer_prints_the_fresh_source(name, monkeypatch):
     supplier = built if name == "edge-cases" else built.supplier
     assert calls
     for args, expr, source in calls:
+        assert isinstance(expr, sp.Basic)
+        # lambdify prints the sympy expression itself with a fresh printer
         printer = suppliers.KernelPrinter(column_symbols(supplier, args))
         fresh = sp.lambdify(args, expr, modules="numpy", docstring_limit=0, printer=printer)
         assert source == inspect.getsource(fresh), expr
@@ -338,6 +351,35 @@ def test_memo_printer_prints_the_fresh_source(name, monkeypatch):
         sources = "".join(source for _, _, source in calls)
         assert "0.333333333333333*" in sources and "0.333333333333333314829616256247*" in sources
         assert "cos_x" in sources and "sin_y" in sources
+
+
+@pytest.mark.parametrize("build, kernels", [(catalog.sheared_torus4, 80),
+                                             (lambda: catalog.sphere(n=4), 175)])
+def test_lambdify_compiles_the_printed_source(build, kernels, monkeypatch):
+    # lambdify receives each kernel's printed source, so it walks no
+    # expression tree; still one call per derivative component
+    received = []
+    lambdify = sp.lambdify
+
+    def recording(args, expr, **kwargs):
+        received.append(type(expr))
+        return lambdify(args, expr, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", recording)
+    build()
+    assert received == [str] * kernels
+
+
+def test_symbols_a_kernel_cannot_resolve_are_refused_at_build():
+    x, y, a, rho = sp.symbols("x y a rho")
+    with pytest.raises(DomainError, match=r"free symbol a of a\*x\*y is not a coordinate"):
+        suppliers.AnalyticSupplier((x, y), [x, y, a * x * y])
+    with pytest.raises(DomainError, match=r"free symbol a of a\*rho\*\*2 is not a coordinate"):
+        rev.profile_from_sympy(3, a * rho**2, rho, (0.5, 1.5))
+    # coordinates that do not print as their own names
+    for c in (sp.Dummy("x"), sp.Symbol("lambda"), sp.Symbol("x.1")):
+        with pytest.raises(DomainError, match="is not a Symbol named by a Python identifier"):
+            suppliers.AnalyticSupplier((c, y), [c, y, c * y])
 
 
 @pytest.mark.parametrize("name", SURFACES)
