@@ -160,16 +160,24 @@ def _integers(value, least: int, what: str):
 
 
 def _check_surface(cfg) -> None:
+    """An object {"id": string, "params": object} whose params, for a
+    catalog id, are parameters of its builder, each a number (never a bool)
+    where the builder's default is a number."""
     if not (isinstance(cfg, dict) and isinstance(cfg.get("id"), str)
             and isinstance(cfg.get("params", {}), dict) and set(cfg) <= {"id", "params"}):
         raise ValidationError('surface must be an object {"id": string, "params": object}')
     make = catalog.CATALOG.get(cfg["id"])
     if make is None:
         return  # catalog.build reports unknown ids
-    unknown = sorted(set(cfg.get("params", {})) - set(inspect.signature(make).parameters))
+    defaults = {name: p.default for name, p in inspect.signature(make).parameters.items()}
+    params = cfg.get("params", {})
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValidationError(f"unknown parameter(s) of surface {cfg['id']!r}: "
                               f"{', '.join(unknown)}")
+    for name, value in params.items():
+        if _is_number(defaults[name]) and not _is_number(value):
+            raise ValidationError(f"surface {cfg['id']!r} parameter {name!r} must be a number")
 
 
 def _check_functional(cfg) -> None:

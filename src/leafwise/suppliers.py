@@ -15,14 +15,16 @@ sympy expression tree that follows sympy's own rules for Add, Mul, Pow and
 elementary functions and hands any other node to ``sp.diff``.  One memo
 {(subexpression, symbol): derivative} serves a whole supplier build, so a
 subexpression that several components and derivative orders share is
-differentiated once, and no ``Derivative`` object or assumption query is
-made on the way; the expressions are == to sp.diff's, so the printed
-kernels are the same.  Printing is memoised per build as well: the kernels
-of one build share one ``KernelPrinter``, which prints each subexpression
-once, and every kernel source is string-equal to a fresh printer's.  Each
-kernel is compiled from the string that the build's printer printed, so
-lambdify walks no expression tree: the subtrees that the kernels share are
-walked once per build, not once per kernel.
+differentiated once, its free symbols are computed once, no Leibniz term
+of a factor with zero derivative is formed, and no ``Derivative`` object
+or assumption query is made on the way; the expressions are == to
+sp.diff's, so the printed kernels are the same.  Printing is memoised per
+build as well: the kernels of one build share one ``KernelPrinter``, which
+prints each subexpression once, and every kernel source is string-equal to
+a fresh printer's.  Each kernel is compiled from the string that the
+build's printer printed, so lambdify walks no expression tree, and the
+printer skips CodePrinter's UnevaluatedExpr rewrite walk: the subtrees
+that the kernels share are walked once per build, not once per kernel.
 
 Analytic jets are laid out point-last: each derivative order is one
 C-contiguous (m, n, ..., M) buffer, so a kernel's value, one float per
@@ -55,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 from sympy.core.function import ArgumentIndexError
+from sympy.printing.codeprinter import PrintMethodNotImplementedError
 from sympy.printing.numpy import NumPyPrinter
 
 from .errors import DomainError, SingularImmersionError
@@ -111,6 +114,12 @@ class KernelPrinter(NumPyPrinter):
 
     ``columns`` {expression: symbol} seeds the memo, so each of those
     expressions prints as its symbol's name, an argument of the kernel.
+
+    ``doprint`` skips CodePrinter's ``_handle_UnevaluatedExpr``, a replace
+    walk of each kernel's whole tree that only rewrites
+    re(UnevaluatedExpr(real)): ``check_kernel_symbols`` refuses an
+    UnevaluatedExpr at build and derivatives add none, so no kernel holds
+    one and the walk would return its argument unchanged.
     """
 
     def __init__(self, columns=None):
@@ -126,14 +135,18 @@ class KernelPrinter(NumPyPrinter):
             text = self._printed[key] = super()._print(expr)
         return text
 
+    def _handle_UnevaluatedExpr(self, expr):
+        return expr
+
 
 def check_kernel_symbols(coords, exprs):
     """DomainError unless a kernel compiled from the printed source of exprs
     resolves every name in it: each coordinate a Symbol (not a Dummy) named
     by a Python identifier that is no keyword, so it prints as its own name,
     the kernel's argument, and each free symbol of exprs named like a
-    coordinate.  Derivatives add no free symbol, so the components of a
-    build are checked once."""
+    coordinate, and no UnevaluatedExpr in exprs, which ``KernelPrinter``
+    does not rewrite.  Derivatives add no free symbol and no UnevaluatedExpr,
+    so the components of a build are checked once."""
     names = set()
     for c in coords:
         if (not isinstance(c, sp.Symbol) or isinstance(c, sp.Dummy)
@@ -141,6 +154,11 @@ def check_kernel_symbols(coords, exprs):
             raise DomainError(f"coordinate {c!r} is not a Symbol named by a Python identifier")
         names.add(c.name)
     for expr in exprs:
+        held = next((e for e in sp.preorder_traversal(expr)
+                     if isinstance(e, sp.UnevaluatedExpr)), None)
+        if held is not None:
+            raise DomainError(f"UnevaluatedExpr({held.args[0]}) in {expr}: "
+                              "a kernel cannot hold an UnevaluatedExpr")
         for symbol in expr.free_symbols:
             if str(symbol) not in names:
                 raise DomainError(f"free symbol {symbol} of {expr} is not a coordinate "
@@ -158,10 +176,16 @@ def numpy_kernel(args, expr, printer: KernelPrinter):
     its own, so the subtrees the kernels share are walked once per build,
     by the printer.  The source is the one lambdify prints from expr
     itself; its names are the arguments and numpy's functions only, which
-    ``check_kernel_symbols`` makes sure of.
+    ``check_kernel_symbols`` makes sure of.  An expression the printer
+    cannot print (an unevaluated Derivative of an undefined function, say)
+    raises DomainError.
     """
-    fn = sp.lambdify(args, printer.doprint(expr), modules="numpy", docstring_limit=0,
-                     printer=printer)
+    try:
+        source = printer.doprint(expr)
+    except (PrintMethodNotImplementedError, ValueError) as err:
+        raise DomainError(f"cannot print {expr} as a numpy kernel: "
+                          f"{str(err).splitlines()[0]}") from None
+    fn = sp.lambdify(args, source, modules="numpy", docstring_limit=0, printer=printer)
 
     def kernel(*values):
         values = [np.asarray(v, dtype=float) for v in values]
@@ -178,30 +202,42 @@ def derivative(expr, x, memo: dict):
     each (subexpression, x) differentiated once per ``memo``.
 
     The rules are sp.diff's own: Add term by term, Mul by the n = 1 Leibniz
-    rule of ``Mul._eval_derivative_n_times``, Pow as
-    e (d(p) log b + d(b) p / b), and a function that keeps
+    rule of ``Mul._eval_derivative``, which skips each factor whose
+    derivative is zero, Pow as e (d(p) log b + d(b) p / b) without the
+    d(p) log b term when d(p) is zero, and a function that keeps
     ``Function._eval_derivative`` (sin, cos, exp, log, atan2, ...) as the sum
     of fdiff(i) d(a_i) over the arguments whose derivative is not zero.  Any
     other node (Abs, Piecewise, a function with its own rule) goes to
     sp.diff.  sp.diff builds a ``Derivative`` at every level of the tree and
     queries assumptions on each; this builds none.
+
+    ``memo`` maps (expr, x) to d expr / d x and (expr, None) to the free
+    symbols of expr, read through ``free_symbols``, so a subexpression's
+    free-symbol set is computed once per memo, not once per derivative of
+    every expression that holds it.
     """
     key = (expr, x)
     if key in memo:
         return memo[key]
     args = expr.args
-    if x not in expr.free_symbols:
+    if x not in free_symbols(expr, memo):
         d = sp.S.Zero
     elif expr == x:
         d = sp.S.One
     elif isinstance(expr, sp.Add):
         d = expr.func(*[derivative(a, x, memo) for a in args])
     elif isinstance(expr, sp.Mul):
-        d = sp.Add(*[sp.Mul(*(args[:i] + (derivative(a, x, memo),) + args[i + 1:]))
-                     for i, a in enumerate(args)])
+        terms = []
+        for i, a in enumerate(args):
+            da = derivative(a, x, memo)
+            if da:
+                terms.append(sp.Mul(*(args[:i] + (da,) + args[i + 1:])))
+        d = sp.Add(*terms)
     elif isinstance(expr, sp.Pow):
         b, p = args
-        d = expr * (derivative(p, x, memo) * sp.log(b) + derivative(b, x, memo) * p / b)
+        dp = derivative(p, x, memo)
+        d = derivative(b, x, memo) * p / b
+        d = expr * (dp * sp.log(b) + d if dp else d)
     elif (isinstance(expr, sp.Function)
           and type(expr)._eval_derivative is sp.Function._eval_derivative):
         terms = []
@@ -218,6 +254,23 @@ def derivative(expr, x, memo: dict):
         d = sp.diff(expr, x)
     memo[key] = d
     return d
+
+
+def free_symbols(expr, memo: dict):
+    """expr.free_symbols, kept in ``memo`` under (expr, None): for a node
+    that keeps ``Basic.free_symbols`` (Add, Mul, Pow, sin, ...) the union of
+    its arguments' memoised sets, and any other node's own set (an Integral,
+    Sum or Subs binds variables), so each subexpression's set is computed
+    once per memo.  The sets are shared and never mutated."""
+    key = (expr, None)
+    symbols = memo.get(key)
+    if symbols is None:
+        if type(expr).free_symbols is sp.Basic.free_symbols:
+            symbols = set().union(*(free_symbols(a, memo) for a in expr.args))
+        else:
+            symbols = expr.free_symbols
+        memo[key] = symbols
+    return symbols
 
 
 class AnalyticSupplier:
@@ -262,7 +315,10 @@ class AnalyticSupplier:
                 for idx in itertools.combinations_with_replacement(range(self.n), k):
                     if k:
                         derivs[idx] = derivative(derivs[idx[:-1]], coords[idx[-1]], memo)
-                    self._kernels[a, idx] = numpy_kernel(args, derivs[idx], printer)
+                    try:
+                        self._kernels[a, idx] = numpy_kernel(args, derivs[idx], printer)
+                    except DomainError as err:
+                        raise DomainError(f"component {a} ({expr}): {err}") from None
                     slots = [(a,) + perm for perm in set(itertools.permutations(idx))]
                     self._rows[a, idx] = np.ravel_multi_index(np.transpose(slots),
                                                               (self.m,) + (self.n,) * k)

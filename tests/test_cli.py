@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from leafwise.cli import DEFAULTS, main
 
@@ -223,6 +224,19 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         assert main(["varcheck", "--config", "-", "--out-dir", str(tmp_path)]) == 2, t_values
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("surface, name, value", [
+    ("sphere", "radius", "x"), ("sphere", "radius", None), ("sphere", "radius", True),
+    ("sphere", "radius", [1]), ("torus-revolution", "big_radius", "2"),
+    ("sheared-torus-3", "eps", "a")])
+def test_surface_parameters_take_a_number_where_the_default_is_one(
+        surface, name, value, tmp_path, capsys, monkeypatch):
+    cfg = {"surface": {"id": surface, "params": {name: value}}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cfg)))
+    assert main(["eval", "--config", "-", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: surface {surface!r} parameter {name!r} must be a number\n"
 
 
 def test_bad_grid_sizes_are_compute_errors(tmp_path, capsys, monkeypatch):

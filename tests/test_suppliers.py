@@ -1,13 +1,16 @@
 """The compiled kernel table of AnalyticSupplier: derivative expressions equal
-to sympy's diff with no Derivative object built, order-3 jets against plain
+to sympy's diff, also through nodes that bind a variable, with no Derivative
+object built and each free-symbol set computed once, order-3 jets against plain
 lambdify kernels and, bit for bit, against the same kernels calling sin, cos
 and exp of the coordinates themselves on every catalog surface, broadcasting
 of constant and zero components, one lambdify call per derivative component,
 each handed the printed source as a string, no str() printing of
 expressions while a surface compiles, kernel sources from the build's
 memoised printer string-equal to lambdify's own printing of the sympy
-expression with a fresh printer and the same columns, symbols that such a
-source could not resolve refused at build, no kernel applying sin, cos or exp to a bare coordinate, each
+expression with a fresh printer and the same columns, and each kernel
+expression printed by a KernelPrinter as by a plain NumPyPrinter, symbols
+that such a source could not resolve and components it could not print
+refused at build, no kernel applying sin, cos or exp to a bare coordinate, each
 such column computed once per jets call, and the same jets under the block
 pool and under concurrent jets calls; jets equal to a point-first fill of
 the same kernels and laid out point-last in memory, and points that are not
@@ -21,6 +24,7 @@ import itertools
 import re
 import sys
 import threading
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -131,10 +135,35 @@ def test_derivatives_equal_sympy_diff(name, monkeypatch):
 def test_derivative_rules_beyond_the_catalog():
     # Pow with a symbolic exponent, Abs and Piecewise through sp.diff, and
     # polygamma, whose fdiff has no rule for its order argument
-    x, y = sp.symbols("x y")
+    x, y, t = sp.symbols("x y t")
     expr = (sp.sqrt(1 + x**2) * sp.cos(x * y) + x**y + sp.Abs(y)
             + sp.Piecewise((x, y > 0), (x**2, True)) + sp.polygamma(x, y))
-    assert_derivatives_equal_diff((x, y), [expr])
+    # nodes that bind a variable, whose free symbols are not their args'
+    bound = [sp.Integral(sp.sin(t * x), (t, 0, y)) * x, sp.Subs(sp.cos(t) * x, t, y) * x**2,
+             sp.Sum(x**t, (t, 1, 3)) * y]
+    assert_derivatives_equal_diff((x, y), [expr] + bound)
+
+
+def test_derivative_computes_each_free_symbol_set_once(monkeypatch):
+    # the free symbols of every subexpression are read through the build's
+    # memo, not recomputed on each (subexpression, coordinate) it meets
+    computed = Counter()
+
+    def counting(getter):
+        def free_symbols(self):
+            caller = sys._getframe(1).f_code
+            if caller.co_filename == suppliers.__file__ and caller.co_name in (
+                    "derivative", "free_symbols"):
+                computed[type(self), self] += 1
+            return getter(self)
+        return property(free_symbols)
+
+    for cls in (sp.Basic, sp.Symbol):
+        monkeypatch.setattr(cls, "free_symbols", counting(cls.free_symbols.fget))
+    clear_cache()
+    catalog.sheared_torus4()
+    monkeypatch.undo()
+    assert computed and max(computed.values()) == 1, computed.most_common(3)
 
 
 def test_build_constructs_no_derivative_object(monkeypatch):
@@ -353,6 +382,18 @@ def test_memo_printer_prints_the_fresh_source(name, monkeypatch):
         assert "cos_x" in sources and "sin_y" in sources
 
 
+@pytest.mark.parametrize("name", SURFACES + ["edge-cases"])
+def test_kernel_printer_prints_what_numpy_printer_prints(name, monkeypatch):
+    # an oracle for KernelPrinter's overrides (its memo and the skipped
+    # UnevaluatedExpr walk): each kernel expression prints as a plain
+    # NumPyPrinter with the same settings prints it
+    build = _edge_supplier if name == "edge-cases" else catalog.CATALOG[name]
+    _, calls = recorded_sources(build, monkeypatch)
+    printer = suppliers.KernelPrinter()
+    for _, expr, _ in calls:
+        assert printer.doprint(expr) == NumPyPrinter(suppliers._KERNEL_PRINTER).doprint(expr), expr
+
+
 @pytest.mark.parametrize("build, kernels", [(catalog.sheared_torus4, 80),
                                              (lambda: catalog.sphere(n=4), 175)])
 def test_lambdify_compiles_the_printed_source(build, kernels, monkeypatch):
@@ -380,6 +421,21 @@ def test_symbols_a_kernel_cannot_resolve_are_refused_at_build():
     for c in (sp.Dummy("x"), sp.Symbol("lambda"), sp.Symbol("x.1")):
         with pytest.raises(DomainError, match="is not a Symbol named by a Python identifier"):
             suppliers.AnalyticSupplier((c, y), [c, y, c * y])
+
+
+def test_components_the_kernels_cannot_print_are_refused_at_build():
+    x, y, rho = sp.symbols("x y rho")
+    f = sp.Function("f")
+    for bad, message in ((sp.UnevaluatedExpr(x) * y, r"UnevaluatedExpr\(x\) in"),
+                         (sp.UnevaluatedExpr(2) * x, r"UnevaluatedExpr\(2\) in"),
+                         (f(x) * y, r"component 2 \(y\*f\(x\)\): cannot print "
+                                    r"y\*Derivative\(f\(x\), x\)")):
+        with pytest.raises(DomainError, match=message):
+            suppliers.AnalyticSupplier((x, y), [x, y, bad])
+    with pytest.raises(DomainError, match=r"UnevaluatedExpr\(rho\) in"):
+        rev.profile_from_sympy(3, sp.UnevaluatedExpr(rho) * rho, rho, (0.5, 1.5))
+    with pytest.raises(DomainError, match=r"cannot print .*Derivative\(f\(rho\), rho\)"):
+        rev.profile_from_sympy(3, f(rho) * rho, rho, (0.5, 1.5))
 
 
 @pytest.mark.parametrize("name", SURFACES)
