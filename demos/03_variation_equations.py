@@ -15,7 +15,7 @@ gradient; the reports carry the deviation of that naive reading.
 import numpy as np
 
 from leafwise import catalog, varcheck as vc
-from leafwise.operators import ScalarField
+from leafwise.operators import Field
 from leafwise.variation import random_trig_variation
 
 rng = np.random.default_rng(3)
@@ -23,8 +23,8 @@ patch2 = catalog.bumpy_torus3(m_leaf=12, m_tube=12)
 patch3 = catalog.sheared_torus4(m1=8, m2=8, m3=8)
 u2 = random_trig_variation(2, rng)
 u3 = random_trig_variation(3, rng)
-f2 = ScalarField.from_callable(lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]), n=2)
-f3 = ScalarField.from_callable(lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(x[:, 1] - x[:, 2]), n=3)
+f2 = Field.from_callable(lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]), n=2)
+f3 = Field.from_callable(lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(x[:, 1] - x[:, 2]), n=3)
 
 print(f"{'quantity':16s} {'order in t':>10s} {'extrapolated err':>18s} {'naive deviation':>16s}")
 print("-" * 64)

@@ -45,6 +45,7 @@ from .functionals import (
     second_variation_analytic,
 )
 from .operators import (
+    Field,
     LeafTensorField,
     ScalarField,
     div_projector,
@@ -75,7 +76,7 @@ __all__ = [
     "FunctionalSpec", "evaluate", "first_variation_analytic",
     "first_variation_numeric", "el_residual", "second_variation_analytic",
     "conformal_density_check",
-    "ScalarField", "LeafTensorField", "leaf_laplacian", "hessians",
+    "Field", "ScalarField", "LeafTensorField", "leaf_laplacian", "hessians",
     "div_projector", "fstar_squared",
     "FoliatedPatch", "Grid", "PointGeometry", "point_geometry",
     "RevolutionProfile", "critical_ode_solve", "critical_closed_form",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import catalog, functionals as fl, revolution as rev, varcheck as vc
 from .errors import LeafwiseError, ValidationError
-from .operators import ScalarField
+from .operators import Field
 from .svgplot import svg_line_plot
 from .variation import random_trig_variation
 
@@ -307,9 +307,9 @@ def cmd_varcheck(config: dict, out_dir: Path, verbose: bool) -> list:
     p3 = catalog.sheared_torus4(m1=8, m2=8, m3=8)
     u2 = random_trig_variation(2, rng)
     u3 = random_trig_variation(3, rng)
-    f2 = ScalarField.from_callable(
+    f2 = Field.from_callable(
         lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]) + 0.3 * np.cos(2 * x[:, 1]), n=2)
-    f3 = ScalarField.from_callable(
+    f3 = Field.from_callable(
         lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]) + 0.3 * np.cos(x[:, 1] - 2 * x[:, 2]),
         n=3)
     surfaces = {2: (p2, u2, f2), 3: (p3, u3, f3)}

@@ -39,8 +39,7 @@ import numpy as np
 from . import deltas
 from .errors import DomainError, PreconditionError, SpecError, ValidationError
 from .operators import (
-    LeafTensorField,
-    ScalarField,
+    Field,
     fstar_squared,
     hessian_full,
     laplacian_block,
@@ -247,7 +246,7 @@ def first_variation_density(spec: FunctionalSpec, geo: PointGeometry, n: int,
 
 
 def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
-                             u: ScalarField) -> float:
+                             u: Field) -> float:
     """First variation from the analytic delta formulas (no integration by
     parts; valid on any foliated patch)."""
     return patch.integrate(
@@ -255,7 +254,7 @@ def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
 
 
 def first_variation_numeric(spec: FunctionalSpec, patch: FoliatedPatch,
-                            u: ScalarField) -> float:
+                            u: Field) -> float:
     """Independent oracle: central difference of the value over r + t*u*N on
     DEFAULT_T_LADDER, Richardson-extrapolated over its two smallest steps.
 
@@ -283,9 +282,8 @@ def first_variation_numeric(spec: FunctionalSpec, patch: FoliatedPatch,
 # Euler-Lagrange residuals
 
 
-def _derived_scalar(patch: FoliatedPatch, fn, step: float = 1e-3) -> ScalarField:
-    return ScalarField.from_callable(lambda x: fn(patch.geometry(x)), n=patch.n,
-                                     step=step)
+def _derived_scalar(patch: FoliatedPatch, fn, step: float = 1e-3) -> Field:
+    return Field.from_callable(lambda x: fn(patch.geometry(x)), n=patch.n, step=step)
 
 
 def _weight_coefficients(family: str, used, df, geo) -> np.ndarray:
@@ -359,7 +357,7 @@ def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) ->
                 acc = acc + c_j[:, None, None] * power
             return acc
 
-        tensor = LeafTensorField(fn=weighted_h_f, s=s, step=fd_step)
+        tensor = Field.from_callable(weighted_h_f, n, step=fd_step, axes=s)
         res = res + fstar_squared(patch, tensor, geo.x, geo)
     return res
 
@@ -478,7 +476,7 @@ def conformal_density_check(patch: FoliatedPatch, r: int = 2,
 # helpers used by stability checks
 
 
-def project_volume_preserving(patch: FoliatedPatch, u: ScalarField) -> ScalarField:
+def project_volume_preserving(patch: FoliatedPatch, u: Field) -> Field:
     """Remove the volume-changing mean: u -> u - (int u dV)/(int dV)."""
     moment, volume = patch.integrate(
         lambda geo: np.stack([u(geo.x), np.ones(geo.x.shape[0])]))
@@ -492,4 +490,4 @@ def project_volume_preserving(patch: FoliatedPatch, u: ScalarField) -> ScalarFie
         val, du, d2u = u.jets(x)
         return val - mean, du, d2u
 
-    return ScalarField(jets_fn=jets, n=u.n, fn=shifted)
+    return Field(jets, u.n, shifted)

@@ -1,10 +1,14 @@
 """Differential operators on foliated patches.
 
-Fields are supplied either as smooth callables over the chart (preferred:
-derivatives come from tight high-order stencils on the callable, decoupled
-from the quadrature grid) or as grid samples (derivatives use 4th-order
-stencils along grid axes, wrapping on periodic axes and shrinking the
-evaluable region on non-periodic ones).
+Every field is a ``Field``: scalars, leafwise and full symmetric
+2-tensors and leafwise 1-forms differ only in the shape of their values and
+the coordinates their jets run over, and each checks its points against
+its chart dimension n.  Fields are supplied either as smooth callables over
+the chart (preferred: derivatives come from tight high-order stencils on
+the callable along the first n or s coordinates, decoupled from the
+quadrature grid) or as grid samples (derivatives use 4th-order stencils
+along grid axes, wrapping on periodic axes and shrinking the evaluable
+region on non-periodic ones).
 
 Leafwise operators come in two flavours that coincide only when the
 variation/field has no transverse gradient:
@@ -24,15 +28,19 @@ import numpy as np
 
 from .errors import DomainError, StencilError, ValidationError
 from .patch import FoliatedPatch, Grid, PointGeometry, christoffel_bracket, frame_sandwich
-from .suppliers import callable_jets, sample_points, scalar_jets_from_callable, stencil_jets
+from .suppliers import callable_jets, sample_points, stencil_jets
 
 
 @dataclass
-class ScalarField:
-    """Smooth scalar field on an n-dimensional chart with 2-jets.
+class Field:
+    """Smooth field on an n-dimensional chart with 2-jets: a scalar, or the
+    components of a tensor (leafwise or full symmetric 2-tensor, leafwise
+    1-form), the value at k points of shape (k, ...).
 
-    ``jets`` and calls take their points through ``sample_points(x, n)``: a
-    finite (k >= 1, n) array, or one point as a vector, else DomainError.
+    ``jets`` returns (f, df, d2f) with the derivative axes right after the
+    point axis, over the coordinates the field was built with.  ``jets``
+    and calls take their points through ``sample_points(x, n)``: a finite
+    (k >= 1, n) array, or one point as a vector, else DomainError.
     """
 
     jets_fn: object
@@ -40,11 +48,28 @@ class ScalarField:
     fn: object = None
 
     @classmethod
-    def from_callable(cls, fn, n: int, step=2e-3, grad=None, hess=None) -> "ScalarField":
-        return cls(scalar_jets_from_callable(fn, n, step=step, grad=grad, hess=hess), n, fn)
+    def from_callable(cls, fn, n: int, step=2e-3, grad=None, hess=None,
+                      axes: int | None = None) -> "Field":
+        """4th-order stencil jets of fn along the first ``axes`` coordinates
+        (all n by default, s for a leafwise field); a scalar field given
+        both ``grad`` and ``hess`` callables uses them instead."""
+        steps = np.broadcast_to(np.asarray(step, dtype=float), (n if axes is None else axes,))
+
+        def value(x):
+            v = np.asarray(fn(x), dtype=float)
+            return np.broadcast_to(v, x.shape[:1] + v.shape[1:])
+
+        def jets(x):
+            if grad is not None and hess is not None:
+                return (value(x).copy(), np.asarray(grad(x), dtype=float),
+                        np.asarray(hess(x), dtype=float))
+            f0, df, d2f = callable_jets(value, x, steps)
+            return f0.copy(), df, d2f
+
+        return cls(jets, n, fn)
 
     @classmethod
-    def from_grid(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
+    def from_grid(cls, grid: Grid, values: np.ndarray) -> "Field":
         sampler = _GridSampler(grid, np.asarray(values, dtype=float))
         return cls(jets_fn=sampler.jets, n=grid.ndim, fn=sampler.values_at)
 
@@ -52,14 +77,18 @@ class ScalarField:
         return self.jets_fn(sample_points(x, self.n))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.fn is not None:
-            x = sample_points(x, self.n)
-            return np.broadcast_to(np.asarray(self.fn(x), dtype=float), (x.shape[0],))
-        return self.jets(x)[0]
+        x = sample_points(x, self.n)
+        value = self.jets_fn(x)[0] if self.fn is None else np.asarray(self.fn(x), dtype=float)
+        return np.broadcast_to(value, x.shape[:1] + value.shape[1:])
+
+
+# the former per-kind field classes, kept as public names of the one class
+ScalarField = LeafTensorField = FullTensorField = LeafOneFormField = Field
 
 
 class _GridSampler:
-    """4th-order axis stencils on grid samples; periodic axes wrap."""
+    """4th-order axis stencils on grid samples; periodic axes wrap.  Points
+    come checked by ``Field``."""
 
     def __init__(self, grid: Grid, values: np.ndarray):
         if values.shape != grid.shape:
@@ -82,10 +111,10 @@ class _GridSampler:
         return idx
 
     def values_at(self, x):
-        return self.values[tuple(self._locate(sample_points(x, self.grid.ndim)))]
+        return self.values[tuple(self._locate(x))]
 
     def jets(self, x):
-        idx = self._locate(sample_points(x, self.grid.ndim))
+        idx = self._locate(x)
 
         def sample(shift):
             sel = list(idx)
@@ -102,65 +131,7 @@ class _GridSampler:
         return stencil_jets(sample, self.steps)
 
 
-@dataclass
-class LeafTensorField:
-    """Leafwise symmetric (0,2)-tensor field with 2-jets along leaf axes.
-
-    The callable returns components in leaf coordinates, shape (M, s, s).
-    ``jets`` and calls take their points through ``sample_points(x, None)``:
-    a finite 2-D array, or one point as a vector, else DomainError; the
-    field knows only the leaf dimension s, so the column count is not
-    checked.
-    """
-
-    fn: object
-    s: int
-    step: float = 2e-3
-
-    def jets(self, x: np.ndarray):
-        return callable_jets(self.fn, sample_points(x, None), (self.step,) * self.s)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(sample_points(x, None)), dtype=float)
-
-
-@dataclass
-class FullTensorField:
-    """Symmetric (0,2)-tensor field over all n coordinates, with 2-jets.
-
-    ``jets`` and calls take their points through ``sample_points(x, n)``.
-    """
-
-    fn: object
-    n: int
-    step: float = 2e-3
-
-    def jets(self, x: np.ndarray):
-        return callable_jets(self.fn, sample_points(x, self.n), (self.step,) * self.n)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(sample_points(x, self.n)), dtype=float)
-
-
-@dataclass
-class LeafOneFormField:
-    """Leafwise 1-form field (components in leaf coordinates) with 1-jets.
-
-    Points go through ``sample_points(x, None)``, as for ``LeafTensorField``.
-    """
-
-    fn: object
-    s: int
-    step: float = 2e-3
-
-    def jets(self, x: np.ndarray):
-        return callable_jets(self.fn, sample_points(x, None), (self.step,) * self.s, order=1)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(sample_points(x, None)), dtype=float)
-
-
-def leaf_metric_multiple(patch: FoliatedPatch, u: ScalarField) -> LeafTensorField:
+def leaf_metric_multiple(patch: FoliatedPatch, u: Field) -> Field:
     """The leafwise tensor B = u * g_L with jets assembled algebraically.
 
     Avoids finite-differencing the metric through the geometry pipeline,
@@ -169,23 +140,22 @@ def leaf_metric_multiple(patch: FoliatedPatch, u: ScalarField) -> LeafTensorFiel
     """
     s = patch.s
 
-    class _Field(LeafTensorField):
-        def jets(self, x):
-            geo = patch.geometry(x, order=3)
-            dgl, d2gl = _metric_jets_block(geo, s)
-            uu, du, d2u = u.jets(x)
-            g_l = geo.g_ff
-            b0 = uu[:, None, None] * g_l
-            db = np.einsum("pk,pij->pkij", du[:, :s], g_l) + uu[:, None, None, None] * dgl
-            d2b = (
-                np.einsum("pkl,pij->pklij", d2u[:, :s, :s], g_l)
-                + np.einsum("pk,plij->pklij", du[:, :s], dgl)
-                + np.einsum("pl,pkij->pklij", du[:, :s], dgl)
-                + uu[:, None, None, None, None] * d2gl
-            )
-            return b0, db, d2b
+    def jets(x):
+        geo = patch.geometry(x, order=3)
+        dgl, d2gl = _metric_jets_block(geo, s)
+        uu, du, d2u = u.jets(x)
+        g_l = geo.g_ff
+        b0 = uu[:, None, None] * g_l
+        db = np.einsum("pk,pij->pkij", du[:, :s], g_l) + uu[:, None, None, None] * dgl
+        d2b = (
+            np.einsum("pkl,pij->pklij", d2u[:, :s, :s], g_l)
+            + np.einsum("pk,plij->pklij", du[:, :s], dgl)
+            + np.einsum("pl,pkij->pklij", du[:, :s], dgl)
+            + uu[:, None, None, None, None] * d2gl
+        )
+        return b0, db, d2b
 
-    return _Field(fn=lambda x: u(x)[:, None, None] * patch.geometry(x).g_ff, s=s)
+    return Field(jets, patch.n, lambda x: u(x)[:, None, None] * patch.geometry(x).g_ff)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +206,7 @@ def leaf_gradient(geo: PointGeometry, du: np.ndarray) -> np.ndarray:
     return np.einsum("pij,pj->pi", geo.g_ff_inv, du[:, :s])
 
 
-def leaf_laplacian(patch: FoliatedPatch, u: ScalarField, x: np.ndarray,
+def leaf_laplacian(patch: FoliatedPatch, u: Field, x: np.ndarray,
                    geo: PointGeometry | None = None) -> np.ndarray:
     """Leafwise Laplacian of a scalar field at the given points."""
     if geo is None:
@@ -245,7 +215,7 @@ def leaf_laplacian(patch: FoliatedPatch, u: ScalarField, x: np.ndarray,
     return laplacian_leaf(geo, du, d2u)
 
 
-def hessians(patch: FoliatedPatch, u: ScalarField, x: np.ndarray):
+def hessians(patch: FoliatedPatch, u: Field, x: np.ndarray):
     """(full Hessian, leaf-intrinsic Hessian, mixed frame block) of u."""
     geo = patch.geometry(x)
     _, du, d2u = u.jets(x)
@@ -383,7 +353,7 @@ def _double_divergence(patch: FoliatedPatch, b_field, x: np.ndarray,
     return np.einsum("pjj->p", dt) + np.einsum("pjjk,pk->p", gamma, t)
 
 
-def fstar_squared(patch: FoliatedPatch, b_field: "LeafTensorField", x: np.ndarray,
+def fstar_squared(patch: FoliatedPatch, b_field: Field, x: np.ndarray,
                   geo: PointGeometry | None = None) -> np.ndarray:
     """Double leafwise covariant divergence of a leafwise symmetric 2-tensor.
 
@@ -394,18 +364,18 @@ def fstar_squared(patch: FoliatedPatch, b_field: "LeafTensorField", x: np.ndarra
     return _double_divergence(patch, b_field, x, geo, leaf=True)
 
 
-def star_squared_full(patch: FoliatedPatch, b_field: "FullTensorField", x: np.ndarray,
+def star_squared_full(patch: FoliatedPatch, b_field: Field, x: np.ndarray,
                       geo: PointGeometry | None = None) -> np.ndarray:
     """Double covariant divergence (nabla*)^2 B of a full symmetric 2-tensor."""
     return _double_divergence(patch, b_field, x, geo, leaf=False)
 
 
-def fstar_one_form(patch: FoliatedPatch, omega_field: "LeafOneFormField",
+def fstar_one_form(patch: FoliatedPatch, omega_field: Field,
                    x: np.ndarray, geo: PointGeometry | None = None) -> np.ndarray:
     """Leafwise adjoint nabla^{F*} omega = -div_F(omega#) of a leafwise 1-form."""
     if geo is None:
         geo = patch.geometry(x)
-    w0, dw = omega_field.jets(x)
+    w0, dw, _ = omega_field.jets(x)
     ginv = geo.g_ff_inv
     nab = dw - np.einsum("pmij,pm->pij", geo.gamma_leaf, w0)
     return -np.einsum("pij,pij->p", ginv, nab)

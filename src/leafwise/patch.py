@@ -412,6 +412,9 @@ class FoliatedPatch:
             raise DomainError(f"leaf dimension s={self.s} outside 1..{self.n}")
         if self.grid.ndim != self.n:
             raise DomainError("grid dimension does not match the chart dimension")
+        if self.normal_orientation not in (1.0, -1.0):
+            raise DomainError(f"normal_orientation must be +1 or -1, "
+                              f"got {self.normal_orientation}")
 
     def geometry(self, x: np.ndarray | None = None, order: int = 2) -> PointGeometry:
         """Pointwise geometry at the given parameter points (default: grid), a

@@ -9,13 +9,13 @@ profile is ``RevolutionProfile.integrate``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb, gamma as gamma_fn, pi
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .operators import ScalarField
+from .operators import Field
 from .patch import FoliatedPatch, Grid, check_count, gauss_axis, periodic_axis
 from .suppliers import (AnalyticSupplier, Jets, KernelPrinter, check_kernel_symbols, derivative,
                         numpy_kernel, sample_points)
@@ -47,6 +47,8 @@ class RevolutionProfile:
 
     def __post_init__(self):
         check_count(self.n, 2, "a revolution hypersurface dimension n")
+        if not (np.isfinite(self.rho_min) and np.isfinite(self.rho_max)):
+            raise DomainError(f"rho range ({self.rho_min}, {self.rho_max}) is not finite")
         if self.rho_min <= 0:
             raise DomainError("profiles must stay away from the axis (rho_min > 0)")
         if self.rho_min >= self.rho_max:
@@ -415,11 +417,7 @@ def revolution_patch(profile: RevolutionProfile, m_leaf: int = 24,
     if abs(float(k1_ref[0])) > 1e-12:
         k1_patch = float(patch.geometry(probe).a_leaf[0, 0, 0])
         if k1_patch * float(k1_ref[0]) < 0:
-            patch = FoliatedPatch(
-                n=n, s=n - 1, supplier=patch.supplier, grid=patch.grid,
-                normal_orientation=-1.0, name="revolution",
-                meta={"profile": profile},
-            )
+            patch = replace(patch, normal_orientation=-1.0)
     return patch
 
 
@@ -429,7 +427,7 @@ def leaf_eigenvalue(n: int, j: int) -> float:
     return float(j * (j + n - 2))
 
 
-def leaf_mode_variation(j: int) -> ScalarField:
+def leaf_mode_variation(j: int) -> Field:
     """u = cos(j phi) on an n = 2 revolution patch (phi = x[:, 0], the
     parallel's angle), with analytic jets; j = 0 gives u = 1 and zero jets."""
     check_count(j, 0, "a leaf mode index j")
@@ -444,7 +442,7 @@ def leaf_mode_variation(j: int) -> ScalarField:
         out[:, 0, 0] = -j * j * np.cos(j * x[:, 0])
         return out
 
-    return ScalarField.from_callable(lambda x: np.cos(j * x[:, 0]), n=2, grad=grad, hess=hess)
+    return Field.from_callable(lambda x: np.cos(j * x[:, 0]), n=2, grad=grad, hess=hess)
 
 
 def leaf_mode_l2(n: int, j: int) -> float:

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
-from sympy.core.function import ArgumentIndexError
+from sympy.core.function import AppliedUndef, ArgumentIndexError
 from sympy.printing.codeprinter import PrintMethodNotImplementedError
 from sympy.printing.numpy import NumPyPrinter
 
@@ -80,14 +80,12 @@ class Jets:
     d3: np.ndarray | None = None
 
 
-def sample_points(x, n: int | None) -> np.ndarray:
+def sample_points(x, n: int) -> np.ndarray:
     """x as a float (k, n) array of parameter points, one point given as a
-    vector; DomainError unless it is a finite (k >= 1, n) array.  n = None
-    leaves the column count unchecked."""
+    vector; DomainError unless it is a finite (k >= 1, n) array."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if (x.ndim != 2 or x.shape[0] < 1 or n is not None and x.shape[1] != n
-            or not np.all(np.isfinite(x))):
-        raise DomainError(f"sample points must be a finite (k >= 1, {n or 'n'}) array, "
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != n or not np.all(np.isfinite(x)):
+        raise DomainError(f"sample points must be a finite (k >= 1, {n}) array, "
                           f"got shape {x.shape}")
     return x
 
@@ -144,9 +142,10 @@ def check_kernel_symbols(coords, exprs):
     resolves every name in it: each coordinate a Symbol (not a Dummy) named
     by a Python identifier that is no keyword, so it prints as its own name,
     the kernel's argument, and each free symbol of exprs named like a
-    coordinate, and no UnevaluatedExpr in exprs, which ``KernelPrinter``
-    does not rewrite.  Derivatives add no free symbol and no UnevaluatedExpr,
-    so the components of a build are checked once."""
+    coordinate, no UnevaluatedExpr in exprs, which ``KernelPrinter`` does
+    not rewrite, and no applied undefined function (f(x), f(2)), which no
+    kernel can call.  Derivatives add no free symbol, no UnevaluatedExpr and
+    no undefined function, so the components of a build are checked once."""
     names = set()
     for c in coords:
         if (not isinstance(c, sp.Symbol) or isinstance(c, sp.Dummy)
@@ -155,10 +154,13 @@ def check_kernel_symbols(coords, exprs):
         names.add(c.name)
     for expr in exprs:
         held = next((e for e in sp.preorder_traversal(expr)
-                     if isinstance(e, sp.UnevaluatedExpr)), None)
-        if held is not None:
+                     if isinstance(e, (sp.UnevaluatedExpr, AppliedUndef))), None)
+        if isinstance(held, sp.UnevaluatedExpr):
             raise DomainError(f"UnevaluatedExpr({held.args[0]}) in {expr}: "
                               "a kernel cannot hold an UnevaluatedExpr")
+        if held is not None:
+            raise DomainError(f"undefined function {held} in {expr}: "
+                              "a kernel cannot call an undefined function")
         for symbol in expr.free_symbols:
             if str(symbol) not in names:
                 raise DomainError(f"free symbol {symbol} of {expr} is not a coordinate "
@@ -177,8 +179,8 @@ def numpy_kernel(args, expr, printer: KernelPrinter):
     by the printer.  The source is the one lambdify prints from expr
     itself; its names are the arguments and numpy's functions only, which
     ``check_kernel_symbols`` makes sure of.  An expression the printer
-    cannot print (an unevaluated Derivative of an undefined function, say)
-    raises DomainError.
+    cannot print (an unevaluated Derivative, as in the derivative of |x| for
+    a complex symbol x, say) raises DomainError.
     """
     try:
         source = printer.doprint(expr)
@@ -643,26 +645,3 @@ class InvertedImmersion:
             * (dw[:, :, None] * dw[:, None, :] * iw[:, None, None] ** 3)[:, None, :, :]
         )
         return Jets(r=r * iw[:, None], d1=ri, d2=rij, d3=None)
-
-
-def scalar_jets_from_callable(fn, n: int, step=2e-3, grad=None, hess=None):
-    """Build a jet function x -> (u, du, d2u) for a smooth scalar field,
-    x a finite (k >= 1, n) array or one point as a vector (``sample_points``).
-
-    Analytic gradient/Hessian callables are used when given; otherwise
-    4th-order central differences of the callable.
-    """
-    step = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
-
-    def value(x):
-        return np.broadcast_to(np.asarray(fn(x), dtype=float), (x.shape[0],))
-
-    def jets(x):
-        x = sample_points(x, n)
-        if grad is not None and hess is not None:
-            return (value(x).copy(), np.asarray(grad(x), dtype=float),
-                    np.asarray(hess(x), dtype=float))
-        u, du, d2u = callable_jets(value, x, step)
-        return u.copy(), du, d2u
-
-    return jets

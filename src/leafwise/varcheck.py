@@ -19,9 +19,7 @@ import numpy as np
 from . import deltas
 from .errors import DomainError
 from .operators import (
-    FullTensorField,
-    LeafOneFormField,
-    ScalarField,
+    Field,
     div_projector,
     fstar_one_form,
     fstar_squared,
@@ -125,7 +123,7 @@ def _spectrum_member(case: EvolutionCase):
     return None if family is None else (family, k or case.order_index)
 
 
-def _quantity_extractor(case: EvolutionCase, f: ScalarField | None):
+def _quantity_extractor(case: EvolutionCase, f: Field | None):
     """The case's quantity as a function of a geometry."""
     q = case.quantity
     if q == "lapF_f":
@@ -147,7 +145,7 @@ def _quantity_extractor(case: EvolutionCase, f: ScalarField | None):
     }[q]
 
 
-def _analytic_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
+def _analytic_rhs(case: EvolutionCase, geo, u, du, d2u, f: Field | None):
     if (member := _spectrum_member(case)) is not None:
         family, k = member
         hess = geo.leaf_block(hessian_full(geo, du, d2u))
@@ -165,7 +163,7 @@ def _analytic_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
     }[case.quantity]()
 
 
-def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
+def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: Field | None):
     """Leaf-intrinsic literal reading of the leafwise evolution equations.
 
     Spectrum members read ``deltas.delta_spectrum`` with the leaf-intrinsic
@@ -190,8 +188,8 @@ def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: ScalarField | None):
     return None
 
 
-def verify_evolution(case: EvolutionCase, patch: FoliatedPatch, u: ScalarField,
-                     f: ScalarField | None = None,
+def verify_evolution(case: EvolutionCase, patch: FoliatedPatch, u: Field,
+                     f: Field | None = None,
                      points: np.ndarray | None = None,
                      grid_levels: tuple | None = None) -> ConvergenceReport:
     """Check one evolution equation on a patch against central differences.
@@ -255,7 +253,7 @@ def _grid_order(case, patch, u, f, x, geo, analytic_ref, grid_levels):
     for m in grid_levels:
         axes = tuple(periodic_axis(ax.lo, ax.hi, int(m)) for ax in patch.grid.axes)
         grid = Grid(axes=axes)
-        sampled = ScalarField.from_grid(
+        sampled = Field.from_grid(
             grid, np.asarray(u(grid.points), dtype=float).reshape(grid.shape))
         nodes = grid.points[:: max(1, grid.points.shape[0] // x.shape[0])][: x.shape[0]]
         geo_nodes = patch.geometry(nodes, order=3)
@@ -281,7 +279,7 @@ def identity_fields(patch: FoliatedPatch) -> dict:
     parity in the last coordinate, so on a metric even in it (a torus of
     revolution) the two sides of ibp_full do not vanish by symmetry."""
     n, s = patch.n, patch.s
-    w_field = ScalarField.from_callable(
+    w_field = Field.from_callable(
         lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(x[:, -1]), n=n)
 
     def f_b(x):
@@ -294,13 +292,13 @@ def identity_fields(patch: FoliatedPatch) -> dict:
         return np.stack([np.sin(x[:, 0]) + 0.2 * np.cos(x[:, -1])] * s, axis=1)
 
     return {
-        "f1": ScalarField.from_callable(
+        "f1": Field.from_callable(
             lambda x: np.sin(x[:, 0]) + 0.4 * np.cos(x[:, 0] - 2 * x[:, -1]), n=n),
-        "f2": ScalarField.from_callable(f_b, n=n),
-        "u": ScalarField.from_callable(f_b, n=n),
+        "f2": Field.from_callable(f_b, n=n),
+        "u": Field.from_callable(f_b, n=n),
         "b_leaf": leaf_metric_multiple(patch, w_field),
-        "b_full": FullTensorField(fn=b_full_fn, n=n, step=1e-3),
-        "omega": LeafOneFormField(fn=omega_fn, s=s, step=1e-3),
+        "b_full": Field.from_callable(b_full_fn, n, step=1e-3),
+        "omega": Field.from_callable(omega_fn, n, step=1e-3, axes=s),
     }
 
 
@@ -355,8 +353,8 @@ def verify_integral_identity(identity: str, patch: FoliatedPatch, *,
     two sides are integrated as one stack of densities in one pass.
 
     ``fields`` are the fields the identity reads, named as in
-    ``identity_fields``: ScalarFields f1, f2 and u, a LeafTensorField b_leaf,
-    a FullTensorField b_full and a LeafOneFormField omega.  Leafwise
+    ``identity_fields``: scalar fields f1, f2 and u, a leafwise 2-tensor
+    b_leaf, a full 2-tensor b_full and a leafwise 1-form omega.  Leafwise
     identities require a transversally harmonic foliation; when the
     precondition fails the report is marked not applicable instead of failed
     (the statements make no claim there).

@@ -6,12 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .operators import ScalarField
+from .operators import Field
 from .patch import FoliatedPatch
 from .suppliers import NormalDeformation
 
 
-def deformed_patch(patch: FoliatedPatch, u: ScalarField, t: float) -> FoliatedPatch:
+def deformed_patch(patch: FoliatedPatch, u: Field, t: float) -> FoliatedPatch:
     """Patch moved along its unit normal by t*u.
 
     Periodic charts need no support restriction for u; on charts with
@@ -22,7 +22,7 @@ def deformed_patch(patch: FoliatedPatch, u: ScalarField, t: float) -> FoliatedPa
     return replace(patch, supplier=supplier, name=f"{patch.name}+t*u*N")
 
 
-def random_trig_variation(n: int, rng, amplitude: float = 1.0) -> ScalarField:
+def random_trig_variation(n: int, rng, amplitude: float = 1.0) -> Field:
     """Random smooth 2pi-periodic amplitude with analytic jets, three cosine modes."""
     ks = rng.integers(-2, 3, size=(3, n))
     coefs = amplitude * rng.normal(size=3) / 3
@@ -46,7 +46,7 @@ def random_trig_variation(n: int, rng, amplitude: float = 1.0) -> ScalarField:
             acc += -c * np.cos(x @ k + ph)[:, None, None] * np.outer(k, k)[None, :, :]
         return acc
 
-    return ScalarField.from_callable(u, n, grad=grad, hess=hess)
+    return Field.from_callable(u, n, grad=grad, hess=hess)
 
 
 #: default ladder of deformation magnitudes for numeric derivatives

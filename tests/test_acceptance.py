@@ -6,7 +6,7 @@ import time
 import numpy as np
 
 from leafwise import catalog, functionals as fl, revolution as rev, varcheck as vc
-from leafwise.operators import ScalarField
+from leafwise.operators import Field
 from leafwise.variation import random_trig_variation
 
 
@@ -68,9 +68,9 @@ def test_criterion_5_evolution_suite():
     p3 = catalog.sheared_torus4(m1=8, m2=8, m3=8)
     u2 = random_trig_variation(2, rng)
     u3 = random_trig_variation(3, rng)
-    f2 = ScalarField.from_callable(
+    f2 = Field.from_callable(
         lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]) + 0.3 * np.cos(2 * x[:, 1]), n=2)
-    f3 = ScalarField.from_callable(
+    f3 = Field.from_callable(
         lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]) + 0.3 * np.cos(x[:, 1] - 2 * x[:, 2]),
         n=3)
     plan = [(p2, u2, f2, q, 1) for q in (

@@ -8,14 +8,14 @@ import pytest
 
 from leafwise import catalog, functionals as fl, patch as pt, revolution as rev
 from leafwise.errors import DomainError, PreconditionError, SpecError, ValidationError
-from leafwise.operators import ScalarField
+from leafwise.operators import Field
 from leafwise.suppliers import AnalyticSupplier, InvertedImmersion
 from leafwise.symfunc import q_r_from_sigma, umbilic_power
 from leafwise.variation import DEFAULT_T_LADDER, deformed_patch, random_trig_variation, richardson
 
 
 def const_variation(n, value=1.0):
-    return ScalarField.from_callable(
+    return Field.from_callable(
         lambda x: np.full(x.shape[0], value), n=n,
         grad=lambda x: np.zeros((x.shape[0], n)),
         hess=lambda x: np.zeros((x.shape[0], n, n)))
@@ -333,7 +333,7 @@ def test_line_field_residual_formula(torus_rev):
     from leafwise.operators import leaf_laplacian
 
     geo = patch.geometry(pts)
-    kappa_field = ScalarField.from_callable(
+    kappa_field = Field.from_callable(
         lambda x: patch.geometry(x).h_f_mean, n=2, step=1e-3)
     kappa = geo.h_f_mean
     direct = leaf_laplacian(patch, kappa_field, pts, geo) + (
@@ -357,7 +357,7 @@ def test_weak_form_consistency_of_residuals(torus_cyl4):
                 + 0.2 * np.cos(x[:, 0] - x[:, 1])
                 + 0.15 * np.sin(x[:, 1] + 2 * x[:, 2]))
 
-    u = ScalarField.from_callable(amp, n=3)
+    u = Field.from_callable(amp, n=3)
     cases = [
         (fl.w_nps(3), 1e-5),
         (fl.j_nps(4), 1e-3),
@@ -473,7 +473,7 @@ def test_sphere_stable_under_volume_preserving_high_modes():
         return np.sin(x[:, 0]) ** 2 * np.sin(x[:, 1]) * np.cos(x[:, 1])
 
     u = fl.project_volume_preserving(
-        patch, ScalarField.from_callable(mode2, n=2))
+        patch, Field.from_callable(mode2, n=2))
     d2 = fl.second_variation_analytic(fl.w_nps(2), patch, u,
                                       allow_constant_residual=True,
                                       residual_fd_step=1e-2)
@@ -515,7 +515,7 @@ def tube4_s3():
 
 def test_w_conf_3_first_variation_and_inversion(tube4_s3):
     spec = fl.w_conf(3)
-    u = ScalarField.from_callable(
+    u = Field.from_callable(
         lambda x: np.cos(x[:, 2]) + 0.5 * np.cos(x[:, 0]) * np.sin(x[:, 2])
         + 0.3 * np.sin(2 * x[:, 2]), n=3)
     analytic = fl.first_variation_analytic(spec, tube4_s3, u)

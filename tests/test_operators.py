@@ -3,13 +3,7 @@ import pytest
 
 from leafwise import catalog, operators as ops, varcheck as vc
 from leafwise.errors import DomainError, StencilError
-from leafwise.operators import (
-    FullTensorField,
-    LeafOneFormField,
-    LeafTensorField,
-    ScalarField,
-    leaf_metric_multiple,
-)
+from leafwise.operators import Field, leaf_metric_multiple
 from leafwise.patch import Grid, periodic_axis, uniform_axis
 
 
@@ -22,11 +16,11 @@ def trig_field(n, seed=0, amplitude=1.0):
     def fn(x):
         return sum(c * np.cos(x @ k + f) for k, c, f in zip(ks, cs, ph))
 
-    return ScalarField.from_callable(fn, n=n)
+    return Field.from_callable(fn, n=n)
 
 
 def test_leaf_laplacian_constant_is_zero(bumpy3):
-    u = ScalarField.from_callable(lambda x: np.full(x.shape[0], 2.5), n=2)
+    u = Field.from_callable(lambda x: np.full(x.shape[0], 2.5), n=2)
     vals = ops.leaf_laplacian(bumpy3, u, bumpy3.grid.points[::19])
     assert np.max(np.abs(vals)) < 1e-9
 
@@ -35,7 +29,7 @@ def test_leaf_laplacian_unit_circle_harmonic():
     # u = x-coordinate restricted to a unit-circle leaf: Delta_F u = -u
     patch = catalog.cylinder(radius=1.0, m_leaf=12, m_axis=4)
     x = patch.grid.points[::5]
-    u = ScalarField.from_callable(lambda p: np.cos(p[:, 0]), n=2)
+    u = Field.from_callable(lambda p: np.cos(p[:, 0]), n=2)
     vals = ops.leaf_laplacian(patch, u, x)
     assert np.max(np.abs(vals + np.cos(x[:, 0]))) < 1e-10
 
@@ -44,7 +38,7 @@ def test_leaf_laplacian_sphere_eigenfunction(tube4):
     # degree-1 harmonic on S^{n-1}(rho) leaves: Delta_F u = -(n-1) rho^-2 u
     pts = tube4.grid.points
     interior = pts[(pts[:, 0] > 0.7) & (pts[:, 0] < np.pi - 0.7)][::23]
-    u = ScalarField.from_callable(lambda p: np.cos(p[:, 0]), n=3)
+    u = Field.from_callable(lambda p: np.cos(p[:, 0]), n=3)
     vals = ops.leaf_laplacian(tube4, u, interior)
     rho = tube4.meta["r1"] + tube4.meta["r2"] * np.cos(interior[:, 2])
     lam = 2.0  # j(j+n-2) with j=1, n=3
@@ -55,7 +49,7 @@ def test_leaf_laplacian_sphere_eigenfunction(tube4):
 def test_hessians_flat_quadratic():
     patch = catalog.plane()
     x = patch.grid.points[::13]
-    u = ScalarField.from_callable(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), n=2)
+    u = Field.from_callable(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), n=2)
     hess, hess_leaf, hess_mix = ops.hessians(patch, u, x)
     assert np.max(np.abs(hess - np.eye(2))) < 1e-9
     assert np.max(np.abs(hess_leaf - 1.0)) < 1e-9  # leaf block of the identity
@@ -63,7 +57,7 @@ def test_hessians_flat_quadratic():
 
 
 def test_hessians_constant_zero(bumpy3):
-    u = ScalarField.from_callable(lambda x: np.full(x.shape[0], 1.0), n=2)
+    u = Field.from_callable(lambda x: np.full(x.shape[0], 1.0), n=2)
     hess, hess_leaf, hess_mix = ops.hessians(bumpy3, u, bumpy3.grid.points[::31])
     for t in (hess, hess_leaf, hess_mix):
         assert np.max(np.abs(t)) < 1e-9
@@ -102,14 +96,14 @@ def test_div_projector_sheared_identity(sheared4):
 
 
 def test_fstar_squared_zero_tensor(torus_rev):
-    b = LeafTensorField(fn=lambda x: np.zeros((x.shape[0], 1, 1)), s=1)
+    b = Field.from_callable(lambda x: np.zeros((x.shape[0], 1, 1)), n=2, axes=1)
     vals = ops.fstar_squared(torus_rev, b, torus_rev.grid.points[::41])
     assert np.max(np.abs(vals)) < 1e-12
 
 
 def test_fstar_squared_metric_multiple_reduces_to_laplacian(tube4):
     # B = u g_L  =>  (nabla^{F*})^2 B = Delta_F u (metric is leaf-parallel)
-    u = ScalarField.from_callable(
+    u = Field.from_callable(
         lambda p: np.sin(p[:, 0]) * np.sin(p[:, 1]) + 0.2 * np.cos(p[:, 0]), n=3)
     b = leaf_metric_multiple(tube4, u)
     pts = tube4.grid.points
@@ -126,7 +120,7 @@ def test_fstar_squared_weak_identity(torus_rev):
         return w[:, None, None] * torus_rev.geometry(p).g_ff
 
     rep = vc.verify_integral_identity("ibp_F", torus_rev, u=trig_field(2, seed=7),
-                                      b_leaf=LeafTensorField(fn=bfun, s=1, step=1e-3))
+                                      b_leaf=Field.from_callable(bfun, 2, step=1e-3, axes=1))
     assert rep.applicable and rep.discrepancy < 1e-8
 
 
@@ -144,8 +138,8 @@ def test_laplacian_symmetry_leafwise(torus_rev):
 
 
 def test_adjoint_gradient_pairing(torus_rev):
-    omega = LeafOneFormField(
-        fn=lambda p: (np.sin(p[:, 0]) + 0.2 * np.cos(p[:, 1]))[:, None], s=1)
+    omega = Field.from_callable(
+        lambda p: (np.sin(p[:, 0]) + 0.2 * np.cos(p[:, 1]))[:, None], n=2, axes=1)
     rep = vc.verify_integral_identity("adjoint_F", torus_rev, f1=trig_field(2, seed=8),
                                       omega=omega)
     assert rep.applicable and rep.discrepancy < 1e-9
@@ -159,7 +153,7 @@ def test_full_ibp_on_closed_surface():
         return w[:, None, None] * patch.geometry(p).g
 
     rep = vc.verify_integral_identity("ibp_full", patch, u=trig_field(2, seed=9),
-                                      b_full=FullTensorField(fn=bfull, n=2, step=1e-3))
+                                      b_full=Field.from_callable(bfull, 2, step=1e-3))
     assert rep.discrepancy < 1e-8
 
 
@@ -169,8 +163,8 @@ def test_grid_sampled_field_matches_callable_at_4th_order():
     for m in (32, 64):
         grid = Grid(axes=(periodic_axis(0, 2 * np.pi, m), periodic_axis(0, 2 * np.pi, m)))
         values = fn(grid.points).reshape(grid.shape)
-        sampled = ScalarField.from_grid(grid, values)
-        exact = ScalarField.from_callable(fn, n=2)
+        sampled = Field.from_grid(grid, values)
+        exact = Field.from_callable(fn, n=2)
         pts = grid.points[:: 37]
         u1, du1, d2u1 = sampled.jets(pts)
         u2, du2, d2u2 = exact.jets(pts)
@@ -183,7 +177,7 @@ def test_grid_sampled_field_matches_callable_at_4th_order():
 def test_grid_sampled_field_boundary_stencil_error():
     grid = Grid(axes=(uniform_axis(0.0, 1.0, 12), uniform_axis(0.0, 1.0, 12)))
     values = np.ones(grid.shape)
-    sampled = ScalarField.from_grid(grid, values)
+    sampled = Field.from_grid(grid, values)
     with pytest.raises(StencilError):
         sampled.jets(grid.points[[0]])
     # interior nodes are fine
@@ -193,7 +187,7 @@ def test_grid_sampled_field_boundary_stencil_error():
 
 def test_grid_sampled_field_rejects_offgrid():
     grid = Grid(axes=(periodic_axis(0, 2 * np.pi, 8),))
-    sampled = ScalarField.from_grid(grid, np.ones(8))
+    sampled = Field.from_grid(grid, np.ones(8))
     with pytest.raises(DomainError):
         sampled.jets(np.array([[0.1234]]))
 
@@ -202,11 +196,11 @@ def test_scalar_fields_refuse_points_that_are_not_finite_n_columns():
     # a 3-column point on a 2-dimensional chart, and a NaN point, are refused
     # by every way into a scalar field, callable or grid-sampled alike
     grid = Grid(axes=(periodic_axis(0, 2 * np.pi, 8), periodic_axis(0, 2 * np.pi, 8)))
-    fields = [ScalarField.from_callable(lambda x: np.cos(x[:, 0]), n=2),
-              ScalarField.from_callable(lambda x: np.cos(x[:, 0]), n=2,
+    fields = [Field.from_callable(lambda x: np.cos(x[:, 0]), n=2),
+              Field.from_callable(lambda x: np.cos(x[:, 0]), n=2,
                                         grad=lambda x: np.zeros((len(x), 2)),
                                         hess=lambda x: np.zeros((len(x), 2, 2))),
-              ScalarField.from_grid(grid, np.ones(grid.shape))]
+              Field.from_grid(grid, np.ones(grid.shape))]
     for field in fields:
         for bad in ([[0.1, 0.2, 0.3]], [[np.nan, 0.2]], [0.0, np.inf]):
             with pytest.raises(DomainError, match="finite"):
@@ -216,20 +210,36 @@ def test_scalar_fields_refuse_points_that_are_not_finite_n_columns():
         assert field(grid.points[9]).shape == (1,)  # one point as a vector
 
 
-def test_tensor_fields_refuse_points_that_are_not_finite_arrays():
-    # FullTensorField checks its n columns as ScalarField does; the leafwise
-    # fields know only s, so they refuse non-finite and non-2-D points and
-    # leave the column count unchecked
-    full = FullTensorField(fn=lambda x: np.zeros((len(x), 2, 2)), n=2)
-    leafwise = [LeafTensorField(fn=lambda x: np.zeros((len(x), 1, 1)), s=1),
-                LeafOneFormField(fn=lambda x: np.zeros((len(x), 1)), s=1)]
-    bad_anywhere = ([[np.nan, 0.2]], [0.0, np.inf], np.zeros((1, 1, 2)), np.zeros((0, 2)))
-    cases = [(full, bad_anywhere + ([[0.1, 0.2, 0.3]],))] + [(f, bad_anywhere) for f in leafwise]
-    for field, bads in cases:
+def test_tensor_fields_refuse_points_that_are_not_finite_arrays(torus_rev):
+    # every tensor field checks its n columns as a scalar field does, the
+    # leafwise ones too: a 3-column point on a 2-dimensional chart is refused
+    u = Field.from_callable(lambda x: np.cos(x[:, 0]), n=2)
+    fields = [Field.from_callable(lambda x: np.zeros((len(x), 2, 2)), n=2),
+              Field.from_callable(lambda x: np.zeros((len(x), 1, 1)), n=2, axes=1),
+              Field.from_callable(lambda x: np.zeros((len(x), 1)), n=2, axes=1),
+              leaf_metric_multiple(torus_rev, u)]
+    bads = ([[np.nan, 0.2]], [0.0, np.inf], np.zeros((1, 1, 2)), np.zeros((0, 2)),
+            [[0.1, 0.2, 0.3]])
+    for field in fields:
         for bad in bads:
             with pytest.raises(DomainError, match="finite"):
                 field.jets(bad)
             with pytest.raises(DomainError, match="finite"):
                 field(bad)
-        assert field([0.1, 0.2]).shape[0] == 1  # one point as a vector
-        assert field.jets([0.1, 0.2])[1].shape[:2] == (1, field.n if field is full else 1)
+        assert field([0.1, 2.0]).shape[0] == 1  # one point as a vector
+    # jets run over the first `axes` coordinates; 1-forms get 2-jets too
+    assert [f.jets([0.1, 2.0])[2].shape for f in fields] == [
+        (1, 2, 2, 2, 2), (1, 1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1)]
+
+
+def test_one_field_class_broadcasts_its_values_over_the_points():
+    # the former per-kind names are the one class
+    assert ops.ScalarField is ops.LeafTensorField is ops.FullTensorField is ops.Field
+    assert ops.LeafOneFormField is ops.Field
+    x = np.zeros((3, 2))
+    assert Field.from_callable(lambda x: 2.5, n=2)(x).shape == (3,)
+    constant = Field.from_callable(lambda x: np.eye(2)[None], n=2)
+    assert constant(x).shape == (3, 2, 2)
+    f0, df, d2f = constant.jets(x)
+    assert np.array_equal(f0, np.broadcast_to(np.eye(2), (3, 2, 2)))
+    assert d2f.shape == (3, 2, 2, 2, 2) and max(np.max(np.abs(df)), np.max(np.abs(d2f))) < 1e-10

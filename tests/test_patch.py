@@ -25,6 +25,18 @@ def test_unit_sphere_round():
         assert np.max(np.abs(geo.norm_h_sq - n)) < 1e-12
 
 
+def test_normal_orientation_must_be_a_sign():
+    # an orientation of -0.5 scaled the normal and read W_nps(2) of the unit
+    # sphere as pi; both signs give 4 pi
+    sphere = catalog.sphere(m_polar=8, m_azimuth=16)
+    for sign in (1.0, -1):
+        flipped = replace(sphere, normal_orientation=sign)
+        assert abs(fl.evaluate(fl.w_nps(2), flipped) - 4 * np.pi) < 1e-10
+    for bad in (-0.5, 0.0, 2.0, np.nan):
+        with pytest.raises(DomainError, match="normal_orientation must be"):
+            replace(sphere, normal_orientation=bad)
+
+
 def test_flat_plane_totally_geodesic():
     patch = catalog.plane()
     geo = patch.geometry(patch.grid.points[::17])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,15 @@ def test_rho_finite_required():
             rev.invariants(cone, [bad])
         with pytest.raises(DomainError, match="rho must be finite"):
             rev.principal_curvatures(cone, [0.5, bad])
+
+
+def test_profile_range_must_be_finite():
+    # a NaN end would otherwise build and fail in the first integrate, as
+    # "axis nodes must be strictly increasing"
+    cone = rev.profile_from_sympy(2, 0.8 * RHO, RHO, (0.2, 2.0))
+    for bad in ({"rho_max": np.nan}, {"rho_max": np.inf}, {"rho_min": np.nan}):
+        with pytest.raises(DomainError, match="rho range .* is not finite"):
+            replace(cone, **bad)
 
 
 def test_vertical_tangent_is_a_domain_error():

@@ -19,7 +19,9 @@ every geometry has its patch's orientation and leaf dimension, and
 itertools' permutations is named only in ``AnalyticSupplier.__init__``, so
 the jet slots of a kernel are enumerated once per build, not per call, and
 only ``FoliatedPatch.block_size`` reads the block constant ``BLOCK_ENTRIES``,
-so no other code bakes in a block's point count."""
+so no other code bakes in a block's point count, and no function body holds
+a class statement, so every field is one ``operators.Field`` and no call
+defines a class of its own."""
 
 import ast
 from pathlib import Path
@@ -373,4 +375,23 @@ def test_block_constant_read_only_by_the_block_size():
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _block_constant_reads(ast.parse(path.read_text(), str(path)),
                                                allowed if path.name == "patch.py" else set())]
+    assert not found, found
+
+
+def _classes_in_functions(tree: ast.AST) -> list:
+    """Lines of class statements inside a function body, at any depth."""
+    return sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, ast.ClassDef)})
+
+
+def test_no_class_defined_inside_a_function():
+    bad = ("class Field:\n    class Inner:\n        pass\n\n"
+           "    def method(self):\n        class Local:\n            pass\n\n\n"
+           "def make(u):\n    class _Field(Field):\n        pass\n\n"
+           "    async def later():\n        def inner():\n            class Deep:\n"
+           "                pass\n\n    return _Field\n")
+    assert _classes_in_functions(ast.parse(bad)) == [6, 11, 16]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _classes_in_functions(ast.parse(path.read_text(), str(path)))]
     assert not found, found

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 
-from leafwise.operators import ScalarField
+from leafwise.operators import Field
 from leafwise.patch import Grid, uniform_axis
 from leafwise.suppliers import callable_jets, stencil_jets
 
@@ -45,7 +45,7 @@ def test_callable_sampler_is_exact_on_quartics():
 def test_grid_sampler_is_exact_on_quartics():
     grid = Grid(axes=(uniform_axis(-1.0, 1.0, 11), uniform_axis(-1.0, 1.0, 9),
                       uniform_axis(-0.5, 1.5, 13)))
-    field = ScalarField.from_grid(grid, poly(grid.points).reshape(grid.shape))
+    field = Field.from_grid(grid, poly(grid.points).reshape(grid.shape))
     idx = np.stack(np.meshgrid(*[np.arange(2, m - 2) for m in grid.shape],
                                indexing="ij"), axis=-1).reshape(-1, 3)
     x = np.stack([ax.nodes[idx[:, d]] for d, ax in enumerate(grid.axes)], axis=1)
@@ -76,5 +76,5 @@ def test_callable_scalar_field_calls_once_per_shift():
         calls.append(x.shape[0])
         return np.sin(x).sum(axis=1)
 
-    ScalarField.from_callable(fn, n=3).jets(np.zeros((5, 3)))
+    Field.from_callable(fn, n=3).jets(np.zeros((5, 3)))
     assert calls == [5] * (1 + 4 * 3 + 8 * 3 * 2)

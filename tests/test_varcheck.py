@@ -3,7 +3,7 @@ import pytest
 
 from leafwise import deltas, functionals as fl, revolution as rev, varcheck as vc
 from leafwise.errors import DomainError
-from leafwise.operators import ScalarField, hessian_full, laplacian_leaf
+from leafwise.operators import Field, hessian_full, laplacian_leaf
 from leafwise.suppliers import AnalyticSupplier, ReparametrizedSupplier
 from leafwise.variation import (
     deformed_patch,
@@ -11,9 +11,9 @@ from leafwise.variation import (
     richardson,
 )
 
-AUX_F2 = ScalarField.from_callable(
+AUX_F2 = Field.from_callable(
     lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]) + 0.3 * np.cos(2 * x[:, 1]), n=2)
-AUX_F3 = ScalarField.from_callable(
+AUX_F3 = Field.from_callable(
     lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]) + 0.3 * np.cos(x[:, 1] - 2 * x[:, 2]), n=3)
 
 S1_CASES = ("g", "g_inv", "h", "norm_h_sq", "nH", "dV", "sH_F", "norm_hF_sq",
@@ -229,8 +229,8 @@ def test_christoffel_variation_transforms_as_tensor(bumpy3):
     def u_fn(x):
         return np.cos(x[:, 0]) + 0.4 * np.sin(x[:, 0] - 2 * x[:, 1])
 
-    u_a = ScalarField.from_callable(u_fn, n=2)
-    u_b = ScalarField.from_callable(
+    u_a = Field.from_callable(u_fn, n=2)
+    u_b = Field.from_callable(
         lambda x: u_fn(psi_jets(x)[0]), n=2)
 
     geo_a = bumpy3.geometry(y, order=3)
@@ -281,7 +281,7 @@ def test_identity_marked_not_applicable_on_nonharmonic(sheared4):
 
 def test_green_trivial_for_constant_f2(torus_rev):
     fields = vc.identity_fields(torus_rev)
-    fields["f2"] = ScalarField.from_callable(lambda x: np.ones(x.shape[0]), n=2)
+    fields["f2"] = Field.from_callable(lambda x: np.ones(x.shape[0]), n=2)
     rep = vc.verify_integral_identity("green_F", torus_rev, **fields)
     assert abs(rep.lhs) < 1e-10 and abs(rep.rhs) < 1e-10
 
