@@ -25,7 +25,8 @@ from .operators import (
     laplacian_full,
     leaf_gradient,
 )
-from .patch import PointGeometry, christoffel_bracket
+from .patch import PointGeometry, christoffel_bracket, inverse_derivative
+from .suppliers import leibniz
 from .symfunc import newton_weights
 
 
@@ -164,15 +165,9 @@ def _lapf_terms(geo: PointGeometry, du, f_du, f_d2u):
 
 
 def _leaf_function_gradient_shf(geo: PointGeometry) -> np.ndarray:
-    """Leafwise differential of s*H_F = tr_F h_F, lower leaf components.
-
-    d(sigma_1) = d(g_F^{ik}) h_ki + g_F^{ik} d h_ki along leaf directions.
-    """
+    """Leafwise differential of s*H_F = tr_F h_F = g_F^{ik} h_ki, lower leaf
+    components, by the product rule along leaf directions."""
     s = geo.s
-    dh = geo.dh[:, :s, :s, :s]
-    dgl = geo.dg[:, :s, :s, :s]
-    dginv = -np.einsum("pim,pkmn,pnj->pkij", geo.g_ff_inv, dgl, geo.g_ff_inv)
-    h_ff = geo.h[:, :s, :s]
-    return np.einsum("pkij,pji->pk", dginv, h_ff) + np.einsum(
-        "pij,pkji->pk", geo.g_ff_inv, dh
-    )
+    ginv = geo.g_ff_inv
+    inv_jets = (ginv, inverse_derivative(ginv, geo.dg[:, :s, :s, :s]))
+    return leibniz("ik,ki->", inv_jets, (geo.h[:, :s, :s], geo.dh[:, :s, :s, :s]), 1)[1]

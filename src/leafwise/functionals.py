@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -90,8 +90,9 @@ class FunctionalSpec:
             raise SpecError(f"unknown functional kind {self.kind!r}")
         if self.kind in ("W_nps", "J_nps") and self.p is None:
             raise SpecError(f"{self.kind} needs the exponent p")
-        if self.p is not None and not np.isfinite(self.p):
-            raise SpecError(f"the exponent p must be finite, got {self.p}")
+        if self.p is not None and (isinstance(self.p, bool) or not isinstance(self.p, Real)
+                                   or not np.isfinite(self.p)):
+            raise SpecError(f"the exponent p must be a finite real number, got {self.p!r}")
         if self.kind == "W_conf" and not (
                 isinstance(self.r, Integral) and not isinstance(self.r, bool) and self.r >= 1):
             raise SpecError(f"W_conf needs a conformal order r that is an integer >= 1, "

@@ -8,7 +8,8 @@ the chart (preferred: derivatives come from tight high-order stencils on
 the callable along the first n or s coordinates, decoupled from the
 quadrature grid) or as grid samples (derivatives use 4th-order stencils
 along grid axes, wrapping on periodic axes and shrinking the evaluable
-region on non-periodic ones).
+region on non-periodic ones).  The double divergences and the metric jets
+take their products' jets from ``suppliers.leibniz``.
 
 Leafwise operators come in two flavours that coincide only when the
 variation/field has no transverse gradient:
@@ -27,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StencilError, ValidationError
-from .patch import FoliatedPatch, Grid, PointGeometry, christoffel_bracket, frame_sandwich
-from .suppliers import callable_jets, sample_points, stencil_jets
+from .patch import (FoliatedPatch, Grid, PointGeometry, christoffel_bracket, frame_sandwich,
+                    inverse_derivative)
+from .suppliers import callable_jets, leibniz, sample_points, stencil_jets, stencil_steps
 
 
 @dataclass
@@ -53,7 +55,7 @@ class Field:
         """4th-order stencil jets of fn along the first ``axes`` coordinates
         (all n by default, s for a leafwise field); a scalar field given
         both ``grad`` and ``hess`` callables uses them instead."""
-        steps = np.broadcast_to(np.asarray(step, dtype=float), (n if axes is None else axes,))
+        steps = stencil_steps(step, n if axes is None else axes)
 
         def value(x):
             v = np.asarray(fn(x), dtype=float)
@@ -141,19 +143,9 @@ def leaf_metric_multiple(patch: FoliatedPatch, u: Field) -> Field:
     s = patch.s
 
     def jets(x):
-        geo = patch.geometry(x, order=3)
-        dgl, d2gl = _metric_jets_block(geo, s)
         uu, du, d2u = u.jets(x)
-        g_l = geo.g_ff
-        b0 = uu[:, None, None] * g_l
-        db = np.einsum("pk,pij->pkij", du[:, :s], g_l) + uu[:, None, None, None] * dgl
-        d2b = (
-            np.einsum("pkl,pij->pklij", d2u[:, :s, :s], g_l)
-            + np.einsum("pk,plij->pklij", du[:, :s], dgl)
-            + np.einsum("pl,pkij->pklij", du[:, :s], dgl)
-            + uu[:, None, None, None, None] * d2gl
-        )
-        return b0, db, d2b
+        metric = _metric_jets_block(patch.geometry(x, order=3), s)
+        return leibniz(",ij->ij", (uu, du[:, :s], d2u[:, :s, :s]), metric)
 
     return Field(jets, patch.n, lambda x: u(x)[:, None, None] * patch.geometry(x).g_ff)
 
@@ -171,12 +163,6 @@ def hessian_leaf(geo: PointGeometry, du: np.ndarray, d2u: np.ndarray) -> np.ndar
     """Leaf-intrinsic Hessian (induced leaf metric and connection)."""
     s = geo.s
     return d2u[:, :s, :s] - np.einsum("pkij,pk->pij", geo.gamma_leaf, du[:, :s])
-
-
-def hessian_block(geo: PointGeometry, du: np.ndarray, d2u: np.ndarray) -> np.ndarray:
-    """Leafwise block of the full covariant Hessian."""
-    s = geo.s
-    return hessian_full(geo, du, d2u)[:, :s, :s]
 
 
 def hessian_mixed_frame(geo: PointGeometry, du: np.ndarray, d2u: np.ndarray) -> np.ndarray:
@@ -197,7 +183,8 @@ def laplacian_leaf(geo: PointGeometry, du: np.ndarray, d2u: np.ndarray) -> np.nd
 
 def laplacian_block(geo: PointGeometry, du: np.ndarray, d2u: np.ndarray) -> np.ndarray:
     """Leaf-metric trace of the leafwise block of the full Hessian."""
-    return np.einsum("pij,pij->p", geo.g_ff_inv, hessian_block(geo, du, d2u))
+    s = geo.s
+    return np.einsum("pij,pij->p", geo.g_ff_inv, hessian_full(geo, du, d2u)[:, :s, :s])
 
 
 def leaf_gradient(geo: PointGeometry, du: np.ndarray) -> np.ndarray:
@@ -231,15 +218,12 @@ def hessians(patch: FoliatedPatch, u: Field, x: np.ndarray):
 
 
 def _proj_derivative(geo: PointGeometry) -> np.ndarray:
-    """dP[p, k, i, j] = partial_k P^i_j, from the metric 1-jet."""
+    """dP[p, k, i, j] = partial_k P^i_j: its leaf x transverse block is d(g_FF^-1 g_FT)."""
     s, n = geo.s, geo.n
     dp = np.zeros((geo.g.shape[0], n, n, n))
-    g_ff_inv = geo.g_ff_inv
-    dg = geo.dg
-    g_fx = geo.g[:, :s, s:]
-    db = -np.einsum("pim,pkml,plj,pja->pkia", g_ff_inv, dg[:, :, :s, :s], g_ff_inv, g_fx)
-    db += np.einsum("pim,pkma->pkia", g_ff_inv, dg[:, :, :s, s:])
-    dp[:, :, :s, s:] = db
+    g_ff_inv, dg = geo.g_ff_inv, geo.dg
+    inv_jets = (g_ff_inv, inverse_derivative(g_ff_inv, dg[:, :, :s, :s]))
+    dp[:, :, :s, s:] = leibniz("im,ma->ia", inv_jets, (geo.g[:, :s, s:], dg[:, :, :s, s:]), 1)[1]
     return dp
 
 
@@ -285,72 +269,38 @@ def div_projector(patch: FoliatedPatch, x: np.ndarray,
 
 
 def _metric_jets_block(geo: PointGeometry, k: int):
-    """1- and 2-jets of the metric block over the first k coordinates."""
+    """(g, dg, d2g) of the metric block over the first k coordinates, the
+    derivative axes first, from the 2-jet of the tangent vectors d_i r."""
     if geo.jets.d3 is None:
         raise DomainError("operation needs third-order immersion jets")
     jets = geo.contiguous_jets
-    d1 = jets.d1[:, :, :k]
-    d2 = jets.d2[:, :, :k, :k]
-    d3 = jets.d3[:, :, :k, :k, :k]
-    d2g = (
-        np.einsum("paikl,paj->pklij", d3, d1)
-        + np.einsum("paik,pajl->pklij", d2, d2)
-        + np.einsum("pail,pajk->pklij", d2, d2)
-        + np.einsum("pai,pajkl->pklij", d1, d3)
-    )
-    return geo.dg[:, :k, :k, :k], d2g
+    t = (jets.d1[:, :, :k], np.moveaxis(jets.d2[:, :, :k, :k], 3, 1),
+         np.moveaxis(jets.d3[:, :, :k, :k, :k], (3, 4), (1, 2)))
+    return leibniz("ai,aj->ij", t, t)
 
 
 def _double_divergence(patch: FoliatedPatch, b_field, x: np.ndarray,
                        geo: PointGeometry | None, leaf: bool) -> np.ndarray:
-    """nabla_i nabla_j B^{ij} over the leaf block (leaf) or all coordinates."""
+    """nabla_i nabla_j B^{ij} over the leaf block (leaf) or all coordinates:
+    the 2-jet of B^{ij} = g^-1 B g^-1 and the 1-jet of Gamma by ``leibniz``,
+    then T^j = nabla_i B^{ij} and nabla_j T^j."""
     if geo is None or geo.jets.d3 is None:
         geo = patch.geometry(x if geo is None else geo.x, order=3)
-    b0, db, d2b = b_field.jets(x)
-    dg, d2g = _metric_jets_block(geo, geo.s if leaf else geo.n)
+    _, dg, d2g = _metric_jets_block(geo, geo.s if leaf else geo.n)
     ginv = geo.g_ff_inv if leaf else geo.g_inv
-    gamma = geo.gamma_leaf if leaf else geo.gamma
-    dginv = -np.einsum("pim,pkmn,pnj->pkij", ginv, dg, ginv)
-    dgamma = 0.5 * (
-        np.einsum("plkm,pijm->plkij", dginv, christoffel_bracket(dg))
-        + np.einsum("pkm,plijm->plkij", ginv, christoffel_bracket(d2g))
-    )
-    d2ginv = (
-        -np.einsum("pim,plkmn,pnj->plkij", ginv, d2g, ginv)
-        + np.einsum("pim,plmn,pnq,pkqr,prj->plkij", ginv, dg, ginv, dg, ginv)
-        + np.einsum("pim,pkmn,pnq,plqr,prj->plkij", ginv, dg, ginv, dg, ginv)
-    )
-    bu = np.einsum("pik,pkl,plj->pij", ginv, b0, ginv)
-    dbu = (
-        np.einsum("pmik,pkl,plj->pmij", dginv, b0, ginv)
-        + np.einsum("pik,pmkl,plj->pmij", ginv, db, ginv)
-        + np.einsum("pik,pkl,pmlj->pmij", ginv, b0, dginv)
-    )
-    d2bu = (
-        np.einsum("plkim,pmn,pnj->plkij", d2ginv, b0, ginv)
-        + np.einsum("pim,plkmn,pnj->plkij", ginv, d2b, ginv)
-        + np.einsum("pim,pmn,plknj->plkij", ginv, b0, d2ginv)
-        + np.einsum("plim,pkmn,pnj->plkij", dginv, db, ginv)
-        + np.einsum("pkim,plmn,pnj->plkij", dginv, db, ginv)
-        + np.einsum("plim,pmn,pknj->plkij", dginv, b0, dginv)
-        + np.einsum("pkim,pmn,plnj->plkij", dginv, b0, dginv)
-        + np.einsum("pim,plmn,pknj->plkij", ginv, db, dginv)
-        + np.einsum("pim,pkmn,plnj->plkij", ginv, db, dginv)
-    )
-    # T^j = nabla_i B^{ij}; result = nabla_j T^j
-    t = (
-        np.einsum("piij->pj", dbu)
-        + np.einsum("piik,pkj->pj", gamma, bu)
-        + np.einsum("pjik,pik->pj", gamma, bu)
-    )
-    dt = (
-        np.einsum("pliij->plj", d2bu)
-        + np.einsum("pliik,pkj->plj", dgamma, bu)
-        + np.einsum("piik,plkj->plj", gamma, dbu)
-        + np.einsum("pljik,pik->plj", dgamma, bu)
-        + np.einsum("pjik,plik->plj", gamma, dbu)
-    )
-    return np.einsum("pjj->p", dt) + np.einsum("pjjk,pk->p", gamma, t)
+    dginv = inverse_derivative(ginv, dg)
+    # d_l d_k g^-1 = -(d_l g^-1) d_k g g^-1 - g^-1 d_l d_k g g^-1 - g^-1 d_k g d_l g^-1
+    g1 = ginv[:, None, None]
+    d2ginv = -(dginv[:, :, None] @ dg[:, None] @ g1 + g1 @ d2g @ g1
+               + g1 @ dg[:, None] @ dginv[:, :, None])
+    ginv_jets = (ginv, dginv, d2ginv)
+    bu = leibniz("ij,jk->ik", leibniz("ij,jk->ik", ginv_jets, b_field.jets(x)), ginv_jets)
+    gamma = [0.5 * a for a in leibniz("km,ijm->kij", ginv_jets,
+                                      (christoffel_bracket(dg), christoffel_bracket(d2g)), 1)]
+    # T^j = d_i B^{ij} + Gamma^i_ik B^kj + Gamma^j_ik B^ik, and its 1-jet
+    t, dt = (np.einsum("...iij->...j", db) + first + second for db, first, second in zip(
+        bu[1:], leibniz("iik,kj->j", gamma, bu, 1), leibniz("jik,ik->j", gamma, bu, 1)))
+    return np.einsum("pjj->p", dt) + np.einsum("pjjk,pk->p", gamma[0], t)
 
 
 def fstar_squared(patch: FoliatedPatch, b_field: Field, x: np.ndarray,

@@ -163,6 +163,11 @@ def christoffel_bracket(dg: np.ndarray) -> np.ndarray:
     return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
 
 
+def inverse_derivative(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """d_k g^-1 = -g^-1 (d_k g) g^-1 from dg[p, k, i, j] = d_k g_ij."""
+    return -(g_inv[:, None] @ dg @ g_inv[:, None])
+
+
 def christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)."""
     return 0.5 * np.einsum("pkl,pijl->pkij", g_inv, christoffel_bracket(dg))

@@ -6,9 +6,11 @@ compile one numpy kernel per derivative component of sympy expressions,
 printed without a docstring or a term sort, and evaluate them with numpy;
 the finite-difference supplier wraps any callable.  Derived suppliers build
 normal deformations r + t*u*N, ambient homotheties and Möbius inversions
-on top of a base supplier.  The jets of r + t*u*N are linear in t, with
-coefficients read off one order-3 base geometry (``deformed_jets``), so a
-t-ladder deforms the geometry its caller already holds.
+(to order 3) on top of a base supplier.  The jets of r + t*u*N are linear in
+t, with coefficients read off one order-3 base geometry (``deformed_jets``),
+so a t-ladder deforms the geometry its caller already holds.  ``leibniz``
+is the one product rule for jets: the inversion and the metric products of
+``operators`` and ``deltas`` state their jets through it.
 
 The derivative expressions come from ``derivative``, a chain rule over the
 sympy expression tree that follows sympy's own rules for Add, Mul, Pow and
@@ -78,6 +80,37 @@ class Jets:
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray | None = None
+
+
+def leibniz(subscripts: str, a, b, order: int = 2) -> tuple:
+    """Jets (value, first, ..., order-th derivative) of the pointwise product
+    np.einsum(subscripts, a, b) of the jets a and b: the derivative along the
+    axes S is the sum over T ⊆ S of d_T a d_{S-T} b (Griewank & Walther,
+    Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13), one two-operand
+    einsum per term.  a[k] holds the k-th derivatives, the derivative axes
+    right after the point axis as in ``stencil_jets``; ``subscripts`` names
+    the value axes only, in lower case (P, K, L, M are taken; order <= 3)."""
+    inputs, out = subscripts.split("->")
+    sa, sb = inputs.split(",")
+    jets = []
+    for k in range(order + 1):
+        axes = "KLM"[:k]
+        terms = []
+        for size in range(k + 1):
+            for t in map("".join, itertools.combinations(axes, size)):
+                rest = "".join(c for c in axes if c not in t)
+                terms.append(np.einsum(f"P{t}{sa},P{rest}{sb}->P{axes}{out}",
+                                       a[size], b[k - size]))
+        jets.append(sum(terms))
+    return tuple(jets)
+
+
+def stencil_steps(step, n: int) -> np.ndarray:
+    """step broadcast to n floats; DomainError unless each is finite and > 0."""
+    steps = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
+    if not np.all(np.isfinite(steps) & (steps > 0)):
+        raise DomainError(f"stencil steps must be finite and > 0, got {step!r}")
+    return steps
 
 
 def sample_points(x, n: int) -> np.ndarray:
@@ -410,7 +443,7 @@ class FiniteDifferenceSupplier:
     def __init__(self, fn, n: int, step=1e-2):
         self.fn = fn
         self.n = n
-        self.step = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
+        self.step = stencil_steps(step, n)
 
     def _jets2(self, x):
         """(r, d1, d2) with the derivative axes last."""
@@ -603,17 +636,13 @@ class ScaledImmersion:
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         bj = self.base.jets(x, order=order)
-        c = self.c
-        return Jets(
-            r=c * bj.r,
-            d1=c * bj.d1,
-            d2=c * bj.d2,
-            d3=None if bj.d3 is None else c * bj.d3,
-        )
+        return Jets(*(None if a is None else self.c * a for a in (bj.r, bj.d1, bj.d2, bj.d3)))
 
 
 class InvertedImmersion:
-    """Möbius inversion x -> x/|x|^2 of a base supplier (chain rule, order 2).
+    """Möbius inversion x -> x/|x|^2 of a base supplier, to order 3: the
+    product r (1/w) by ``leibniz``, w = |r|^2 = leibniz("a,a->", r, r), with
+    the jets of 1/w by the chain rule of t -> 1/t.
 
     The base surface must stay away from the origin.
     """
@@ -622,26 +651,25 @@ class InvertedImmersion:
         self.base = base
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
-        if order >= 3:
-            raise DomainError("inverted immersions supply jets up to order 2 only")
-        bj = self.base.jets(x, order=2)
-        # contiguous copies: the einsum reductions below round by the memory
-        # layout of their operands, which the base supplier chooses
-        r, d1, d2 = (np.ascontiguousarray(a) for a in (bj.r, bj.d1, bj.d2))
-        w = np.einsum("pa,pa->p", r, r)
-        if np.any(w < 1e-14):
+        top = 3 if order >= 3 else 2
+        bj = self.base.jets(x, order=top)
+        # contiguous derivative-first copies: the einsums below round by the
+        # memory layout of their operands, which the base supplier chooses
+        r = [np.ascontiguousarray(np.moveaxis(a, range(2, a.ndim), range(1, a.ndim - 1)))
+             for a in (bj.r, bj.d1, bj.d2, bj.d3)[: top + 1]]
+        w = leibniz("a,a->", r, r, top)
+        if np.any(w[0] < 1e-14):
             raise DomainError("surface passes through the inversion center")
-        dw = 2.0 * np.einsum("pa,pai->pi", r, d1)
-        d2w = 2.0 * (np.einsum("pai,paj->pij", d1, d1) + np.einsum("pa,paij->pij", r, d2))
-        iw = 1.0 / w
-        ri = d1 * iw[:, None, None] - r[:, :, None] * (dw * iw[:, None] ** 2)[:, None, :]
-        rij = (
-            d2 * iw[:, None, None, None]
-            - d1[:, :, :, None] * (dw * iw[:, None] ** 2)[:, None, None, :]
-            - d1[:, :, None, :] * (dw * iw[:, None] ** 2)[:, None, :, None]
-            - r[:, :, None, None] * (d2w * iw[:, None, None] ** 2)[:, None, :, :]
-            + 2.0
-            * r[:, :, None, None]
-            * (dw[:, :, None] * dw[:, None, :] * iw[:, None, None] ** 3)[:, None, :, :]
-        )
-        return Jets(r=r * iw[:, None], d1=ri, d2=rij, d3=None)
+        # d^k (1/t) = (-1)^k k! / t^(k+1)
+        iw = 1.0 / w[0]
+        f1, f2 = -iw**2, 2.0 * iw**3
+        inv = [iw, f1[:, None] * w[1],
+               np.einsum("P,PK,PL->PKL", f2, w[1], w[1]) + f1[:, None, None] * w[2]]
+        if top == 3:
+            pairs = (np.einsum("PKL,PM->PKLM", w[2], w[1]) + np.einsum("PKM,PL->PKLM", w[2], w[1])
+                     + np.einsum("PLM,PK->PKLM", w[2], w[1]))
+            inv.append(np.einsum("P,PK,PL,PM->PKLM", -6.0 * iw**4, w[1], w[1], w[1])
+                       + f2[:, None, None, None] * pairs + f1[:, None, None, None] * w[3])
+        out = [np.moveaxis(a, range(1, a.ndim - 1), range(2, a.ndim))
+               for a in leibniz("a,->a", r, inv, top)]
+        return Jets(*out)

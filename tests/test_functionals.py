@@ -128,6 +128,13 @@ def test_non_finite_exponent_is_a_spec_error():
                 fl.FunctionalSpec(kind=kind, p=p)
 
 
+@pytest.mark.parametrize("p", [True, False, "2", [2.0], 1j])
+def test_exponent_that_is_not_a_real_number_is_a_spec_error(p):
+    for kind in ("W_nps", "J_nps"):
+        with pytest.raises(SpecError, match="exponent p"):
+            fl.FunctionalSpec(kind=kind, p=p)
+
+
 def test_partials_spot_check_propagates_unexpected_errors():
     # only shape and dimension errors mean "defined for another s"
     def f(sig):
@@ -530,6 +537,29 @@ def test_w_conf_3_first_variation_and_inversion(tube4_s3):
     res = fl.conformal_density_check(tube4_s3, r=3, mode="inversion")
     assert res["max_rel_deviation"] < 1e-6
     assert res["shape_law_deviation"] < 1e-6
+
+
+def test_first_variation_is_conformally_covariant():
+    # the Möbius image of r + t u N is, to first order, the image deformed by
+    # u / |r|^2 along its normal, and W_conf(2) is invariant, so the two
+    # first variations agree up to the stencil error of u / |r|^2
+    patch = catalog.sheared_torus4(m1=10, m2=10, m3=10)
+    spec = fl.w_conf(2)
+    u = random_trig_variation(3, np.random.default_rng(3), 0.5)
+    image = replace(patch, supplier=InvertedImmersion(patch.supplier),
+                    normal_orientation=-patch.normal_orientation)
+
+    def u_image(x):
+        r = patch.supplier.jets(x, order=0).r
+        return u(x) / np.einsum("pa,pa->p", r, r)
+
+    v = Field.from_callable(u_image, n=3)
+    base = fl.first_variation_analytic(spec, patch, u)
+    analytic = fl.first_variation_analytic(spec, image, v)
+    numeric = fl.first_variation_numeric(spec, image, v)
+    assert abs(base) > 1.0
+    assert abs(analytic - base) < 1e-8 * abs(base)
+    assert abs(numeric - analytic) < 1e-10 * abs(analytic)
 
 
 def test_w_conf_partials_validate_at_every_order():

@@ -21,7 +21,9 @@ the jet slots of a kernel are enumerated once per build, not per call, and
 only ``FoliatedPatch.block_size`` reads the block constant ``BLOCK_ENTRIES``,
 so no other code bakes in a block's point count, and no function body holds
 a class statement, so every field is one ``operators.Field`` and no call
-defines a class of its own."""
+defines a class of its own, and no einsum call takes more than four
+operands, because numpy's unoptimised einsum loops over every index of
+all its operands at once."""
 
 import ast
 from pathlib import Path
@@ -394,4 +396,26 @@ def test_no_class_defined_inside_a_function():
     assert _classes_in_functions(ast.parse(bad)) == [6, 11, 16]
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _classes_in_functions(ast.parse(path.read_text(), str(path)))]
+    assert not found, found
+
+
+def _wide_einsums(tree: ast.AST, most: int = 4) -> list:
+    """Lines of einsum calls (by name or attribute) with more than ``most``
+    operands after the subscripts; a starred argument counts as one."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and (isinstance(node.func, ast.Name) and node.func.id == "einsum"
+                        or isinstance(node.func, ast.Attribute) and node.func.attr == "einsum")
+                   and len(node.args) - 1 > most})
+
+
+def test_no_einsum_takes_more_than_four_operands():
+    bad = ("import numpy as np\nfrom numpy import einsum\n\n\n"
+           "def chain(a, b):\n    return np.einsum('pi,pij,pjk,pkl->pl', a, b, b, b)\n\n\n"
+           "def wide(a, b):\n    return np.einsum('pi,pij,pjk,pkl,pl->p', a, b, b, b, a)\n\n\n"
+           "x = einsum('i,ij,jk,kl,lm,m->', a, b, b, b, b, a)\n")
+    assert _wide_einsums(ast.parse(bad)) == [10, 13]
+    assert _wide_einsums(ast.parse(bad), most=3) == [6, 10, 13]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _wide_einsums(ast.parse(path.read_text(), str(path)))]
     assert not found, found

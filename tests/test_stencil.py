@@ -1,13 +1,16 @@
-"""The shared 4th-order stencil engine: exactness on low-degree polynomials
-and the number of field samples it takes."""
+"""The shared 4th-order stencil engine: exactness on low-degree polynomials,
+the number of field samples it takes, and steps that are not finite and
+> 0 refused wherever a stencil is built."""
 
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 
+from leafwise import catalog, functionals as fl
+from leafwise.errors import DomainError
 from leafwise.operators import Field
 from leafwise.patch import Grid, uniform_axis
-from leafwise.suppliers import callable_jets, stencil_jets
+from leafwise.suppliers import FiniteDifferenceSupplier, callable_jets, stencil_jets
 
 # degree <= 4 in each of three variables: the 5-point first- and
 # second-derivative stencils and their tensor products are exact on it
@@ -78,3 +81,19 @@ def test_callable_scalar_field_calls_once_per_shift():
 
     Field.from_callable(fn, n=3).jets(np.zeros((5, 3)))
     assert calls == [5] * (1 + 4 * 3 + 8 * 3 * 2)
+
+
+BAD_STEPS = [0.0, -1e-3, np.nan, np.inf, (1e-3, 0.0, 1e-3)]
+
+
+@pytest.mark.parametrize("step", BAD_STEPS, ids=["zero", "negative", "nan", "inf", "one-zero"])
+def test_stencils_refuse_steps_that_are_not_finite_and_positive(step):
+    with pytest.raises(DomainError, match="stencil steps"):
+        Field.from_callable(lambda x: np.sin(x).sum(axis=1), n=3, step=step)
+    with pytest.raises(DomainError, match="stencil steps"):
+        FiniteDifferenceSupplier(lambda x: np.concatenate([x, x[:, :1]], axis=1), n=3, step=step)
+
+
+def test_el_residual_refuses_a_zero_stencil_step():
+    with pytest.raises(DomainError, match="stencil steps"):
+        fl.el_residual(fl.w_nps(3), catalog.tube4(6, 8, 8), fd_step=0.0)
