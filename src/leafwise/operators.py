@@ -274,9 +274,8 @@ def _metric_jets_block(geo: PointGeometry, k: int):
     if geo.jets.d3 is None:
         raise DomainError("operation needs third-order immersion jets")
     jets = geo.contiguous_jets
-    t = (jets.d1[:, :, :k], np.moveaxis(jets.d2[:, :, :k, :k], 3, 1),
-         np.moveaxis(jets.d3[:, :, :k, :k, :k], (3, 4), (1, 2)))
-    return leibniz("ai,aj->ij", t, t)
+    t = (jets.d1[:, :k], jets.d2[:, :k, :k], jets.d3[:, :k, :k, :k])
+    return leibniz("ia,ja->ij", t, t)
 
 
 def _double_divergence(patch: FoliatedPatch, b_field, x: np.ndarray,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .suppliers import Jets, normal_jets, sample_points
+from .suppliers import Jets, leibniz, normal_jets, sample_points
 from .symfunc import sigma_from_traces
 
 
@@ -193,7 +193,10 @@ class PointGeometry:
     spectrum read to top 1 builds neither ``a_frame`` nor a leaf power.
     The derivative fields (dN, dg, dh, d2N) read ``contiguous_jets``,
     C-contiguous point-first copies of the jets made on first use, so they
-    round and cost alike whatever the supplier's layout (``Jets``).
+    round and cost alike whatever the supplier's memory layout (``Jets``),
+    and put the derivative axes first like them.  dg, dh and d2N are the
+    first derivatives, by ``leibniz``, of g_ij = <r_i, r_j>,
+    h_ij = <N, r_ij> and dN_i = -A^k_i r_k.
     """
 
     x: np.ndarray
@@ -231,14 +234,15 @@ class PointGeometry:
 
     @lazy
     def dn(self) -> np.ndarray:
-        """dn[p, :, i] = partial_i N = -A^k_i r_k."""
-        return -(self.contiguous_jets.d1 @ self.shape_op)
+        """dn[p, i] = partial_i N = -A^k_i r_k."""
+        return -(np.swapaxes(self.shape_op, -1, -2) @ self.contiguous_jets.d1)
 
     @lazy
     def dg(self) -> np.ndarray:
-        """dg[p, k, i, j] = partial_k g_ij."""
-        d1, d2 = self.contiguous_jets.d1, self.contiguous_jets.d2
-        return np.einsum("paik,paj->pkij", d2, d1) + np.einsum("pai,pajk->pkij", d1, d2)
+        """dg[p, k, i, j] = partial_k g_ij = <r_ik, r_j> + <r_i, r_jk>."""
+        jets = self.contiguous_jets
+        tangent = (jets.d1, jets.d2)
+        return leibniz("ia,ja->ij", tangent, tangent, 1)[1]
 
     @lazy
     def dh(self) -> np.ndarray:
@@ -248,19 +252,17 @@ class PointGeometry:
             raise DomainError("the derivative of the second fundamental form needs "
                               "third-order immersion jets")
         jets = self.contiguous_jets
-        return (np.einsum("pak,paij->pkij", self.dn, jets.d2)
-                + np.einsum("pa,paijk->pkij", self.normal, jets.d3))
+        return leibniz("a,ija->ij", (self.normal, self.dn), (jets.d2, jets.d3), 1)[1]
 
     @lazy
     def d2n(self) -> np.ndarray:
-        """d2n[p, :, i, j] = partial_ij N, from differentiating dN = -A^k_i r_k
-        with partial_k A = g^-1 (partial_k h - partial_k g A) (needs
-        third-order jets)."""
-        a_op = self.shape_op
-        da = self.g_inv[:, None] @ (self.dh - self.dg @ a_op[:, None])
+        """d2n[p, j, i] = partial_j partial_i N, the derivative of
+        dN_i = -A^k_i r_k with the 1-jet of A = g^-1 h (needs third-order
+        jets)."""
+        g_inv_jets = (self.g_inv, inverse_derivative(self.g_inv, self.dg))
+        a_jets = leibniz("kl,li->ki", g_inv_jets, (self.h, self.dh), 1)
         jets = self.contiguous_jets
-        return (-np.einsum("pjki,pak->paij", da, jets.d1)
-                - np.einsum("pki,pakj->paij", a_op, jets.d2))
+        return -leibniz("ka,ki->ia", (jets.d1, jets.d2), a_jets, 1)[1]
 
     @lazy
     def gamma(self) -> np.ndarray:

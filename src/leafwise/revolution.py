@@ -157,6 +157,8 @@ def critical_ode_solve(n: int, p: float, rho0: float, f0: float, f0prime: float,
     from scipy.integrate import solve_ivp
 
     lo, hi = float(rho_range[0]), float(rho_range[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise DomainError(f"rho range ({lo}, {hi}) must be finite and increasing")
     if lo <= 0:
         raise DomainError("rho range must exclude 0")
     if not lo <= rho0 <= hi:
@@ -374,24 +376,24 @@ class RevolutionSupplier:
         r = np.zeros((mpts, m))
         r[:, :n] = rho[:, None] * om.r
         r[:, n] = f
-        d1 = np.zeros((mpts, m, n))
-        d1[:, :n, :q] = rho[:, None, None] * om.d1
-        d1[:, :n, q] = om.r
-        d1[:, n, q] = y
-        d2 = np.zeros((mpts, m, n, n))
-        d2[:, :n, :q, :q] = rho[:, None, None, None] * om.d2
-        d2[:, :n, :q, q] = om.d1
-        d2[:, :n, q, :q] = om.d1
-        d2[:, n, q, q] = ypr
+        d1 = np.zeros((mpts, n, m))
+        d1[:, :q, :n] = rho[:, None, None] * om.d1
+        d1[:, q, :n] = om.r
+        d1[:, q, n] = y
+        d2 = np.zeros((mpts, n, n, m))
+        d2[:, :q, :q, :n] = rho[:, None, None, None] * om.d2
+        d2[:, :q, q, :n] = om.d1
+        d2[:, q, :q, :n] = om.d1
+        d2[:, q, q, n] = ypr
         d3 = None
         if order >= 3:
             y3 = np.asarray(pr.f3(rho), dtype=float)
-            d3 = np.zeros((mpts, m, n, n, n))
-            d3[:, :n, :q, :q, :q] = rho[:, None, None, None, None] * om.d3
-            d3[:, :n, :q, :q, q] = om.d2
-            d3[:, :n, :q, q, :q] = om.d2
-            d3[:, :n, q, :q, :q] = om.d2
-            d3[:, n, q, q, q] = y3
+            d3 = np.zeros((mpts, n, n, n, m))
+            d3[:, :q, :q, :q, :n] = rho[:, None, None, None, None] * om.d3
+            d3[:, :q, :q, q, :n] = om.d2
+            d3[:, :q, q, :q, :n] = om.d2
+            d3[:, q, :q, :q, :n] = om.d2
+            d3[:, q, q, q, n] = y3
         return Jets(r=r, d1=d1, d2=d2, d3=d3)
 
 
@@ -402,9 +404,14 @@ def revolution_patch(profile: RevolutionProfile, m_leaf: int = 24,
     The normal is oriented so the leaf curvature of the patch matches the
     profile convention k1 = f' / (rho sqrt(1+f'^2)); the sign of the raw
     cross-product normal depends on n and is calibrated at one probe point.
+    A ``rho_window`` must be finite with rho_min <= lo < hi <= rho_max: the
+    profile is not extrapolated.
     """
     n = profile.n
     lo, hi = rho_window if rho_window is not None else (profile.rho_min, profile.rho_max)
+    if not profile.rho_min <= lo < hi <= profile.rho_max:
+        raise DomainError(f"rho window ({lo}, {hi}) is not finite and increasing inside the "
+                          f"profile's rho range ({profile.rho_min}, {profile.rho_max})")
     axes = [gauss_axis(0.0, np.pi, m_leaf) for _ in range(n - 2)]
     axes.append(periodic_axis(0.0, 2 * np.pi, max(m_leaf, 8)))
     axes.append(gauss_axis(lo, hi, m_profile))

@@ -9,8 +9,9 @@ normal deformations r + t*u*N, ambient homotheties and Möbius inversions
 (to order 3) on top of a base supplier.  The jets of r + t*u*N are linear in
 t, with coefficients read off one order-3 base geometry (``deformed_jets``),
 so a t-ladder deforms the geometry its caller already holds.  ``leibniz``
-is the one product rule for jets: the inversion and the metric products of
-``operators`` and ``deltas`` state their jets through it.
+is the one product rule for jets: the inversion, the deformation, dg, dh
+and d2N of ``PointGeometry`` and the metric products of ``operators`` and
+``deltas`` state their jets through it.
 
 The derivative expressions come from ``derivative``, a chain rule over the
 sympy expression tree that follows sympy's own rules for Add, Mul, Pow and
@@ -28,16 +29,19 @@ build's printer printed, so lambdify walks no expression tree, and the
 printer skips CodePrinter's UnevaluatedExpr rewrite walk: the subtrees
 that the kernels share are walked once per build, not once per kernel.
 
-Analytic jets are laid out point-last: each derivative order is one
-C-contiguous (m, n, ..., M) buffer, so a kernel's value, one float per
-point, fills each of its slots (a, i, j, ...) as one contiguous row, and
-the slots of every kernel, one per permutation of its sorted index, are
-computed once per build.  The ``Jets`` fields keep the point-first shapes
-as np.moveaxis views of those buffers, and ``normal_jets``, which sums over
-point-last rows, reads them in place; it copies the first derivatives of any
-other supplier to that layout, and returns g, h and the frame point-first
-and C-contiguous, as the stacked matrix products of ``PointGeometry`` read
-them.
+Every jet of the package is laid out derivative-first: the derivative axes
+come right after the point axis and the value axes last, so d1[p, i, a] =
+d_i r^a, d1[:, i] is the tangent vector r_i, and the jets of the tangent
+vectors are the slices (d1, d2, d3).  Analytic jets are stored point-last:
+each derivative order is one C-contiguous (n, ..., m, M) buffer, so a
+kernel's value, one float per point, fills each of its slots (i, j, ..., a)
+as one contiguous row, and the slots of every kernel, one per permutation of
+its sorted index, are computed once per build.  The ``Jets`` fields keep the
+point-first shapes as np.moveaxis views of those buffers, and
+``normal_jets``, which sums over point-last rows, reads them in place; it
+copies the first derivatives of any other supplier to that layout, and
+returns g, h and the frame point-first and C-contiguous, as the stacked
+matrix products of ``PointGeometry`` read them.
 
 The derivative kernels of one immersion repeat the same few coordinate
 functions: every kernel of a sphere or torus chart takes sin and cos of
@@ -67,13 +71,13 @@ from .errors import DomainError, SingularImmersionError
 
 @dataclass
 class Jets:
-    """Immersion jet at a batch of points.
-
-    r has shape (M, m) with m = n+1; d1 (M, m, n); d2 (M, m, n, n);
-    d3 (M, m, n, n, n) or None when not requested/available.  The arrays
-    may be point-first views of point-last buffers (``AnalyticSupplier``
-    returns np.moveaxis(buf, -1, 0) of a C-contiguous (m, n, ..., M) buf),
-    so no consumer may assume they are C-contiguous.
+    """Immersion jet at a batch of points, derivative axes first as in every
+    jet of the package (``leibniz``, ``stencil_jets``): r (M, m) with
+    m = n+1, d1[p, i, a] = d_i r^a (M, n, m), d2[p, i, j, a] (M, n, n, m)
+    and d3[p, i, j, k, a] (M, n, n, n, m) or None when not requested.  The
+    arrays may be point-first views of point-last buffers
+    (``AnalyticSupplier`` returns np.moveaxis(buf, -1, 0) of a C-contiguous
+    (n, ..., m, M) buf), so no consumer may assume they are C-contiguous.
     """
 
     r: np.ndarray
@@ -354,9 +358,9 @@ class AnalyticSupplier:
                         self._kernels[a, idx] = numpy_kernel(args, derivs[idx], printer)
                     except DomainError as err:
                         raise DomainError(f"component {a} ({expr}): {err}") from None
-                    slots = [(a,) + perm for perm in set(itertools.permutations(idx))]
+                    slots = [perm + (a,) for perm in set(itertools.permutations(idx))]
                     self._rows[a, idx] = np.ravel_multi_index(np.transpose(slots),
-                                                              (self.m,) + (self.n,) * k)
+                                                              (self.n,) * k + (self.m,))
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         x = sample_points(x, self.n)
@@ -364,7 +368,7 @@ class AnalyticSupplier:
         coords = [x[:, i] for i in range(self.n)]
         args = coords + [f(coords[i]) for f, i in self._columns]
         top = 3 if order >= 3 else 2
-        bufs = [np.empty((self.m,) + (self.n,) * k + (npts,)) for k in range(top + 1)]
+        bufs = [np.empty((self.n,) * k + (self.m, npts)) for k in range(top + 1)]
         rows = [buf.reshape(-1, npts) for buf in bufs]
         for (a, idx), kernel in self._kernels.items():
             if len(idx) <= top:
@@ -445,48 +449,41 @@ class FiniteDifferenceSupplier:
         self.n = n
         self.step = stencil_steps(step, n)
 
-    def _jets2(self, x):
-        """(r, d1, d2) with the derivative axes last."""
-        r0, d1, d2 = callable_jets(self.fn, x, self.step)
-        return r0, np.moveaxis(d1, 1, -1), np.moveaxis(d2, (1, 2), (-2, -1))
-
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         x = sample_points(x, self.n)
-        r0, d1, d2 = self._jets2(x)
+        r0, d1, d2 = callable_jets(self.fn, x, self.step)
         d3 = None
         if order >= 3:
-            d3 = np.empty(d2.shape + (self.n,))
-            for k in range(self.n):
-                h = 10.0 * self.step[k]
-                xp = x.copy()
-                xp[:, k] += h
-                xm = x.copy()
-                xm[:, k] -= h
-                d3[..., k] = (self._jets2(xp)[2] - self._jets2(xm)[2]) / (2 * h)
-            d3 = 0.5 * (d3 + np.swapaxes(d3, -1, -2))
+            # d3[:, i, j, k] differences d2[:, i, j] along axis k
+            d3 = np.empty((x.shape[0],) + (self.n,) * 3 + r0.shape[1:])
+            for k, h in enumerate(10.0 * self.step):
+                shift = h * np.eye(self.n)[k]
+                d3[:, :, :, k] = (callable_jets(self.fn, x + shift, self.step)[2]
+                                  - callable_jets(self.fn, x - shift, self.step)[2]) / (2 * h)
+            d3 = 0.5 * (d3 + np.swapaxes(d3, 2, 3))
         return Jets(r=r0, d1=d1, d2=d2, d3=d3)
 
 
 def cofactor_normal(t: np.ndarray) -> np.ndarray:
     """Generalized cross product of the n tangent vectors, given point-last as
-    t[a, i] = d_i r^a (n+1, n, M): the signed n x n minors
-    raw[:, a] = (-1)^(a+n) det(t without row a), shape (M, n+1).
+    t[i, a] = d_i r^a (n, n+1, M): the signed n x n minors
+    raw[:, a] = (-1)^(a+n) det(t without column a), shape (M, n+1).
 
-    The minors come from Laplace expansion along the last column over every
-    subset of rows, all n+1 minors at once, elementwise over the point axis:
-    exact, no pivoting.  Each of the fewer than m 2^(m-1) terms (m = n+1
-    rows) is one product, added or subtracted by the parity of its sign, so
-    no array is multiplied by -1; each sum starts from 0.0, so a zero minor
-    is +0.0 whatever the sign of its first term.
+    The minors come from Laplace expansion along the last tangent vector over
+    every subset of components, all n+1 minors at once, elementwise over the
+    point axis: exact, no pivoting.  Each of the fewer than m 2^(m-1) terms
+    (m = n+1 components) is one product, added or subtracted by the parity of
+    its sign, so no array is multiplied by -1; each sum starts from 0.0, so a
+    zero minor is +0.0 whatever the sign of its first term.
     """
-    m, n = t.shape[:2]
-    minors = {(a,): t[a, 0] for a in range(m)}  # rows -> minor on the first len(rows) columns
+    n, m = t.shape[:2]
+    minors = {(a,): t[0, a] for a in range(m)}  # rows -> minor of the first len(rows) vectors
     for k in range(1, n):
         expanded = {}
         for rows in itertools.combinations(range(m), k + 1):
             acc = 0.0
             for j, a in enumerate(rows):
-                term = t[a, k] * minors[rows[:j] + rows[j + 1:]]
+                term = t[k, a] * minors[rows[:j] + rows[j + 1:]]
                 acc = acc - term if (j + k) % 2 else acc + term
             expanded[rows] = acc
         minors = expanded
@@ -545,16 +542,16 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     supplier are copied to that layout and its second derivatives read
     through a strided view.
     """
-    t = np.ascontiguousarray(np.moveaxis(jets.d1, 0, -1))  # t[a, i] = d_i r^a over points
-    d2t = np.moveaxis(jets.d2, 0, -1)  # d2t[a, i, j] = d_i d_j r^a over points
+    t = np.ascontiguousarray(np.moveaxis(jets.d1, 0, -1))  # t[i, a] = d_i r^a over points
+    d2t = np.moveaxis(jets.d2, 0, -1)  # d2t[i, j, a] = d_i d_j r^a over points
     raw = cofactor_normal(t)
     length = np.sqrt(np.einsum("pa,pa->p", raw, raw))
     if np.any(length <= 0) or not np.all(np.isfinite(length)):
         raise SingularImmersionError("immersion Jacobian is rank-deficient")
     nvec = orientation * raw / length[:, None]
     nt = np.ascontiguousarray(nvec.T)
-    gt = np.einsum("aip,ajp->ijp", t, t)
-    ht = np.einsum("ap,aijp->ijp", nt, d2t)
+    gt = np.einsum("iap,jap->ijp", t, t)
+    ht = np.einsum("ap,ijap->ijp", nt, d2t)
     g, h = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (gt, ht))
     return nvec, g, h, cholesky_frame(gt), length
 
@@ -562,18 +559,11 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
 def deformed_jets(geo, u, du, d2u, t: float) -> Jets:
     """Jets to second order of r_t = r + t*u*N at the points of an order-3
     base geometry ``geo``, u with gradient du and Hessian d2u there: linear
-    in t, with the normal N and its derivatives ``dn`` and ``d2n`` read off
-    ``geo``."""
-    nvec, dn = geo.normal, geo.dn
-    r = geo.jets.r + t * u[:, None] * nvec
-    d1 = geo.jets.d1 + t * (du[:, None, :] * nvec[:, :, None] + u[:, None, None] * dn)
-    d2 = geo.jets.d2 + t * (
-        d2u[:, None, :, :] * nvec[:, :, None, None]
-        + du[:, None, :, None] * dn[:, :, None, :]
-        + du[:, None, None, :] * dn[:, :, :, None]
-        + u[:, None, None, None] * geo.d2n
-    )
-    return Jets(r=r, d1=d1, d2=d2, d3=None)
+    in t, the jets of u*N by ``leibniz`` with the normal N and its
+    derivatives ``dn`` and ``d2n`` read off ``geo``."""
+    jets = geo.jets
+    shift = leibniz(",a->a", (u, du, d2u), (geo.normal, geo.dn, geo.d2n))
+    return Jets(*(a + t * da for a, da in zip((jets.r, jets.d1, jets.d2), shift)))
 
 
 class NormalDeformation:
@@ -600,8 +590,9 @@ class NormalDeformation:
 class ReparametrizedSupplier:
     """Chart change r' = r o psi by the chain rule (exact, all orders).
 
-    psi_jets_fn(x') must return (y, J, d2psi, d3psi) with J[p,i,a] =
-    d y^i / d x'^a and the higher jets shaped accordingly.
+    psi_jets_fn(x') must return the jets (y, J, d2psi, d3psi) of psi,
+    derivative axes first like every jet: J[p, a, i] = d y^i / d x'^a,
+    d2psi[p, a, b, i] and d3psi[p, a, b, c, i].
     """
 
     def __init__(self, base, psi_jets_fn):
@@ -612,17 +603,17 @@ class ReparametrizedSupplier:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y, jac, p2, p3 = self.psi_jets_fn(x)
         bj = self.base.jets(y, order=order)
-        d1 = np.einsum("pmi,pia->pma", bj.d1, jac)
-        d2 = np.einsum("pmij,pia,pjb->pmab", bj.d2, jac, jac) + np.einsum(
-            "pmi,piab->pmab", bj.d1, p2)
+        d1 = np.einsum("pim,pai->pam", bj.d1, jac)
+        d2 = np.einsum("pijm,pai,pbj->pabm", bj.d2, jac, jac) + np.einsum(
+            "pim,pabi->pabm", bj.d1, p2)
         d3 = None
         if order >= 3:
             d3 = (
-                np.einsum("pmijk,pia,pjb,pkc->pmabc", bj.d3, jac, jac, jac)
-                + np.einsum("pmij,piab,pjc->pmabc", bj.d2, p2, jac)
-                + np.einsum("pmij,piac,pjb->pmabc", bj.d2, p2, jac)
-                + np.einsum("pmij,pia,pjbc->pmabc", bj.d2, jac, p2)
-                + np.einsum("pmi,piabc->pmabc", bj.d1, p3)
+                np.einsum("pijkm,pai,pbj,pck->pabcm", bj.d3, jac, jac, jac)
+                + np.einsum("pijm,pabi,pcj->pabcm", bj.d2, p2, jac)
+                + np.einsum("pijm,paci,pbj->pabcm", bj.d2, p2, jac)
+                + np.einsum("pijm,pai,pbcj->pabcm", bj.d2, jac, p2)
+                + np.einsum("pim,pabci->pabcm", bj.d1, p3)
             )
         return Jets(r=bj.r, d1=d1, d2=d2, d3=d3)
 
@@ -633,6 +624,8 @@ class ScaledImmersion:
     def __init__(self, base, c: float):
         self.base = base
         self.c = float(c)
+        if not np.isfinite(self.c) or self.c == 0.0:
+            raise DomainError(f"homothety factor must be finite and nonzero, got {c!r}")
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         bj = self.base.jets(x, order=order)
@@ -653,10 +646,9 @@ class InvertedImmersion:
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         top = 3 if order >= 3 else 2
         bj = self.base.jets(x, order=top)
-        # contiguous derivative-first copies: the einsums below round by the
-        # memory layout of their operands, which the base supplier chooses
-        r = [np.ascontiguousarray(np.moveaxis(a, range(2, a.ndim), range(1, a.ndim - 1)))
-             for a in (bj.r, bj.d1, bj.d2, bj.d3)[: top + 1]]
+        # contiguous copies: the einsums below round by the memory layout of
+        # their operands, which the base supplier chooses
+        r = [np.ascontiguousarray(a) for a in (bj.r, bj.d1, bj.d2, bj.d3)[: top + 1]]
         w = leibniz("a,a->", r, r, top)
         if np.any(w[0] < 1e-14):
             raise DomainError("surface passes through the inversion center")
@@ -670,6 +662,4 @@ class InvertedImmersion:
                      + np.einsum("PLM,PK->PKLM", w[2], w[1]))
             inv.append(np.einsum("P,PK,PL,PM->PKLM", -6.0 * iw**4, w[1], w[1], w[1])
                        + f2[:, None, None, None] * pairs + f1[:, None, None, None] * w[3])
-        out = [np.moveaxis(a, range(1, a.ndim - 1), range(2, a.ndim))
-               for a in leibniz("a,->a", r, inv, top)]
-        return Jets(*out)
+        return Jets(*leibniz("a,->a", r, inv, top))

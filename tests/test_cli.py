@@ -67,6 +67,13 @@ def test_profile_of_a_falling_slope_passes(tmp_path, capsys, monkeypatch):
     assert "[PASS] p=3 ode_vs_closed_form" in capsys.readouterr().out
 
 
+def test_profile_names_a_rho_max_below_rho0(tmp_path, capsys, monkeypatch):
+    # rho0 = 0.4 by default; this used to report "rho0 outside rho range"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"rho_max": 0.3})))
+    assert main(["profile", "--config", "-", "--out-dir", str(tmp_path)]) == 2
+    assert "rho range (0.4, 0.3) must be finite and increasing" in capsys.readouterr().err
+
+
 def test_profile_rejects_degenerate_exponent(tmp_path):
     res = run_cli(["profile", "--out-dir", str(tmp_path)],
                   {"n": 2, "p": [1], "rho_max": 1.0})

@@ -496,6 +496,13 @@ def test_homothety_invariance_exact(sheared4):
     assert res["max_rel_deviation"] < 1e-12
 
 
+def test_homothety_factor_must_be_finite_and_nonzero(sheared4):
+    # a zero or nan factor used to end in "immersion Jacobian is rank-deficient"
+    for scale in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="homothety factor"):
+            fl.conformal_density_check(sheared4, mode="scaling", scale=scale)
+
+
 def test_inversion_invariance(sheared4):
     res = fl.conformal_density_check(sheared4, r=2, mode="inversion")
     assert res["max_rel_deviation"] < 1e-6

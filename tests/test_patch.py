@@ -57,7 +57,7 @@ def test_cylinder_circle_foliation():
 def test_normal_unit_and_orthogonal(bumpy3):
     geo = bumpy3.geometry(bumpy3.grid.points[::13])
     assert np.max(np.abs(np.einsum("pa,pa->p", geo.normal, geo.normal) - 1)) < 1e-12
-    assert np.max(np.abs(np.einsum("pa,pai->pi", geo.normal, geo.jets.d1))) < 1e-12
+    assert np.max(np.abs(np.einsum("pa,pia->pi", geo.normal, geo.jets.d1))) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["bumpy-torus3", "sheared-torus4"])
@@ -118,7 +118,7 @@ def test_geometry_fields_are_computed_on_first_use(sheared4):
     assert not {"dg", "gamma", "proj"} & set(vars(geo))
     # reference: the Christoffel symbols assembled eagerly from the jets
     d1, d2 = geo.jets.d1, geo.jets.d2
-    dg = np.einsum("paik,paj->pkij", d2, d1) + np.einsum("pai,pajk->pkij", d1, d2)
+    dg = np.einsum("pkia,pja->pkij", d2, d1) + np.einsum("pia,pkja->pkij", d1, d2)
     bracket = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
     gamma = 0.5 * np.einsum("pkl,pijl->pkij", np.linalg.inv(geo.g), bracket)
     assert np.max(np.abs(geo.gamma - gamma)) < 1e-12
@@ -150,8 +150,8 @@ def test_singular_immersion_raises():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_cofactor_normal_matches_minor_determinants(n):
-    d1 = np.random.default_rng(n).standard_normal((40, n + 1, n))
-    ref = np.stack([(-1.0) ** (a + n) * np.linalg.det(np.delete(d1, a, axis=1))
+    d1 = np.random.default_rng(n).standard_normal((40, n, n + 1))
+    ref = np.stack([(-1.0) ** (a + n) * np.linalg.det(np.delete(d1, a, axis=2))
                     for a in range(n + 1)], axis=1)
     raw = cofactor_normal(np.moveaxis(d1, 0, -1))
     assert np.max(np.abs(raw - ref) / np.max(np.abs(ref), axis=1, keepdims=True)) < 1e-14
@@ -293,14 +293,16 @@ def test_lazy_weingarten_fields_match_lapack_and_finite_differences(name, reques
     assert np.max(np.abs(geo.g_inv - g_inv)) < 1e-12 * np.max(np.abs(g_inv))
     a_op = g_inv @ geo.h
     assert np.max(np.abs(geo.shape_op - a_op)) < 1e-12 * np.max(np.abs(a_op))
-    # dN against a 4th-order central difference of the normal itself
-    step, fd = 1e-3, np.zeros_like(geo.dn)
-    for i in range(patch.n):
-        def normal(k):
-            return patch.geometry(x + k * step * np.eye(patch.n)[i]).normal
+    # dn[:, i] and d2n[:, i] against a 4th-order central difference along
+    # axis i of the normal and of dn
+    step, geo = 1e-3, patch.geometry(x, order=3)
+    for field, of in (("dn", "normal"), ("d2n", "dn")):
+        for i in range(patch.n):
+            def at(k):
+                return getattr(patch.geometry(x + k * step * np.eye(patch.n)[i], order=3), of)
 
-        fd[:, :, i] = (8.0 * (normal(1) - normal(-1)) - (normal(2) - normal(-2))) / (12 * step)
-    assert np.max(np.abs(geo.dn - fd)) < 1e-7
+            fd = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12 * step)
+            assert np.max(np.abs(getattr(geo, field)[:, i] - fd)) < 1e-7, (field, i)
 
 
 def test_sigma_recursion_matches_eigenvalues(sheared4, tube4):

@@ -233,6 +233,26 @@ def test_closed_form_takes_the_sign_of_the_slope():
             rev.critical_closed_form(2, 3, c1, 1.0, rho, sign=bad)
 
 
+def test_revolution_patch_refuses_a_window_outside_the_profile():
+    # the profile used to be extrapolated: W_nps(3) read 3780 on (0.35, 0.8)
+    prof = rev.critical_ode_solve(2, 3, 0.4, 1.0, 0.4, (0.3, 0.6))
+    inside = rev.revolution_patch(prof, m_leaf=6, m_profile=6, rho_window=(0.35, 0.55))
+    assert np.all((inside.grid.points[:, -1] > 0.35) & (inside.grid.points[:, -1] < 0.55))
+    for window in ((0.35, 0.8), (0.35, 2.0), (0.2, 0.5), (0.5, 0.4), (0.4, 0.4),
+                   (0.35, np.nan), (np.nan, 0.5), (0.35, np.inf)):
+        with pytest.raises(DomainError, match="rho window"):
+            rev.revolution_patch(prof, m_leaf=6, m_profile=6, rho_window=window)
+
+
+def test_ode_solve_checks_the_rho_range_before_rho0():
+    # these used to report "rho0 outside rho range"
+    for rho_range in ((0.3, np.nan), (0.6, 0.3), (np.nan, 0.6), (0.3, np.inf)):
+        with pytest.raises(DomainError, match="finite and increasing"):
+            rev.critical_ode_solve(2, 3, 0.4, 1.0, 0.4, rho_range)
+    with pytest.raises(DomainError, match="rho0 outside"):
+        rev.critical_ode_solve(2, 3, 0.7, 1.0, 0.4, (0.3, 0.6))
+
+
 def test_closed_form_window_violation_reported():
     c1 = rev.fit_constants(2, 3, 0.4, 0.4)
     (_, hi), _ = rev.closed_form_window(2, 3, c1)

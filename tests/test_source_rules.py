@@ -23,7 +23,10 @@ so no other code bakes in a block's point count, and no function body holds
 a class statement, so every field is one ``operators.Field`` and no call
 defines a class of its own, and no einsum call takes more than four
 operands, because numpy's unoptimised einsum loops over every index of
-all its operands at once."""
+all its operands at once, and np.moveaxis is named only in
+``AnalyticSupplier.jets``, ``normal_jets`` and ``christoffel_bracket``, so
+every jet keeps the one derivative-first layout and no code re-lays one out
+to suit a product rule."""
 
 import ast
 from pathlib import Path
@@ -166,12 +169,12 @@ def test_numpy_printer_only_in_the_kernel_printer():
 
 
 def _inside_methods(tree: ast.AST, allowed: set) -> set:
-    """The ids of the nodes inside the methods ``allowed``, named
-    "Class.method"."""
-    return {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
-            for fn in cls.body
-            if isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" in allowed
-            for node in ast.walk(fn)}
+    """The ids of the nodes inside the methods and module-level functions
+    ``allowed``, named "Class.method" or "function"."""
+    defs = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    defs += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    return {id(node) for name, fn in defs if name in allowed for node in ast.walk(fn)}
 
 
 def _weight_reads(tree: ast.AST, allowed: set, grid_only: bool = False) -> list:
@@ -418,4 +421,38 @@ def test_no_einsum_takes_more_than_four_operands():
     assert _wide_einsums(ast.parse(bad), most=3) == [6, 10, 13]
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _wide_einsums(ast.parse(path.read_text(), str(path)))]
+    assert not found, found
+
+
+#: the code that may re-lay jets out with np.moveaxis, by module: the analytic
+#: point-last buffers, the point-last rows ``normal_jets`` sums over, and the
+#: Christoffel bracket's index permutation
+MOVEAXIS_USERS = {"suppliers.py": {"AnalyticSupplier.jets", "normal_jets"},
+                  "patch.py": {"christoffel_bracket"}}
+
+
+def _moveaxis_uses(tree: ast.AST, allowed: set) -> list:
+    """Lines that name ``moveaxis`` (call, attribute or import) outside the
+    methods and functions ``allowed``."""
+    inside = _inside_methods(tree, allowed)
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if id(node) not in inside
+                   and (isinstance(node, ast.Attribute) and node.attr == "moveaxis"
+                        or isinstance(node, ast.Name) and node.id == "moveaxis"
+                        or isinstance(node, ast.alias) and node.name == "moveaxis")})
+
+
+def test_moveaxis_only_where_jets_change_memory_layout():
+    bad = ("import numpy as np\nfrom numpy import moveaxis\n\n\n"
+           "def normal_jets(jets):\n    return np.moveaxis(jets.d1, 0, -1)\n\n\n"
+           "class AnalyticSupplier:\n    def jets(self, buf):\n"
+           "        return np.moveaxis(buf, -1, 0)\n\n\n"
+           "def relaid(a):\n    return moveaxis(a, 1, -1)\n")
+    tree = ast.parse(bad)
+    assert _moveaxis_uses(tree, MOVEAXIS_USERS["suppliers.py"]) == [2, 15]
+    assert _moveaxis_uses(tree, {"normal_jets"}) == [2, 11, 15]
+    assert _moveaxis_uses(tree, set()) == [2, 6, 11, 15]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _moveaxis_uses(ast.parse(path.read_text(), str(path)),
+                                        MOVEAXIS_USERS.get(path.name, set()))]
     assert not found, found

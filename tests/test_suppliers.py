@@ -17,7 +17,9 @@ the same kernels and laid out point-last in memory, and points that are not
 a finite (k >= 1, n) array refused with DomainError, by the analytic, the
 revolution and the finite-difference suppliers alike; and ``normal_jets``
 bit-identical to Python sums of broadcast rows and a Laplace expansion that
-multiplies each term by its sign."""
+multiplies each term by its sign; and the jets of every supplier kind laid
+out derivative-first, d1[:, i] and d2[:, i] the central differences of r and
+d1 along axis i."""
 
 import inspect
 import itertools
@@ -38,6 +40,7 @@ from sympy.printing.numpy import NumPyPrinter
 from leafwise import catalog, functionals as fl, patch, suppliers
 from leafwise import revolution as rev
 from leafwise.errors import DomainError
+from leafwise.variation import random_trig_variation
 
 # one builder per distinct catalog function
 SURFACES = sorted({fn: name for name, fn in reversed(catalog.CATALOG.items())}.values())
@@ -67,7 +70,7 @@ def build_recorded(name, monkeypatch):
 
 def plain_jets(coords, exprs, x):
     """r, d1, d2, d3 from one plain lambdify per distinct derivative, every
-    index tuple differentiated in its own order."""
+    index tuple differentiated in its own order, derivative axes first."""
     n, m, mpts = len(coords), len(exprs), x.shape[0]
     args = [x[:, i] for i in range(n)]
     kernels = {}
@@ -78,19 +81,19 @@ def plain_jets(coords, exprs, x):
         return np.broadcast_to(np.asarray(kernels[e](*args), dtype=float), (mpts,))
 
     r = np.empty((mpts, m))
-    d1 = np.empty((mpts, m, n))
-    d2 = np.empty((mpts, m, n, n))
-    d3 = np.empty((mpts, m, n, n, n))
+    d1 = np.empty((mpts, n, m))
+    d2 = np.empty((mpts, n, n, m))
+    d3 = np.empty((mpts, n, n, n, m))
     for a, e in enumerate(exprs):
         r[:, a] = ev(e)
         for i in range(n):
             ei = sp.diff(e, coords[i])
-            d1[:, a, i] = ev(ei)
+            d1[:, i, a] = ev(ei)
             for j in range(n):
                 eij = sp.diff(ei, coords[j])
-                d2[:, a, i, j] = ev(eij)
+                d2[:, i, j, a] = ev(eij)
                 for k in range(n):
-                    d3[:, a, i, j, k] = ev(sp.diff(eij, coords[k]))
+                    d3[:, i, j, k, a] = ev(sp.diff(eij, coords[k]))
     return r, d1, d2, d3
 
 
@@ -101,12 +104,12 @@ def point_first_jets(supplier, x, order):
     coords = [x[:, i] for i in range(supplier.n)]
     args = coords + [f(coords[i]) for f, i in supplier._columns]
     top = 3 if order >= 3 else 2
-    out = [np.empty((x.shape[0], supplier.m) + (supplier.n,) * k) for k in range(top + 1)]
+    out = [np.empty((x.shape[0],) + (supplier.n,) * k + (supplier.m,)) for k in range(top + 1)]
     for (a, idx), kernel in supplier._kernels.items():
         if len(idx) <= top:
             v = kernel(*args)
             for perm in set(itertools.permutations(idx)):
-                out[len(idx)][(slice(None), a) + perm] = v
+                out[len(idx)][(slice(None),) + perm + (a,)] = v
     return out
 
 
@@ -200,7 +203,7 @@ def test_jets_match_plain_lambdify_kernels(name, monkeypatch):
     args = [x[:, i] for i in range(n)]
     for ((a, idx), _), expr in zip(surface.supplier._kernels.items(), kernel_exprs):
         plain = suppliers.numpy_kernel(coords, expr, printer)
-        assert np.array_equal(by_order[len(idx)][(slice(None), a) + idx], plain(*args))
+        assert np.array_equal(by_order[len(idx)][(slice(None),) + idx + (a,)], plain(*args))
     low = surface.supplier.jets(x, order=2)
     assert low.d3 is None
     assert np.array_equal(low.d2, jets.d2)
@@ -228,10 +231,10 @@ def summed_normal_jets(jets, orientation):
     (-1)^(j+k): the oracle of its einsums and signed sums."""
     t = np.ascontiguousarray(np.moveaxis(jets.d1, 0, -1))
     d2t = np.moveaxis(jets.d2, 0, -1)
-    m, n = t.shape[:2]
-    minors = {(a,): t[a, 0] for a in range(m)}
+    n, m = t.shape[:2]
+    minors = {(a,): t[0, a] for a in range(m)}
     for k in range(1, n):
-        minors = {rows: sum((-1.0) ** (j + k) * t[a, k] * minors[rows[:j] + rows[j + 1:]]
+        minors = {rows: sum((-1.0) ** (j + k) * t[k, a] * minors[rows[:j] + rows[j + 1:]]
                             for j, a in enumerate(rows))
                   for rows in itertools.combinations(range(m), k + 1)}
     raw = np.stack([(-1.0) ** (a + n) * minors[tuple(b for b in range(m) if b != a)]
@@ -239,8 +242,8 @@ def summed_normal_jets(jets, orientation):
     length = np.sqrt(np.einsum("pa,pa->p", raw, raw))
     nvec = orientation * raw / length[:, None]
     nt = np.ascontiguousarray(nvec.T)
-    gt = sum(t[a, :, None] * t[a, None, :] for a in range(m))
-    ht = sum(nt[a] * d2t[a] for a in range(m))
+    gt = sum(t[:, None, a] * t[None, :, a] for a in range(m))
+    ht = sum(nt[a] * d2t[:, :, a] for a in range(m))
     g, h = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (gt, ht))
     return nvec, g, h, suppliers.cholesky_frame(gt), length
 
@@ -287,7 +290,7 @@ def test_constant_and_zero_components_broadcast():
     pts = np.random.default_rng(0).uniform(-1, 1, size=(7, 2))
     jets = suppliers.AnalyticSupplier((x, y), [x, y, 0 * x]).jets(pts, order=3)
     assert np.array_equal(jets.r, np.column_stack([pts, np.zeros(7)]))
-    assert np.array_equal(jets.d1, np.broadcast_to(np.eye(3, 2), (7, 3, 2)))
+    assert np.array_equal(jets.d1, np.broadcast_to(np.eye(2, 3), (7, 2, 3)))
     assert not jets.d2.any() and not jets.d3.any()
 
     rho_sym = sp.Symbol("rho")
@@ -540,3 +543,51 @@ def test_concurrent_jets_match_serial_jets():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert sorted(completed) == list(range(len(blocks))) and mismatches == []
+
+
+def layout_supplier(kind):
+    """A supplier of each kind over a bumpy torus or a revolution profile
+    (n = 2), jets to order 2."""
+    torus = catalog.bumpy_torus3(m_leaf=6, m_tube=6)
+    base = torus.supplier
+    if kind == "analytic":
+        return base
+    if kind == "finite-difference":
+        return suppliers.FiniteDifferenceSupplier(lambda x: base.jets(x, order=0).r, n=2)
+    if kind == "reparametrized":
+        def psi_jets(xp):  # y = (x'0 + 0.2 sin x'1, x'1), jac[p, a, i] = d y^i / d x'^a
+            s, c = 0.2 * np.sin(xp[:, 1]), 0.2 * np.cos(xp[:, 1])
+            y, jac = xp + np.column_stack([s, 0 * s]), np.tile(np.eye(2), (len(xp), 1, 1))
+            p2, p3 = np.zeros((len(xp), 2, 2, 2)), np.zeros((len(xp), 2, 2, 2, 2))
+            jac[:, 1, 0], p2[:, 1, 1, 0], p3[:, 1, 1, 1, 0] = c, -s, -c
+            return y, jac, p2, p3
+        return suppliers.ReparametrizedSupplier(base, psi_jets)
+    if kind == "scaled":
+        return suppliers.ScaledImmersion(base, 1.7)
+    if kind == "inverted":
+        return suppliers.InvertedImmersion(base)
+    if kind == "revolution":
+        rho = sp.Symbol("rho")
+        return rev.RevolutionSupplier(rev.profile_from_sympy(2, rho**2 + 0.3 * rho**3, rho,
+                                                             (0.5, 1.5)))
+    u = random_trig_variation(2, np.random.default_rng(4), amplitude=0.5)
+    return suppliers.NormalDeformation(torus.geometry, u.jets, 0.3)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "finite-difference", "reparametrized", "scaled",
+                                  "inverted", "revolution", "normal-deformation"])
+def test_jets_put_the_derivative_axes_first(kind):
+    # d1[:, i] is a central difference of r along axis i, d2[:, i] one of d1
+    supplier = layout_supplier(kind)
+    x = np.random.default_rng(2).uniform((0.0, 0.7), (2 * np.pi, 1.3), size=(9, 2))
+    jets = supplier.jets(x)
+    step = 1e-3
+    for low, high in (("r", "d1"), ("d1", "d2")):
+        for i in range(2):
+            def at(o):
+                return getattr(supplier.jets(x + o * step * np.eye(2)[i]), low)
+
+            fd = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12 * step)
+            got = getattr(jets, high)[:, i]
+            assert got.shape == fd.shape
+            assert np.max(np.abs(got - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd))), (high, i)

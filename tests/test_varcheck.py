@@ -213,11 +213,11 @@ def test_christoffel_variation_transforms_as_tensor(bumpy3):
         jac = np.zeros((mpts, 2, 2))
         jac[:, 0, 0] = 1.0
         jac[:, 1, 1] = 1.0
-        jac[:, 0, 1] = shear * np.cos(xp[:, 1])
+        jac[:, 1, 0] = shear * np.cos(xp[:, 1])  # jac[p, a, i] = d y^i / d x'^a
         p2 = np.zeros((mpts, 2, 2, 2))
-        p2[:, 0, 1, 1] = -shear * np.sin(xp[:, 1])
+        p2[:, 1, 1, 0] = -shear * np.sin(xp[:, 1])
         p3 = np.zeros((mpts, 2, 2, 2, 2))
-        p3[:, 0, 1, 1, 1] = -shear * np.cos(xp[:, 1])
+        p3[:, 1, 1, 1, 0] = -shear * np.cos(xp[:, 1])
         return y, jac, p2, p3
 
     from dataclasses import replace
@@ -240,7 +240,7 @@ def test_christoffel_variation_transforms_as_tensor(bumpy3):
     dgamma_a = deltas.delta_christoffel(geo_a, ua, dua)
     dgamma_b = deltas.delta_christoffel(geo_b, ub, dub)
     jac_inv = np.linalg.inv(jac)
-    transported = np.einsum("pck,pkij,pia,pjb->pcab", jac_inv, dgamma_a, jac, jac)
+    transported = np.einsum("pkc,pkij,pai,pbj->pcab", jac_inv, dgamma_a, jac, jac)
     assert np.max(np.abs(dgamma_b - transported)) < 1e-6
 
 
