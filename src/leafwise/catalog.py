@@ -17,16 +17,9 @@ from .suppliers import AnalyticSupplier
 
 
 def _patch(n, s, coords, exprs, axes, orientation, name, **meta):
-    supplier = AnalyticSupplier(coords, [sp.sympify(e) for e in exprs])
-    return FoliatedPatch(
-        n=n,
-        s=s,
-        supplier=supplier,
-        grid=Grid(axes=tuple(axes)),
-        normal_orientation=orientation,
-        name=name,
-        meta=meta,
-    )
+    return FoliatedPatch(n=n, s=s, supplier=AnalyticSupplier(coords, exprs),
+                         grid=Grid(axes=tuple(axes)), normal_orientation=orientation,
+                         name=name, meta=meta)
 
 
 def sphere_exprs(n: int, radius: float):

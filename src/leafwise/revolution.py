@@ -13,12 +13,12 @@ from dataclasses import dataclass, field, replace
 from math import comb, gamma as gamma_fn, pi
 
 import numpy as np
+import sympy as sp
 
 from .errors import DomainError, PreconditionError
 from .operators import Field
 from .patch import FoliatedPatch, Grid, check_count, gauss_axis, periodic_axis
-from .suppliers import (AnalyticSupplier, Jets, KernelPrinter, check_kernel_symbols, derivative,
-                        numpy_kernel, sample_points)
+from .suppliers import AnalyticSupplier, Jets, sample_points, taylor_kernels
 from .catalog import sphere_exprs
 from .symfunc import safe_power
 
@@ -295,20 +295,9 @@ def critical_closed_form(n: int, p: float, c1: float, c2: float,
     def f_eval(rho):
         return c2 + (primitive(rho) - f_lo)
 
-    def slope(rho):
-        rho = np.asarray(rho, dtype=float)
-        return sign * rho ** (a / 2) / np.sqrt(c1 - rho**a)
-
-    def f2_eval(rho):
-        rho = np.asarray(rho, dtype=float)
-        return sign * 0.5 * a * c1 * rho ** (a / 2 - 1) * (c1 - rho**a) ** (-1.5)
-
-    def f3_eval(rho):
-        rho = np.asarray(rho, dtype=float)
-        return sign * 0.5 * a * c1 * (
-            (a / 2 - 1) * rho ** (a / 2 - 2) * (c1 - rho**a) ** (-1.5)
-            + 1.5 * a * rho ** (1.5 * a - 2) * (c1 - rho**a) ** (-2.5)
-        )
+    x = sp.Symbol("rho")
+    kernels, _ = taylor_kernels([x], [sign * x ** (a / 2) / sp.sqrt(c1 - x**a)], columns=False)
+    slope, f2_eval, f3_eval = (kernels[0, (0,) * k] for k in range(3))
 
     return RevolutionProfile(
         n=n, f=f_eval, f1=slope, f2=f2_eval, f3=f3_eval,
@@ -337,15 +326,10 @@ def compare_with_closed_form(profile: RevolutionProfile, samples: int):
 
 def profile_from_sympy(n: int, expr, symbol, rho_range, p: float | None = None,
                        **meta) -> RevolutionProfile:
-    """Closed-form profile (hemisphere, cone, catenoid-like, ...)."""
-    import sympy as sp
-
-    fs, memo = [sp.sympify(expr)], {}
-    check_kernel_symbols([symbol], fs)
-    for _ in range(3):
-        fs.append(derivative(fs[-1], symbol, memo))
-    printer = KernelPrinter()
-    f, f1, f2, f3 = (numpy_kernel([symbol], e, printer) for e in fs)
+    """Closed-form profile (hemisphere, cone, catenoid-like, ...): f and its
+    first three derivatives from one ``suppliers.Tape`` in the one variable."""
+    kernels, _ = taylor_kernels([symbol], [expr], columns=False)
+    f, f1, f2, f3 = (kernels[0, (0,) * k] for k in range(4))
     return RevolutionProfile(n=n, f=f, f1=f1, f2=f2, f3=f3, rho_min=rho_range[0],
                              rho_max=rho_range[1], p=p, meta=meta)
 

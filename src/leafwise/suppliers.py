@@ -2,69 +2,51 @@
 
 A supplier produces the jet of an immersion (value and partial derivatives
 up to third order) at a batch of parameter points.  Analytic suppliers
-compile one numpy kernel per derivative component of sympy expressions,
-printed without a docstring or a term sort, and evaluate them with numpy;
-the finite-difference supplier wraps any callable.  Derived suppliers build
-normal deformations r + t*u*N, ambient homotheties and Möbius inversions
-(to order 3) on top of a base supplier.  The jets of r + t*u*N are linear in
-t, with coefficients read off one order-3 base geometry (``deformed_jets``),
-so a t-ladder deforms the geometry its caller already holds.  ``leibniz``
-is the one product rule for jets: the inversion, the deformation, dg, dh
-and d2N of ``PointGeometry`` and the metric products of ``operators`` and
-``deltas`` state their jets through it.
+compile one numpy kernel per derivative component of sympy expressions and
+evaluate them with numpy; the finite-difference supplier wraps any
+callable.  Derived suppliers build normal deformations r + t*u*N, ambient
+homotheties and Möbius inversions (to order 3) on top of a base supplier.
+The jets of r + t*u*N are linear in t, with coefficients read off one
+order-3 base geometry (``deformed_jets``), so a t-ladder deforms the
+geometry its caller already holds.  ``leibniz`` is the one product rule for
+jets: the inversion, the deformation, dg, dh and d2N of ``PointGeometry``
+and the metric products of ``operators`` and ``deltas`` state their jets
+through it.
 
-The derivative expressions come from ``derivative``, a chain rule over the
-sympy expression tree that follows sympy's own rules for Add, Mul, Pow and
-elementary functions and hands any other node to ``sp.diff``.  One memo
-{(subexpression, symbol): derivative} serves a whole supplier build, so a
-subexpression that several components and derivative orders share is
-differentiated once, its free symbols are computed once, no Leibniz term
-of a factor with zero derivative is formed, and no ``Derivative`` object
-or assumption query is made on the way; the expressions are == to
-sp.diff's, so the printed kernels are the same.  Printing is memoised per
-build as well: the kernels of one build share one ``KernelPrinter``, which
-prints each subexpression once, and every kernel source is string-equal to
-a fresh printer's.  Each kernel is compiled from the string that the
-build's printer printed, so lambdify walks no expression tree, and the
-printer skips CodePrinter's UnevaluatedExpr rewrite walk: the subtrees
-that the kernels share are walked once per build, not once per kernel.
+The kernel sources come from one truncated Taylor tape per build
+(``Tape``; Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008,
+ch. 13; Bettencourt, Johnson & Duvenaud, Taylor-mode automatic
+differentiation for higher-order derivatives in JAX, 2019): one walk of the
+component trees, each shared subtree once, gives every Taylor coefficient to
+order 3 as a float or a straight-line numpy expression, and the kernel of a
+derivative prints its coefficient times the index's factorials from only the
+lines it reads, each line read twice bound once with ``:=``.  sin, cos and
+exp of a bare coordinate are kernel arguments, columns that ``jets``
+computes once per call with the ufunc a kernel would call, so every kernel
+is a pure function of its arguments and the jets are bit-identical to
+kernels that call those functions themselves.
 
 Every jet of the package is laid out derivative-first: the derivative axes
 come right after the point axis and the value axes last, so d1[p, i, a] =
-d_i r^a, d1[:, i] is the tangent vector r_i, and the jets of the tangent
-vectors are the slices (d1, d2, d3).  Analytic jets are stored point-last:
-each derivative order is one C-contiguous (n, ..., m, M) buffer, so a
-kernel's value, one float per point, fills each of its slots (i, j, ..., a)
-as one contiguous row, and the slots of every kernel, one per permutation of
-its sorted index, are computed once per build.  The ``Jets`` fields keep the
-point-first shapes as np.moveaxis views of those buffers, and
-``normal_jets``, which sums over point-last rows, reads them in place; it
-copies the first derivatives of any other supplier to that layout, and
-returns g, h and the frame point-first and C-contiguous, as the stacked
-matrix products of ``PointGeometry`` read them.
-
-The derivative kernels of one immersion repeat the same few coordinate
-functions: every kernel of a sphere or torus chart takes sin and cos of
-its coordinates.  A build therefore prints sin, cos and exp of a bare
-coordinate as kernel arguments, one column each, and ``jets`` computes each
-column once per call (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
-SIAM 2008: share common subexpressions between the derivative
-evaluations), so every kernel is a pure function of its arguments.  The
-same numpy ufunc runs on the same coordinate column as in a kernel that
-calls it itself, so the jets are bit-identical to such kernels'.
+d_i r^a and the jets of the tangent vectors are the slices (d1, d2, d3).
+Analytic jets are point-first views of point-last buffers, one C-contiguous
+(n, ..., m, M) buffer per order, so a kernel's value fills each slot of its
+index as one contiguous row, and ``normal_jets`` sums over those rows in
+place; it returns g, h and the frame point-first and C-contiguous, as the
+stacked matrix products of ``PointGeometry`` read them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import keyword
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
-from sympy.core.function import AppliedUndef, ArgumentIndexError
-from sympy.printing.codeprinter import PrintMethodNotImplementedError
-from sympy.printing.numpy import NumPyPrinter
+from sympy.core.function import AppliedUndef
 
 from .errors import DomainError, SingularImmersionError
 
@@ -75,10 +57,9 @@ class Jets:
     jet of the package (``leibniz``, ``stencil_jets``): r (M, m) with
     m = n+1, d1[p, i, a] = d_i r^a (M, n, m), d2[p, i, j, a] (M, n, n, m)
     and d3[p, i, j, k, a] (M, n, n, n, m) or None when not requested.  The
-    arrays may be point-first views of point-last buffers
-    (``AnalyticSupplier`` returns np.moveaxis(buf, -1, 0) of a C-contiguous
-    (n, ..., m, M) buf), so no consumer may assume they are C-contiguous.
-    """
+    arrays may be point-first views of point-last buffers, as
+    ``AnalyticSupplier`` returns them, so no consumer may assume they are
+    C-contiguous."""
 
     r: np.ndarray
     d1: np.ndarray
@@ -127,240 +108,285 @@ def sample_points(x, n: int) -> np.ndarray:
     return x
 
 
-# lambdify's own numpy printer settings plus order="none": Add terms print in
-# expr.args order, skipping the canonical term sort and its assumption queries
-_KERNEL_PRINTER = {"fully_qualified_modules": False, "inline": True,
-                   "allow_unknown_functions": True, "order": "none"}
+#: the sympy functions that the tape composes, by the numpy function a line calls
+_NUMPY_NAMES = {sp.sin: "sin", sp.cos: "cos", sp.tan: "tan", sp.exp: "exp", sp.log: "log",
+                sp.sinh: "sinh", sp.cosh: "cosh", sp.tanh: "tanh", sp.asin: "arcsin",
+                sp.acos: "arccos", sp.atan: "arctan", sp.asinh: "arcsinh",
+                sp.acosh: "arccosh", sp.atanh: "arctanh", sp.atan2: "arctan2"}
+_ARGS = (sp.Dummy("u"), sp.Dummy("v"))  # the arguments of a head the tape composes
+_PARTIALS = {}  # (head, beta) -> d^beta head, derived once per process
 
 
-class KernelPrinter(NumPyPrinter):
-    """The kernels' numpy printer: lambdify's settings plus order="none"
-    (``_KERNEL_PRINTER``), printing each (type, subexpression) once.
-
-    The derivative table of one immersion shares its subtrees through the
-    memo of ``derivative``, and printing one (placing parentheses, reading
-    signs) costs far more than looking it up, so one printer serves a whole
-    build and returns the string it printed before for an expression of the
-    same type that is == to it (== tells Floats of different precision and
-    Symbols of different assumptions apart).  The printer is strict, so an
-    unsupported node raises rather than adding a comment to the source, and
-    the module imports it registers stay on the printer: every source is
-    string-equal to the one a fresh printer prints.
-
-    ``columns`` {expression: symbol} seeds the memo, so each of those
-    expressions prints as its symbol's name, an argument of the kernel.
-
-    ``doprint`` skips CodePrinter's ``_handle_UnevaluatedExpr``, a replace
-    walk of each kernel's whole tree that only rewrites
-    re(UnevaluatedExpr(real)): ``check_kernel_symbols`` refuses an
-    UnevaluatedExpr at build and derivatives add none, so no kernel holds
-    one and the walk would return its argument unchanged.
-    """
-
-    def __init__(self, columns=None):
-        super().__init__(_KERNEL_PRINTER)
-        self._printed = {(type(e), e): s.name for e, s in (columns or {}).items()}
-
-    def _print(self, expr, **kwargs):
-        if kwargs or not isinstance(expr, sp.Basic):
-            return super()._print(expr, **kwargs)
-        key = (type(expr), expr)
-        text = self._printed.get(key)
-        if text is None:
-            text = self._printed[key] = super()._print(expr)
-        return text
-
-    def _handle_UnevaluatedExpr(self, expr):
-        return expr
+def _partial(head, beta):
+    """d^beta head of a sympy expression head(*_ARGS), kept in ``_PARTIALS``."""
+    if (head, beta) not in _PARTIALS:
+        _PARTIALS[head, beta] = sp.diff(head, *(u for u, b in zip(_ARGS, beta) for _ in range(b)))
+    return _PARTIALS[head, beta]
 
 
-def check_kernel_symbols(coords, exprs):
-    """DomainError unless a kernel compiled from the printed source of exprs
-    resolves every name in it: each coordinate a Symbol (not a Dummy) named
-    by a Python identifier that is no keyword, so it prints as its own name,
-    the kernel's argument, and each free symbol of exprs named like a
-    coordinate, no UnevaluatedExpr in exprs, which ``KernelPrinter`` does
-    not rewrite, and no applied undefined function (f(x), f(2)), which no
-    kernel can call.  Derivatives add no free symbol, no UnevaluatedExpr and
-    no undefined function, so the components of a build are checked once."""
-    names = set()
-    for c in coords:
-        if (not isinstance(c, sp.Symbol) or isinstance(c, sp.Dummy)
-                or not c.name.isidentifier() or keyword.iskeyword(c.name)):
-            raise DomainError(f"coordinate {c!r} is not a Symbol named by a Python identifier")
-        names.add(c.name)
-    for expr in exprs:
-        held = next((e for e in sp.preorder_traversal(expr)
-                     if isinstance(e, (sp.UnevaluatedExpr, AppliedUndef))), None)
-        if isinstance(held, sp.UnevaluatedExpr):
-            raise DomainError(f"UnevaluatedExpr({held.args[0]}) in {expr}: "
-                              "a kernel cannot hold an UnevaluatedExpr")
-        if held is not None:
-            raise DomainError(f"undefined function {held} in {expr}: "
-                              "a kernel cannot call an undefined function")
-        for symbol in expr.free_symbols:
-            if str(symbol) not in names:
-                raise DomainError(f"free symbol {symbol} of {expr} is not a coordinate "
-                                  f"({', '.join(c.name for c in coords)})")
+@functools.lru_cache
+def _exponents(n: int):
+    """The sorted derivative indices of orders 0..3 in n coordinates, and the
+    Cauchy product table: table[i][j] = k where idx_k is idx_i + idx_j sorted."""
+    indices = [idx for k in range(4)
+               for idx in itertools.combinations_with_replacement(range(n), k)]
+    position = {idx: i for i, idx in enumerate(indices)}
+    return indices, [{j: position[s] for j, b in enumerate(indices)
+                      if (s := tuple(sorted(a + b))) in position} for a in indices]
 
 
-def numpy_kernel(args, expr, printer: KernelPrinter):
-    """One numpy kernel of a sympy expression in the symbols args.
+def _prefix(c: float) -> str:
+    return "" if c == 1.0 else "-" if c == -1.0 else f"{c!r}*"
 
-    The kernel takes one array per symbol and returns a float array of the
-    first argument's shape; a value of another shape (a constant) is
-    broadcast to it.  ``printer``, the ``KernelPrinter`` that the kernels of
-    one build share, prints expr without sorting terms, and lambdify
-    compiles that string, with no docstring: it walks no expression tree of
-    its own, so the subtrees the kernels share are walked once per build,
-    by the printer.  The source is the one lambdify prints from expr
-    itself; its names are the arguments and numpy's functions only, which
-    ``check_kernel_symbols`` makes sure of.  An expression the printer
-    cannot print (an unevaluated Derivative, as in the derivative of |x| for
-    a complex symbol x, say) raises DomainError.
-    """
-    try:
-        source = printer.doprint(expr)
-    except (PrintMethodNotImplementedError, ValueError) as err:
-        raise DomainError(f"cannot print {expr} as a numpy kernel: "
-                          f"{str(err).splitlines()[0]}") from None
-    fn = sp.lambdify(args, source, modules="numpy", docstring_limit=0, printer=printer)
+
+class Tape:
+    """Truncated Taylor jets, to order 3, of sympy expressions in the
+    coordinates: {position of a sorted index idx (``_exponents``): the
+    coefficient of prod_i dx_idx_i}, structural zeros left out.  A coefficient
+    is a float or (c, k), c times the line k: a tuple of source text and the
+    numbers of the lines it reads, equal lines being one line.  ``jet`` walks
+    a tree once per memo: Add adds, Mul takes the Cauchy product, Pow with a
+    constant exponent and the functions of ``_NUMPY_NAMES`` compose,
+    f(u0 + du) = sum_beta d^beta f(u0) du^beta / beta!, the partials walked
+    with the dummies bound to u0, and b**p is exp(p log b).  Any other node,
+    a constant that is no finite real and a free symbol that is no coordinate
+    raise DomainError.  Coordinates, matched by name, print as x<i>; with
+    ``columns``, sin, cos and exp of a bare x<i> print as sin_x<i>, ...,
+    listed in ``columns`` as (ufunc, i)."""
+
+    def __init__(self, coords, columns: bool = True):
+        for c in coords:
+            if (not isinstance(c, sp.Symbol) or isinstance(c, sp.Dummy)
+                    or not c.name.isidentifier() or keyword.iskeyword(c.name)):
+                raise DomainError(f"coordinate {c!r} is not a Symbol named by a Python identifier")
+        self.coords = {c.name: i for i, c in enumerate(coords)}
+        if len(self.coords) < len(coords):
+            raise DomainError(f"coordinates {tuple(coords)} repeat a name")
+        self.indices, self.table = _exponents(len(coords))
+        self.lines, self.shared, self.sums, self.memo, self.expr = [], {}, {}, {}, None
+        self.columns = [] if columns else None  # None: print sin(x<i>) itself
+        self.args = [(1.0, self.line((f"x{i}",))) for i in range(len(coords))]
+
+    def line(self, parts: tuple) -> int:
+        if parts not in self.shared:
+            self.shared[parts] = len(self.lines)
+            self.lines.append(parts)
+        return self.shared[parts]
+
+    def jet(self, expr, memo: dict) -> dict:
+        if expr not in memo:
+            memo[expr] = self._rule(expr, memo)
+        return memo[expr]
+
+    def _rule(self, expr, memo):
+        if expr.is_Symbol:
+            if expr.name not in self.coords:
+                raise DomainError(f"free symbol {expr} of {self.expr} is not a coordinate "
+                                  f"({', '.join(self.coords)})")
+            i = self.coords[expr.name]
+            return {0: self.args[i], i + 1: 1.0}
+        if expr.is_Atom:
+            return self.constant(expr)
+        if expr.is_Add:
+            return self.collect(t for arg in expr.args for t in self.jet(arg, memo).items())
+        if expr.is_Mul:
+            return functools.reduce(self.product, [self.jet(a, memo) for a in expr.args])
+        if expr.is_Pow:
+            b, p = expr.args
+            if p.is_Atom and not p.is_Symbol:
+                return self.compose(_ARGS[0]**p, "power", [self.jet(b, memo)],
+                                    self.constant(p).get(0, 0.0))
+            log = self.compose(sp.log(_ARGS[0]), "log", [self.jet(b, memo)])
+            return self.compose(sp.exp(_ARGS[0]), "exp", [self.product(self.jet(p, memo), log)])
+        if type(expr) not in _NUMPY_NAMES:
+            kind = "undefined function" if isinstance(expr, AppliedUndef) else "no Taylor rule for"
+            raise DomainError(f"{kind} {type(expr).__name__}({', '.join(map(str, expr.args))}) "
+                              f"in {self.expr}")
+        return self.compose(type(expr)(*_ARGS[:len(expr.args)]), _NUMPY_NAMES[type(expr)],
+                            [self.jet(a, memo) for a in expr.args])
+
+    def constant(self, expr) -> dict:
+        try:
+            value = float(expr)
+        except (TypeError, OverflowError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise DomainError(f"{expr} in {self.expr} is not a finite real number")
+        return {0: value} if value else {}
+
+    def compose(self, head, name: str, jets: list, *constants) -> dict:
+        """Jets of head(u) for the jets of its arguments u, head(u0) being the
+        numpy call name(u0, *constants)."""
+        base = [jet.get(0, 0.0) for jet in jets]
+        terms, powers = [(0, self.call(name, base + list(constants)))], []
+        for jet in jets:
+            delta, power = {i: c for i, c in jet.items() if i}, [{0: 1.0}]
+            while delta and power[-1] and len(power) < 4:
+                power.append(self.product(power[-1], delta))
+            powers.append(power)
+        memo = {u: {0: b} if b else {} for u, b in zip(_ARGS, base)}
+        for beta in itertools.product(*(range(len(p)) for p in powers)):
+            if not 0 < sum(beta) < 4:
+                continue
+            term = functools.reduce(self.product, [p[b] for p, b in zip(powers, beta)])
+            partial = self.jet(_partial(head, beta), memo).get(0) if term else None
+            if partial is not None:
+                scale = self.mul(partial, 1.0 / math.prod(map(math.factorial, beta)))
+                terms += [(i, self.mul(scale, c)) for i, c in term.items()]
+        return self.collect(terms)
+
+    def call(self, name: str, args: list):
+        """The coefficient name(*args): a float if every argument is one, else
+        a line ("power" prints as **)."""
+        if not any(type(a) is tuple for a in args):
+            with np.errstate(all="ignore"):
+                value = float(getattr(np, name)(*args))
+            if not math.isfinite(value):
+                raise DomainError(f"{name}{tuple(args)} in {self.expr} is not finite")
+            return value
+        if self.columns is not None and name in ("sin", "cos", "exp") and args[0] in self.args:
+            column = getattr(np, name), self.args.index(args[0])
+            if column not in self.columns:
+                self.columns.append(column)
+            return 1.0, self.line((f"{name}_x{column[1]}",))
+        ops = [repr(a) if type(a) is not tuple else a[1] if a[0] == 1.0
+               else self.line((_prefix(a[0]), a[1])) for a in args]
+        if name == "power":
+            return 1.0, self.line((ops[0], f"**{ops[1]}"))
+        return 1.0, self.line((f"{name}(", ops[0]) + tuple(x for op in ops[1:] for x in (", ", op))
+                              + (")",))
+
+    def mul(self, a, b):
+        if type(a) is not tuple:
+            return a * b if type(b) is not tuple else (a * b[0], b[1])
+        if type(b) is not tuple:
+            return a[0] * b, a[1]
+        return a[0] * b[0], self.line((min(a[1], b[1]), "*", max(a[1], b[1])))
+
+    def add(self, cs: list):
+        """The sum of the coefficients cs: their constants folded, and one line
+        of their lines with a common factor +-c kept out of it."""
+        if len(cs) == 1:
+            return cs[0]
+        const, scales = 0.0, {}
+        for c in cs:
+            if type(c) is tuple:
+                scales[c[1]] = scales.get(c[1], 0.0) + c[0]
+            else:
+                const += c
+        terms = sorted((k, s) for k, s in scales.items() if s)
+        if not terms:
+            return const
+        common = 1.0 if const or any(abs(s) != abs(terms[0][1]) for _, s in terms) else terms[0][1]
+        if len(terms) == 1 and not const:
+            return common, terms[0][0]
+        terms = [(k, s / common) for k, s in terms]
+        parts = []
+        for k, s in terms:
+            sign = ("-" if s < 0 else "") if not parts else " - " if s < 0 else " + "
+            parts += [sign + _prefix(abs(s)), k]
+        if const:
+            parts.append(f" - {-const!r}" if const < 0 else f" + {const!r}")
+        k = self.line(tuple(parts))
+        self.sums[k] = [(s, t) for t, s in terms] + ([const] if const else [])
+        return common, k
+
+    def collect(self, terms) -> dict:
+        """The jet of the (position, coefficient) pairs terms."""
+        sums = {}
+        for i, c in terms:
+            sums.setdefault(i, []).append(c)
+        return {i: s for i, cs in sums.items() if (s := self.add(cs)) != 0.0}
+
+    def product(self, a: dict, b: dict) -> dict:
+        """The Cauchy product of two jets, truncated at order 3."""
+        return self.collect((row[j], self.mul(ca, cb)) for i, ca in a.items()
+                            for row in (self.table[i],) for j, cb in b.items() if j in row)
+
+    def source(self, coefficient, factor: float) -> str:
+        """The numpy source of coefficient * factor, a sum's factor taken into
+        its terms: one expression of only the lines it reads, each line it reads
+        more than once bound as ``(_t<j> := ...)`` where the text first reads it,
+        which Python evaluates first, and read by name after that."""
+        if type(coefficient) is not tuple:
+            return repr(coefficient * factor)
+        c, k = coefficient[0] * factor, coefficient[1]
+        if c != 1.0 and k in self.sums:
+            c, k = self.add([self.mul(t, c) for t in self.sums[k]])
+        reads, names = {}, {}
+
+        def count(k):
+            reads[k] = reads.get(k, 0) + 1
+            for p in self.lines[k] if reads[k] == 1 else ():
+                if type(p) is int:
+                    count(p)
+
+        def text(k, bare):
+            parts = self.lines[k]
+            if k in names or len(parts) == 1:
+                return names.get(k, parts[0])
+            call = type(parts[0]) is str and parts[0].endswith("(")
+            body = "".join(p if type(p) is str else text(p, call) for p in parts)
+            if reads[k] > 1:
+                names[k] = f"_t{len(names)}"
+                return f"({names[k]} := {body})"
+            return body if call or bare else f"({body})"
+
+        count(k)
+        return _prefix(c) + text(k, c == 1.0)
+
+
+def numpy_kernel(args, source: str):
+    """One numpy kernel of a printed source in the symbols args, compiled by
+    one lambdify call with no docstring.  It takes one array per symbol and
+    returns a float array of the first one's shape, broadcasting a constant."""
+    fn = sp.lambdify(args, source, modules="numpy", docstring_limit=0)
 
     def kernel(*values):
         values = [np.asarray(v, dtype=float) for v in values]
-        value = np.asarray(fn(*values), dtype=float)
-        shape = values[0].shape
+        value, shape = np.asarray(fn(*values), dtype=float), values[0].shape
         return value if value.shape == shape else np.broadcast_to(value, shape)
 
     return kernel
 
 
-def derivative(expr, x, memo: dict):
-    """d expr / d x for a sympy expression and symbol, equal (==) to
-    ``sp.diff(expr, x)``, by the chain rule over the expression tree with
-    each (subexpression, x) differentiated once per ``memo``.
-
-    The rules are sp.diff's own: Add term by term, Mul by the n = 1 Leibniz
-    rule of ``Mul._eval_derivative``, which skips each factor whose
-    derivative is zero, Pow as e (d(p) log b + d(b) p / b) without the
-    d(p) log b term when d(p) is zero, and a function that keeps
-    ``Function._eval_derivative`` (sin, cos, exp, log, atan2, ...) as the sum
-    of fdiff(i) d(a_i) over the arguments whose derivative is not zero.  Any
-    other node (Abs, Piecewise, a function with its own rule) goes to
-    sp.diff.  sp.diff builds a ``Derivative`` at every level of the tree and
-    queries assumptions on each; this builds none.
-
-    ``memo`` maps (expr, x) to d expr / d x and (expr, None) to the free
-    symbols of expr, read through ``free_symbols``, so a subexpression's
-    free-symbol set is computed once per memo, not once per derivative of
-    every expression that holds it.
-    """
-    key = (expr, x)
-    if key in memo:
-        return memo[key]
-    args = expr.args
-    if x not in free_symbols(expr, memo):
-        d = sp.S.Zero
-    elif expr == x:
-        d = sp.S.One
-    elif isinstance(expr, sp.Add):
-        d = expr.func(*[derivative(a, x, memo) for a in args])
-    elif isinstance(expr, sp.Mul):
-        terms = []
-        for i, a in enumerate(args):
-            da = derivative(a, x, memo)
-            if da:
-                terms.append(sp.Mul(*(args[:i] + (da,) + args[i + 1:])))
-        d = sp.Add(*terms)
-    elif isinstance(expr, sp.Pow):
-        b, p = args
-        dp = derivative(p, x, memo)
-        d = derivative(b, x, memo) * p / b
-        d = expr * (dp * sp.log(b) + d if dp else d)
-    elif (isinstance(expr, sp.Function)
-          and type(expr)._eval_derivative is sp.Function._eval_derivative):
-        terms = []
-        for i, a in enumerate(args, 1):
-            da = derivative(a, x, memo)
-            if not da.is_zero:
-                try:
-                    df = expr.fdiff(i)
-                except ArgumentIndexError:
-                    df = sp.Function.fdiff(expr, i)
-                terms.append(df * da)
-        d = sp.Add(*terms)
-    else:
-        d = sp.diff(expr, x)
-    memo[key] = d
-    return d
-
-
-def free_symbols(expr, memo: dict):
-    """expr.free_symbols, kept in ``memo`` under (expr, None): for a node
-    that keeps ``Basic.free_symbols`` (Add, Mul, Pow, sin, ...) the union of
-    its arguments' memoised sets, and any other node's own set (an Integral,
-    Sum or Subs binds variables), so each subexpression's set is computed
-    once per memo.  The sets are shared and never mutated."""
-    key = (expr, None)
-    symbols = memo.get(key)
-    if symbols is None:
-        if type(expr).free_symbols is sp.Basic.free_symbols:
-            symbols = set().union(*(free_symbols(a, memo) for a in expr.args))
-        else:
-            symbols = expr.free_symbols
-        memo[key] = symbols
-    return symbols
+def taylor_kernels(coords, exprs, columns: bool = True):
+    """{(a, idx): kernel} for each component a and sorted index idx of order
+    0..3, in that order, and the columns of their one ``Tape``: the kernel of
+    (a, idx) returns d_idx expr_a in x0, ..., x<n-1> and then the columns."""
+    tape = Tape(coords, columns)
+    jets = []
+    for a, expr in enumerate(exprs):
+        tape.expr = sp.sympify(expr)
+        try:
+            jets.append(tape.jet(tape.expr, tape.memo))
+        except DomainError as err:
+            raise DomainError(f"component {a}: {err}") from None
+    args = list(sp.symbols(f"x:{len(tape.args)}"))
+    args += [sp.Symbol(f"{f.__name__}_x{i}") for f, i in tape.columns or ()]
+    return {(a, idx): numpy_kernel(args, tape.source(
+                jet.get(i, 0.0), math.prod(math.factorial(idx.count(j)) for j in set(idx))))
+            for a, jet in enumerate(jets) for i, idx in enumerate(tape.indices)}, tape.columns
 
 
 class AnalyticSupplier:
-    """Closed-form jets compiled from sympy component expressions.
-
-    One kernel per component a and sorted derivative index idx of order 0..3,
-    kept in one table {(a, idx): kernel}, and the rows its value fills, one
-    per permutation of idx, in the point-last buffer of its order
-    (``_rows``, computed once per build).  jets() evaluates each kernel once.
-    The derivative expressions come from ``derivative`` with one memo for the
-    whole build.
-
-    A kernel's arguments are the coordinates and then the columns
-    (``_columns``, (ufunc, coordinate index) pairs): sin and cos of each
-    coordinate that either of them is applied to in a component, and exp of
-    each coordinate it is applied to.  The printer prints sin(x_i), cos(x_i)
-    and exp(x_i) as the names of those arguments, and jets() computes each
-    column once per call.
-    """
+    """Closed-form jets of sympy components, one more than the coordinates:
+    the kernels of ``taylor_kernels`` and the rows each one's value fills, one
+    per permutation of its index, in the point-last buffer of its order
+    (``_rows``).  jets() evaluates each kernel once, on the coordinates and
+    then the columns (``_columns``), which it computes once per call."""
 
     def __init__(self, coords, exprs):
-        exprs = [sp.sympify(e) for e in exprs]
-        check_kernel_symbols(coords, exprs)
-        self.n = len(coords)
-        self.m = len(exprs)
-        self._kernels = {}
+        self.n, self.m = len(coords), len(exprs)
+        if self.m != self.n + 1:
+            raise DomainError(f"an immersion of {self.n} coordinates has {self.n + 1} "
+                              f"components, got {self.m}")
+        self._kernels, self._columns = taylor_kernels(coords, exprs)
         self._rows = {}
-        self._columns = []
-        applied = set().union(*(e.atoms(sp.sin, sp.cos, sp.exp) for e in exprs))
-        columns = {}
-        for i, c in enumerate(coords):
-            # sin and cos of a coordinate differentiate into each other
-            for f, g in ((sp.sin, sp.cos), (sp.cos, sp.sin), (sp.exp, sp.exp)):
-                if f(c) in applied or g(c) in applied:
-                    self._columns.append((getattr(np, f.__name__), i))
-                    columns[f(c)] = sp.Symbol(f"{f.__name__}_{c.name}")
-        args = list(coords) + list(columns.values())
-        memo, printer = {}, KernelPrinter(columns)
-        for a, expr in enumerate(exprs):
-            derivs = {(): expr}
-            for k in range(4):
-                for idx in itertools.combinations_with_replacement(range(self.n), k):
-                    if k:
-                        derivs[idx] = derivative(derivs[idx[:-1]], coords[idx[-1]], memo)
-                    try:
-                        self._kernels[a, idx] = numpy_kernel(args, derivs[idx], printer)
-                    except DomainError as err:
-                        raise DomainError(f"component {a} ({expr}): {err}") from None
-                    slots = [perm + (a,) for perm in set(itertools.permutations(idx))]
-                    self._rows[a, idx] = np.ravel_multi_index(np.transpose(slots),
-                                                              (self.n,) * k + (self.m,))
+        for a, idx in self._kernels:
+            slots = [perm + (a,) for perm in set(itertools.permutations(idx))]
+            self._rows[a, idx] = np.ravel_multi_index(np.transpose(slots),
+                                                      (self.n,) * len(idx) + (self.m,))
 
     def jets(self, x: np.ndarray, order: int = 2) -> Jets:
         x = sample_points(x, self.n)
@@ -533,14 +559,11 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     ``frame`` is ``cholesky_frame(g)``.  The orientation flag flips the sign
     of the returned normal.  g^-1, the Weingarten map A = g^-1 h and
     dN = -A^k_i r_k are left to ``PointGeometry``, which builds them on
-    first use.  No LAPACK call: every kernel is elementwise over the point
-    axis, g_ij = sum_a d_i r^a d_j r^a and h_ij = sum_a N^a d_i d_j r^a
-    among them, each one einsum over point-last rows of the jets: one long
-    call that releases the GIL, bit-identical to a Python sum of the rows
-    on every catalog surface.  Those are read in
-    place from ``AnalyticSupplier`` jets; the first derivatives of any other
-    supplier are copied to that layout and its second derivatives read
-    through a strided view.
+    first use.  No LAPACK call: g_ij = sum_a d_i r^a d_j r^a and
+    h_ij = sum_a N^a d_i d_j r^a are each one einsum over point-last rows of
+    the jets, bit-identical to a Python sum of the rows on every catalog
+    surface, read in place from ``AnalyticSupplier`` jets; the first
+    derivatives of any other supplier are copied to that layout.
     """
     t = np.ascontiguousarray(np.moveaxis(jets.d1, 0, -1))  # t[i, a] = d_i r^a over points
     d2t = np.moveaxis(jets.d2, 0, -1)  # d2t[i, j, a] = d_i d_j r^a over points

@@ -1,27 +1,29 @@
-"""The compiled kernel table of AnalyticSupplier: derivative expressions equal
-to sympy's diff, also through nodes that bind a variable, with no Derivative
-object built and each free-symbol set computed once, order-3 jets against plain
-lambdify kernels and, bit for bit, against the same kernels calling sin, cos
-and exp of the coordinates themselves on every catalog surface, broadcasting
-of constant and zero components, one lambdify call per derivative component,
-each handed the printed source as a string, no str() printing of
-expressions while a surface compiles, kernel sources from the build's
-memoised printer string-equal to lambdify's own printing of the sympy
-expression with a fresh printer and the same columns, and each kernel
-expression printed by a KernelPrinter as by a plain NumPyPrinter, symbols
-that such a source could not resolve and components it could not print
-refused at build, no kernel applying sin, cos or exp to a bare coordinate, each
-such column computed once per jets call, and the same jets under the block
-pool and under concurrent jets calls; jets equal to a point-first fill of
-the same kernels and laid out point-last in memory, and points that are not
-a finite (k >= 1, n) array refused with DomainError, by the analytic, the
-revolution and the finite-difference suppliers alike; and ``normal_jets``
-bit-identical to Python sums of broadcast rows and a Laplace expansion that
-multiplies each term by its sign; and the jets of every supplier kind laid
-out derivative-first, d1[:, i] and d2[:, i] the central differences of r and
-d1 along axis i."""
+"""The Taylor-tape kernel table of AnalyticSupplier: derivatives equal to
+sympy's diff evaluated in 30-digit arithmetic, order-3 jets against plain
+lambdify kernels of sp.diff on every catalog surface, on spheres of
+dimension 2-5, on the inverted bumpy torus and on rule-probing expressions,
+and profile derivatives alike, and, bit for bit, the same sources calling
+sin, cos and exp of the coordinates themselves; each subexpression walked
+once per memo, no Derivative made once a function's partials are known,
+broadcasting of constant and zero components, one lambdify call per
+derivative component, each handed the printed source as a string, no str()
+printing of expressions while a surface compiles, sources that bind each
+line they read twice where they first read it and that a fresh build prints
+again, that name only their arguments, bound lines and numpy functions, and
+whose kernels compute what lambdify's own printing of sp.diff computes;
+symbols no kernel can resolve, components with no Taylor rule and inputs
+that failed only later refused at build, no kernel applying sin, cos or exp
+to a bare coordinate, each such column computed once per jets call, and the
+same jets under the block pool and under concurrent jets calls; jets equal
+to a point-first fill of the same kernels and laid out point-last in memory,
+and points that are not a finite (k >= 1, n) array refused with DomainError,
+by the analytic, the revolution and the finite-difference suppliers alike;
+and ``normal_jets`` bit-identical to Python sums of broadcast rows and a
+Laplace expansion that multiplies each term by its sign; and the jets of
+every supplier kind laid out derivative-first, d1[:, i] and d2[:, i] the
+central differences of r and d1 along axis i."""
 
-import inspect
+import ast
 import itertools
 import re
 import sys
@@ -35,7 +37,6 @@ import sympy as sp
 from sympy.core._print_helpers import Printable
 from sympy.core.cache import clear_cache
 from sympy.core.function import Derivative
-from sympy.printing.numpy import NumPyPrinter
 
 from leafwise import catalog, functionals as fl, patch, suppliers
 from leafwise import revolution as rev
@@ -46,26 +47,26 @@ from leafwise.variation import random_trig_variation
 SURFACES = sorted({fn: name for name, fn in reversed(catalog.CATALOG.items())}.values())
 
 
-def build_recorded(name, monkeypatch):
-    """Build a catalog surface, recording each supplier's (coords, exprs)
-    and the sympy expression of each kernel its build compiles."""
-    builds = []
-    init = suppliers.AnalyticSupplier.__init__
-    numpy_kernel = suppliers.numpy_kernel
-
-    def counting(args, expr, printer):
-        builds[-1][2].append(expr)
-        return numpy_kernel(args, expr, printer)
+def build_recorded(build, monkeypatch):
+    """build()'s value, the (coords, exprs) of each AnalyticSupplier that it
+    builds, and the (args, source) of each kernel that it compiles: what the
+    kernel's one lambdify call receives."""
+    builds, sources = [], []
+    init, lambdify = suppliers.AnalyticSupplier.__init__, sp.lambdify
 
     def recording(self, coords, exprs):
-        builds.append([coords, exprs, []])
+        builds.append((coords, exprs))
         init(self, coords, exprs)
 
-    monkeypatch.setattr(suppliers, "numpy_kernel", counting)
+    def compiling(args, source, **kwargs):
+        sources.append((args, source))
+        return lambdify(args, source, **kwargs)
+
     monkeypatch.setattr(suppliers.AnalyticSupplier, "__init__", recording)
-    surface = catalog.CATALOG[name]()
+    monkeypatch.setattr(sp, "lambdify", compiling)
+    built = build()
     monkeypatch.undo()
-    return surface, builds
+    return built, builds, sources
 
 
 def plain_jets(coords, exprs, x):
@@ -97,6 +98,13 @@ def plain_jets(coords, exprs, x):
     return r, d1, d2, d3
 
 
+def assert_close_to_plain(got, want):
+    """Each order within 1e-14 of the largest plain value of that order."""
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
 def point_first_jets(supplier, x, order):
     """r, d1, d2 (and d3 at order 3) of an AnalyticSupplier filled point-first:
     every kernel's value written to each permutation of its index, the
@@ -113,63 +121,64 @@ def point_first_jets(supplier, x, order):
     return out
 
 
-def assert_derivatives_equal_diff(coords, exprs):
-    """Every derivative of every component up to order 3, by sorted index,
-    from ``suppliers.derivative`` with one memo is == to sp.diff's."""
-    memo = {}
-    for expr in exprs:
-        start = sp.sympify(expr)
-        ours, theirs = {(): start}, {(): start}
-        for k in range(1, 4):
-            for idx in itertools.combinations_with_replacement(range(len(coords)), k):
-                x = coords[idx[-1]]
-                ours[idx] = suppliers.derivative(ours[idx[:-1]], x, memo)
-                theirs[idx] = sp.diff(theirs[idx[:-1]], x)
-                assert ours[idx] == theirs[idx], (expr, idx)
+def sample(points, count=40):
+    return points[:: max(1, len(points) // count)]
 
 
 @pytest.mark.parametrize("name", SURFACES)
 def test_derivatives_equal_sympy_diff(name, monkeypatch):
-    _, builds = build_recorded(name, monkeypatch)
-    for coords, exprs, _ in builds:
-        assert_derivatives_equal_diff(coords, exprs)
+    # every derivative up to order 3 against sp.diff's, evaluated in 30-digit
+    # arithmetic at three points, so only the jets' own rounding is left
+    surface, builds, _ = build_recorded(catalog.CATALOG[name], monkeypatch)
+    (coords, exprs), = builds
+    x = sample(surface.grid.points, 3)[:3]
+    jets = surface.supplier.jets(x, order=3)
+    for k, got in enumerate((jets.r, jets.d1, jets.d2, jets.d3)):
+        scale = np.max(np.abs(got))
+        for a, expr in enumerate(exprs):
+            for idx in itertools.combinations_with_replacement(range(len(coords)), k):
+                d = sp.diff(expr, *(coords[i] for i in idx)) if idx else expr
+                for p, point in enumerate(x):
+                    exact = float(d.evalf(30, subs=dict(zip(coords, map(sp.Float, point)))))
+                    assert abs(got[(p,) + idx + (a,)] - exact) <= 1e-14 * scale, (idx, a)
 
 
 def test_derivative_rules_beyond_the_catalog():
-    # Pow with a symbolic exponent, Abs and Piecewise through sp.diff, and
-    # polygamma, whose fdiff has no rule for its order argument
-    x, y, t = sp.symbols("x y t")
-    expr = (sp.sqrt(1 + x**2) * sp.cos(x * y) + x**y + sp.Abs(y)
-            + sp.Piecewise((x, y > 0), (x**2, True)) + sp.polygamma(x, y))
-    # nodes that bind a variable, whose free symbols are not their args'
-    bound = [sp.Integral(sp.sin(t * x), (t, 0, y)) * x, sp.Subs(sp.cos(t) * x, t, y) * x**2,
-             sp.Sum(x**t, (t, 1, 3)) * y]
-    assert_derivatives_equal_diff((x, y), [expr] + bound)
+    # a symbolic exponent, atan2, tanh, log, exp of a product, pi, a Rational
+    # and a square root against the plain lambdify kernels of sp.diff
+    x, y = sp.symbols("x y")
+    exprs = [x + sp.Rational(1, 3) * y**2, sp.atan2(y, x + 3) + sp.tanh(x * y) + x**y,
+             sp.log(2 + x**2) * sp.exp(x * y) + sp.pi * sp.sqrt(1 + y**2)]
+    pts = np.random.default_rng(1).uniform(0.3, 1.2, size=(20, 2))
+    jets = suppliers.AnalyticSupplier((x, y), exprs).jets(pts, order=3)
+    assert_close_to_plain((jets.r, jets.d1, jets.d2, jets.d3), plain_jets((x, y), exprs, pts))
 
 
-def test_derivative_computes_each_free_symbol_set_once(monkeypatch):
-    # the free symbols of every subexpression are read through the build's
-    # memo, not recomputed on each (subexpression, coordinate) it meets
-    computed = Counter()
+def test_tape_walks_each_subexpression_once(monkeypatch):
+    # the components of a build share one memo, and each composition one for
+    # its partials: a subexpression's jet is taken once per memo however many
+    # components, derivative orders and partials read it
+    walked, memos = Counter(), []
+    rule = suppliers.Tape._rule
 
-    def counting(getter):
-        def free_symbols(self):
-            caller = sys._getframe(1).f_code
-            if caller.co_filename == suppliers.__file__ and caller.co_name in (
-                    "derivative", "free_symbols"):
-                computed[type(self), self] += 1
-            return getter(self)
-        return property(free_symbols)
+    def counting(self, expr, memo):
+        memos.append(memo)  # alive, so no two memos share an id
+        walked[id(memo), expr] += 1
+        return rule(self, expr, memo)
 
-    for cls in (sp.Basic, sp.Symbol):
-        monkeypatch.setattr(cls, "free_symbols", counting(cls.free_symbols.fget))
+    monkeypatch.setattr(suppliers.Tape, "_rule", counting)
     clear_cache()
-    catalog.sheared_torus4()
-    monkeypatch.undo()
-    assert computed and max(computed.values()) == 1, computed.most_common(3)
+    surface, builds, _ = build_recorded(catalog.sheared_torus4, monkeypatch)
+    (_, exprs), = builds
+    assert walked and max(walked.values()) == 1, walked.most_common(3)
+    subtrees = {e for expr in exprs for e in sp.preorder_traversal(expr)}
+    assert subtrees <= {expr for _, expr in walked}
 
 
 def test_build_constructs_no_derivative_object(monkeypatch):
+    # a function's partials are derived once per process, so a build after
+    # the first makes no Derivative, even with sympy's cache cleared
+    catalog.sheared_torus4()
     made = []
     new = Derivative.__new__
 
@@ -179,34 +188,70 @@ def test_build_constructs_no_derivative_object(monkeypatch):
 
     clear_cache()
     monkeypatch.setattr(Derivative, "__new__", counting)
-    catalog.sheared_torus4()
+    catalog.sheared_torus4(eps=0.03)
     assert made == []
+
+
+#: a column read in a kernel source, and the coordinate function it replaces
+COLUMN = re.compile(r"\b(sin|cos|exp)_(x\d+)\b")
 
 
 @pytest.mark.parametrize("name", SURFACES)
 def test_jets_match_plain_lambdify_kernels(name, monkeypatch):
-    surface, builds = build_recorded(name, monkeypatch)
-    assert len(builds) == 1
-    coords, exprs, kernel_exprs = builds[0]
+    surface, builds, sources = build_recorded(catalog.CATALOG[name], monkeypatch)
+    (coords, exprs), = builds
     n, m = len(coords), len(exprs)
-    assert len(kernel_exprs) == m * comb(n + 3, 3)
-    pts = surface.grid.points
-    x = pts[:: max(1, len(pts) // 40)]
+    assert len(sources) == m * comb(n + 3, 3)
+    x = sample(surface.grid.points)
     jets = surface.supplier.jets(x, order=3)
     by_order = (jets.r, jets.d1, jets.d2, jets.d3)
-    for got, want in zip(by_order, plain_jets(coords, exprs, x)):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # the same kernels printed without columns, each calling sin, cos and exp
-    # of the coordinates itself, give the same bits
-    printer = suppliers.KernelPrinter()
+    assert_close_to_plain(by_order, plain_jets(coords, exprs, x))
+    # the same sources calling sin, cos and exp of the coordinates
+    # themselves give the same bits
+    names = sp.symbols(f"x:{n}")
     args = [x[:, i] for i in range(n)]
-    for ((a, idx), _), expr in zip(surface.supplier._kernels.items(), kernel_exprs):
-        plain = suppliers.numpy_kernel(coords, expr, printer)
+    for (a, idx), (_, source) in zip(surface.supplier._kernels, sources):
+        plain = suppliers.numpy_kernel(names, COLUMN.sub(r"\1(\2)", source))
         assert np.array_equal(by_order[len(idx)][(slice(None),) + idx + (a,)], plain(*args))
     low = surface.supplier.jets(x, order=2)
     assert low.d3 is None
     assert np.array_equal(low.d2, jets.d2)
+
+
+def _inverted_exprs():
+    """x0..x2 and catalog.bumpy_torus4's expressions e divided by |e|^2, the
+    deep expressions of test_leibniz's inversion test."""
+    x = sp.symbols("x0 x1 x2")
+    rr = 0.55 * (1 + 0.03 * sp.cos(x[0] + 2 * x[1] - x[2]))
+    w2 = 1.3 * (1 + 0.7 * 0.03 * sp.sin(2 * x[0] - x[2])) + rr * sp.cos(x[2])
+    w1 = sp.Float(3.0) + w2 * sp.cos(x[1])
+    exprs = [w1 * sp.cos(x[0]), w1 * sp.sin(x[0]), w2 * sp.sin(x[1]), rr * sp.sin(x[2])]
+    return x, [e / sum(f**2 for f in exprs) for e in exprs]
+
+
+@pytest.mark.parametrize("case", ["sphere2", "sphere3", "sphere4", "sphere5", "inverted"])
+def test_jets_beyond_the_catalog_match_plain_lambdify_kernels(case):
+    if case == "inverted":
+        coords, exprs = _inverted_exprs()
+        x = catalog.bumpy_torus4(m1=4, m2=4, m3=4).grid.points
+    else:
+        coords, exprs = catalog.sphere_exprs(int(case[-1]), 1.3)
+        x = sample(catalog.sphere(n=int(case[-1]), m_polar=4, m_azimuth=8).grid.points)
+    jets = suppliers.AnalyticSupplier(coords, exprs).jets(x, order=3)
+    assert_close_to_plain((jets.r, jets.d1, jets.d2, jets.d3), plain_jets(coords, exprs, x))
+
+
+@pytest.mark.parametrize("expr, rho_range", [
+    (sp.sqrt(1.3**2 - sp.Symbol("rho")**2), (0.3, 1.0)),
+    (sp.acosh(sp.Symbol("rho")), (1.15, 2.0)),
+    (0.8 * sp.Symbol("rho"), (0.2, 2.0))], ids=["sqrt", "acosh", "cone"])
+def test_profile_derivatives_match_plain_lambdify_kernels(expr, rho_range):
+    rho = sp.Symbol("rho")
+    built = rev.profile_from_sympy(2, expr, rho, rho_range)
+    r = np.linspace(*rho_range, 40)
+    for k, fn in enumerate((built.f, built.f1, built.f2, built.f3)):
+        want = np.broadcast_to(sp.lambdify([rho], sp.diff(expr, rho, k), "numpy")(r), r.shape)
+        assert np.max(np.abs(fn(r) - want)) <= 1e-14 * np.max(np.abs(want)), k
 
 
 @pytest.mark.parametrize("name", SURFACES)
@@ -299,8 +344,7 @@ def test_constant_and_zero_components_broadcast():
     assert np.array_equal(cone.f1(rho), np.full(5, 0.8))
     assert np.array_equal(cone.f2(rho), np.zeros(5))
     assert cone.f3(rho.reshape(5, 1)).shape == (5, 1)
-    assert suppliers.numpy_kernel([rho_sym], sp.Integer(2),
-                                  suppliers.KernelPrinter())(rho).shape == (5,)
+    assert suppliers.numpy_kernel([sp.Symbol("x0")], "2.0")(rho).shape == (5,)
 
 
 def test_compile_prints_no_expression_with_str(monkeypatch):
@@ -317,84 +361,76 @@ def test_compile_prints_no_expression_with_str(monkeypatch):
     assert printed == []
 
 
-def recorded_sources(build, monkeypatch):
-    """build()'s value and the (args, expr, source) of every kernel that it
-    compiles: the arguments and the sympy expression ``numpy_kernel``
-    receives, and the source of the function that its one lambdify call
-    returns."""
-    calls, sources = [], []
-    numpy_kernel, lambdify = suppliers.numpy_kernel, sp.lambdify
-
-    def recording(args, expr, printer):
-        calls.append((args, expr))
-        return numpy_kernel(args, expr, printer)
-
-    def compiling(args, expr, **kwargs):
-        fn = lambdify(args, expr, **kwargs)
-        sources.append(inspect.getsource(fn))
-        return fn
-
-    for module in (suppliers, rev):
-        monkeypatch.setattr(module, "numpy_kernel", recording)
-    monkeypatch.setattr(sp, "lambdify", compiling)
-    built = build()
-    monkeypatch.undo()
-    assert len(sources) == len(calls)
-    return built, [(args, expr, source) for (args, expr), source in zip(calls, sources)]
-
-
 def _edge_supplier():
-    """An AnalyticSupplier of expressions that probe the printer's memo."""
-    # equal-valued Floats of precision 15 and 30 (equal hashes, different
-    # printed digits), x with and without assumptions, and the Abs, Piecewise
-    # and polygamma nodes of test_derivative_rules_beyond_the_catalog; the
-    # coordinates are real and polygamma's order constant, so no derivative
-    # is a Derivative, which no numpy printer prints
+    """An AnalyticSupplier whose components share subexpressions and mix
+    equal-valued Floats of precision 15 and 30, x with and without
+    assumptions, constants, powers and two-argument functions."""
     x, y = sp.symbols("x y", real=True)
     third = (sp.Float(1 / 3, 15), sp.Float(1 / 3, 30))
-    assert third[0] != third[1] and hash(third[0]) == hash(third[1])
     plain_x = sp.Symbol("x")
     exprs = [third[0] * sp.cos(x) + third[1] * sp.sin(y) + third[1] * sp.cos(x) * plain_x,
-             sp.sqrt(1 + x**2) * sp.cos(x * y) + x**y + sp.Abs(y) + third[0] * plain_x**2,
-             sp.Piecewise((x, y > 0), (x**2, True)) + sp.polygamma(1, x * y)]
+             sp.sqrt(1 + x**2) * sp.cos(x * y) + x**y + third[0] * plain_x**2,
+             sp.atan2(y, 2 + x) + sp.log(2 + sp.cos(x * y)) * sp.exp(y)]
     return suppliers.AnalyticSupplier((x, y), exprs)
 
 
-def column_symbols(supplier, args):
-    """{sin/cos/exp(coordinate): argument symbol} of a supplier's columns,
-    read off its kernels' arguments, the coordinates and then the columns."""
-    return {getattr(sp, f.__name__)(args[i]): args[supplier.n + k]
-            for k, (f, i) in enumerate(supplier._columns)}
+def build_case(name, monkeypatch):
+    """(supplier, coords, exprs, sources) of a catalog surface or the edge cases."""
+    if name == "edge-cases":
+        supplier, builds, sources = build_recorded(_edge_supplier, monkeypatch)
+    else:
+        surface, builds, sources = build_recorded(catalog.CATALOG[name], monkeypatch)
+        supplier = surface.supplier
+    (coords, exprs), = builds
+    return supplier, coords, exprs, sources
 
 
 @pytest.mark.parametrize("name", SURFACES + ["edge-cases"])
 def test_memo_printer_prints_the_fresh_source(name, monkeypatch):
-    build = _edge_supplier if name == "edge-cases" else catalog.CATALOG[name]
-    built, calls = recorded_sources(build, monkeypatch)
-    supplier = built if name == "edge-cases" else built.supplier
-    assert calls
-    for args, expr, source in calls:
-        assert isinstance(expr, sp.Basic)
-        # lambdify prints the sympy expression itself with a fresh printer
-        printer = suppliers.KernelPrinter(column_symbols(supplier, args))
-        fresh = sp.lambdify(args, expr, modules="numpy", docstring_limit=0, printer=printer)
-        assert source == inspect.getsource(fresh), expr
+    # each source binds each tape line that it reads more than once where it
+    # first reads it and reads it by name after that, and is the source that
+    # a fresh build prints, with sympy's cache cleared
+    _, _, _, sources = build_case(name, monkeypatch)
+    clear_cache()
+    assert build_case(name, monkeypatch)[3] == sources
+    for _, source in sources:
+        bound = re.findall(r"\((_t\d+) := ", source)
+        assert sorted(bound) == sorted(f"_t{i}" for i in range(len(bound))), source
+        for t in bound:
+            reads = [m.start() for m in re.finditer(rf"\b{t}\b(?! :=)", source)]
+            assert reads and min(reads) > source.index(f"({t} := "), source
     if name == "edge-cases":
-        sources = "".join(source for _, _, source in calls)
-        assert "0.333333333333333*" in sources and "0.333333333333333314829616256247*" in sources
-        assert "cos_x" in sources and "sin_y" in sources
+        text = "\n".join(s for _, s in sources)
+        assert "0.3333333333333333*" in text and "sin_x1" in text and "arctan2(" in text
+
+
+#: the numpy functions a kernel source may call
+NUMPY_CALLS = set(suppliers._NUMPY_NAMES.values())
 
 
 @pytest.mark.parametrize("name", SURFACES + ["edge-cases"])
 def test_kernel_printer_prints_what_numpy_printer_prints(name, monkeypatch):
-    # an oracle for KernelPrinter's overrides (its memo and the skipped
-    # UnevaluatedExpr walk): each kernel expression prints as a plain
-    # NumPyPrinter with the same settings prints it
-    build = _edge_supplier if name == "edge-cases" else catalog.CATALOG[name]
-    _, calls = recorded_sources(build, monkeypatch)
-    printer = suppliers.KernelPrinter()
-    for _, expr, _ in calls:
-        assert printer.doprint(expr) == NumPyPrinter(suppliers._KERNEL_PRINTER).doprint(expr), expr
+    # each source names only its arguments, the lines it binds and numpy's
+    # functions, and each kernel computes what lambdify prints with its
+    # NumPyPrinter for sp.diff's derivative of the component, to 1e-14 of the
+    # largest value of that order
+    supplier, coords, exprs, sources = build_case(name, monkeypatch)
+    for args, source in sources:
+        names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+        bound = set(re.findall(r"\((_t\d+) := ", source))
+        assert names <= {str(a) for a in args} | bound | NUMPY_CALLS, source
+    if name == "edge-cases":
+        # the tape reads x with and without assumptions as one coordinate
+        x = np.random.default_rng(3).uniform(0.3, 1.2, size=(20, 2))
+        exprs = [e.xreplace({sp.Symbol("x"): coords[0]}) for e in exprs]
+    else:
+        x = sample(catalog.CATALOG[name]().grid.points)
+    want = plain_jets(coords, exprs, x)
+    values = [x[:, i] for i in range(supplier.n)]
+    values += [f(values[i]) for f, i in supplier._columns]
+    for (a, idx), kernel in supplier._kernels.items():
+        plain = want[len(idx)][(slice(None),) + idx + (a,)]
+        assert np.max(np.abs(kernel(*values) - plain)) <= 1e-14 * np.max(np.abs(want[len(idx)]))
 
 
 @pytest.mark.parametrize("build, kernels", [(catalog.sheared_torus4, 80),
@@ -435,8 +471,8 @@ def test_components_the_kernels_cannot_print_are_refused_at_build():
                          # no free symbol and no derivative to print: without the
                          # check, the first jets call raises NameError
                          (f(2) * x, r"undefined function f\(2\) in x\*f\(2\)"),
-                         (sp.Abs(x) * y, r"component 2 \(y\*Abs\(x\)\): cannot print "
-                                         r".*Derivative\(re\(x\), x\)")):
+                         (sp.Abs(x) * y,
+                          r"component 2: no Taylor rule for Abs\(x\) in y\*Abs\(x\)")):
         with pytest.raises(DomainError, match=message):
             suppliers.AnalyticSupplier((x, y), [x, y, bad])
     with pytest.raises(DomainError, match=r"UnevaluatedExpr\(rho\) in"):
@@ -445,22 +481,52 @@ def test_components_the_kernels_cannot_print_are_refused_at_build():
         rev.profile_from_sympy(3, f(rho) * rho, rho, (0.5, 1.5))
 
 
+def _refused(case):
+    x, y = sp.symbols("x y")
+    if case == "too-few-components":  # geometry raised KeyError in cofactor_normal
+        return suppliers.AnalyticSupplier((x, y), [x, y])
+    if case == "repeated-coordinates":  # lambdify raised SyntaxError
+        return suppliers.AnalyticSupplier((x, x), [x, x, x**2])
+    bad = {"imaginary-unit": sp.I * x,  # jets raised TypeError
+           "complex-infinity": 1 / (x - x),  # lambdify raised KeyError
+           "nan": sp.nan * x,  # r was NaN
+           # these built, and the first jets call raised NameError
+           "abs": x * sp.Abs(sp.Symbol("y", real=True)), "polygamma": sp.polygamma(1, x * y),
+           # no Taylor rule: newly refused
+           "piecewise": sp.Piecewise((x, y > 0), (x**2, True))}[case]
+    return suppliers.AnalyticSupplier((x, y), [x, y, bad])
+
+
+@pytest.mark.parametrize("case, message", [
+    ("too-few-components", r"2 coordinates has 3 components, got 2"),
+    ("repeated-coordinates", r"coordinates \(x, x\) repeat a name"),
+    ("imaginary-unit", r"component 2: I in I\*x is not a finite real number"),
+    ("complex-infinity", r"component 2: zoo in zoo is not a finite real number"),
+    ("nan", r"component 2: nan in nan is not a finite real number"),
+    ("abs", r"component 2: no Taylor rule for Abs\(y\) in x\*Abs\(y\)"),
+    ("polygamma", r"component 2: no Taylor rule for polygamma\(1, x\*y\)"),
+    ("piecewise", r"component 2: no Taylor rule for Piecewise\(\(x, y > 0\)")])
+def test_components_that_fail_later_are_refused_at_build(case, message):
+    with pytest.raises(DomainError, match=message):
+        _refused(case)
+
+
 @pytest.mark.parametrize("name", SURFACES)
 def test_no_kernel_applies_a_coordinate_function_to_a_bare_coordinate(name, monkeypatch):
-    surface, calls = recorded_sources(catalog.CATALOG[name], monkeypatch)
-    coords = calls[0][0][:surface.supplier.n]
-    bare = re.compile(r"\b(sin|cos|exp)\((%s)\)" % "|".join(c.name for c in coords))
-    for _, _, source in calls:
+    surface, _, sources = build_recorded(catalog.CATALOG[name], monkeypatch)
+    assert [str(a) for a in sources[0][0][:surface.supplier.n]] == [
+        f"x{i}" for i in range(surface.supplier.n)]
+    bare = re.compile(r"\b(sin|cos|exp)\(x\d+\)")
+    for _, source in sources:
         assert not bare.search(source), source
 
 
 def test_sphere_kernels_read_sin_and_cos_columns_of_every_angle(monkeypatch):
-    sphere, calls = recorded_sources(lambda: catalog.sphere(n=4), monkeypatch)
-    bodies = "".join(source.split("\n", 1)[1] for _, _, source in calls)
-    read = sorted(set(re.findall(r"\b(sin|cos|exp)_(t\d)\b", bodies)))
-    assert read == [("cos", f"t{i}") for i in range(4)] + [("sin", f"t{i}") for i in range(4)]
+    sphere, _, sources = build_recorded(lambda: catalog.sphere(n=4), monkeypatch)
+    read = sorted(set(COLUMN.findall("\n".join(source for _, source in sources))))
+    assert read == [("cos", f"x{i}") for i in range(4)] + [("sin", f"x{i}") for i in range(4)]
     assert sorted((f.__name__, i) for f, i in sphere.supplier._columns) == sorted(
-        (f, int(t[1])) for f, t in read)
+        (f, int(x[1])) for f, x in read)
 
 
 def test_jets_compute_each_coordinate_function_once_per_column(monkeypatch):
@@ -490,15 +556,11 @@ def test_kernels_called_outside_jets_share_nothing():
     expr = sp.exp(-rho) * sp.cos(rho) + sp.sin(2 * rho) + sp.sin(rho)
     profile = rev.profile_from_sympy(3, expr, rho, (0.5, 1.5))
     r = np.linspace(0.5, 1.5, 50)
-    exprs = [expr]
-    for _ in range(3):
-        exprs.append(sp.diff(exprs[-1], rho))
-    for fn, e in zip((profile.f, profile.f1, profile.f2, profile.f3), exprs):
-        plain = sp.lambdify([rho], e, modules="numpy", docstring_limit=0,
-                            printer=NumPyPrinter(suppliers._KERNEL_PRINTER))
-        assert np.array_equal(fn(r), plain(r))
+    for k, fn in enumerate((profile.f, profile.f1, profile.f2, profile.f3)):
+        plain = sp.lambdify([rho], sp.diff(expr, rho, k), modules="numpy")(r)
+        assert np.max(np.abs(fn(r) - plain)) <= 1e-14 * np.max(np.abs(plain))
     # a kernel reads its argument afresh on every call
-    kernel = suppliers.numpy_kernel([rho], sp.sin(rho), suppliers.KernelPrinter())
+    kernel = suppliers.numpy_kernel([sp.Symbol("x0")], "sin(x0)")
     kernel(r)
     r += 1.0
     assert np.array_equal(kernel(r), np.sin(r))
