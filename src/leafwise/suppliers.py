@@ -20,11 +20,11 @@ differentiation for higher-order derivatives in JAX, 2019): one walk of the
 component trees, each shared subtree once, gives every Taylor coefficient to
 order 3 as a float or a straight-line numpy expression, and the kernel of a
 derivative prints its coefficient times the index's factorials from only the
-lines it reads, each line read twice bound once with ``:=``.  sin, cos and
-exp of a bare coordinate are kernel arguments, columns that ``jets``
-computes once per call with the ufunc a kernel would call, so every kernel
-is a pure function of its arguments and the jets are bit-identical to
-kernels that call those functions themselves.
+lines it reads, each line read twice bound once with ``:=``.  A kernel
+reads one list X: the coordinate arrays, then the columns sin, cos and exp of
+a bare coordinate, which ``jets`` computes once per call with the ufunc a
+kernel would call, so every kernel is a pure function of X and the jets are
+bit-identical to kernels that call those functions themselves.
 
 Every jet of the package is laid out derivative-first: the derivative axes
 come right after the point axis and the value axes last, so d1[p, i, a] =
@@ -150,9 +150,9 @@ class Tape:
     f(u0 + du) = sum_beta d^beta f(u0) du^beta / beta!, the partials walked
     with the dummies bound to u0, and b**p is exp(p log b).  Any other node,
     a constant that is no finite real and a free symbol that is no coordinate
-    raise DomainError.  Coordinates, matched by name, print as x<i>; with
-    ``columns``, sin, cos and exp of a bare x<i> print as sin_x<i>, ...,
-    listed in ``columns`` as (ufunc, i)."""
+    raise DomainError.  Coordinate i, matched by name, prints as X[i]; with
+    ``columns``, sin, cos and exp of a bare coordinate print as X[n + j], the
+    j-th entry (ufunc, i) of ``columns``."""
 
     def __init__(self, coords, columns: bool = True):
         for c in coords:
@@ -164,8 +164,8 @@ class Tape:
             raise DomainError(f"coordinates {tuple(coords)} repeat a name")
         self.indices, self.table = _exponents(len(coords))
         self.lines, self.shared, self.sums, self.memo, self.expr = [], {}, {}, {}, None
-        self.columns = [] if columns else None  # None: print sin(x<i>) itself
-        self.args = [(1.0, self.line((f"x{i}",))) for i in range(len(coords))]
+        self.columns = [] if columns else None  # None: print sin(X[i]) itself
+        self.args = [(1.0, self.line((f"X[{i}]",))) for i in range(len(coords))]
 
     def line(self, parts: tuple) -> int:
         if parts not in self.shared:
@@ -248,7 +248,7 @@ class Tape:
             column = getattr(np, name), self.args.index(args[0])
             if column not in self.columns:
                 self.columns.append(column)
-            return 1.0, self.line((f"{name}_x{column[1]}",))
+            return 1.0, self.line((f"X[{len(self.args) + self.columns.index(column)}]",))
         ops = [repr(a) if type(a) is not tuple else a[1] if a[0] == 1.0
                else self.line((_prefix(a[0]), a[1])) for a in args]
         if name == "power":
@@ -337,14 +337,14 @@ class Tape:
 
 
 def numpy_kernel(args, source: str):
-    """One numpy kernel of a printed source in the symbols args, compiled by
-    one lambdify call with no docstring.  It takes one array per symbol and
-    returns a float array of the first one's shape, broadcasting a constant."""
+    """One numpy kernel of a printed source that indexes the one symbol of
+    args, compiled by one lambdify call with no docstring.  It reads the list
+    of its array arguments and returns a float array of the first one's shape."""
     fn = sp.lambdify(args, source, modules="numpy", docstring_limit=0)
 
     def kernel(*values):
         values = [np.asarray(v, dtype=float) for v in values]
-        value, shape = np.asarray(fn(*values), dtype=float), values[0].shape
+        value, shape = np.asarray(fn(values), dtype=float), values[0].shape
         return value if value.shape == shape else np.broadcast_to(value, shape)
 
     return kernel
@@ -353,7 +353,7 @@ def numpy_kernel(args, source: str):
 def taylor_kernels(coords, exprs, columns: bool = True):
     """{(a, idx): kernel} for each component a and sorted index idx of order
     0..3, in that order, and the columns of their one ``Tape``: the kernel of
-    (a, idx) returns d_idx expr_a in x0, ..., x<n-1> and then the columns."""
+    (a, idx) returns d_idx expr_a of the coordinates and then the columns."""
     tape = Tape(coords, columns)
     jets = []
     for a, expr in enumerate(exprs):
@@ -362,9 +362,7 @@ def taylor_kernels(coords, exprs, columns: bool = True):
             jets.append(tape.jet(tape.expr, tape.memo))
         except DomainError as err:
             raise DomainError(f"component {a}: {err}") from None
-    args = list(sp.symbols(f"x:{len(tape.args)}"))
-    args += [sp.Symbol(f"{f.__name__}_x{i}") for f, i in tape.columns or ()]
-    return {(a, idx): numpy_kernel(args, tape.source(
+    return {(a, idx): numpy_kernel([sp.Symbol("X")], tape.source(
                 jet.get(i, 0.0), math.prod(math.factorial(idx.count(j)) for j in set(idx))))
             for a, jet in enumerate(jets) for i, idx in enumerate(tape.indices)}, tape.columns
 

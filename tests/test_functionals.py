@@ -204,17 +204,25 @@ def test_numeric_variation_shares_one_base_per_ladder(monkeypatch):
 
     oracle = _ladder_value(patch.integrate(pulled_back, order=3))
     calls = []  # the point count of each order-3 base jets call
-    jets = AnalyticSupplier.jets
+    deformed = []  # the point count of each deformation of a base geometry
+    jets, deform = AnalyticSupplier.jets, fl.deformed_jets
 
     def counting(self, x, order=2):
         if order >= 3:
             calls.append(len(x))
         return jets(self, x, order)
 
+    def deforming(geo, *args):
+        deformed.append(len(geo.x))
+        return deform(geo, *args)
+
     monkeypatch.setattr(AnalyticSupplier, "jets", counting)
+    monkeypatch.setattr(fl, "deformed_jets", deforming)
     value = fl.first_variation_numeric(spec, patch, u)
     assert value == oracle
     assert sorted(calls) == sorted([size, len(patch.grid.points) - size])
+    # each block deforms at +-t for only the two steps richardson reads
+    assert sorted(deformed) == sorted([size] * 4 + [len(patch.grid.points) - size] * 4)
     # the values W(+-t) integrated per deformed patch give the same variation
     # up to the rounding of the pull-back
     per_t = _ladder_value([fl.evaluate(spec, deformed_patch(patch, u, sign * t))

@@ -6,10 +6,11 @@ and profile derivatives alike, and, bit for bit, the same sources calling
 sin, cos and exp of the coordinates themselves; each subexpression walked
 once per memo, no Derivative made once a function's partials are known,
 broadcasting of constant and zero components, one lambdify call per
-derivative component, each handed the printed source as a string, no str()
-printing of expressions while a surface compiles, sources that bind each
-line they read twice where they first read it and that a fresh build prints
-again, that name only their arguments, bound lines and numpy functions, and
+derivative component, each over the one argument list X and handed the
+printed source as a string, no str() printing of expressions while a
+surface compiles, sources that bind each line they read twice where they
+first read it and that a fresh build prints again, that name only their
+arguments, bound lines and numpy functions, and
 whose kernels compute what lambdify's own printing of sp.diff computes;
 symbols no kernel can resolve, components with no Taylor rule and inputs
 that failed only later refused at build, no kernel applying sin, cos or exp
@@ -70,32 +71,20 @@ def build_recorded(build, monkeypatch):
 
 
 def plain_jets(coords, exprs, x):
-    """r, d1, d2, d3 from one plain lambdify per distinct derivative, every
-    index tuple differentiated in its own order, derivative axes first."""
+    """r, d1, d2, d3 from one plain lambdify per component of its value and
+    every derivative, common subexpressions shared (``cse=True``), every index
+    tuple differentiated in its own order, derivative axes first."""
     n, m, mpts = len(coords), len(exprs), x.shape[0]
-    args = [x[:, i] for i in range(n)]
-    kernels = {}
-
-    def ev(e):
-        if e not in kernels:
-            kernels[e] = sp.lambdify(coords, e, modules="numpy")
-        return np.broadcast_to(np.asarray(kernels[e](*args), dtype=float), (mpts,))
-
-    r = np.empty((mpts, m))
-    d1 = np.empty((mpts, n, m))
-    d2 = np.empty((mpts, n, n, m))
-    d3 = np.empty((mpts, n, n, n, m))
+    out = [np.empty((mpts,) + (n,) * k + (m,)) for k in range(4)]
     for a, e in enumerate(exprs):
-        r[:, a] = ev(e)
-        for i in range(n):
-            ei = sp.diff(e, coords[i])
-            d1[:, i, a] = ev(ei)
-            for j in range(n):
-                eij = sp.diff(ei, coords[j])
-                d2[:, i, j, a] = ev(eij)
-                for k in range(n):
-                    d3[:, i, j, k, a] = ev(sp.diff(eij, coords[k]))
-    return r, d1, d2, d3
+        derivs = {(): e}
+        for k in range(1, 4):
+            for idx in itertools.product(range(n), repeat=k):
+                derivs[idx] = sp.diff(derivs[idx[:-1]], coords[idx[-1]])
+        values = sp.lambdify(coords, list(derivs.values()), modules="numpy", cse=True)(*x.T)
+        for idx, v in zip(derivs, values):
+            out[len(idx)][(slice(None),) + idx + (a,)] = v
+    return out
 
 
 def assert_close_to_plain(got, want):
@@ -192,8 +181,21 @@ def test_build_constructs_no_derivative_object(monkeypatch):
     assert made == []
 
 
-#: a column read in a kernel source, and the coordinate function it replaces
-COLUMN = re.compile(r"\b(sin|cos|exp)_(x\d+)\b")
+#: an entry of a kernel's argument list read in its source: X[i] is
+#: coordinate i for i < n and the column supplier._columns[i - n] after them
+ARG = re.compile(r"\bX\[(\d+)\]")
+
+
+def calling_coordinate_functions(supplier, source):
+    """source with each column X[n + j] read as the call f(X[i]) of its
+    column (f, i) = supplier._columns[j]."""
+    def call(match):
+        j = int(match[1]) - supplier.n
+        if j < 0:
+            return match[0]
+        f, i = supplier._columns[j]
+        return f"{f.__name__}(X[{i}])"
+    return ARG.sub(call, source)
 
 
 @pytest.mark.parametrize("name", SURFACES)
@@ -208,10 +210,10 @@ def test_jets_match_plain_lambdify_kernels(name, monkeypatch):
     assert_close_to_plain(by_order, plain_jets(coords, exprs, x))
     # the same sources calling sin, cos and exp of the coordinates
     # themselves give the same bits
-    names = sp.symbols(f"x:{n}")
     args = [x[:, i] for i in range(n)]
-    for (a, idx), (_, source) in zip(surface.supplier._kernels, sources):
-        plain = suppliers.numpy_kernel(names, COLUMN.sub(r"\1(\2)", source))
+    for (a, idx), (names, source) in zip(surface.supplier._kernels, sources):
+        plain = suppliers.numpy_kernel(
+            names, calling_coordinate_functions(surface.supplier, source))
         assert np.array_equal(by_order[len(idx)][(slice(None),) + idx + (a,)], plain(*args))
     low = surface.supplier.jets(x, order=2)
     assert low.d3 is None
@@ -344,7 +346,7 @@ def test_constant_and_zero_components_broadcast():
     assert np.array_equal(cone.f1(rho), np.full(5, 0.8))
     assert np.array_equal(cone.f2(rho), np.zeros(5))
     assert cone.f3(rho.reshape(5, 1)).shape == (5, 1)
-    assert suppliers.numpy_kernel([sp.Symbol("x0")], "2.0")(rho).shape == (5,)
+    assert suppliers.numpy_kernel([sp.Symbol("X")], "2.0")(rho).shape == (5,)
 
 
 def test_compile_prints_no_expression_with_str(monkeypatch):
@@ -390,7 +392,7 @@ def test_memo_printer_prints_the_fresh_source(name, monkeypatch):
     # each source binds each tape line that it reads more than once where it
     # first reads it and reads it by name after that, and is the source that
     # a fresh build prints, with sympy's cache cleared
-    _, _, _, sources = build_case(name, monkeypatch)
+    supplier, _, _, sources = build_case(name, monkeypatch)
     clear_cache()
     assert build_case(name, monkeypatch)[3] == sources
     for _, source in sources:
@@ -401,7 +403,8 @@ def test_memo_printer_prints_the_fresh_source(name, monkeypatch):
             assert reads and min(reads) > source.index(f"({t} := "), source
     if name == "edge-cases":
         text = "\n".join(s for _, s in sources)
-        assert "0.3333333333333333*" in text and "sin_x1" in text and "arctan2(" in text
+        sin_y = f"X[{supplier.n + supplier._columns.index((np.sin, 1))}]"
+        assert "0.3333333333333333*" in text and sin_y in text and "arctan2(" in text
 
 
 #: the numpy functions a kernel source may call
@@ -514,19 +517,29 @@ def test_components_that_fail_later_are_refused_at_build(case, message):
 @pytest.mark.parametrize("name", SURFACES)
 def test_no_kernel_applies_a_coordinate_function_to_a_bare_coordinate(name, monkeypatch):
     surface, _, sources = build_recorded(catalog.CATALOG[name], monkeypatch)
-    assert [str(a) for a in sources[0][0][:surface.supplier.n]] == [
-        f"x{i}" for i in range(surface.supplier.n)]
-    bare = re.compile(r"\b(sin|cos|exp)\(x\d+\)")
+    bare = re.compile(r"\b(?:sin|cos|exp)\(X\[(\d+)\]\)")
     for _, source in sources:
-        assert not bare.search(source), source
+        assert all(int(i) >= surface.supplier.n for i in bare.findall(source)), source
+
+
+@pytest.mark.parametrize("build", [
+    catalog.sheared_torus4, lambda: catalog.sphere(n=4),
+    lambda: rev.profile_from_sympy(2, sp.acosh(sp.Symbol("rho")), sp.Symbol("rho"), (1.15, 2.0))],
+    ids=["sheared-torus4", "sphere4", "profile"])
+def test_each_kernel_compiles_over_one_argument(build, monkeypatch):
+    # lambdify sorts a kernel's argument symbols at a cost that grows with
+    # their count, so each kernel reads the one list X of its arguments
+    _, _, sources = build_recorded(build, monkeypatch)
+    assert sources and all([str(a) for a in args] == ["X"] for args, _ in sources)
 
 
 def test_sphere_kernels_read_sin_and_cos_columns_of_every_angle(monkeypatch):
     sphere, _, sources = build_recorded(lambda: catalog.sphere(n=4), monkeypatch)
-    read = sorted(set(COLUMN.findall("\n".join(source for _, source in sources))))
-    assert read == [("cos", f"x{i}") for i in range(4)] + [("sin", f"x{i}") for i in range(4)]
-    assert sorted((f.__name__, i) for f, i in sphere.supplier._columns) == sorted(
-        (f, int(x[1])) for f, x in read)
+    # the kernels read no angle itself, only its sin and cos: 8 columns
+    read = {int(i) for _, source in sources for i in ARG.findall(source)}
+    assert read == set(range(4, 4 + 8))
+    assert sorted((f.__name__, i) for f, i in sphere.supplier._columns) == (
+        [("cos", i) for i in range(4)] + [("sin", i) for i in range(4)])
 
 
 def test_jets_compute_each_coordinate_function_once_per_column(monkeypatch):
@@ -560,7 +573,7 @@ def test_kernels_called_outside_jets_share_nothing():
         plain = sp.lambdify([rho], sp.diff(expr, rho, k), modules="numpy")(r)
         assert np.max(np.abs(fn(r) - plain)) <= 1e-14 * np.max(np.abs(plain))
     # a kernel reads its argument afresh on every call
-    kernel = suppliers.numpy_kernel([sp.Symbol("x0")], "sin(x0)")
+    kernel = suppliers.numpy_kernel([sp.Symbol("X")], "sin(X[0])")
     kernel(r)
     r += 1.0
     assert np.array_equal(kernel(r), np.sin(r))
