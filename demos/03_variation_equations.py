@@ -3,8 +3,9 @@
 Every pointwise quantity of a foliated hypersurface (metric, second
 fundamental form, leafwise curvature functions, Christoffel symbols, ...)
 has a first-variation formula under r -> r + t u N.  This script
-recomputes each quantity on deformed immersions, central-differences in t
-and checks second-order convergence to the analytic formula.
+recomputes each quantity on the complex-step immersion r + i h u N,
+h = 1e-30, whose imaginary part over h is the t-derivative exact to
+rounding, and prints its gap to the analytic formula.
 
 The leafwise formulas need care: second derivatives of u enter through
 the leafwise block of the full covariant Hessian.  Reading them with the
@@ -26,8 +27,8 @@ u3 = random_trig_variation(3, rng)
 f2 = Field.from_callable(lambda x: np.sin(x[:, 0] + 0.5 * x[:, 1]), n=2)
 f3 = Field.from_callable(lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(x[:, 1] - x[:, 2]), n=3)
 
-print(f"{'quantity':16s} {'order in t':>10s} {'extrapolated err':>18s} {'naive deviation':>16s}")
-print("-" * 64)
+print(f"{'quantity':16s} {'gap':>10s} {'naive deviation':>16s}")
+print("-" * 44)
 for patch, u, f, quantity, idx in [
     (patch2, u2, f2, "g", 1), (patch2, u2, f2, "h", 1), (patch2, u2, f2, "nH", 1),
     (patch2, u2, f2, "dV", 1), (patch2, u2, f2, "sH_F", 1),
@@ -41,7 +42,7 @@ for patch, u, f, quantity, idx in [
     rep = vc.verify_evolution(case, patch, u, f=f, points=pts)
     naive = "-" if rep.naive_deviation is None else f"{rep.naive_deviation:.2e}"
     print(f"{quantity + (f'[{idx}]' if quantity in ('tau_i', 'sigma_r') else ''):16s} "
-          f"{rep.order_t:10.3f} {rep.richardson_error:18.2e} {naive:>16s}")
+          f"{rep.gap:10.1e} {naive:>16s}")
 
 print("\nIntegration identities on closed revolution foliations:")
 torus = catalog.torus_revolution(m_leaf=32, m_profile=32)

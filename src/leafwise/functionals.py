@@ -49,7 +49,7 @@ from .operators import (
 )
 from .patch import FoliatedPatch, PointGeometry
 from .revolution import RevolutionProfile, invariants
-from .suppliers import InvertedImmersion, ScaledImmersion, deformed_jets
+from .suppliers import InvertedImmersion, ScaledImmersion
 from .symfunc import (
     newton_weights,
     q_r_from_sigma,
@@ -58,7 +58,7 @@ from .symfunc import (
     sigma_all,
     umbilic_power,
 )
-from .variation import DEFAULT_T_LADDER, richardson
+from .variation import COMPLEX_STEP, complex_step_geometry
 from .varcheck import transversal_harmonicity_norm
 
 KINDS = ("W_nps", "J_nps", "WF", "JF", "WF_of_HF", "WF_HK", "W_conf")
@@ -72,7 +72,9 @@ class FunctionalSpec:
     ``f_partials`` returning the (M, s) array of partial derivatives.  For
     WF_of_HF supply scalar callables ``f``, ``f1``, ``f2``.  For WF_HK
     supply ``f``, ``f_h``, ``f_k`` of (H_F, K_F).  W_nps/J_nps use ``p``
-    and W_conf its conformal order ``r``, an integer 1 <= r <= s.
+    and W_conf its conformal order ``r``, an integer 1 <= r <= s.  A user
+    ``f`` must be complex-analytic (numpy arithmetic and ufuncs, no ``np.abs``
+    or ``np.real``): its complex step is checked against its partials here.
     """
 
     kind: str
@@ -106,11 +108,11 @@ class FunctionalSpec:
         self._spot_check_partials()
 
     def _spot_check_partials(self):
-        """Central differences of the lowered F against its partials at every
-        s = 1..max(4, r) F is defined for, on leaf eigenvalues near 0.5 but the
-        last 0.4 s higher, where every Q_r, r >= 2, is positive."""
+        """Complex steps Im F(q + i h e_k) / h of the lowered F against its
+        partials at every s = 1..max(4, r) F is defined for, on leaf
+        eigenvalues near 0.5 but the last 0.4 s higher, where every Q_r,
+        r >= 2, is positive; an F that drops the imaginary part fails."""
         rng = np.random.default_rng(0)
-        eps, tol = 1e-6, 1e-6
         validated = False
         for s in range(1, 1 + max(4, self.r if self.kind == "W_conf" else 0)):
             eigs = 0.5 + 0.01 * rng.standard_normal((4, s))
@@ -126,12 +128,11 @@ class FunctionalSpec:
             if vals.shape != (4,):
                 continue  # shapes identify the intended s
             for k, grad in zip(used, grads):
-                bump = np.zeros_like(q)
-                bump[:, k] = eps
-                fd = (f(q + bump) - f(q - bump)) / (2 * eps)
-                if np.max(np.abs(fd - grad)) > tol * max(1.0, np.max(np.abs(fd))):
+                cs = np.imag(f(q + 1j * COMPLEX_STEP * np.eye(q.shape[1])[k])) / COMPLEX_STEP
+                if np.max(np.abs(cs - grad)) > 1e-6 * max(1.0, np.max(np.abs(cs))):
                     raise ValidationError(
-                        f"partial dF/d{family}_{k} disagrees with finite differences of f")
+                        f"partial dF/d{family}_{k} disagrees with the complex step of f; f must "
+                        f"be complex-analytic, written with numpy arithmetic and ufuncs")
             validated = True
         if not validated:
             raise ValidationError(
@@ -155,8 +156,9 @@ def w_conf(r: int = 2) -> FunctionalSpec:
 
 
 def _array_fn(fn):
-    """fn with its value as a float array (None stays None)."""
-    return None if fn is None else (lambda *args: np.asarray(fn(*args), dtype=float))
+    """fn with a float array value, complex under a complex step (None stays None)."""
+    return None if fn is None else (
+        lambda *args: np.asarray(v := fn(*args), dtype=complex if np.iscomplexobj(v) else float))
 
 
 def _of_h_f(s: int, f, f1, f2):
@@ -205,15 +207,16 @@ def _lower(spec: FunctionalSpec, n: int, s: int):
         return ("tau", (2,), lambda q: safe_power(q[:, 2], p / 2.0),
                 lambda q: ((p / 2.0) * safe_power(q[:, 2], p / 2.0 - 1.0),), None)
     # WF and JF: the user's F of sigma_1..sigma_s or of tau_1..tau_s
+    f, f_partials = map(_array_fn, (spec.f, spec.f_partials))
 
     def user_partials(q):
-        grads = np.asarray(spec.f_partials(q[:, 1 : s + 1]), dtype=float)
+        grads = f_partials(q[:, 1 : s + 1])
         if grads.shape != (q.shape[0], s):
             raise SpecError(f"f_partials gave shape {grads.shape}, not {(q.shape[0], s)}")
         return grads.T
 
     return ("sigma" if kind == "WF" else "tau", tuple(range(1, s + 1)),
-            lambda q: np.asarray(spec.f(q[:, 1 : s + 1]), dtype=float), user_partials, None)
+            lambda q: f(q[:, 1 : s + 1]), user_partials, None)
 
 
 def integrand(spec: FunctionalSpec, geo, n: int, s: int) -> np.ndarray:
@@ -246,38 +249,37 @@ def first_variation_density(spec: FunctionalSpec, geo: PointGeometry, n: int,
     return acc
 
 
+def _require_patch(surface, what: str) -> None:
+    """DomainError unless ``surface`` is a FoliatedPatch, which ``what`` needs."""
+    if not isinstance(surface, FoliatedPatch):
+        raise DomainError(f"{what} needs a FoliatedPatch, not a {type(surface).__name__}; "
+                          f"a revolution profile gives one by revolution_patch(profile)")
+
+
 def first_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch,
                              u: Field) -> float:
     """First variation from the analytic delta formulas (no integration by
     parts; valid on any foliated patch)."""
+    _require_patch(patch, "first_variation_analytic")
     return patch.integrate(
         lambda geo: first_variation_density(spec, geo, patch.n, patch.s, *u.jets(geo.x)))
 
 
 def first_variation_numeric(spec: FunctionalSpec, patch: FoliatedPatch,
                             u: Field) -> float:
-    """Independent oracle: central difference of the value over r + t*u*N at
-    the two smallest steps of DEFAULT_T_LADDER, Richardson-extrapolated.
+    """Independent oracle: the complex step dW/dt = Im W(r + i h u N) / h,
+    exact to rounding, in one order-3 ``integrate`` pass.  Each block deforms
+    its base geometry once (``complex_step_geometry``) and keeps the row
+    Im(integrand_t sqrt det g_t) / (h sqrt det g_0), which the block's weight
+    times sqrt det g_0 pulls back to dW/dt's integrand."""
+    _require_patch(patch, "first_variation_numeric")
 
-    Every W(+-t) comes from one order-3 ``integrate`` pass: each block
-    deforms its own base geometry at each +-t (``deformed_jets``) and keeps
-    only the density row integrand * sqrt det g_t / sqrt det g_0, which the
-    block's weight times sqrt det g_0 pulls back to W(+-t)'s integrand."""
-    steps = DEFAULT_T_LADDER[-2:]
-    signed = [sign * t for t in steps for sign in (1.0, -1.0)]
+    def pulled_back(geo):
+        geo_t = complex_step_geometry(patch, geo, *u.jets(geo.x))
+        return (np.imag(integrand(spec, geo_t, patch.n, patch.s) * geo_t.sqrt_det_g)
+                / (COMPLEX_STEP * geo.sqrt_det_g))
 
-    def ladder(geo):
-        u_jets = u.jets(geo.x)
-        rows = []
-        for t in signed:
-            geo_t = patch.geometry_from_jets(geo.x, deformed_jets(geo, *u_jets, t))
-            rows.append(integrand(spec, geo_t, patch.n, patch.s)
-                        * geo_t.sqrt_det_g / geo.sqrt_det_g)
-        return np.stack(rows)
-
-    w = patch.integrate(ladder, order=3)
-    vals = [(wp - wm) / (2.0 * t) for t, wp, wm in zip(steps, w[::2], w[1::2])]
-    return float(richardson(vals, steps))
+    return patch.integrate(pulled_back, order=3)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +383,7 @@ def second_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch, u,
     residual is computed.  Revolution profiles have their parallel-mode form,
     ``revolution.second_variation_revolution``.
     """
+    _require_patch(patch, "second_variation_analytic")
     n, s = patch.n, patch.s
     profile = _lower(spec, n, s)[4]
     if profile is None:
@@ -445,6 +448,7 @@ def conformal_density_check(patch: FoliatedPatch, r: int = 2,
     reverses orientation, so its image takes the opposite ``normal_orientation``
     and the shape-operator law with conformal factor mu = |x|^{-2} is verified.
     """
+    _require_patch(patch, "conformal_density_check")
     if r > patch.s:
         raise DomainError(f"conformal order r={r} exceeds leaf dimension s={patch.s}")
     if mode == "scaling":

@@ -7,11 +7,11 @@ evaluate them with numpy; the finite-difference supplier wraps any
 callable.  Derived suppliers build normal deformations r + t*u*N, ambient
 homotheties and Möbius inversions (to order 3) on top of a base supplier.
 The jets of r + t*u*N are linear in t, with coefficients read off one
-order-3 base geometry (``deformed_jets``), so a t-ladder deforms the
-geometry its caller already holds.  ``leibniz`` is the one product rule for
-jets: the inversion, the deformation, dg, dh and d2N of ``PointGeometry``
-and the metric products of ``operators`` and ``deltas`` state their jets
-through it.
+order-3 base geometry (``deformed_jets``), so a complex step t = i h
+deforms the geometry its caller already holds.  ``leibniz`` is the one
+product rule for jets: the inversion, the deformation, dg, dh and d2N of
+``PointGeometry`` and the metric products of ``operators`` and ``deltas``
+state their jets through it.
 
 The kernel sources come from one truncated Taylor tape per build
 (``Tape``; Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008,
@@ -523,20 +523,20 @@ def cholesky_frame(gt: np.ndarray) -> np.ndarray:
     from the coordinate vectors in index order, so for leafwise-first
     coordinates the leading s columns span the leaves and their leading s x s
     block is the frame of the leaf metric; g^-1 = E E^T.  Computed
-    elementwise over the point axis; a non-positive pivot raises
-    SingularImmersionError.
+    elementwise over the point axis in g's dtype; a pivot of non-positive
+    real part raises SingularImmersionError.
     """
     n = gt.shape[0]
     low = {}
     for j in range(n):
         pivot = gt[j, j] - sum(low[j, k] ** 2 for k in range(j))
-        if not np.all(pivot > 0):
+        if not np.all(np.real(pivot) > 0):
             raise SingularImmersionError("metric is not positive definite on the patch")
         low[j, j] = np.sqrt(pivot)
         for i in range(j + 1, n):
             low[i, j] = (gt[i, j] - sum(low[i, k] * low[j, k] for k in range(j))) / low[j, j]
     # E^T = L^-1 by forward substitution, one column of L^-1 at a time
-    e = np.zeros((gt.shape[-1], n, n))
+    e = np.zeros((gt.shape[-1], n, n), dtype=gt.dtype)
     for j in range(n):
         col = {j: 1.0 / low[j, j]}
         for i in range(j + 1, n):
@@ -567,7 +567,7 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     d2t = np.moveaxis(jets.d2, 0, -1)  # d2t[i, j, a] = d_i d_j r^a over points
     raw = cofactor_normal(t)
     length = np.sqrt(np.einsum("pa,pa->p", raw, raw))
-    if np.any(length <= 0) or not np.all(np.isfinite(length)):
+    if np.any(np.real(length) <= 0) or not np.all(np.isfinite(length)):
         raise SingularImmersionError("immersion Jacobian is rank-deficient")
     nvec = orientation * raw / length[:, None]
     nt = np.ascontiguousarray(nvec.T)
@@ -577,11 +577,11 @@ def normal_jets(jets: Jets, orientation: float = 1.0):
     return nvec, g, h, cholesky_frame(gt), length
 
 
-def deformed_jets(geo, u, du, d2u, t: float) -> Jets:
+def deformed_jets(geo, u, du, d2u, t: complex) -> Jets:
     """Jets to second order of r_t = r + t*u*N at the points of an order-3
     base geometry ``geo``, u with gradient du and Hessian d2u there: linear
     in t, the jets of u*N by ``leibniz`` with the normal N and its
-    derivatives ``dn`` and ``d2n`` read off ``geo``."""
+    derivatives ``dn`` and ``d2n`` read off ``geo``; t may be complex."""
     jets = geo.jets
     shift = leibniz(",a->a", (u, du, d2u), (geo.normal, geo.dn, geo.d2n))
     return Jets(*(a + t * da for a, da in zip((jets.r, jets.d1, jets.d2), shift)))

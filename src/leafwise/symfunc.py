@@ -13,7 +13,7 @@ tau by the first of these (Newton's identities), without a matrix product.
 ``sigma_all`` expands sigma from eigenvalues; it is the reference the
 functional spot checks and the tests compare against.  ``safe_power`` and
 ``umbilic_power`` raise curvature quantities to real exponents without
-choosing a complex branch.
+choosing a complex branch; their checks read the real part of a complex step.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ def safe_power(base: np.ndarray, expo: float) -> np.ndarray:
     """base**expo, refusing non-integer powers of non-positive bases."""
     if float(expo) == int(expo):
         return base ** float(expo)
-    if np.any(base <= POWER_EPS):
+    if np.any(np.real(base) <= POWER_EPS):
         raise DomainError(
             f"non-integer power {expo} of a non-positive quantity "
-            f"(min base {np.min(base):.3e}); no branch is chosen")
+            f"(min base {np.min(np.real(base)):.3e}); no branch is chosen")
     return base**expo
 
 
@@ -46,10 +46,10 @@ def umbilic_power(q: np.ndarray, expo: float) -> np.ndarray:
     |q| <= POWER_EPS counts as 0, as on umbilic leaves, where rounding
     leaves q slightly negative; q < -POWER_EPS raises DomainError.
     """
-    q = np.where(np.abs(q) <= POWER_EPS, 0.0, q)
-    if np.any(q < 0.0):
+    q = np.where(np.abs(np.real(q)) <= POWER_EPS, 0.0, q)
+    if np.any(np.real(q) < 0.0):
         raise DomainError(
-            f"power {expo} of a negative curvature combination (min {np.min(q):.3e})")
+            f"power {expo} of a negative curvature combination (min {np.min(np.real(q)):.3e})")
     return q ** float(expo)
 
 
@@ -87,7 +87,7 @@ def sigma_from_traces(tau: np.ndarray) -> np.ndarray:
     """sigma_0..sigma_s from the traces tau_0..tau_s of A_F^0..A_F^s along the
     last axis, by Newton's identities k sigma_k = tr(A_F T_{k-1}) =
     sum_j c_j tau_{j+1}."""
-    sigma = np.zeros(tau.shape)
+    sigma = np.zeros(tau.shape, dtype=tau.dtype)
     sigma[..., 0] = 1.0
     for k in range(1, tau.shape[-1]):
         c = newton_weights("sigma", sigma, k)

@@ -1,4 +1,4 @@
-"""Normal deformations r_t = r + t*u*N and numeric t-derivatives."""
+"""Normal deformations r_t = r + t*u*N and their complex-step t-derivative."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .operators import Field
 from .patch import FoliatedPatch
-from .suppliers import NormalDeformation
+from .suppliers import NormalDeformation, deformed_jets
 
 
 def deformed_patch(patch: FoliatedPatch, u: Field, t: float) -> FoliatedPatch:
@@ -49,26 +49,25 @@ def random_trig_variation(n: int, rng, amplitude: float = 1.0) -> Field:
     return Field.from_callable(u, n, grad=grad, hess=hess)
 
 
-#: default ladder of deformation magnitudes for numeric derivatives
-DEFAULT_T_LADDER = (1e-3, 5e-4, 2.5e-4)
+#: h of the complex step dQ/dt(0) = Im Q(r + i h u N) / h, exact to rounding as
+#: nothing is subtracted (Squire & Trapp, SIAM Rev. 40, 1998)
+COMPLEX_STEP = 1e-30
 
 
-def richardson(values, t_values):
-    """Richardson extrapolation of a 2nd-order central-difference sequence."""
-    v1, v2 = values[-2], values[-1]
-    t1, t2 = t_values[-2], t_values[-1]
-    r = (t1 / t2) ** 2
-    return (r * v2 - v1) / (r - 1.0)
+def complex_step_geometry(patch: FoliatedPatch, geo, u, du, d2u):
+    """Geometry of r + i h u N at the points of an order-3 base geometry ``geo``
+    (u-jets there), h = COMPLEX_STEP: Im Q / h of its quantities Q is dQ/dt(0)."""
+    return patch.geometry_from_jets(geo.x, deformed_jets(geo, u, du, d2u, 1j * COMPLEX_STEP))
 
 
-def estimate_order(errors, t_values):
-    """Least-squares slope of log(error) against log(t).
+def estimate_order(errors, steps):
+    """Least-squares slope of log(error) against log(step).
 
     Errors at the rounding floor are clipped so a vanishing analytic
     mismatch reports a large order rather than NaN.
     """
     e = np.maximum(np.asarray(errors, dtype=float), 1e-300)
-    t = np.asarray(t_values, dtype=float)
+    t = np.asarray(steps, dtype=float)
     if np.all(e < 1e-13):
         return np.inf
     slope = np.polyfit(np.log(t), np.log(e), 1)[0]

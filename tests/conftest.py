@@ -32,3 +32,15 @@ def tube4():
 @pytest.fixture(scope="session")
 def torus_cyl4():
     return catalog.torus_cylinder4(m_leaf=16, m_axis=8)
+
+
+@pytest.fixture(scope="session")
+def ladder_derivative():
+    """The real-t oracle of the complex step: d/dt at 0 of value_at(t) by
+    central differences at t = 5e-4 and 2.5e-4, Richardson-extrapolated."""
+    def derivative(value_at, steps=(5e-4, 2.5e-4)):
+        d1, d2 = ((value_at(t) - value_at(-t)) / (2.0 * t) for t in steps)
+        r = (steps[0] / steps[1]) ** 2
+        return (r * d2 - d1) / (r - 1.0)
+
+    return derivative

@@ -114,7 +114,7 @@ def test_varcheck_csv_rows_name_their_case(tmp_path):
     res = run_cli(["varcheck", "--out-dir", str(tmp_path)], {})
     assert res.returncode == 0, res.stderr
     lines = (tmp_path / "varcheck_cases.csv").read_text().splitlines()
-    assert lines[0] == "case,order_t,max_error,richardson_error,naive_deviation"
+    assert lines[0] == "case,gap,naive_deviation"
     rows = {ln.split(",")[0]: [float(v) for v in ln.split(",")[1:]] for ln in lines[1:]}
     report = json.loads((tmp_path / "varcheck_report.json").read_text())
     assert list(rows) == [r["name"] for r in report["results"]][: len(lines) - 1]
@@ -123,26 +123,11 @@ def test_varcheck_csv_rows_name_their_case(tmp_path):
     assert abs(naive["tau_i[1]@bumpy-torus3"] - naive["sH_F[1]@bumpy-torus3"]) < 1e-12
 
 
-def test_varcheck_gates_on_min_order(tmp_path, capsys, monkeypatch):
-    # the evolution cases converge at order 2, so a min_order of 3 fails them
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"min_order": 3})))
+def test_varcheck_gates_on_evolution_tolerance(tmp_path, capsys, monkeypatch):
+    # the complex-step gaps are rounding, about 1e-16, so 1e-18 fails them
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"evolution_tolerance": 1e-18})))
     assert main(["varcheck", "--config", "-", "--out-dir", str(tmp_path)]) == 2
     assert "[FAIL] g_inv[1]@bumpy-torus3" in capsys.readouterr().out
-
-
-def test_varcheck_checks_the_t_ladder_before_building_a_surface(tmp_path, capsys,
-                                                               monkeypatch):
-    from leafwise import catalog
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a surface was built before the cases were checked")
-
-    for name in ("bumpy_torus3", "sheared_torus4", "torus_revolution"):
-        monkeypatch.setattr(catalog, name, refuse)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"t_values": [0.001, 0]})))
-    assert main(["varcheck", "--config", "-", "--out-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_elcheck_critical_profile(tmp_path):
@@ -190,8 +175,8 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     # scalars and lists take the type of their default, checked before any work
     # (in process: an escaping exception fails the test like a traceback would)
     for command, cfg in (("eval", {"tolerance": "x"}), ("elcheck", {"tolerance": "x"}),
-                         ("varcheck", {"seed": "x"}), ("varcheck", {"t_values": "x"}),
-                         ("varcheck", {"t_values": [1e-3, "x"]}), ("profile", {"p": "x"}),
+                         ("varcheck", {"seed": "x"}), ("varcheck", {"evolution_tolerance": "x"}),
+                         ("varcheck", {"evolution_tolerance": [1e-10]}), ("profile", {"p": "x"}),
                          ("profile", {"samples": True}), ("confcheck", {"r": "x"}),
                          ("elcheck", {"profile": {"p": "x"}}), ("elcheck", {"profile": 3}),
                          ("elcheck", {"profile": {"bogus": 1}}),
@@ -225,12 +210,12 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         assert main([command, "--config", "-", "--out-dir", str(tmp_path)]) == 1, cfg
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
-    # a variation step t must be positive
-    for t_values in ([1e-3, 0], [1e-3, -1e-3]):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"t_values": t_values})))
-        assert main(["varcheck", "--config", "-", "--out-dir", str(tmp_path)]) == 2, t_values
+    # the t-ladder keys are gone: varcheck takes one complex step
+    for key, value in (("t_values", [1e-3, 5e-4]), ("min_order", 1.9)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({key: value})))
+        assert main(["varcheck", "--config", "-", "--out-dir", str(tmp_path)]) == 1, key
         err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert err.startswith("config error:") and f"unknown varcheck config key(s): {key}" in err
 
 
 @pytest.mark.parametrize("surface, name, value", [

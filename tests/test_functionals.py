@@ -6,12 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from leafwise import catalog, functionals as fl, patch as pt, revolution as rev
+from leafwise import catalog, functionals as fl, patch as pt, revolution as rev, variation
 from leafwise.errors import DomainError, PreconditionError, SpecError, ValidationError
 from leafwise.operators import Field
 from leafwise.suppliers import AnalyticSupplier, InvertedImmersion
 from leafwise.symfunc import q_r_from_sigma, umbilic_power
-from leafwise.variation import DEFAULT_T_LADDER, deformed_patch, random_trig_variation, richardson
+from leafwise.variation import deformed_patch, random_trig_variation
 
 
 def const_variation(n, value=1.0):
@@ -135,6 +135,16 @@ def test_exponent_that_is_not_a_real_number_is_a_spec_error(p):
             fl.FunctionalSpec(kind=kind, p=p)
 
 
+def test_partials_spot_check_refuses_an_f_that_drops_the_imaginary_part():
+    # |sigma_1|^2 has the partials 2 sigma_1 where sigma_1 > 0, but np.abs
+    # drops the complex step, so the check cannot take its derivative
+    with pytest.raises(ValidationError, match="complex-analytic"):
+        fl.FunctionalSpec(kind="WF", f=lambda sig: np.abs(sig[:, 0]) ** 2,
+                          f_partials=lambda sig: np.stack(
+                              [2 * sig[:, 0]] + [np.zeros(sig.shape[0])] * (sig.shape[1] - 1),
+                              axis=1))
+
+
 def test_partials_spot_check_propagates_unexpected_errors():
     # only shape and dimension errors mean "defined for another s"
     def f(sig):
@@ -179,33 +189,15 @@ def test_first_variation_zero_for_zero_u(bumpy3):
     assert fl.first_variation_numeric(fl.w_nps(2), bumpy3, u0) == pytest.approx(0.0)
 
 
-def _ladder_value(w):
-    """Richardson value of the rows W(+t1), W(-t1), W(+t2), ... of a ladder."""
-    vals = [(wp - wm) / (2.0 * t) for t, wp, wm in zip(DEFAULT_T_LADDER, w[::2], w[1::2])]
-    return float(richardson(vals, DEFAULT_T_LADDER))
-
-
-def test_numeric_variation_shares_one_base_per_ladder(monkeypatch):
+def test_numeric_variation_shares_one_base_per_ladder(monkeypatch, ladder_derivative):
     patch = catalog.sheared_torus4(m1=25, m2=25, m3=25)
     size = patch.block_size
     assert -(-len(patch.grid.points) // size) == 2
     u = random_trig_variation(3, np.random.default_rng(7), amplitude=0.5)
     spec = fl.w_nps(2)
-
-    # oracle: the same pulled-back density, from a fresh deformed patch per t
-    def pulled_back(geo):
-        rows = []
-        for t in DEFAULT_T_LADDER:
-            for geo_t in (deformed_patch(patch, u, +t).geometry(geo.x),
-                          deformed_patch(patch, u, -t).geometry(geo.x)):
-                rows.append(fl.integrand(spec, geo_t, patch.n, patch.s)
-                            * geo_t.sqrt_det_g / geo.sqrt_det_g)
-        return np.stack(rows)
-
-    oracle = _ladder_value(patch.integrate(pulled_back, order=3))
     calls = []  # the point count of each order-3 base jets call
     deformed = []  # the point count of each deformation of a base geometry
-    jets, deform = AnalyticSupplier.jets, fl.deformed_jets
+    jets, deform = AnalyticSupplier.jets, variation.deformed_jets
 
     def counting(self, x, order=2):
         if order >= 3:
@@ -217,17 +209,16 @@ def test_numeric_variation_shares_one_base_per_ladder(monkeypatch):
         return deform(geo, *args)
 
     monkeypatch.setattr(AnalyticSupplier, "jets", counting)
-    monkeypatch.setattr(fl, "deformed_jets", deforming)
+    monkeypatch.setattr(variation, "deformed_jets", deforming)
     value = fl.first_variation_numeric(spec, patch, u)
-    assert value == oracle
+    monkeypatch.undo()
     assert sorted(calls) == sorted([size, len(patch.grid.points) - size])
-    # each block deforms at +-t for only the two steps richardson reads
-    assert sorted(deformed) == sorted([size] * 4 + [len(patch.grid.points) - size] * 4)
-    # the values W(+-t) integrated per deformed patch give the same variation
-    # up to the rounding of the pull-back
-    per_t = _ladder_value([fl.evaluate(spec, deformed_patch(patch, u, sign * t))
-                           for t in DEFAULT_T_LADDER for sign in (1.0, -1.0)])
-    assert abs(value - per_t) <= 1e-10 * max(1.0, abs(per_t))
+    # each block deforms its base geometry once, by the complex step
+    assert sorted(deformed) == sorted([size, len(patch.grid.points) - size])
+    # oracle: the real-t ladder of the values W(+-t) of fresh deformed patches,
+    # whose own error is about 1e-11 relative here
+    oracle = ladder_derivative(lambda t: fl.evaluate(spec, deformed_patch(patch, u, t)))
+    assert abs(value - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
 
 def test_numeric_variation_memory_is_bounded_by_a_block(monkeypatch):
@@ -286,26 +277,66 @@ def test_round_sphere_first_variation_w11():
     assert numeric == pytest.approx(expected, rel=1e-8)
 
 
+#: acceptance criterion 6's seven kinds
+CRITERION_6_KINDS = {
+    "W_nps": fl.w_nps(2),
+    "J_nps": fl.j_nps(3),
+    "WF": fl.FunctionalSpec(
+        kind="WF", f=lambda s_: s_[:, 0] ** 2 + 0.3 * s_[:, 1],
+        f_partials=lambda s_: np.stack([2 * s_[:, 0], 0.3 * np.ones(s_.shape[0])], axis=1)),
+    "JF": fl.FunctionalSpec(
+        kind="JF", f=lambda t_: t_[:, 1] + 0.1 * t_[:, 0] ** 3,
+        f_partials=lambda t_: np.stack([0.3 * t_[:, 0] ** 2, np.ones(t_.shape[0])], axis=1)),
+    "WF_of_HF": fl.FunctionalSpec(
+        kind="WF_of_HF", f=lambda h: h**2 + 0.5 * h,
+        f1=lambda h: 2 * h + 0.5, f2=lambda h: 2 * np.ones_like(h)),
+    "WF_HK": fl.FunctionalSpec(
+        kind="WF_HK", f=lambda h, k: h**2 - 0.4 * k, f_h=lambda h, k: 2 * h,
+        f_k=lambda h, k: -0.4 * np.ones_like(h)),
+    "W_conf": fl.w_conf(2),
+}
+
+
 def test_first_variation_matches_oracle_all_kinds(sheared4, rng):
+    # the complex step subtracts nothing: no truncation error, no rounding floor
     u = random_trig_variation(3, rng, amplitude=0.4)
-    specs = [
-        fl.w_nps(2),
-        fl.j_nps(3),
-        fl.FunctionalSpec(kind="WF", f=lambda s_: s_[:, 0] ** 2 + 0.3 * s_[:, 1],
-                          f_partials=lambda s_: np.stack(
-                              [2 * s_[:, 0], 0.3 * np.ones(s_.shape[0])], axis=1)),
-        fl.FunctionalSpec(kind="JF", f=lambda t_: t_[:, 1] + 0.1 * t_[:, 0] ** 3,
-                          f_partials=lambda t_: np.stack(
-                              [0.3 * t_[:, 0] ** 2, np.ones(t_.shape[0])], axis=1)),
-        fl.FunctionalSpec(kind="WF_HK", f=lambda h, k: h**2 - 0.4 * k,
-                          f_h=lambda h, k: 2 * h,
-                          f_k=lambda h, k: -0.4 * np.ones_like(h)),
-        fl.w_conf(2),
-    ]
-    for spec in specs:
+    for kind, spec in CRITERION_6_KINDS.items():
         fa = fl.first_variation_analytic(spec, sheared4, u)
         fn = fl.first_variation_numeric(spec, sheared4, u)
-        assert abs(fa - fn) < 1e-8 * max(1.0, abs(fa)), spec.kind
+        assert abs(fa - fn) <= 1e-12 * max(1.0, abs(fa)), (kind, fa, fn)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_numeric_variation_is_exact_to_rounding_on_family_sweep_draws(seed):
+    # the benchmark's family-sweep op: eps and u drawn from the seed
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(0.02, 0.07)
+    u = random_trig_variation(3, rng, amplitude=0.5)
+    patch = catalog.sheared_torus4(eps, m1=6, m2=6, m3=6)
+    for spec in (fl.w_conf(2), fl.w_nps(2)):
+        fa = fl.first_variation_analytic(spec, patch, u)
+        fn = fl.first_variation_numeric(spec, patch, u)
+        assert abs(fa - fn) <= 1e-12 * max(1.0, abs(fa)), (spec.kind, fa, fn)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda prof, u: fl.first_variation_analytic(fl.w_nps(2), prof, u),
+    lambda prof, u: fl.first_variation_numeric(fl.w_nps(2), prof, u),
+    lambda prof, u: fl.second_variation_analytic(fl.w_nps(3), prof, u),
+    lambda prof, u: fl.conformal_density_check(prof, r=1),
+], ids=["first_variation_analytic", "first_variation_numeric",
+        "second_variation_analytic", "conformal_density_check"])
+def test_patch_only_entry_points_refuse_a_revolution_profile(entry):
+    import sympy as sp
+
+    rho = sp.Symbol("rho")
+    prof = rev.profile_from_sympy(2, sp.sqrt(4 - rho**2), rho, (0.3, 1.2))
+    with pytest.raises(DomainError, match=r"revolution_patch\(profile\)") as err:
+        entry(prof, rev.leaf_mode_variation(1))
+    assert len(str(err.value).splitlines()) == 1
+    # the value and the residual still take the profile
+    assert np.isfinite(fl.evaluate(fl.w_nps(2), prof))
+    assert np.all(np.isfinite(fl.el_residual(fl.w_nps(2), prof)))
 
 
 def test_kind_surface_mismatch_raises(bumpy3):
