@@ -2,7 +2,7 @@
 
 The package evaluates leafwise Willmore-type energies on immersed
 hypersurfaces carrying a coordinate foliation, differentiates them along
-normal deformations both analytically and by finite differences, checks
+normal deformations both analytically and by a complex step, checks
 the evolution equations and integration identities the formulas rest on,
 solves the critical profile equation for hypersurfaces of revolution, and
 verifies conformal invariance of the Q_r densities under homotheties and

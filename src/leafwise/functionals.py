@@ -14,18 +14,20 @@ W_conf                integral of Q_r^{n/r} (conformally invariant)
 ====================  =====================================================
 
 Every kind is F of one leaf spectrum, sigma (W_nps, WF_of_HF, WF_HK, W_conf,
-WF) or tau (J_nps, JF), stated once in ``_lower``.  Values on patches and
-on revolution profiles, first variations sum_k dF/dq_k delta q_k - n u F H
-and the partials check all read that lowering.  A value reads the spectrum
+WF) or tau (J_nps, JF), stated once in ``_lower`` by its F alone; every
+partial dF/dq_k is the complex step of F.  Values on patches and on
+revolution profiles, first variations sum_k dF/dq_k delta q_k - n u F H
+and the analyticity check all read that lowering.  A value reads the spectrum
 only up to max(used), the highest member F uses (``spectrum(family, top)``
 of the geometry), so the F(H_F) kinds read sigma_0 and sigma_1 alone.
 
 First variations are evaluated in their integral (pre-integration-by-parts)
 form with the tensorial delta formulas of :mod:`leafwise.deltas`.  The
 Euler-Lagrange residual of every kind is one formula in the same lowering,
-normalised as the L^2 gradient (int u R dV = delta W); it integrates by
-parts with the leaf-intrinsic operators and therefore assumes a
-transversally harmonic foliation, which is checked.
+the leaf-intrinsic reading: it integrates by parts with the leaf-intrinsic
+operators, so it assumes a transversally harmonic foliation, which is
+checked, and it is the L^2 gradient (int u R dV = delta W) only when the
+leaves are also minimal in M.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .suppliers import InvertedImmersion, ScaledImmersion
 from .symfunc import (
     newton_weights,
     q_r_from_sigma,
-    q_r_partials,
     safe_power,
     sigma_all,
     umbilic_power,
@@ -68,24 +69,19 @@ KINDS = ("W_nps", "J_nps", "WF", "JF", "WF_of_HF", "WF_HK", "W_conf")
 class FunctionalSpec:
     """Selector for one functional, with the data its kind requires.
 
-    For WF/JF supply ``f`` taking an (M, s) array of sigma/tau values and
-    ``f_partials`` returning the (M, s) array of partial derivatives.  For
-    WF_of_HF supply scalar callables ``f``, ``f1``, ``f2``.  For WF_HK
-    supply ``f``, ``f_h``, ``f_k`` of (H_F, K_F).  W_nps/J_nps use ``p``
-    and W_conf its conformal order ``r``, an integer 1 <= r <= s.  A user
-    ``f`` must be complex-analytic (numpy arithmetic and ufuncs, no ``np.abs``
-    or ``np.real``): its complex step is checked against its partials here.
+    WF/JF take ``f`` of an (M, s) array of sigma/tau values, WF_of_HF ``f``
+    of H_F (and ``f2`` = F'' for second variations) and WF_HK ``f`` of
+    (H_F, K_F).  W_nps/J_nps use ``p`` and W_conf its conformal order ``r``,
+    an integer 1 <= r <= s.  Every partial dF/dq_k is the complex step of F,
+    so a user ``f`` must be complex-analytic (numpy arithmetic and ufuncs, no
+    ``np.abs`` or ``np.real``), which is checked here.
     """
 
     kind: str
     p: float | None = None
     r: int | None = None
     f: object = None
-    f_partials: object = None
-    f1: object = None
     f2: object = None
-    f_h: object = None
-    f_k: object = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -99,19 +95,16 @@ class FunctionalSpec:
                 isinstance(self.r, Integral) and not isinstance(self.r, bool) and self.r >= 1):
             raise SpecError(f"W_conf needs a conformal order r that is an integer >= 1, "
                             f"got {self.r!r}")
-        if self.kind in ("WF", "JF") and (self.f is None or self.f_partials is None):
-            raise SpecError(f"{self.kind} needs f and f_partials")
-        if self.kind == "WF_of_HF" and (self.f is None or self.f1 is None):
-            raise SpecError("WF_of_HF needs f and f1 (f2 for second variations)")
-        if self.kind == "WF_HK" and (self.f is None or self.f_h is None or self.f_k is None):
-            raise SpecError("WF_HK needs f, f_h and f_k")
-        self._spot_check_partials()
+        if self.kind in ("WF", "JF", "WF_of_HF", "WF_HK") and self.f is None:
+            raise SpecError(f"{self.kind} needs f")
+        self._check_complex_analytic()
 
-    def _spot_check_partials(self):
-        """Complex steps Im F(q + i h e_k) / h of the lowered F against its
-        partials at every s = 1..max(4, r) F is defined for, on leaf
-        eigenvalues near 0.5 but the last 0.4 s higher, where every Q_r,
-        r >= 2, is positive; an F that drops the imaginary part fails."""
+    def _check_complex_analytic(self):
+        """The complex steps Im F(q + i h e_k) / h of the lowered F against
+        central differences of step 1e-6 at every s = 1..max(4, r) F is
+        defined for, on leaf eigenvalues near 0.5 but the last 0.4 s higher,
+        where every Q_r, r >= 2, is positive; an F that is not complex-analytic
+        or drops the imaginary part fails."""
         rng = np.random.default_rng(0)
         validated = False
         for s in range(1, 1 + max(4, self.r if self.kind == "W_conf" else 0)):
@@ -122,21 +115,22 @@ class FunctionalSpec:
             try:
                 family, used, f, df, _ = _lower(self, s + 1, s)
                 q = spectra[family]
-                vals, grads = f(q), df(q)
+                vals = f(q)
             except (IndexError, ValueError, SpecError):
                 continue  # functional defined for a specific s only
             if vals.shape != (4,):
                 continue  # shapes identify the intended s
-            for k, grad in zip(used, grads):
-                cs = np.imag(f(q + 1j * COMPLEX_STEP * np.eye(q.shape[1])[k])) / COMPLEX_STEP
-                if np.max(np.abs(cs - grad)) > 1e-6 * max(1.0, np.max(np.abs(cs))):
+            for k, cs in zip(used, df(q)):
+                step = 1e-6 * np.eye(q.shape[1])[k]
+                fd = (f(q + step) - f(q - step)) / 2e-6
+                if np.max(np.abs(cs - fd)) > 1e-6 * max(1.0, np.max(np.abs(fd))):
                     raise ValidationError(
-                        f"partial dF/d{family}_{k} disagrees with the complex step of f; f must "
-                        f"be complex-analytic, written with numpy arithmetic and ufuncs")
+                        f"the complex step of f in {family}_{k} disagrees with its central "
+                        f"difference; f must be complex-analytic, written with numpy "
+                        f"arithmetic and ufuncs")
             validated = True
         if not validated:
-            raise ValidationError(
-                "could not validate the partials of f at any probe dimension")
+            raise ValidationError("could not evaluate f at any probe dimension")
 
 
 def w_nps(p: float) -> FunctionalSpec:
@@ -161,62 +155,62 @@ def _array_fn(fn):
         lambda *args: np.asarray(v := fn(*args), dtype=complex if np.iscomplexobj(v) else float))
 
 
-def _of_h_f(s: int, f, f1, f2):
-    """Lowering of F(H_F) = F(sigma_1 / s) from its profile (F, F', F'')."""
-    return ("sigma", (1,), lambda q: f(q[:, 1] / s), lambda q: (f1(q[:, 1] / s) / s,),
-            (f, f1, f2))
+def _lowering(family: str, used: tuple, f, profile=None):
+    """(family, used, F, dF, profile) with dF giving the partials
+    dF/dq_k = Im F(q + i h e_k) / h, h = COMPLEX_STEP, one array per k in
+    ``used``: exact to rounding for a complex-analytic F, and evaluated by
+    variations and residuals, never by values."""
+
+    def df(q):
+        return tuple(np.imag(f(q + 1j * COMPLEX_STEP * np.eye(q.shape[1])[k])) / COMPLEX_STEP
+                     for k in used)
+
+    return family, used, f, df, profile
+
+
+def _of_hf(s: int, f, f2):
+    """Lowering of F(H_F) = F(sigma_1 / s) from its profile (F, F'')."""
+    return _lowering("sigma", (1,), lambda q: f(q[:, 1] / s), (f, f2))
 
 
 def _lower(spec: FunctionalSpec, n: int, s: int):
-    """The functional as F of one leaf spectrum, each kind stated once.
+    """The functional as F of one leaf spectrum, each kind stated once by its
+    F alone.
 
     Returns (family, used, F, dF, profile).  ``family`` names the spectrum F
     reads, "sigma" (sigma_0..sigma_s) or "tau" (tau_0..tau_{s+2}), as an
     attribute of PointGeometry and RevolutionInvariants and as the family of
     :func:`leafwise.deltas.delta_spectrum`.  F maps the array q of that spectrum,
     q[:, k] = q_k at M points, to the density; dF maps it to the partials
-    dF/dq_k, one array per index k in ``used``.  ``profile`` is (F, F', F'') as functions of H_F
-    for the F(H_F) kinds and None otherwise.
+    dF/dq_k, one array per index k in ``used``, by the complex step of F
+    (``_lowering``).  ``profile`` is (F, F'') as functions of H_F for the
+    F(H_F) kinds and None otherwise.
     """
     kind = spec.kind
     if kind == "W_nps":
         p = spec.p
-        return _of_h_f(s, lambda h: safe_power(h, p), lambda h: p * safe_power(h, p - 1),
-                       lambda h: p * (p - 1) * safe_power(h, p - 2))
+        return _of_hf(s, lambda h: safe_power(h, p),
+                      lambda h: p * (p - 1) * safe_power(h, p - 2))
     if kind == "WF_of_HF":
-        return _of_h_f(s, *map(_array_fn, (spec.f, spec.f1, spec.f2)))
+        return _of_hf(s, *map(_array_fn, (spec.f, spec.f2)))
     if kind == "WF_HK":
         if s != 2:
             raise SpecError("WF_HK requires a 2-dimensional foliation")
-        f, f_h, f_k = map(_array_fn, (spec.f, spec.f_h, spec.f_k))
-        return ("sigma", (1, 2), lambda q: f(q[:, 1] / 2, q[:, 2]),
-                lambda q: (0.5 * f_h(q[:, 1] / 2, q[:, 2]), f_k(q[:, 1] / 2, q[:, 2])), None)
+        f = _array_fn(spec.f)
+        return _lowering("sigma", (1, 2), lambda q: f(q[:, 1] / 2, q[:, 2]))
     if kind == "W_conf":
         r = spec.r
         if r > s:
             raise SpecError(f"conformal order r={r} exceeds s={s}")
-
-        def partials(q):
-            c = (n / r) * umbilic_power(q_r_from_sigma(q, r, s), n / r - 1.0)
-            return tuple(c * dq for dq in q_r_partials(q, r, s))
-
-        return ("sigma", tuple(range(1, r + 1)),
-                lambda q: umbilic_power(q_r_from_sigma(q, r, s), n / r), partials, None)
+        return _lowering("sigma", tuple(range(1, r + 1)),
+                         lambda q: umbilic_power(q_r_from_sigma(q, r, s), n / r))
     if kind == "J_nps":
         p = spec.p
-        return ("tau", (2,), lambda q: safe_power(q[:, 2], p / 2.0),
-                lambda q: ((p / 2.0) * safe_power(q[:, 2], p / 2.0 - 1.0),), None)
+        return _lowering("tau", (2,), lambda q: safe_power(q[:, 2], p / 2.0))
     # WF and JF: the user's F of sigma_1..sigma_s or of tau_1..tau_s
-    f, f_partials = map(_array_fn, (spec.f, spec.f_partials))
-
-    def user_partials(q):
-        grads = f_partials(q[:, 1 : s + 1])
-        if grads.shape != (q.shape[0], s):
-            raise SpecError(f"f_partials gave shape {grads.shape}, not {(q.shape[0], s)}")
-        return grads.T
-
-    return ("sigma" if kind == "WF" else "tau", tuple(range(1, s + 1)),
-            lambda q: f(q[:, 1 : s + 1]), user_partials, None)
+    f = _array_fn(spec.f)
+    return _lowering("sigma" if kind == "WF" else "tau", tuple(range(1, s + 1)),
+                     lambda q: f(q[:, 1 : s + 1]))
 
 
 def integrand(spec: FunctionalSpec, geo, n: int, s: int) -> np.ndarray:
@@ -244,8 +238,8 @@ def first_variation_density(spec: FunctionalSpec, geo: PointGeometry, n: int,
     q = getattr(geo, family)
     hess_leaf = geo.leaf_block(hessian_full(geo, du, d2u))
     acc = -n * u * f(q) * geo.mean_curvature
-    for k, df_k in zip(used, df(q)):
-        acc = acc + df_k * deltas.delta_spectrum(family, geo, u, hess_leaf, k)
+    for k, dfdq_k in zip(used, df(q)):
+        acc = acc + dfdq_k * deltas.delta_spectrum(family, geo, u, hess_leaf, k)
     return acc
 
 
@@ -296,13 +290,14 @@ def _weight_coefficients(family: str, used, df, geo) -> np.ndarray:
     ``symfunc.newton_weights``."""
     q = getattr(geo, family)
     c = np.zeros((q.shape[0], max(used)))
-    for k, df_k in zip(used, df(q)):
-        c[:, :k] += df_k[:, None] * newton_weights(family, q, k)
+    for k, dfdq_k in zip(used, df(q)):
+        c[:, :k] += dfdq_k[:, None] * newton_weights(family, q, k)
     return c
 
 
 def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) -> np.ndarray:
-    """Pointwise Euler-Lagrange residual R, the L^2 gradient: int u R dV = delta W.
+    """Pointwise Euler-Lagrange residual R, the leaf-intrinsic reading; it is
+    the L^2 gradient (int u R dV = delta W) only when the leaves are minimal in M.
 
     With F of the leaf spectrum q from ``_lower`` and its weight
     sum_k dF/dq_k W_k = sum_j c_j A_F^j (``_weight_coefficients``, summing the
@@ -339,8 +334,8 @@ def el_residual(spec: FunctionalSpec, surface, x=None, fd_step: float = 1e-3) ->
     family, used, f, df, _ = _lower(spec, n, s)
     q = getattr(geo, family)
     res = -n * f(q) * mean
-    for k, df_k in zip(used, df(q)):
-        res = res + df_k * deltas.spectrum_algebraic(family, geo, k)
+    for k, dfdq_k in zip(used, df(q)):
+        res = res + dfdq_k * deltas.spectrum_algebraic(family, geo, k)
     if isinstance(surface, RevolutionProfile):
         return res
     weights = partial(_weight_coefficients, family, used, df)
@@ -385,12 +380,16 @@ def second_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch, u,
     """
     _require_patch(patch, "second_variation_analytic")
     n, s = patch.n, patch.s
-    profile = _lower(spec, n, s)[4]
+    _, _, _, df, profile = _lower(spec, n, s)
     if profile is None:
         raise SpecError("second variation implemented for F = F(H_F) kinds")
-    f, f1, f2 = profile
+    f, f2 = profile
     if f2 is None:
         raise SpecError("second variation of F(H_F) needs f2 = F''")
+
+    def fprime(geo):  # F'(H_F) = s dF/dsigma_1
+        return s * df(geo.sigma)[0]
+
     geo = patch.geometry()
     mix, full = float(np.max(geo.norm_hmix_sq)), float(np.max(geo.norm_h_sq))
     if mix > 1e-12 * full:
@@ -401,12 +400,13 @@ def second_variation_analytic(spec: FunctionalSpec, patch: FoliatedPatch, u,
     if res_scale > 1e-6:
         raise PreconditionError(
             f"surface is not critical: max residual {res_scale:.3e} > 1e-6")
-    fprime_field = _derived_scalar(patch, lambda g: f1(g.h_f_mean))
+    # leaf_laplacian reads only the leaf derivatives, so step along the leaf axes
+    fprime_field = Field.from_callable(lambda x: fprime(patch.geometry(x)), n, step=1e-3, axes=s)
 
     def density(geo):
         uu, du, d2u = u.jets(geo.x)
         h_f = geo.h_f_mean
-        f_val, f_p, f_pp = f(h_f), f1(h_f), f2(h_f)
+        f_val, f_p, f_pp = f(h_f), fprime(geo), f2(h_f)
         h_mean = geo.mean_curvature
         lap_u = laplacian_block(geo, du, d2u)
         lap_full_u = laplacian_full(geo, du, d2u)

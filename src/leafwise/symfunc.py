@@ -8,11 +8,10 @@ only code that tells the two spectra apart.  With tau_j = tr A_F^j,
 q_k = tr(A_F W_k) / k and the algebraic term of delta q_k is
 tr(A_F^2 W_k) = sum_j c_j tau_{j+2}; ``sigma_from_traces`` reads sigma off
 tau by the first of these (Newton's identities), without a matrix product.
-``q_r_from_sigma`` gives the conformally covariant combination Q_r and
-``q_r_partials`` its partials in sigma_1..sigma_r.
+``q_r_from_sigma`` gives the conformally covariant combination Q_r.
 ``sigma_all`` expands sigma from eigenvalues; it is the reference the
-functional spot checks and the tests compare against.  ``safe_power`` and
-``umbilic_power`` raise curvature quantities to real exponents without
+functional analyticity check and the tests compare against.  ``safe_power``
+and ``umbilic_power`` raise curvature quantities to real exponents without
 choosing a complex branch; their checks read the real part of a complex step.
 """
 
@@ -44,9 +43,10 @@ def umbilic_power(q: np.ndarray, expo: float) -> np.ndarray:
     leaves and whose power a conformal density takes.
 
     |q| <= POWER_EPS counts as 0, as on umbilic leaves, where rounding
-    leaves q slightly negative; q < -POWER_EPS raises DomainError.
+    leaves q slightly negative; q < -POWER_EPS raises DomainError.  Only the
+    real part is zeroed, so a complex step survives.
     """
-    q = np.where(np.abs(np.real(q)) <= POWER_EPS, 0.0, q)
+    q = np.where(np.abs(np.real(q)) <= POWER_EPS, q - np.real(q), q)
     if np.any(np.real(q) < 0.0):
         raise DomainError(
             f"power {expo} of a negative curvature combination (min {np.min(np.real(q)):.3e})")
@@ -109,19 +109,3 @@ def q_r_from_sigma(sigma: np.ndarray, r: int, s: int) -> np.ndarray:
         acc = acc + (-1) ** (j + 1) * comb(r, j) * s1 ** (r - j) * s_j
     return acc
 
-
-def q_r_partials(sigma: np.ndarray, r: int, s: int) -> tuple:
-    """dQ_r/dsigma_1..dQ_r/dsigma_r, term by term from the sum of
-    ``q_r_from_sigma``: term j is linear in sigma_j and, for j < r, has S_1^(r-j)."""
-    if not 1 <= r <= s:
-        raise DomainError(f"conformal order r={r} outside 1..{s}")
-    s1 = sigma[..., 1] / s
-    grads = [np.zeros(np.shape(s1)) for _ in range(r)]
-    for j in range(r + 1):
-        coef = (-1) ** (j + 1) * comb(r, j)
-        if j < r:
-            s_j = sigma[..., j] / comb(s, j)
-            grads[0] = grads[0] + coef * (r - j) * s1 ** (r - j - 1) * s_j / s
-        if j >= 1:
-            grads[j - 1] = grads[j - 1] + coef * s1 ** (r - j) / comb(s, j)
-    return tuple(grads)

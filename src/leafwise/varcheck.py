@@ -33,7 +33,7 @@ from .operators import (
     star_squared_full,
 )
 from .patch import FoliatedPatch
-from .variation import COMPLEX_STEP, complex_step_geometry, estimate_order
+from .variation import COMPLEX_STEP, complex_step_geometry
 
 EVOLUTION_QUANTITIES = (
     "g", "g_inv", "h", "norm_h_sq", "nH", "dV",
@@ -71,7 +71,6 @@ class ConvergenceReport:
     gap: float
     passed: bool
     naive_deviation: float | None = None
-    order_h: float | None = None
     details: dict = field(default_factory=dict)
 
     def row(self) -> dict:
@@ -80,7 +79,6 @@ class ConvergenceReport:
             "numeric": self.numeric,
             "analytic": self.analytic,
             "gap": self.gap,
-            "order_h": self.order_h,
             "naive_deviation": self.naive_deviation,
             "pass": bool(self.passed),
         }
@@ -176,16 +174,9 @@ def _naive_rhs(case: EvolutionCase, geo, u, du, d2u, f: Field | None):
 
 def verify_evolution(case: EvolutionCase, patch: FoliatedPatch, u: Field,
                      f: Field | None = None,
-                     points: np.ndarray | None = None,
-                     grid_levels: tuple | None = None) -> ConvergenceReport:
+                     points: np.ndarray | None = None) -> ConvergenceReport:
     """Check one evolution equation on a patch against the complex step of
-    its quantity: the case passes at a gap of at most GAP_TOLERANCE.
-
-    When ``grid_levels`` gives two or more per-axis resolutions (periodic
-    charts only), the variation amplitude is additionally resampled on
-    those grids and the report carries the convergence order in the grid
-    step of the grid-backed analytic right-hand side.
-    """
+    its quantity: the case passes at a gap of at most GAP_TOLERANCE."""
     if case.quantity in ("twoH_F", "K_F") and patch.s != 2:
         raise DomainError(f"{case.quantity} needs a patch with s=2, got s={patch.s}")
     top = {"tau_i": patch.s + 1, "sigma_r": patch.s}.get(case.quantity)
@@ -202,9 +193,6 @@ def verify_evolution(case: EvolutionCase, patch: FoliatedPatch, u: Field,
     numeric = np.imag(extract(complex_step_geometry(patch, geo, uu, du, d2u))) / COMPLEX_STEP
     scale = float(np.max(np.abs(analytic)))
     gap = float(np.max(np.abs(numeric - analytic))) / max(1.0, scale)
-    order_h = None
-    if grid_levels is not None:
-        order_h = _grid_order(case, patch, u, f, x, geo, analytic, grid_levels)
     return ConvergenceReport(
         quantity=case.quantity,
         numeric=float(np.max(np.abs(numeric))),
@@ -212,32 +200,8 @@ def verify_evolution(case: EvolutionCase, patch: FoliatedPatch, u: Field,
         gap=gap,
         passed=gap <= GAP_TOLERANCE,
         naive_deviation=None if naive is None else float(np.max(np.abs(naive - analytic))),
-        order_h=order_h,
         details={"order_index": case.order_index} if case.quantity in ("tau_i", "sigma_r") else {},
     )
-
-
-def _grid_order(case, patch, u, f, x, geo, analytic_ref, grid_levels):
-    """Order in grid step of the analytic RHS fed with grid-sampled u."""
-    from .patch import Grid, periodic_axis
-
-    if not all(ax.periodic for ax in patch.grid.axes):
-        raise DomainError("grid-order estimation needs a fully periodic chart")
-    errs, steps = [], []
-    for m in grid_levels:
-        axes = tuple(periodic_axis(ax.lo, ax.hi, int(m)) for ax in patch.grid.axes)
-        grid = Grid(axes=axes)
-        sampled = Field.from_grid(
-            grid, np.asarray(u(grid.points), dtype=float).reshape(grid.shape))
-        nodes = grid.points[:: max(1, grid.points.shape[0] // x.shape[0])][: x.shape[0]]
-        geo_nodes = patch.geometry(nodes, order=3)
-        uu, du, d2u = sampled.jets(nodes)
-        rhs_grid = np.asarray(_analytic_rhs(case, geo_nodes, uu, du, d2u, f))
-        ue, due, d2ue = u.jets(nodes)
-        rhs_exact = np.asarray(_analytic_rhs(case, geo_nodes, ue, due, d2ue, f))
-        errs.append(float(np.max(np.abs(rhs_grid - rhs_exact))))
-        steps.append((axes[0].hi - axes[0].lo) / int(m))
-    return estimate_order(errs, steps)
 
 
 def transversal_harmonicity_norm(patch: FoliatedPatch) -> float:

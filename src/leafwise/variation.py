@@ -59,16 +59,3 @@ def complex_step_geometry(patch: FoliatedPatch, geo, u, du, d2u):
     (u-jets there), h = COMPLEX_STEP: Im Q / h of its quantities Q is dQ/dt(0)."""
     return patch.geometry_from_jets(geo.x, deformed_jets(geo, u, du, d2u, 1j * COMPLEX_STEP))
 
-
-def estimate_order(errors, steps):
-    """Least-squares slope of log(error) against log(step).
-
-    Errors at the rounding floor are clipped so a vanishing analytic
-    mismatch reports a large order rather than NaN.
-    """
-    e = np.maximum(np.asarray(errors, dtype=float), 1e-300)
-    t = np.asarray(steps, dtype=float)
-    if np.all(e < 1e-13):
-        return np.inf
-    slope = np.polyfit(np.log(t), np.log(e), 1)[0]
-    return float(slope)

@@ -99,20 +99,11 @@ def test_criterion_6_first_variation_oracle_equivalence():
     kinds = {
         "W_nps": fl.w_nps(2),
         "J_nps": fl.j_nps(3),
-        "WF": fl.FunctionalSpec(
-            kind="WF", f=lambda s_: s_[:, 0] ** 2 + 0.3 * s_[:, 1],
-            f_partials=lambda s_: np.stack(
-                [2 * s_[:, 0], 0.3 * np.ones(s_.shape[0])], axis=1)),
-        "JF": fl.FunctionalSpec(
-            kind="JF", f=lambda t_: t_[:, 1] + 0.1 * t_[:, 0] ** 3,
-            f_partials=lambda t_: np.stack(
-                [0.3 * t_[:, 0] ** 2, np.ones(t_.shape[0])], axis=1)),
+        "WF": fl.FunctionalSpec(kind="WF", f=lambda s_: s_[:, 0] ** 2 + 0.3 * s_[:, 1]),
+        "JF": fl.FunctionalSpec(kind="JF", f=lambda t_: t_[:, 1] + 0.1 * t_[:, 0] ** 3),
         "WF_of_HF": fl.FunctionalSpec(
-            kind="WF_of_HF", f=lambda h: h**2 + 0.5 * h,
-            f1=lambda h: 2 * h + 0.5, f2=lambda h: 2 * np.ones_like(h)),
-        "WF_HK": fl.FunctionalSpec(
-            kind="WF_HK", f=lambda h, k: h**2 - 0.4 * k, f_h=lambda h, k: 2 * h,
-            f_k=lambda h, k: -0.4 * np.ones_like(h)),
+            kind="WF_of_HF", f=lambda h: h**2 + 0.5 * h, f2=lambda h: 2 * np.ones_like(h)),
+        "WF_HK": fl.FunctionalSpec(kind="WF_HK", f=lambda h, k: h**2 - 0.4 * k),
         "W_conf": fl.w_conf(2),
     }
     n_pairs = 10

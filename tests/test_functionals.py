@@ -46,19 +46,14 @@ def test_unit_sphere_bound_constant(n):
 def test_evaluate_on_revolution_profile():
     prof = rev.critical_ode_solve(2, 3, 0.4, 1.0, 0.4, (0.4, 0.6))
     patch = rev.revolution_patch(prof, m_leaf=24, m_profile=32)
-    wf_of_hf = fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: h**2 + 0.2 * h,
-                                 f1=lambda h: 2 * h + 0.2)
+    wf_of_hf = fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: h**2 + 0.2 * h)
     for spec in (fl.w_nps(3), fl.j_nps(3), wf_of_hf):
         w_patch = fl.evaluate(spec, patch)
         w_prof = fl.evaluate(spec, prof)
         assert abs(w_patch - w_prof) < 1e-9, spec.kind
     # F = (sigma_1 / s)^p through the generic sigma path is W_nps
     p = 3
-    wf = fl.FunctionalSpec(
-        kind="WF", f=lambda sig: (sig[:, 0] / sig.shape[1]) ** p,
-        f_partials=lambda sig: np.column_stack(
-            [(p / sig.shape[1]) * (sig[:, 0] / sig.shape[1]) ** (p - 1),
-             np.zeros((sig.shape[0], sig.shape[1] - 1))]))
+    wf = fl.FunctionalSpec(kind="WF", f=lambda sig: (sig[:, 0] / sig.shape[1]) ** p)
     assert fl.evaluate(wf, prof) == pytest.approx(fl.evaluate(fl.w_nps(p), prof), abs=1e-12)
 
 
@@ -70,17 +65,11 @@ def test_fractional_power_of_signed_curvature_refused(bumpy3):
 
 def test_reduction_consistency(sheared4):
     p = 3
-    wf = fl.FunctionalSpec(
-        kind="WF", f=lambda sig: (sig[:, 0] / 2) ** p,
-        f_partials=lambda sig: np.stack(
-            [(p / 2) * (sig[:, 0] / 2) ** (p - 1), np.zeros(sig.shape[0])], axis=1))
+    wf = fl.FunctionalSpec(kind="WF", f=lambda sig: (sig[:, 0] / 2) ** p)
     assert fl.evaluate(wf, sheared4) == pytest.approx(
         fl.evaluate(fl.w_nps(p), sheared4), abs=1e-12)
     p2 = 4
-    jf = fl.FunctionalSpec(
-        kind="JF", f=lambda tau: tau[:, 1] ** (p2 / 2),
-        f_partials=lambda tau: np.stack(
-            [np.zeros(tau.shape[0]), (p2 / 2) * tau[:, 1] ** (p2 / 2 - 1)], axis=1))
+    jf = fl.FunctionalSpec(kind="JF", f=lambda tau: tau[:, 1] ** (p2 / 2))
     assert fl.evaluate(jf, sheared4) == pytest.approx(
         fl.evaluate(fl.j_nps(p2), sheared4), abs=1e-12)
 
@@ -91,16 +80,7 @@ def test_w_conf_is_wf_of_q2(sheared4, rng):
         s = sig.shape[1]
         return (sig[:, 0] / s) ** 2 - sig[:, 1] / (s * (s - 1) / 2)
 
-    def q2_partials(sig):
-        s = sig.shape[1]
-        out = np.zeros_like(sig)
-        out[:, 0] = 2 * sig[:, 0] / s**2
-        out[:, 1] = -1 / (s * (s - 1) / 2)
-        return out
-
-    wf = fl.FunctionalSpec(kind="WF", f=lambda sig: q2(sig) ** 1.5,
-                           f_partials=lambda sig: 1.5 * (q2(sig) ** 0.5)[:, None]
-                           * q2_partials(sig))
+    wf = fl.FunctionalSpec(kind="WF", f=lambda sig: q2(sig) ** 1.5)
     assert fl.evaluate(wf, sheared4) == pytest.approx(
         fl.evaluate(fl.w_conf(2), sheared4), rel=1e-12)
     u = random_trig_variation(3, rng, amplitude=0.4)
@@ -115,10 +95,11 @@ def test_full_foliation_reduces_to_unfoliated():
     assert abs(w_full / (4 * np.pi) - 1) < 1e-10
 
 
-def test_partials_spot_check_rejects_wrong_gradient():
-    with pytest.raises(ValidationError):
-        fl.FunctionalSpec(kind="WF", f=lambda sig: sig[:, 0] ** 2,
-                          f_partials=lambda sig: 3.0 * sig)
+def test_analyticity_check_refuses_a_non_analytic_f():
+    # the sigma_1^2 term keeps the value complex, but np.abs drops the step of
+    # its own term: the step reads 0 in sigma_2, the central difference +-0.3
+    with pytest.raises(ValidationError, match="complex-analytic"):
+        fl.FunctionalSpec(kind="WF", f=lambda sig: sig[:, 0] ** 2 + 0.3 * np.abs(sig[:, 1] - 0.9))
 
 
 def test_non_finite_exponent_is_a_spec_error():
@@ -136,13 +117,10 @@ def test_exponent_that_is_not_a_real_number_is_a_spec_error(p):
 
 
 def test_partials_spot_check_refuses_an_f_that_drops_the_imaginary_part():
-    # |sigma_1|^2 has the partials 2 sigma_1 where sigma_1 > 0, but np.abs
-    # drops the complex step, so the check cannot take its derivative
+    # |sigma_1|^2 has the partial 2 sigma_1 where sigma_1 > 0, but np.abs
+    # drops the complex step, which then reads 0
     with pytest.raises(ValidationError, match="complex-analytic"):
-        fl.FunctionalSpec(kind="WF", f=lambda sig: np.abs(sig[:, 0]) ** 2,
-                          f_partials=lambda sig: np.stack(
-                              [2 * sig[:, 0]] + [np.zeros(sig.shape[0])] * (sig.shape[1] - 1),
-                              axis=1))
+        fl.FunctionalSpec(kind="WF", f=lambda sig: np.abs(sig[:, 0]) ** 2)
 
 
 def test_partials_spot_check_propagates_unexpected_errors():
@@ -151,7 +129,7 @@ def test_partials_spot_check_propagates_unexpected_errors():
         return undefined_name * sig[:, 0]  # noqa: F821
 
     with pytest.raises(NameError):
-        fl.FunctionalSpec(kind="WF", f=f, f_partials=lambda sig: sig)
+        fl.FunctionalSpec(kind="WF", f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +224,6 @@ def test_area_variation_is_minus_n_u_h():
     # functional F = 1: delta(area) = -int n u H dV
     patch = catalog.torus(s=1, m_leaf=24, m_tube=24)
     area_spec = fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: np.ones_like(h),
-                                  f1=lambda h: np.zeros_like(h),
                                   f2=lambda h: np.zeros_like(h))
     u = random_trig_variation(2, np.random.default_rng(2))
     expected = -patch.integrate(lambda geo: patch.n * u(geo.x) * geo.mean_curvature)
@@ -259,7 +236,6 @@ def test_sphere_shrink_area_rate():
     radius = 1.4
     patch = catalog.sphere(n=2, radius=radius, m_polar=20, m_azimuth=28)
     area_spec = fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: np.ones_like(h),
-                                  f1=lambda h: np.zeros_like(h),
                                   f2=lambda h: np.zeros_like(h))
     u = const_variation(2, 1.0)
     rate = fl.first_variation_numeric(area_spec, patch, u)
@@ -282,17 +258,13 @@ CRITERION_6_KINDS = {
     "W_nps": fl.w_nps(2),
     "J_nps": fl.j_nps(3),
     "WF": fl.FunctionalSpec(
-        kind="WF", f=lambda s_: s_[:, 0] ** 2 + 0.3 * s_[:, 1],
-        f_partials=lambda s_: np.stack([2 * s_[:, 0], 0.3 * np.ones(s_.shape[0])], axis=1)),
+        kind="WF", f=lambda s_: s_[:, 0] ** 2 + 0.3 * s_[:, 1]),
     "JF": fl.FunctionalSpec(
-        kind="JF", f=lambda t_: t_[:, 1] + 0.1 * t_[:, 0] ** 3,
-        f_partials=lambda t_: np.stack([0.3 * t_[:, 0] ** 2, np.ones(t_.shape[0])], axis=1)),
+        kind="JF", f=lambda t_: t_[:, 1] + 0.1 * t_[:, 0] ** 3),
     "WF_of_HF": fl.FunctionalSpec(
         kind="WF_of_HF", f=lambda h: h**2 + 0.5 * h,
-        f1=lambda h: 2 * h + 0.5, f2=lambda h: 2 * np.ones_like(h)),
-    "WF_HK": fl.FunctionalSpec(
-        kind="WF_HK", f=lambda h, k: h**2 - 0.4 * k, f_h=lambda h, k: 2 * h,
-        f_k=lambda h, k: -0.4 * np.ones_like(h)),
+        f2=lambda h: 2 * np.ones_like(h)),
+    "WF_HK": fl.FunctionalSpec(kind="WF_HK", f=lambda h, k: h**2 - 0.4 * k),
     "W_conf": fl.w_conf(2),
 }
 
@@ -341,8 +313,7 @@ def test_patch_only_entry_points_refuse_a_revolution_profile(entry):
 
 def test_kind_surface_mismatch_raises(bumpy3):
     # WF_HK needs s = 2 and W_conf s >= 2; bumpy3 is an s = 1 patch
-    wf_hk = fl.FunctionalSpec(kind="WF_HK", f=lambda h, k: h * k,
-                              f_h=lambda h, k: k, f_k=lambda h, k: h)
+    wf_hk = fl.FunctionalSpec(kind="WF_HK", f=lambda h, k: h * k)
     u = const_variation(2)
     for spec in (wf_hk, fl.w_conf(2)):
         with pytest.raises(SpecError):
@@ -409,20 +380,12 @@ def test_weak_form_consistency_of_residuals(torus_cyl4):
         (fl.j_nps(4), 1e-3),
         (fl.w_conf(2), 1e-5),
         (fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: h**2 + 0.2 * h,
-                           f1=lambda h: 2 * h + 0.2,
                            f2=lambda h: 2 * np.ones_like(h)), 1e-5),
-        (fl.FunctionalSpec(kind="WF_HK", f=lambda h, k: h**2 - 0.4 * k,
-                           f_h=lambda h, k: 2 * h,
-                           f_k=lambda h, k: -0.4 * np.ones_like(h)), 1e-5),
+        (fl.FunctionalSpec(kind="WF_HK", f=lambda h, k: h**2 - 0.4 * k), 1e-5),
         (fl.FunctionalSpec(kind="WF",
-                           f=lambda sig: sig[:, 0] ** 3 + 0.5 * sig[:, 0] * sig[:, 1],
-                           f_partials=lambda sig: np.stack(
-                               [3 * sig[:, 0] ** 2 + 0.5 * sig[:, 1], 0.5 * sig[:, 0]],
-                               axis=1)), 1e-5),
+                           f=lambda sig: sig[:, 0] ** 3 + 0.5 * sig[:, 0] * sig[:, 1]), 1e-5),
         (fl.FunctionalSpec(kind="JF",
-                           f=lambda tau: tau[:, 0] * tau[:, 1] + 0.3 * tau[:, 1],
-                           f_partials=lambda tau: np.stack(
-                               [tau[:, 1], tau[:, 0] + 0.3], axis=1)), 1e-5),
+                           f=lambda tau: tau[:, 0] * tau[:, 1] + 0.3 * tau[:, 1]), 1e-5),
     ]
     for spec, tol in cases:
         fa = fl.first_variation_analytic(spec, torus_cyl4, u)
@@ -447,21 +410,11 @@ def test_revolution_residuals_of_wf_and_jf_reduce(n):
     prof = rev.critical_ode_solve(n, n + 1, 0.4, 1.0, 0.4, (0.4, 0.6))
     s, p = n - 1, 2
 
-    def only(k, partial):
-        # f_partials with dF/dq_k = partial and every other partial 0
-        out = np.zeros((partial.shape[0], s))
-        out[:, k - 1] = partial
-        return out
-
-    wf = fl.FunctionalSpec(kind="WF", f=lambda sig: (sig[:, 0] / s) ** p,
-                           f_partials=lambda sig: only(1, p * (sig[:, 0] / s) ** (p - 1) / s))
+    wf = fl.FunctionalSpec(kind="WF", f=lambda sig: (sig[:, 0] / s) ** p)
     if s == 1:
-        jf = fl.FunctionalSpec(kind="JF", f=lambda tau: tau[:, 0] ** p,
-                               f_partials=lambda tau: only(1, p * tau[:, 0] ** (p - 1)))
+        jf = fl.FunctionalSpec(kind="JF", f=lambda tau: tau[:, 0] ** p)
     else:
-        jf = fl.FunctionalSpec(
-            kind="JF", f=lambda tau: tau[:, 1] ** (p / 2),
-            f_partials=lambda tau: only(2, (p / 2) * tau[:, 1] ** (p / 2 - 1)))
+        jf = fl.FunctionalSpec(kind="JF", f=lambda tau: tau[:, 1] ** (p / 2))
     for general, special in ((wf, fl.w_nps(p)), (jf, fl.j_nps(p))):
         expected = fl.el_residual(special, prof)
         assert np.min(np.abs(expected)) > 1e-3
@@ -493,6 +446,34 @@ def test_second_variation_cross_paths():
         reduced = rev.second_variation_revolution(prof, 3, j)
         general = fl.second_variation_analytic(fl.w_nps(3), patch, rev.leaf_mode_variation(j))
         assert abs(reduced - general) < 1e-6 * abs(reduced)
+
+
+def test_second_variation_steps_f_prime_along_the_leaf_axes_only(monkeypatch):
+    # geometry calls inside each leaf_laplacian: el_residual's c_0 steps along
+    # both axes (1 + 4*2 + 8*2 = 25), the one block's F'(H_F) along the leaf
+    # axis alone (1 + 4 = 5)
+    prof = rev.critical_ode_solve(2, 3, 0.4, 1.0, 0.4, (0.4, 0.62))
+    patch = rev.revolution_patch(prof, m_leaf=16, m_profile=20)
+    real_geometry, real_laplacian = pt.FoliatedPatch.geometry, fl.leaf_laplacian
+    calls, inside = [], []
+
+    def geometry(self, *args, **kwargs):
+        if inside:
+            calls[-1] += 1
+        return real_geometry(self, *args, **kwargs)
+
+    def laplacian(*args):
+        calls.append(0)
+        inside.append(True)
+        try:
+            return real_laplacian(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(pt.FoliatedPatch, "geometry", geometry)
+    monkeypatch.setattr(fl, "leaf_laplacian", laplacian)
+    fl.second_variation_analytic(fl.w_nps(3), patch, rev.leaf_mode_variation(1))
+    assert calls == [25, 5]
 
 
 def test_second_variation_precondition():
@@ -609,7 +590,7 @@ def test_first_variation_is_conformally_covariant():
 
 
 def test_w_conf_partials_validate_at_every_order():
-    # the spot check probes s = 1..max(4, r), so r = 5, 6 validate too
+    # the analyticity check probes s = 1..max(4, r), so r = 5, 6 validate too
     for r in range(1, 7):
         assert fl.w_conf(r).r == r
 
@@ -627,6 +608,15 @@ def test_w_conf_refuses_an_order_that_is_not_a_count(r):
 def test_w_conf_vanishes_on_umbilic_leaves(surface):
     # Q_2 is 0 up to rounding (down to -1.1e-16) on umbilic leaves
     assert fl.evaluate(fl.w_conf(2), surface()) == 0.0
+
+
+def test_umbilic_power_keeps_a_complex_step():
+    # zeroing a near-zero Q_r must leave the step: at power n/r = 1 the
+    # complex-step partial is 1, not 0
+    h = variation.COMPLEX_STEP
+    assert np.imag(umbilic_power(np.array([1e-13 + 1j * h]), 1.0))[0] / h == 1.0
+    q = np.array([-1e-13, 0.0, 1e-13, 0.3, -0.0])
+    assert np.array_equal(umbilic_power(q, 1.5), [0.0, 0.0, 0.0, 0.3**1.5, 0.0])
 
 
 def test_w_conf_refuses_a_negative_q2():

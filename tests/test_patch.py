@@ -245,7 +245,7 @@ def test_normal_jets_and_geometry_do_not_depend_on_the_jet_layout(name, request)
         assert a.tobytes() == b.tobytes()
 
 
-_WF_OF_HF = fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: h**2 + h, f1=lambda h: 2 * h + 1)
+_WF_OF_HF = fl.FunctionalSpec(kind="WF_of_HF", f=lambda h: h**2 + h)
 
 
 @pytest.mark.parametrize("name, spec", [("sheared4", fl.w_conf(2)), ("sheared4", fl.j_nps(3)),
@@ -488,12 +488,11 @@ def test_error_in_a_later_block_reaches_the_caller(sheared_two_blocks):
     size = sheared_two_blocks.block_size
 
     def f(sig):
-        if sig.shape[0] not in (4, size):  # spot-check probes and the first block pass
+        if sig.shape[0] not in (4, size):  # analyticity probes and the first block pass
             raise DomainError(f"late block of {sig.shape[0]} points")
         return sig[:, 0] ** 2
 
-    spec = fl.FunctionalSpec(kind="WF", f=f, f_partials=lambda sig: np.stack(
-        [2 * sig[:, 0], np.zeros(sig.shape[0])], axis=1))
+    spec = fl.FunctionalSpec(kind="WF", f=f)
     tail = sheared_two_blocks.grid.points.shape[0] - size
     with pytest.raises(DomainError, match=f"^late block of {tail} points$"):
         fl.evaluate(spec, sheared_two_blocks)

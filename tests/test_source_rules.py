@@ -232,7 +232,7 @@ def test_no_quad_and_weights_read_only_by_the_integrators():
 
 
 #: the symfunc kernels of Q_r, which only ``functionals._lower`` may read
-Q_R_KERNELS = {"q_r_from_sigma", "q_r_partials"}
+Q_R_KERNELS = {"q_r_from_sigma"}
 
 
 def _q_r_reads(tree: ast.AST, allowed: str | None) -> list:
@@ -248,10 +248,10 @@ def _q_r_reads(tree: ast.AST, allowed: str | None) -> list:
 
 
 def test_q_r_read_only_inside_lower():
-    bad = ("from .symfunc import q_r_from_sigma, q_r_partials\n\n\n"
-           "def _lower(q, r, s):\n    return q_r_from_sigma(q, r, s), q_r_partials(q, r, s)\n\n\n"
+    bad = ("from .symfunc import q_r_from_sigma\n\n\n"
+           "def _lower(q, r, s):\n    return q_r_from_sigma(q, r, s)\n\n\n"
            "def density(q, r, s):\n    return abs(q_r_from_sigma(q, r, s))\n\n\n"
-           "grads = symfunc.q_r_partials\n")
+           "kernel = symfunc.q_r_from_sigma\n")
     assert _q_r_reads(ast.parse(bad), "_lower") == [9, 12]
     assert _q_r_reads(ast.parse(bad), None) == [5, 9, 12]
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))

@@ -289,14 +289,6 @@ def test_green_trivial_for_constant_f2(torus_rev):
     assert abs(rep.lhs) < 1e-10 and abs(rep.rhs) < 1e-10
 
 
-def test_grid_sampled_variation_converges_in_h(bumpy3, u2):
-    # grid resolution controls the variation jets at 4th order
-    rep = vc.verify_evolution(vc.EvolutionCase(quantity="sH_F"), bumpy3, u2,
-                              grid_levels=(24, 48))
-    assert rep.passed
-    assert rep.order_h is not None and rep.order_h > 3.5
-
-
 def test_report_rows_serializable(bumpy3, u2):
     rep = vc.verify_evolution(vc.EvolutionCase(quantity="dV"), bumpy3, u2)
     row = rep.row()
