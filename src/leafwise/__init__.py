@@ -32,7 +32,6 @@ from .errors import (
     PreconditionError,
     SingularImmersionError,
     SpecError,
-    StencilError,
     ValidationError,
 )
 from .functionals import (
@@ -46,14 +45,12 @@ from .functionals import (
 )
 from .operators import (
     Field,
-    LeafTensorField,
-    ScalarField,
     div_projector,
     fstar_squared,
     hessians,
     leaf_laplacian,
 )
-from .patch import FoliatedPatch, Grid, PointGeometry, point_geometry
+from .patch import FoliatedPatch, Grid, PointGeometry
 from .revolution import (
     RevolutionProfile,
     critical_closed_form,
@@ -72,13 +69,13 @@ __all__ = [
     "catalog", "deltas", "functionals", "operators", "revolution", "suppliers",
     "varcheck",
     "LeafwiseError", "DomainError", "ValidationError", "SingularImmersionError",
-    "StencilError", "PreconditionError", "SpecError",
+    "PreconditionError", "SpecError",
     "FunctionalSpec", "evaluate", "first_variation_analytic",
     "first_variation_numeric", "el_residual", "second_variation_analytic",
     "conformal_density_check",
-    "Field", "ScalarField", "LeafTensorField", "leaf_laplacian", "hessians",
+    "Field", "leaf_laplacian", "hessians",
     "div_projector", "fstar_squared",
-    "FoliatedPatch", "Grid", "PointGeometry", "point_geometry",
+    "FoliatedPatch", "Grid", "PointGeometry",
     "RevolutionProfile", "critical_ode_solve", "critical_closed_form",
     "fit_constants", "principal_curvatures", "revolution_patch",
     "second_variation_revolution",

@@ -17,10 +17,6 @@ class SingularImmersionError(LeafwiseError, RuntimeError):
     """The immersion is degenerate (Jacobian rank < n) at a requested point."""
 
 
-class StencilError(LeafwiseError, RuntimeError):
-    """A finite-difference stencil does not fit inside the evaluable region."""
-
-
 class PreconditionError(LeafwiseError, RuntimeError):
     """A geometric precondition of a formula is violated (non-critical
     surface, foliation not transversally harmonic, ...)."""

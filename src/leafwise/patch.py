@@ -5,9 +5,9 @@ whose first s coordinates run along the leaves of a foliation.  All
 pointwise quantities (metric, normal, second fundamental form, orthogonal
 projector, foliated blocks, Christoffel symbols) are computed in batch
 over arbitrary parameter points, each on first use; the grid only drives
-quadrature and grid-sampled fields.  ``FoliatedPatch.integrate`` is the one
-grid quadrature: energies, first and second variations and the integral
-identities integrate a density of the geometry through it, in blocks of
+quadrature.  ``FoliatedPatch.integrate`` is the one grid quadrature:
+energies, first and second variations and the integral identities
+integrate a density of the geometry through it, in blocks of
 ``FoliatedPatch.block_size`` points (BLOCK_ENTRIES // n**2, about as many
 metric entries for every n) on a thread pool when the grid has more than
 one block.
@@ -83,16 +83,6 @@ def gauss_axis(lo: float, hi: float, m: int) -> Axis:
     return Axis(nodes=nodes, weights=weights, periodic=False, lo=lo, hi=hi)
 
 
-def uniform_axis(lo: float, hi: float, m: int) -> Axis:
-    """Closed uniform grid with trapezoid weights (for sampled fields)."""
-    check_count(m, 2)
-    nodes = np.linspace(lo, hi, m)
-    w = np.full(m, (hi - lo) / (m - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return Axis(nodes=nodes, weights=w, periodic=False, lo=lo, hi=hi)
-
-
 @dataclass(frozen=True)
 class Grid:
     """Tensor-product grid over the chart."""
@@ -119,9 +109,6 @@ class Grid:
         for m in mesh:
             w = w * m
         return w.ravel()
-
-    def node_point(self, index) -> np.ndarray:
-        return np.array([ax.nodes[i] for ax, i in zip(self.axes, index)])
 
 
 #: metric entries g_ij per block of a grid integral, read only by
@@ -182,7 +169,7 @@ class PointGeometry:
     adapted frame (first s vectors span the leaf tangent).  The mixed-block
     norm follows the index-block convention |h_mix|^2 = sum_{i<=s<a} h(e_i,e_a)^2;
     the symmetrized tensor built from the projector has half that square
-    norm and is exposed separately.
+    norm.
 
     Only the jets and the quantities of ``normal_jets`` are stored: normal,
     g, h, frame and sqrt det g.  One Cholesky factorisation g = L L^T gives
@@ -397,10 +384,6 @@ class PointGeometry:
     def norm_hmix_sq(self) -> np.ndarray:
         return np.einsum("pia,pia->p", self.c_mix, self.c_mix)
 
-    @property
-    def norm_hmix_sym_sq(self) -> np.ndarray:
-        return 0.5 * self.norm_hmix_sq
-
 
 @dataclass(frozen=True)
 class FoliatedPatch:
@@ -475,12 +458,3 @@ class FoliatedPatch:
             parts = list(_block_pool().map(block, starts))
         total = np.sum(np.concatenate(parts, axis=-1), axis=-1)
         return float(total) if total.ndim == 0 else total
-
-
-def point_geometry(patch: FoliatedPatch, node) -> PointGeometry:
-    """Geometry bundle at one grid node (multi-index or flat index)."""
-    if np.isscalar(node):
-        x = patch.grid.points[int(node)][None, :]
-    else:
-        x = patch.grid.node_point(node)[None, :]
-    return patch.geometry(x)

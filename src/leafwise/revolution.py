@@ -55,9 +55,12 @@ class RevolutionProfile:
             raise DomainError("empty rho range")
 
     def check_rho(self, rho):
+        """rho as a float array, refused with DomainError unless every value
+        lies in [rho_min, rho_max]: a profile does not extrapolate."""
         rho = np.asarray(rho, dtype=float)
-        if not np.all(np.isfinite(rho) & (rho > 0)):
-            raise DomainError("rho must be finite and positive")
+        if not np.all((rho >= self.rho_min) & (rho <= self.rho_max)):
+            raise DomainError(f"rho must be finite and lie in the profile's range "
+                              f"[{self.rho_min}, {self.rho_max}]")
         return rho
 
     def sample(self, m: int = 200) -> np.ndarray:
@@ -423,6 +426,9 @@ def leaf_mode_variation(j: int) -> Field:
     parallel's angle), with analytic jets; j = 0 gives u = 1 and zero jets."""
     check_count(j, 0, "a leaf mode index j")
 
+    def u(x):
+        return np.cos(j * x[:, 0])
+
     def grad(x):
         out = np.zeros((x.shape[0], 2))
         out[:, 0] = -j * np.sin(j * x[:, 0])
@@ -433,7 +439,7 @@ def leaf_mode_variation(j: int) -> Field:
         out[:, 0, 0] = -j * j * np.cos(j * x[:, 0])
         return out
 
-    return Field.from_callable(lambda x: np.cos(j * x[:, 0]), n=2, grad=grad, hess=hess)
+    return Field(lambda x: (u(x), grad(x), hess(x)), 2, u)
 
 
 def leaf_mode_l2(n: int, j: int) -> float:

@@ -46,7 +46,7 @@ def random_trig_variation(n: int, rng, amplitude: float = 1.0) -> Field:
             acc += -c * np.cos(x @ k + ph)[:, None, None] * np.outer(k, k)[None, :, :]
         return acc
 
-    return Field.from_callable(u, n, grad=grad, hess=hess)
+    return Field(lambda x: (u(x), grad(x), hess(x)), n, u)
 
 
 #: h of the complex step dQ/dt(0) = Im Q(r + i h u N) / h, exact to rounding as

@@ -15,10 +15,8 @@ from leafwise.variation import deformed_patch, random_trig_variation
 
 
 def const_variation(n, value=1.0):
-    return Field.from_callable(
-        lambda x: np.full(x.shape[0], value), n=n,
-        grad=lambda x: np.zeros((x.shape[0], n)),
-        hess=lambda x: np.zeros((x.shape[0], n, n)))
+    u = lambda x: np.full(x.shape[0], value)
+    return Field(lambda x: (u(x), np.zeros((x.shape[0], n)), np.zeros((x.shape[0], n, n))), n, u)
 
 
 # ---------------------------------------------------------------------------

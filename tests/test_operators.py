@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from leafwise import catalog, operators as ops, varcheck as vc
-from leafwise.errors import DomainError, StencilError
+from leafwise.errors import DomainError
 from leafwise.operators import Field, leaf_metric_multiple
-from leafwise.patch import Grid, periodic_axis, uniform_axis
+from leafwise.patch import Grid, periodic_axis
 
 
 def trig_field(n, seed=0, amplitude=1.0):
@@ -157,50 +157,13 @@ def test_full_ibp_on_closed_surface():
     assert rep.discrepancy < 1e-8
 
 
-def test_grid_sampled_field_matches_callable_at_4th_order():
-    fn = lambda x: np.sin(x[:, 0]) * np.cos(2 * x[:, 1])
-    errs = []
-    for m in (32, 64):
-        grid = Grid(axes=(periodic_axis(0, 2 * np.pi, m), periodic_axis(0, 2 * np.pi, m)))
-        values = fn(grid.points).reshape(grid.shape)
-        sampled = Field.from_grid(grid, values)
-        exact = Field.from_callable(fn, n=2)
-        pts = grid.points[:: 37]
-        u1, du1, d2u1 = sampled.jets(pts)
-        u2, du2, d2u2 = exact.jets(pts)
-        assert np.max(np.abs(u1 - u2)) < 1e-13
-        errs.append(max(np.max(np.abs(du1 - du2)), np.max(np.abs(d2u1 - d2u2))))
-    assert errs[1] < 2e-3
-    assert np.log2(errs[0] / errs[1]) > 3.7  # 4th-order stencils
-
-
-def test_grid_sampled_field_boundary_stencil_error():
-    grid = Grid(axes=(uniform_axis(0.0, 1.0, 12), uniform_axis(0.0, 1.0, 12)))
-    values = np.ones(grid.shape)
-    sampled = Field.from_grid(grid, values)
-    with pytest.raises(StencilError):
-        sampled.jets(grid.points[[0]])
-    # interior nodes are fine
-    mid = grid.points[[5 * 12 + 6]]
-    sampled.jets(mid)
-
-
-def test_grid_sampled_field_rejects_offgrid():
-    grid = Grid(axes=(periodic_axis(0, 2 * np.pi, 8),))
-    sampled = Field.from_grid(grid, np.ones(8))
-    with pytest.raises(DomainError):
-        sampled.jets(np.array([[0.1234]]))
-
-
 def test_scalar_fields_refuse_points_that_are_not_finite_n_columns():
     # a 3-column point on a 2-dimensional chart, and a NaN point, are refused
-    # by every way into a scalar field, callable or grid-sampled alike
+    # by every way into a scalar field, stencil jets or jets given directly
     grid = Grid(axes=(periodic_axis(0, 2 * np.pi, 8), periodic_axis(0, 2 * np.pi, 8)))
-    fields = [Field.from_callable(lambda x: np.cos(x[:, 0]), n=2),
-              Field.from_callable(lambda x: np.cos(x[:, 0]), n=2,
-                                        grad=lambda x: np.zeros((len(x), 2)),
-                                        hess=lambda x: np.zeros((len(x), 2, 2))),
-              Field.from_grid(grid, np.ones(grid.shape))]
+    cos = lambda x: np.cos(x[:, 0])
+    fields = [Field.from_callable(cos, n=2),
+              Field(lambda x: (cos(x), np.zeros((len(x), 2)), np.zeros((len(x), 2, 2))), 2, cos)]
     for field in fields:
         for bad in ([[0.1, 0.2, 0.3]], [[np.nan, 0.2]], [0.0, np.inf]):
             with pytest.raises(DomainError, match="finite"):
@@ -208,6 +171,17 @@ def test_scalar_fields_refuse_points_that_are_not_finite_n_columns():
             with pytest.raises(DomainError, match="finite"):
                 field(bad)
         assert field(grid.points[9]).shape == (1,)  # one point as a vector
+
+
+def test_derivative_axis_count_must_be_an_integer_in_one_to_n():
+    # refused when the field is built: unchecked, axes=5 on n = 3 fails as an
+    # IndexError at the first jets call, and axes=0 gives (k, 0) derivatives
+    fn = lambda x: np.cos(x[:, 0])
+    for bad in (5, 4, 0, -1, 2.0, True, "2"):
+        with pytest.raises(DomainError, match="derivative axis count"):
+            Field.from_callable(fn, n=3, axes=bad)
+    for axes in (1, np.int64(2), 3):
+        assert Field.from_callable(fn, n=3, axes=axes).jets([0.1, 0.2, 0.3])[1].shape == (1, axes)
 
 
 def test_tensor_fields_refuse_points_that_are_not_finite_arrays(torus_rev):

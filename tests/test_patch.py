@@ -7,8 +7,7 @@ import pytest
 
 from leafwise import catalog, functionals as fl, varcheck as vc
 from leafwise.errors import DomainError, SingularImmersionError
-from leafwise.patch import (FoliatedPatch, Grid, PointGeometry, gauss_axis, lazy,
-                            periodic_axis, point_geometry, uniform_axis)
+from leafwise.patch import FoliatedPatch, Grid, PointGeometry, gauss_axis, lazy, periodic_axis
 from leafwise.suppliers import (AnalyticSupplier, FiniteDifferenceSupplier, InvertedImmersion,
                                 Jets, cholesky_frame, cofactor_normal, normal_jets)
 from leafwise.symfunc import sigma_all, sigma_from_traces
@@ -103,12 +102,6 @@ def test_second_form_decomposition(sheared4):
     h_mix = 0.5 * (hp + np.swapaxes(hp, -1, -2)) - h_f
     h_perp = np.einsum("pci,pcd,pdj->pij", q, h, q)
     assert np.max(np.abs(h_f + 2 * h_mix + h_perp - h)) < 1e-10
-
-
-def test_mixed_norm_conventions(sheared4):
-    # index-block norm is twice the square norm of the symmetrized tensor
-    geo = sheared4.geometry(sheared4.grid.points[::53])
-    assert np.allclose(geo.norm_hmix_sym_sq, 0.5 * geo.norm_hmix_sq)
 
 
 def test_geometry_fields_are_computed_on_first_use(sheared4):
@@ -335,7 +328,7 @@ def test_leaf_powers_are_built_once(sheared4, tube4):
 
 
 def test_axis_node_counts_and_sphere_dimension_are_checked():
-    for make, least in ((periodic_axis, 1), (gauss_axis, 1), (uniform_axis, 2)):
+    for make, least in ((periodic_axis, 1), (gauss_axis, 1)):
         assert make(0.0, 1.0, np.int64(least)).nodes.shape == (least,)
         for m in (least - 1, -3, 2.5, True, None):
             with pytest.raises(DomainError):
@@ -363,13 +356,6 @@ def test_grid_energy_path_calls_no_lapack(sheared_two_blocks, monkeypatch):
     for name in ("det", "inv", "cholesky", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     assert fl.evaluate(fl.w_nps(2), sheared_two_blocks) == expected
-
-
-def test_point_geometry_node_api(bumpy3):
-    geo = point_geometry(bumpy3, (3, 4))
-    assert geo.g.shape == (1, 2, 2)
-    flat = point_geometry(bumpy3, 7)
-    assert flat.normal.shape == (1, 3)
 
 
 def test_finite_difference_supplier_order():

@@ -10,7 +10,7 @@ import sympy as sp
 from scipy import special
 
 import leafwise
-from leafwise import revolution as rev
+from leafwise import functionals as fl, revolution as rev
 from leafwise.errors import DomainError, PreconditionError
 
 RHO = sp.Symbol("rho")
@@ -105,6 +105,21 @@ def test_rho_finite_required():
             rev.invariants(cone, [bad])
         with pytest.raises(DomainError, match="rho must be finite"):
             rev.principal_curvatures(cone, [0.5, bad])
+
+
+def test_rho_outside_the_profile_range_is_refused():
+    # a profile does not extrapolate: this ODE profile ends at rho = 0.6, and
+    # unchecked, its residual at 0.9 reads 0.0
+    prof = rev.critical_ode_solve(2, 3, 0.4, 1.0, 0.4, (0.4, 0.6))
+    with pytest.raises(DomainError, match="profile's range"):
+        fl.el_residual(fl.w_nps(3), prof, x=[0.9])
+    cone = rev.profile_from_sympy(2, 0.8 * RHO, RHO, (0.2, 2.0))
+    for bad in ([0.5, 2.0 + 1e-9], [0.2 - 1e-9], [0.1]):
+        with pytest.raises(DomainError, match="profile's range"):
+            rev.invariants(cone, bad)
+        with pytest.raises(DomainError, match="profile's range"):
+            rev.principal_curvatures(cone, bad)
+    assert rev.invariants(cone, [0.2, 1.0, 2.0]).k1.shape == (3,)  # both ends are in
 
 
 def test_profile_range_must_be_finite():

@@ -9,7 +9,6 @@ import pytest
 from leafwise import catalog, functionals as fl
 from leafwise.errors import DomainError
 from leafwise.operators import Field
-from leafwise.patch import Grid, uniform_axis
 from leafwise.suppliers import FiniteDifferenceSupplier, callable_jets, stencil_jets
 
 # degree <= 4 in each of three variables: the 5-point first- and
@@ -43,16 +42,6 @@ def assert_exact(jets, x):
 def test_callable_sampler_is_exact_on_quartics():
     x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(9, 3))
     assert_exact(callable_jets(poly, x, (0.1, 0.05, 0.2)), x)
-
-
-def test_grid_sampler_is_exact_on_quartics():
-    grid = Grid(axes=(uniform_axis(-1.0, 1.0, 11), uniform_axis(-1.0, 1.0, 9),
-                      uniform_axis(-0.5, 1.5, 13)))
-    field = Field.from_grid(grid, poly(grid.points).reshape(grid.shape))
-    idx = np.stack(np.meshgrid(*[np.arange(2, m - 2) for m in grid.shape],
-                               indexing="ij"), axis=-1).reshape(-1, 3)
-    x = np.stack([ax.nodes[idx[:, d]] for d, ax in enumerate(grid.axes)], axis=1)
-    assert_exact(field.jets(x), x)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

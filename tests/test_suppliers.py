@@ -72,18 +72,20 @@ def build_recorded(build, monkeypatch):
 
 def plain_jets(coords, exprs, x):
     """r, d1, d2, d3 from one plain lambdify per component of its value and
-    every derivative, common subexpressions shared (``cse=True``), every index
-    tuple differentiated in its own order, derivative axes first."""
+    every derivative, common subexpressions shared (``cse=True``), each
+    sorted index tuple differentiated once, from its sorted prefix, and its
+    value filled into every permutation, derivative axes first."""
     n, m, mpts = len(coords), len(exprs), x.shape[0]
     out = [np.empty((mpts,) + (n,) * k + (m,)) for k in range(4)]
     for a, e in enumerate(exprs):
         derivs = {(): e}
         for k in range(1, 4):
-            for idx in itertools.product(range(n), repeat=k):
+            for idx in itertools.combinations_with_replacement(range(n), k):
                 derivs[idx] = sp.diff(derivs[idx[:-1]], coords[idx[-1]])
         values = sp.lambdify(coords, list(derivs.values()), modules="numpy", cse=True)(*x.T)
         for idx, v in zip(derivs, values):
-            out[len(idx)][(slice(None),) + idx + (a,)] = v
+            for perm in set(itertools.permutations(idx)):
+                out[len(idx)][(slice(None),) + perm + (a,)] = v
     return out
 
 
